@@ -5,20 +5,17 @@ simulate the tilted dynamics, and recover plain-dynamics statistics through
 Girsanov reweighting, with grid-based reference solvers for validation.
 """
 
-from .ansatz import (GaussianAnsatz, eval_value_and_control, init_fill_wells,
-                     make_uniform_ansatz, tilted_potential, tilted_potential_from)
+from .ansatz import (GaussianAnsatz, init_fill_wells, make_uniform_ansatz,
+                     tilted_potential_from)
 from .config import RunConfig
-from .dynamics import (BatchResult, SimConfig, Trajectory, discrete_action, em_step,
-                       log_likelihood_ratio, path_stream, run_batch,
-                       simulate_until_hit)
+from .dynamics import BatchResult, SimConfig, path_stream, run_batch
 from .estimators import (EstimatorResult, PsiEstimate, estimate_mfpt_reweighted,
                          estimate_psi_reweighted, summarize)
 from .milestoning import (MilestoneLadder, MilestoningResult, build_ladder,
                           run_milestoning, solve_shell)
 from .model import (ModelBundle, Observable, Potential, SimulationDomain,
                     StoppingSet, constant_observable, default_start_point,
-                    eval_model, is_hit, make_flat, make_harmonic, make_potential,
-                    make_skew_double_well)
+                    make_flat, make_harmonic, make_potential)
 from .objective import (GradientEstimate, estimate_cost,
                         estimate_exact_gradient_fixed_horizon,
                         estimate_inexact_gradient, make_objective)

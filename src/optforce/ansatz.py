@@ -107,11 +107,6 @@ class GaussianAnsatz:
                               np.array(doc["coefficients"], dtype=np.float64))
 
 
-def eval_value_and_control(ansatz: GaussianAnsatz, x):
-    """(value, control) at x; both sums run over the active basis only."""
-    return ansatz.value(x), ansatz.control(x)
-
-
 def make_uniform_ansatz(m: int, domain: SimulationDomain, exclude: StoppingSet,
                         width: float) -> GaussianAnsatz:
     """m Gaussians of equal width, centers uniformly spaced right of the stopping set.
@@ -135,13 +130,8 @@ def make_uniform_ansatz(m: int, domain: SimulationDomain, exclude: StoppingSet,
                           coefficients=np.zeros(m))
 
 
-def tilted_potential(ansatz: GaussianAnsatz, p: Potential, x):
-    """G(x) = V(x) + 2 F(x); grad G = grad V - sqrt(2) c."""
-    return p.evaluate(x) + 2.0 * ansatz.value(x)
-
-
 def tilted_potential_from(ansatz: GaussianAnsatz, p: Potential) -> Potential:
-    """The tilted landscape as a Potential, with the exact analytic gradient."""
+    """The tilted landscape G = V + 2F as a Potential; grad G = grad V - sqrt(2) c."""
     return Potential(
         dimension=1,
         evaluate=lambda x: p.evaluate(x) + 2.0 * ansatz.value(x),

@@ -53,7 +53,7 @@ def _write_reference_csv(path: Path, sol, config_hash: str):
     path.write_text("\n".join(lines) + "\n")
 
 
-def cmd_reference(cfg: RunConfig, out: Path, workers: int) -> int:
+def cmd_reference(cfg: RunConfig, out: Path) -> int:
     model = cfg.build_model()
     grid = build_grid(model.stopping_set, model.domain, cfg.dx)
     sol = solve_reference(model.potential, cfg.sigma, cfg.epsilon, grid,
@@ -81,7 +81,7 @@ def cmd_reference(cfg: RunConfig, out: Path, workers: int) -> int:
     return 0
 
 
-def cmd_optimize(cfg: RunConfig, out: Path, workers: int) -> int:
+def cmd_optimize(cfg: RunConfig, out: Path) -> int:
     model = cfg.build_model()
     grid = build_grid(model.stopping_set, model.domain, cfg.dx)
     x0 = cfg.start_point(model)
@@ -90,7 +90,6 @@ def cmd_optimize(cfg: RunConfig, out: Path, workers: int) -> int:
     a0 = init_fill_wells(ansatz, model.potential, grid)
     ansatz = ansatz.with_coefficients(a0)
     sim_cfg = cfg.descent_sim_config()
-    descent_cfg = cfg.descent_config()
     chash = cfg.config_hash()
 
     use_milestoning = cfg.ladder.shells > 1 or cfg.ladder.thresholds is not None
@@ -100,7 +99,7 @@ def cmd_optimize(cfg: RunConfig, out: Path, workers: int) -> int:
                                      model.stopping_set)
         else:
             ladder = build_ladder(model.stopping_set, model.domain, cfg.ladder.shells)
-        result = run_milestoning(ladder, ansatz, model, sim_cfg, descent_cfg,
+        result = run_milestoning(ladder, ansatz, model, sim_cfg, cfg.descent,
                                  seed=cfg.seed, x0=x0)
         final = result.ansatz
         for i, trace in enumerate(result.shell_traces):
@@ -110,8 +109,8 @@ def cmd_optimize(cfg: RunConfig, out: Path, workers: int) -> int:
                          "shells": ladder.n_shells}
     else:
         objective = make_objective(ansatz, x0, model, sim_cfg,
-                                   n_paths=descent_cfg.batch_size, workers=workers)
-        a_best, trace = descend(a0, descent_cfg, objective, seed=cfg.seed)
+                                   n_paths=cfg.descent.batch_size)
+        a_best, trace = descend(a0, cfg.descent, objective, seed=cfg.seed)
         final = ansatz.with_coefficients(a_best)
         trace.write_csv(out / "trace.csv", chash)
         traces = [trace]
@@ -120,7 +119,7 @@ def cmd_optimize(cfg: RunConfig, out: Path, workers: int) -> int:
     (out / "ansatz.json").write_text(final.to_json() + "\n")
     # the termination rule is norm < max(grad_tol, 2 * gradient stderr norm);
     # report the level actually in force at the final iterate
-    thresholds = [max(descent_cfg.grad_tol, 2.0 * t.records[-1].grad_stderr_norm)
+    thresholds = [max(cfg.descent.grad_tol, 2.0 * t.records[-1].grad_stderr_norm)
                   for t in traces]
     _write_json(out / "optimize.json", {
         "config_hash": chash,
@@ -149,14 +148,14 @@ def _load_ansatz(out: Path) -> GaussianAnsatz:
     return GaussianAnsatz.from_json(path.read_text())
 
 
-def cmd_estimate(cfg: RunConfig, out: Path, workers: int) -> int:
+def cmd_estimate(cfg: RunConfig, out: Path) -> int:
     model = cfg.build_model()
     x0 = cfg.start_point(model)
     ansatz = _load_ansatz(out)
     if cfg.estimate.untilted:
         ansatz = ansatz.with_coefficients(np.zeros(ansatz.m))
     n = cfg.estimate.n_paths
-    sim_cfg = cfg.sim_config(batch_size=n)
+    sim_cfg = cfg.sim_config()
     chash = cfg.config_hash()
 
     records = []
@@ -167,7 +166,7 @@ def cmd_estimate(cfg: RunConfig, out: Path, workers: int) -> int:
                         "ess": res.ess, "config_hash": chash})
 
     psi = estimate_psi_reweighted(ansatz, x0, cfg.sigma, model, sim_cfg,
-                                  seed=cfg.seed, tag=1, n_paths=n, workers=workers)
+                                  seed=cfg.seed, tag=1, n_paths=n)
     record("psi", psi.psi)
     record("free_energy", psi.free_energy)
 
@@ -178,13 +177,12 @@ def cmd_estimate(cfg: RunConfig, out: Path, workers: int) -> int:
     tilted_model = type(tilted_model)(tilted, tilted_model.observable,
                                       tilted_model.stopping_set, tilted_model.domain)
     mfpt_tilted = estimate_mfpt_reweighted(None, x0, tilted_model, sim_cfg,
-                                           seed=cfg.seed, tag=2, n_paths=n,
-                                           workers=workers)
+                                           seed=cfg.seed, tag=2, n_paths=n)
     record("mfpt_tilted", mfpt_tilted)
 
     if cfg.estimate.untilted:
         crude = estimate_mfpt_reweighted(None, x0, model, sim_cfg, seed=cfg.seed,
-                                         tag=3, n_paths=n, workers=workers)
+                                         tag=3, n_paths=n)
         record("mfpt", crude)
 
     _write_json(out / "estimates.json", {"config_hash": chash, "records": records})
@@ -192,21 +190,20 @@ def cmd_estimate(cfg: RunConfig, out: Path, workers: int) -> int:
     return 0
 
 
-def cmd_gradcheck(cfg: RunConfig, out: Path, workers: int) -> int:
+def cmd_gradcheck(cfg: RunConfig, out: Path) -> int:
     model = cfg.build_model()
     x0 = cfg.start_point(model)
     ansatz = make_uniform_ansatz(cfg.ansatz.m, model.domain, model.stopping_set,
                                  cfg.ansatz.width)
     horizon = 0.5
     n_paths = 4000
-    sim_cfg = cfg.sim_config(batch_size=n_paths)
+    sim_cfg = cfg.sim_config()
     rng = np.random.default_rng(cfg.seed)
     a = 0.5 * rng.standard_normal(ansatz.m)
     ansatz = ansatz.with_coefficients(a)
 
     est = estimate_exact_gradient_fixed_horizon(ansatz, x0, model, sim_cfg, horizon,
-                                                seed=cfg.seed, tag=5,
-                                                n_paths=n_paths, workers=workers)
+                                                seed=cfg.seed, tag=5, n_paths=n_paths)
     delta = 1e-3
     rows = []
     ok_all = True
@@ -215,12 +212,10 @@ def cmd_gradcheck(cfg: RunConfig, out: Path, workers: int) -> int:
         step[j] = delta
         up, up_se = estimate_cost(ansatz.with_coefficients(a + step), x0, model,
                                   sim_cfg, seed=cfg.seed, tag=5,
-                                  fixed_horizon=horizon, n_paths=n_paths,
-                                  workers=workers)
+                                  fixed_horizon=horizon, n_paths=n_paths)
         dn, dn_se = estimate_cost(ansatz.with_coefficients(a - step), x0, model,
                                   sim_cfg, seed=cfg.seed, tag=5,
-                                  fixed_horizon=horizon, n_paths=n_paths,
-                                  workers=workers)
+                                  fixed_horizon=horizon, n_paths=n_paths)
         fd = (up - dn) / (2 * delta)
         combined_se = float(np.hypot(est.gradient_stderr[j],
                                      np.hypot(up_se, dn_se) / (2 * delta)))
@@ -244,7 +239,7 @@ def _read_reference_csv(path: Path):
     return {"x": data[:, 0], "psi": data[:, 1], "F": data[:, 2], "mfpt": data[:, 3]}
 
 
-def cmd_compare(cfg: RunConfig, out: Path, workers: int) -> int:
+def cmd_compare(cfg: RunConfig, out: Path) -> int:
     model = cfg.build_model()
     x0 = cfg.start_point(model)
     checks = []
@@ -333,9 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="YAML config file (defaults reproduce the headline run)")
     parser.add_argument("--seed", type=int, default=None, help="override the seed")
     parser.add_argument("--out", type=Path, default=None, help="output directory")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="batch-parallel worker count (results are identical "
-                             "for any value)")
+    # accepted and ignored: the batch thread pool it sized was slower than one
+    # thread, and existing scripts still pass --workers 1
+    parser.add_argument("--workers", type=int, default=1, help=argparse.SUPPRESS)
     parser.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override a config field by dotted path")
     return parser
@@ -356,7 +351,7 @@ def main(argv=None) -> int:
     out = Path(args.out) if args.out else Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        return COMMANDS[args.command](cfg, out, args.workers)
+        return COMMANDS[args.command](cfg, out)
     except FileNotFoundError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields
-from typing import Any
+from dataclasses import asdict, dataclass, field, fields, replace
+from typing import Any, get_args, get_type_hints
 
 import yaml
 
@@ -36,12 +36,30 @@ def _from_dict(cls, doc: dict, path: str):
     unknown = sorted(set(doc) - set(known))
     if unknown:
         raise ConfigError(f"unknown config keys at {path or 'top level'}: {', '.join(unknown)}")
+    hints = get_type_hints(cls)
     kwargs = {}
     for name, value in doc.items():
         sub = _NESTED.get((cls, name))
         key = f"{path}.{name}" if path else name
-        kwargs[name] = _from_dict(sub, value, key) if sub else value
-    return cls(**kwargs)
+        kwargs[name] = (_from_dict(sub, value, key) if sub
+                        else _coerce(value, hints[name], key))
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"{path or 'config'}: {err}") from None
+
+
+def _coerce(value, hint, key: str):
+    """Parse a string in an int or float field; PyYAML reads `1e-3` as a string."""
+    if not isinstance(value, str):
+        return value
+    for kind in (int, float):
+        if hint is kind or kind in get_args(hint):
+            try:
+                return kind(value)
+            except ValueError:
+                raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}") from None
+    return value
 
 
 @dataclass(frozen=True)
@@ -70,20 +88,6 @@ class AnsatzSpec:
 
 
 @dataclass(frozen=True)
-class DescentSpec:
-    max_iters: int = 200
-    grad_tol: float = 0.05
-    wolfe_c1: float = 1e-4
-    wolfe_c2: float = 0.9
-    alpha_init: float = 1.0
-    alpha_max: float = 10.0
-    batch_size: int = 512
-    reseed_policy: str = "fresh"
-    # coarser step for the descent only; estimates keep the global h
-    h: float | None = 2e-3
-
-
-@dataclass(frozen=True)
 class LadderSpec:
     shells: int = 1
     thresholds: list | None = None
@@ -108,7 +112,7 @@ class RunConfig:
     max_steps: int = 10_000_000
     x0: float | None = None
     ansatz: AnsatzSpec = field(default_factory=AnsatzSpec)
-    descent: DescentSpec = field(default_factory=DescentSpec)
+    descent: DescentConfig = field(default_factory=DescentConfig)
     ladder: LadderSpec = field(default_factory=LadderSpec)
     estimate: EstimateSpec = field(default_factory=EstimateSpec)
     out_dir: str = "runs"
@@ -161,27 +165,16 @@ class RunConfig:
             domain=SimulationDomain(self.domain.lo, self.domain.hi, self.domain.boundary),
         )
 
-    def sim_config(self, batch_size: int | None = None,
-                   h: float | None = None) -> SimConfig:
+    def sim_config(self, h: float | None = None) -> SimConfig:
         return SimConfig(epsilon=self.epsilon, h=h or self.h,
-                         max_steps=self.max_steps, seed=self.seed,
-                         batch_size=batch_size or self.descent.batch_size)
+                         max_steps=self.max_steps, seed=self.seed)
 
     def descent_sim_config(self) -> SimConfig:
         # a tighter step cap: legitimate controlled paths are far shorter, and
         # runaway line-search probes must fail fast instead of running to the
         # global cap
-        cfg = self.sim_config(h=self.descent.h)
-        return SimConfig(epsilon=cfg.epsilon, h=cfg.h,
-                         max_steps=min(cfg.max_steps, 200_000), seed=cfg.seed,
-                         batch_size=cfg.batch_size)
-
-    def descent_config(self) -> DescentConfig:
-        d = self.descent
-        return DescentConfig(max_iters=d.max_iters, grad_tol=d.grad_tol,
-                             wolfe_c1=d.wolfe_c1, wolfe_c2=d.wolfe_c2,
-                             alpha_init=d.alpha_init, alpha_max=d.alpha_max,
-                             batch_size=d.batch_size, reseed_policy=d.reseed_policy)
+        return replace(self.sim_config(h=self.descent.h),
+                       max_steps=min(self.max_steps, 200_000))
 
     def start_point(self, model: ModelBundle | None = None) -> float:
         if self.x0 is not None:
@@ -195,7 +188,7 @@ _NESTED = {
     (RunConfig, "stopping_set"): IntervalSpec,
     (RunConfig, "domain"): DomainSpec,
     (RunConfig, "ansatz"): AnsatzSpec,
-    (RunConfig, "descent"): DescentSpec,
+    (RunConfig, "descent"): DescentConfig,
     (RunConfig, "ladder"): LadderSpec,
     (RunConfig, "estimate"): EstimateSpec,
 }

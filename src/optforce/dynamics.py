@@ -17,23 +17,30 @@ exp(log dP/dQ) is unbiased for the discrete chain (including reflective
 folding at the domain edges).
 
 Per-path noise streams are derived from (seed, tag, path index) through a
-counter-based generator and consumed in fixed-size blocks, so batches are
-reproducible and independent of how paths are grouped across workers.
+counter-based generator and consumed in fixed-size blocks, so a path sees
+the same noise however paths are grouped.  Its controlled statistics can
+still differ in the last bits with the grouping (see KERNEL_CHUNK), so
+batches are reproducible for a given n_paths.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelBundle, Observable, Potential, SimulationDomain, StoppingSet, OutOfDomainError, is_hit
+from .model import ModelBundle, SimulationDomain, OutOfDomainError
 
 SQRT2 = np.sqrt(2.0)
 
 # per-path noise streams are consumed in blocks of this many normals
 NOISE_BLOCK = 512
+
+# paths per kernel chunk.  The controlled update evaluates c = bmat @ coeffs
+# (BLAS gemv) over the live lanes, and gemv rounds a row differently
+# depending on how many rows are live, so changing the width changes the
+# last bits of controlled batches and with them every recorded output.
+KERNEL_CHUNK = 1024
 
 
 class NumericalFailureError(RuntimeError):
@@ -51,38 +58,20 @@ class CensoredPathError(RuntimeError):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Temperature, step size and batch bookkeeping for the simulator."""
+    """Temperature, step size, step cap and seed for the simulator."""
 
     epsilon: float
     h: float
     max_steps: int = 10_000_000
     seed: int = 0
-    batch_size: int = 512
 
     def __post_init__(self):
         if self.epsilon <= 0 or self.h <= 0:
             raise ValueError("epsilon and h must be strictly positive")
-        if self.max_steps < 1 or self.batch_size < 1:
-            raise ValueError("max_steps and batch_size must be positive")
+        if self.max_steps < 1:
+            raise ValueError("max_steps must be positive")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative 64-bit integer")
-
-
-@dataclass
-class Trajectory:
-    """One discrete controlled path up to its hitting step.
-
-    states/noises are kept only when the path was simulated with
-    store_path=True; all scalar statistics are accumulated in the loop.
-    """
-
-    n_tau: int
-    work: float
-    control_cost: float
-    log_lr_p_over_q: float
-    hit: bool
-    states: np.ndarray | None = None
-    noises: np.ndarray | None = None
 
 
 def path_stream(seed: int, path_index: int, tag: int = 0) -> np.random.Generator:
@@ -97,95 +86,6 @@ def _reflect(x, domain: SimulationDomain):
     width = hi - lo
     y = np.mod(x - lo, 2.0 * width)
     return lo + np.minimum(y, 2.0 * width - y)
-
-
-def em_step(x, control_value, noise, cfg: SimConfig, p: Potential,
-            domain: SimulationDomain | None = None):
-    """One Euler-Maruyama update; reflects at the domain edges afterwards."""
-    h, eps = cfg.h, cfg.epsilon
-    x_new = x + h * (SQRT2 * control_value - p.gradient(x)) + np.sqrt(2.0 * h * eps) * noise
-    if not np.all(np.isfinite(x_new)):
-        raise NumericalFailureError("non-finite Euler-Maruyama update", x=x, step=None)
-    if domain is not None:
-        if domain.boundary == "reflect":
-            x_new = _reflect(x_new, domain)
-        elif not np.all(domain.contains(x_new)):
-            raise OutOfDomainError(f"update left the domain with abort boundary: {x_new}")
-    return x_new
-
-
-def simulate_until_hit(x0: float, control, s: StoppingSet, f: Observable,
-                       cfg: SimConfig, p: Potential, stream: np.random.Generator,
-                       domain: SimulationDomain | None = None,
-                       store_path: bool = True) -> Trajectory:
-    """Run one controlled path from x0 until it enters S or max_steps is hit.
-
-    control is a map x -> control value, or None for the plain dynamics.
-    Noises are drawn from `stream` in blocks of NOISE_BLOCK.
-    """
-    if bool(is_hit(s, x0)):
-        raise ValueError(f"x0={x0} already inside the stopping set")
-    h, eps = cfg.h, cfg.epsilon
-    lr_eta = np.sqrt(h / eps)
-    lr_quad = h / (2.0 * eps)
-
-    x = float(x0)
-    work = 0.0
-    cost = 0.0
-    log_lr = 0.0
-    states = [x] if store_path else None
-    noises = [] if store_path else None
-    block = stream.standard_normal(NOISE_BLOCK)
-    pos = 0
-    hit = False
-    n = 0
-    while n < cfg.max_steps:
-        if pos == NOISE_BLOCK:
-            block = stream.standard_normal(NOISE_BLOCK)
-            pos = 0
-        eta = block[pos]
-        pos += 1
-        c = 0.0 if control is None else float(control(x))
-        work += h * float(f.evaluate(x))
-        cost += h * 0.5 * c * c
-        log_lr += -lr_eta * c * eta - lr_quad * c * c
-        x = float(em_step(x, c, eta, cfg, p, domain))
-        n += 1
-        if store_path:
-            states.append(x)
-            noises.append(eta)
-        if bool(is_hit(s, x)):
-            hit = True
-            break
-    return Trajectory(
-        n_tau=n, work=work, control_cost=cost, log_lr_p_over_q=log_lr, hit=hit,
-        states=np.array(states) if store_path else None,
-        noises=np.array(noises) if store_path else None,
-    )
-
-
-def discrete_action(traj: Trajectory, control, cfg: SimConfig, p: Potential) -> float:
-    """Discrete action of the stored path under the supplied control field.
-
-        S_h = (h / 4 eps) sum_k | (x_{k+1}-x_k)/h + V'(x_k) - sqrt(2) c(x_k) |^2
-
-    The control need not be the one that generated the path.
-    """
-    if traj.states is None:
-        raise ValueError("trajectory was simulated without stored states")
-    x = traj.states
-    if x.size != traj.n_tau + 1:
-        raise ValueError(f"state count {x.size} does not match n_tau={traj.n_tau}")
-    h, eps = cfg.h, cfg.epsilon
-    xk = x[:-1]
-    c = np.zeros_like(xk) if control is None else np.asarray(control(xk), dtype=np.float64)
-    resid = (x[1:] - xk) / h + np.asarray(p.gradient(xk), dtype=np.float64) - SQRT2 * c
-    return float(h / (4.0 * eps) * np.sum(resid * resid))
-
-
-def log_likelihood_ratio(traj: Trajectory, control, cfg: SimConfig, p: Potential) -> float:
-    """log dP/dQ of the stored path: action under `control` minus action under zero."""
-    return discrete_action(traj, control, cfg, p) - discrete_action(traj, None, cfg, p)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +246,7 @@ def _run_chunk(x0, control, basis, model: ModelBundle, cfg: SimConfig,
 def run_batch(x0: float, control, model: ModelBundle, cfg: SimConfig, *,
               n_paths: int, seed: int | None = None, tag: int = 0,
               basis=None, fixed_steps: int | None = None,
-              terminal_value=None, workers: int = 1) -> BatchResult:
+              terminal_value=None) -> BatchResult:
     """Simulate n_paths controlled paths and reduce their statistics.
 
     Parameters
@@ -361,24 +261,18 @@ def run_batch(x0: float, control, model: ModelBundle, cfg: SimConfig, *,
     terminal_value : callable evaluated at the hitting point and added to the
         per-path cost (milestoning inner-boundary values).
 
-    Path i always consumes the stream (seed, tag, i), so results do not
-    depend on chunking or worker count.
+    Path i always consumes the stream (seed, tag, i).  Paths run in chunks of
+    KERNEL_CHUNK, one after another; a chunk's results do not depend on the
+    paths after it, but a controlled path's last bits depend on which other
+    paths share its chunk.
     """
-    if fixed_steps is None and bool(is_hit(model.stopping_set, x0)):
+    if fixed_steps is None and bool(model.stopping_set.contains(x0)):
         raise ValueError(f"x0={x0} already inside the stopping set")
     seed = cfg.seed if seed is None else seed
 
-    chunk = 1024
-    ranges = [(lo, min(lo + chunk, n_paths)) for lo in range(0, n_paths, chunk)]
-    if len(ranges) == 1 or workers <= 1:
-        parts = [_run_chunk(x0, control, basis, model, cfg, hi - lo, seed, tag, lo,
-                            fixed_steps, terminal_value) for lo, hi in ranges]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(
-                lambda r: _run_chunk(x0, control, basis, model, cfg, r[1] - r[0],
-                                     seed, tag, r[0], fixed_steps, terminal_value),
-                ranges))
+    parts = [_run_chunk(x0, control, basis, model, cfg, min(KERNEL_CHUNK, n_paths - lo),
+                        seed, tag, lo, fixed_steps, terminal_value)
+             for lo in range(0, n_paths, KERNEL_CHUNK)]
     if len(parts) == 1:
         return parts[0]
 

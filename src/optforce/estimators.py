@@ -64,13 +64,12 @@ def summarize(samples, weights) -> EstimatorResult:
 
 
 def _tilted_batch(control, x0, model: ModelBundle, cfg: SimConfig, seed, tag,
-                  n_paths, workers):
+                  n_paths):
     if isinstance(control, GaussianAnsatz):
         field = None if np.all(control.coefficients == 0.0) else control.control
     else:
         field = control
-    batch = run_batch(x0, field, model, cfg, n_paths=n_paths or cfg.batch_size,
-                      seed=seed, tag=tag, workers=workers)
+    batch = run_batch(x0, field, model, cfg, n_paths=n_paths, seed=seed, tag=tag)
     if batch.n_censored:
         raise CensoredPathError(
             f"{batch.n_censored}/{batch.n_paths} paths did not hit; reweighted "
@@ -88,7 +87,7 @@ def _check_degeneracy(result: EstimatorResult):
 
 def estimate_psi_reweighted(control, x0: float, sigma: float, model: ModelBundle,
                             cfg: SimConfig, *, seed: int | None = None, tag: int = 0,
-                            n_paths: int | None = None, workers: int = 1) -> PsiEstimate:
+                            n_paths: int) -> PsiEstimate:
     """Estimate psi_sigma(x0) = E[exp(-sigma tau / eps)] from tilted paths.
 
     control is a GaussianAnsatz or a plain control field x -> c(x); with the
@@ -97,7 +96,7 @@ def estimate_psi_reweighted(control, x0: float, sigma: float, model: ModelBundle
     """
     bundle = ModelBundle(model.potential, constant_observable(sigma),
                          model.stopping_set, model.domain)
-    batch = _tilted_batch(control, x0, bundle, cfg, seed, tag, n_paths, workers)
+    batch = _tilted_batch(control, x0, bundle, cfg, seed, tag, n_paths)
     w = np.exp(batch.log_lr_p_over_q)
     samples = np.exp(-batch.work / cfg.epsilon)
     psi = summarize(samples, w)
@@ -115,18 +114,16 @@ def estimate_psi_reweighted(control, x0: float, sigma: float, model: ModelBundle
 
 def estimate_mfpt_reweighted(control, x0: float, model: ModelBundle, cfg: SimConfig,
                              *, seed: int | None = None, tag: int = 0,
-                             n_paths: int | None = None,
-                             workers: int = 1) -> EstimatorResult:
+                             n_paths: int) -> EstimatorResult:
     """Estimate E[tau] under the plain dynamics from tilted paths.
 
     tau-hat is the batch mean of (h * N_tau) * w.  Degenerate case: x0 on the
     stopping boundary returns 0 exactly.
     """
     if bool(model.stopping_set.contains(x0)):
-        n = n_paths or cfg.batch_size
-        return EstimatorResult(estimate=0.0, stderr=0.0, ci95=(0.0, 0.0),
-                               n_paths=n, ess=float(n), min_weight=1.0, max_weight=1.0)
-    batch = _tilted_batch(control, x0, model, cfg, seed, tag, n_paths, workers)
+        return EstimatorResult(estimate=0.0, stderr=0.0, ci95=(0.0, 0.0), n_paths=n_paths,
+                               ess=float(n_paths), min_weight=1.0, max_weight=1.0)
+    batch = _tilted_batch(control, x0, model, cfg, seed, tag, n_paths)
     w = np.exp(batch.log_lr_p_over_q)
     result = summarize(cfg.h * batch.n_steps, w)
     _check_degeneracy(result)

@@ -95,11 +95,6 @@ class MilestoningResult:
     def mean_steps(self) -> float:
         return float(np.mean([t.mean_steps for t in self.shell_traces]))
 
-    @property
-    def final_mean_steps(self) -> float:
-        """Mean path length per shell at the last (converged) iteration."""
-        return float(np.mean([t.records[-1].mean_steps for t in self.shell_traces]))
-
     def value(self, x):
         """Anchored piecewise value function (zero on the target boundary).
 

@@ -51,25 +51,19 @@ class GradientEstimate:
         return float(np.linalg.norm(self.gradient_stderr))
 
 
-def _simulate(ansatz, x0, model, cfg, seed, tag, fixed_steps, terminal_value,
-              n_paths, workers) -> BatchResult:
-    return run_batch(x0, None, model, cfg, n_paths=n_paths or cfg.batch_size,
-                     seed=seed, tag=tag, basis=ansatz, fixed_steps=fixed_steps,
-                     terminal_value=terminal_value, workers=workers)
-
-
 def estimate_cost(ansatz: GaussianAnsatz, x0: float, model: ModelBundle,
                   cfg: SimConfig, *, seed: int | None = None, tag: int = 0,
                   fixed_horizon: float | None = None, terminal_value=None,
-                  n_paths: int | None = None, workers: int = 1):
+                  n_paths: int):
     """Batch mean and standard error of the per-path cost under the ansatz tilt.
 
     Any censored (non-hitting) path is an error: a mean over censored batches
     is biased and estimator-grade results must not silently absorb that.
     """
     fixed_steps = _steps_for_horizon(fixed_horizon, cfg)
-    batch = _simulate(ansatz, x0, model, cfg, seed, tag, fixed_steps,
-                      terminal_value, n_paths, workers)
+    batch = run_batch(x0, None, model, cfg, n_paths=n_paths, seed=seed, tag=tag,
+                      basis=ansatz, fixed_steps=fixed_steps,
+                      terminal_value=terminal_value)
     if batch.n_censored:
         raise CensoredPathError(
             f"{batch.n_censored}/{batch.n_paths} paths did not hit within "
@@ -114,15 +108,14 @@ def _assemble(batch: BatchResult, cfg: SimConfig, keep: np.ndarray) -> GradientE
 
 def estimate_inexact_gradient(ansatz: GaussianAnsatz, x0: float, model: ModelBundle,
                               cfg: SimConfig, *, seed: int | None = None, tag: int = 0,
-                              terminal_value=None, n_paths: int | None = None,
-                              workers: int = 1) -> GradientEstimate:
+                              terminal_value=None, n_paths: int) -> GradientEstimate:
     """Random-stopping-time gradient estimate (boundary terms dropped).
 
     Censored paths are excluded with a warning and counted in n_censored;
     the optimizer degrades gracefully, estimator-grade users must check.
     """
-    batch = _simulate(ansatz, x0, model, cfg, seed, tag, None, terminal_value,
-                      n_paths, workers)
+    batch = run_batch(x0, None, model, cfg, n_paths=n_paths, seed=seed, tag=tag,
+                      basis=ansatz, terminal_value=terminal_value)
     keep = batch.hit
     if batch.n_censored:
         warnings.warn(f"excluding {batch.n_censored} censored paths from the "
@@ -134,8 +127,7 @@ def estimate_exact_gradient_fixed_horizon(ansatz: GaussianAnsatz, x0: float,
                                           model: ModelBundle, cfg: SimConfig,
                                           horizon: float, *,
                                           seed: int | None = None, tag: int = 0,
-                                          n_paths: int | None = None,
-                                          workers: int = 1) -> GradientEstimate:
+                                          n_paths: int) -> GradientEstimate:
     """Exact gradient for a deterministic horizon (no stopping set).
 
     With tau = T fixed the dropped boundary terms vanish and the
@@ -145,15 +137,14 @@ def estimate_exact_gradient_fixed_horizon(ansatz: GaussianAnsatz, x0: float,
     fixed_steps = _steps_for_horizon(horizon, cfg)
     if fixed_steps is None:
         raise ValueError("horizon is required")
-    batch = _simulate(ansatz, x0, model, cfg, seed, tag, fixed_steps, None,
-                      n_paths, workers)
+    batch = run_batch(x0, None, model, cfg, n_paths=n_paths, seed=seed, tag=tag,
+                      basis=ansatz, fixed_steps=fixed_steps)
     return _assemble(batch, cfg, np.ones(batch.n_paths, dtype=bool))
 
 
 def make_objective(ansatz_template: GaussianAnsatz, x0: float, model: ModelBundle,
                    cfg: SimConfig, *, indices: np.ndarray | None = None,
-                   terminal_value=None, n_paths: int | None = None,
-                   workers: int = 1):
+                   terminal_value=None, n_paths: int):
     """Bind problem data into an `evaluate(coefficients, seed) -> GradientEstimate`.
 
     With `indices` the returned objective works in the subspace of those
@@ -172,8 +163,7 @@ def make_objective(ansatz_template: GaussianAnsatz, x0: float, model: ModelBundl
             full[indices] = a
         est = estimate_inexact_gradient(
             ansatz_template.with_coefficients(full), x0, model, cfg,
-            seed=seed, terminal_value=terminal_value, n_paths=n_paths,
-            workers=workers)
+            seed=seed, terminal_value=terminal_value, n_paths=n_paths)
         if indices is None:
             return est
         return GradientEstimate(

@@ -18,6 +18,11 @@ from .dynamics import CensoredPathError, NumericalFailureError
 from .objective import GradientEstimate
 
 
+# the first line-search trial never moves farther than this in coefficient
+# space; steep early gradients would otherwise probe pathological controls
+MAX_FIRST_STEP = 1.0
+
+
 class OptimizerError(RuntimeError):
     """Descent aborted; carries the trace collected so far."""
 
@@ -36,14 +41,13 @@ class DescentConfig:
     alpha_max: float = 10.0
     batch_size: int = 512
     reseed_policy: str = "fresh"   # "fresh" per iteration, or "fixed"
-    # the first line-search trial never moves farther than this in
-    # coefficient space; steep early gradients would otherwise probe
-    # pathological controls
-    max_first_step: float = 1.0
+    # coarser step for the descent only; estimates keep the global h
+    h: float | None = 2e-3
 
     def __post_init__(self):
         if not (0.0 < self.wolfe_c1 < self.wolfe_c2 < 1.0):
-            raise ValueError("need 0 < c1 < c2 < 1")
+            raise ValueError(f"need 0 < wolfe_c1 < wolfe_c2 < 1, got wolfe_c1="
+                             f"{self.wolfe_c1}, wolfe_c2={self.wolfe_c2}")
         if self.alpha_init <= 0 or self.alpha_max <= 0:
             raise ValueError("alpha bounds must be positive")
         if self.reseed_policy not in ("fresh", "fixed"):
@@ -233,7 +237,7 @@ def descend(a0: np.ndarray, cfg: DescentConfig, objective, *, seed: int = 0):
                 value0=est.value, grad0=est.gradient,
                 c1=cfg.wolfe_c1, c2=cfg.wolfe_c2,
                 alpha_init=cfg.alpha_init, alpha_max=cfg.alpha_max,
-                max_first_step=cfg.max_first_step)
+                max_first_step=MAX_FIRST_STEP)
             alpha = ls.alpha
             fallback = ls.fallback
 

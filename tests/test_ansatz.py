@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from optforce.ansatz import (GaussianAnsatz, eval_value_and_control, init_fill_wells,
-                             make_uniform_ansatz, tilted_potential,
+from optforce.ansatz import (GaussianAnsatz, init_fill_wells, make_uniform_ansatz,
                              tilted_potential_from)
 from optforce.model import (SimulationDomain, StoppingSet, make_flat, make_harmonic,
-                            make_skew_double_well)
+                            make_potential)
 from optforce.reference import build_grid
 
 DOMAIN = SimulationDomain(-1.5, 2.0)
@@ -45,18 +44,17 @@ class TestEvaluation:
     def test_zero_coefficients(self):
         a = make_uniform_ansatz(10, DOMAIN, S, 0.1)
         for x in (-0.5, 0.0, 1.3):
-            v, c = eval_value_and_control(a, x)
-            assert v == 0.0 and c == 0.0
+            assert a.value(x) == 0.0 and a.control(x) == 0.0
 
     def test_center_symmetry(self):
         a = single_gaussian(center=0.4)
-        v, c = eval_value_and_control(a, 0.4)
+        v, c = a.value(0.4), a.control(0.4)
         assert v == pytest.approx(1.0)
         assert c == pytest.approx(0.0, abs=1e-14)
 
     def test_closed_form_one_width_off_center(self):
         a = single_gaussian(center=0.0, width=0.1)
-        v, c = eval_value_and_control(a, 0.1)
+        v, c = a.value(0.1), a.control(0.1)
         assert v == pytest.approx(np.exp(-0.5), rel=1e-12)
         assert c == pytest.approx(np.sqrt(2.0) * 10.0 * np.exp(-0.5), rel=1e-12)
         assert c == pytest.approx(8.577638849607068, rel=1e-10)
@@ -96,18 +94,19 @@ class TestEvaluation:
 class TestTiltedPotential:
     def test_zero_coefficients_returns_v(self):
         a = make_uniform_ansatz(5, DOMAIN, S, 0.2)
-        p = make_skew_double_well()
-        assert tilted_potential(a, p, 0.7) == pytest.approx(float(p.evaluate(0.7)))
+        p = make_potential("skew_double_well")
+        tilted = tilted_potential_from(a, p)
+        assert tilted.evaluate(0.7) == pytest.approx(float(p.evaluate(0.7)))
 
     def test_flat_potential_unit_gaussian(self):
         a = single_gaussian(center=0.0, width=0.3)
-        assert tilted_potential(a, make_flat(), 0.0) == pytest.approx(2.0)
+        assert tilted_potential_from(a, make_flat()).evaluate(0.0) == pytest.approx(2.0)
 
     def test_gradient_consistency(self):
         rng = np.random.default_rng(5)
         a = GaussianAnsatz(np.linspace(-1, 2, 8), np.full(8, 0.3),
                            rng.standard_normal(8))
-        p = make_skew_double_well()
+        p = make_potential("skew_double_well")
         tilted = tilted_potential_from(a, p)
         xs = rng.uniform(-1.4, 1.9, 30)
         step = 1e-6
@@ -129,7 +128,7 @@ class TestInitFillWells:
         np.testing.assert_allclose(coef, 0.0)
 
     def test_skew_double_well_barrier_halved(self):
-        p = make_skew_double_well()
+        p = make_potential("skew_double_well")
         a = make_uniform_ansatz(10, DOMAIN, S, np.sqrt(0.1))
         grid = build_grid(S, DOMAIN, 1e-3)
         coef = init_fill_wells(a, p, grid)

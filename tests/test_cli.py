@@ -71,6 +71,17 @@ class TestRunConfig:
         b = a.with_overrides({"seed": a.seed + 1})
         assert a.config_hash() != b.config_hash()
 
+    def test_headline_hash_is_stable(self):
+        # every output embeds this hash; renaming or moving a field changes it
+        assert RunConfig().config_hash() == "6388f91a0fa4c2cc"
+
+    def test_numeric_strings_take_the_field_type(self):
+        # PyYAML reads 1e-3 (no dot) as a string
+        a = RunConfig().with_overrides({"h": yaml.safe_load("1e-3"),
+                                        "ansatz.m": "10", "descent.h": "2e-3"})
+        assert a.h == 0.001 and a.ansatz.m == 10
+        assert a.config_hash() == RunConfig().with_overrides({"h": 0.001}).config_hash()
+
 
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
@@ -157,6 +168,25 @@ class TestCliErrors:
         cfg_path = fast_config(tmp_path)
         assert main(["reference", "--config", str(cfg_path),
                      "--set", "bogus.path=1"]) == 2
+
+    def test_exponent_override_has_same_hash_as_decimal(self, tmp_path):
+        cfg_path = fast_config(tmp_path)
+        out = tmp_path / "o3"
+        assert main(["reference", "--config", str(cfg_path), "--set", "dx=4e-3",
+                     "--out", str(out)]) == 0
+        probes = json.loads((out / "oracle_probes.json").read_text())
+        expected = RunConfig.load(cfg_path).with_overrides({"dx": 0.004})
+        assert probes["config_hash"] == expected.config_hash()
+
+    @pytest.mark.parametrize("override,names", [
+        ("descent.wolfe_c1=2", ("descent", "wolfe_c1")),
+        ("ansatz.m=abc", ("ansatz.m",)),
+    ])
+    def test_invalid_field_exits_2_naming_it(self, tmp_path, capsys, override, names):
+        cfg_path = fast_config(tmp_path)
+        assert main(["estimate", "--config", str(cfg_path), "--set", override]) == 2
+        err = capsys.readouterr().err
+        assert all(name in err for name in names), err
 
 
 def test_gradcheck_runs_and_passes(tmp_path):

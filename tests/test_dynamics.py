@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from optforce.dynamics import (NOISE_BLOCK, CensoredPathError, NumericalFailureError,
-                               SimConfig, Trajectory, discrete_action, em_step,
-                               log_likelihood_ratio, path_stream, run_batch,
-                               simulate_until_hit)
+from optforce.ansatz import make_uniform_ansatz
+from optforce.dynamics import (KERNEL_CHUNK, NOISE_BLOCK, NumericalFailureError,
+                               SimConfig, path_stream, run_batch)
 from optforce.model import (ModelBundle, Potential, SimulationDomain, StoppingSet,
                             constant_observable, make_flat, make_harmonic,
-                            make_skew_double_well)
+                            make_potential)
+from scalar_oracle import (Trajectory, discrete_action, em_step, log_likelihood_ratio,
+                           simulate_until_hit)
 
 EPS = 0.5
 CFG = SimConfig(epsilon=EPS, h=0.01, max_steps=200_000, seed=7)
@@ -29,7 +30,7 @@ class TestEmStep:
         assert em_step(0.0, 0.0, 1.0, CFG, make_flat()) == pytest.approx(0.1)
 
     def test_drift_term(self):
-        p = make_skew_double_well()
+        p = make_potential("skew_double_well")
         expected = 1.0 - 0.01 * float(p.gradient(1.0))
         assert em_step(1.0, 0.0, 0.0, CFG, p) == pytest.approx(expected)
         assert expected == pytest.approx(1.005)   # gradient at 1 is -0.5
@@ -192,13 +193,20 @@ class TestBatchConsistency:
         np.testing.assert_array_equal(b1.n_steps, b2.n_steps)
         np.testing.assert_array_equal(b1.work, b2.work)
 
-    def test_worker_count_does_not_change_results(self):
+    def test_first_chunk_independent_of_later_paths(self):
+        # a controlled batch larger than one chunk repeats the 1-chunk batch
+        # bit for bit on its first KERNEL_CHUNK paths
         s = StoppingSet(-0.3, -0.2)
         model = ModelBundle(make_flat(), constant_observable(1.0), s, DOMAIN)
-        b1 = run_batch(0.4, None, model, CFG, n_paths=2500, seed=5, workers=1)
-        b3 = run_batch(0.4, None, model, CFG, n_paths=2500, seed=5, workers=3)
-        np.testing.assert_array_equal(b1.n_steps, b3.n_steps)
-        np.testing.assert_array_equal(b1.log_lr_p_over_q, b3.log_lr_p_over_q)
+        ansatz = make_uniform_ansatz(4, DOMAIN, s, 0.5).with_coefficients(
+            [0.3, -0.2, 0.1, 0.4])
+        one = run_batch(0.4, None, model, CFG, n_paths=KERNEL_CHUNK, seed=5, basis=ansatz)
+        more = run_batch(0.4, None, model, CFG, n_paths=1500, seed=5, basis=ansatz)
+        assert KERNEL_CHUNK == 1024 and more.n_paths == 1500
+        for name in ("n_steps", "work", "control_cost", "log_lr_p_over_q", "final_x",
+                     "sum_cb", "sum_eta_b"):
+            np.testing.assert_array_equal(getattr(more, name)[:KERNEL_CHUNK],
+                                          getattr(one, name))
 
     def test_fixed_horizon_mode(self):
         model = ModelBundle(make_harmonic(), constant_observable(2.0),
@@ -227,7 +235,7 @@ class TestReweightingConsistency:
 @pytest.fixture(scope="module")
 def reference_control():
     from optforce.reference import build_grid, solve_fk
-    p = make_skew_double_well()
+    p = make_potential("skew_double_well")
     s = StoppingSet(-1.1, -1.0)
     dom = SimulationDomain(-1.5, 2.0)
     grid = build_grid(s, dom, 1e-3)

@@ -68,9 +68,9 @@ class TestSummarize:
 class TestPsiReweighted:
     def test_untilted_matches_fd_reference(self):
         model = easy_model()
-        cfg = SimConfig(epsilon=EPS, h=1e-3, seed=50, batch_size=2000)
+        cfg = SimConfig(epsilon=EPS, h=1e-3, seed=50)
         ansatz = make_uniform_ansatz(4, DOMAIN, S, 0.4)   # zero coefficients
-        est = estimate_psi_reweighted(ansatz, X0, 1.0, model, cfg, seed=50)
+        est = estimate_psi_reweighted(ansatz, X0, 1.0, model, cfg, seed=50, n_paths=2000)
         _, sol = reference_control(model)
         psi_ref = float(sol.interp("psi", X0))
         assert abs(est.psi.estimate - psi_ref) < 3 * est.psi.stderr + 0.02 * psi_ref
@@ -82,18 +82,18 @@ class TestPsiReweighted:
         # weights must average to one; a mild tilt keeps their tail light
         # enough for the sample mean to see it at this n
         model = easy_model(0.0)
-        cfg = SimConfig(epsilon=EPS, h=2e-3, seed=51, batch_size=1500)
+        cfg = SimConfig(epsilon=EPS, h=2e-3, seed=51)
         control, _ = reference_control(model, sigma=1.0, scale=0.2)
-        est = estimate_psi_reweighted(control, X0, 0.0, model, cfg, seed=51)
+        est = estimate_psi_reweighted(control, X0, 0.0, model, cfg, seed=51, n_paths=1500)
         assert abs(est.psi.estimate - 1.0) < 3 * est.psi.stderr
 
     def test_zero_variance_control_beats_crude_by_100x(self):
         model = easy_model()
-        cfg = SimConfig(epsilon=EPS, h=1e-3, seed=52, batch_size=1500)
+        cfg = SimConfig(epsilon=EPS, h=1e-3, seed=52)
         control, sol = reference_control(model)
-        tilted = estimate_psi_reweighted(control, X0, 1.0, model, cfg, seed=52)
+        tilted = estimate_psi_reweighted(control, X0, 1.0, model, cfg, seed=52, n_paths=1500)
         crude = estimate_psi_reweighted(make_uniform_ansatz(4, DOMAIN, S, 0.4),
-                                        X0, 1.0, model, cfg, seed=53)
+                                        X0, 1.0, model, cfg, seed=53, n_paths=1500)
         assert tilted.psi.stderr ** 2 * 100.0 < crude.psi.stderr ** 2
         # free energy via the delta method agrees with the reference
         f_ref = float(sol.interp("free_energy", X0))
@@ -102,13 +102,13 @@ class TestPsiReweighted:
 
     def test_tilt_invariance_of_estimand(self):
         model = easy_model()
-        cfg = SimConfig(epsilon=EPS, h=1e-3, seed=54, batch_size=1500)
+        cfg = SimConfig(epsilon=EPS, h=1e-3, seed=54)
         full, _ = reference_control(model, scale=1.0)
         half, _ = reference_control(model, scale=0.5)
-        e_full = estimate_psi_reweighted(full, X0, 1.0, model, cfg, seed=54)
-        e_half = estimate_psi_reweighted(half, X0, 1.0, model, cfg, seed=55)
+        e_full = estimate_psi_reweighted(full, X0, 1.0, model, cfg, seed=54, n_paths=1500)
+        e_half = estimate_psi_reweighted(half, X0, 1.0, model, cfg, seed=55, n_paths=1500)
         e_none = estimate_psi_reweighted(make_uniform_ansatz(3, DOMAIN, S, 0.4),
-                                         X0, 1.0, model, cfg, seed=56)
+                                         X0, 1.0, model, cfg, seed=56, n_paths=1500)
         pairs = [(e_full, e_half), (e_half, e_none), (e_full, e_none)]
         for a, b in pairs:
             combined = np.hypot(a.psi.stderr, b.psi.stderr)
@@ -116,36 +116,36 @@ class TestPsiReweighted:
 
     def test_variance_ordering(self):
         model = easy_model()
-        cfg = SimConfig(epsilon=EPS, h=1e-3, seed=57, batch_size=1500)
+        cfg = SimConfig(epsilon=EPS, h=1e-3, seed=57)
         full, _ = reference_control(model, scale=1.0)
         half, _ = reference_control(model, scale=0.5)
-        e_full = estimate_psi_reweighted(full, X0, 1.0, model, cfg, seed=57)
-        e_half = estimate_psi_reweighted(half, X0, 1.0, model, cfg, seed=58)
+        e_full = estimate_psi_reweighted(full, X0, 1.0, model, cfg, seed=57, n_paths=1500)
+        e_half = estimate_psi_reweighted(half, X0, 1.0, model, cfg, seed=58, n_paths=1500)
         e_none = estimate_psi_reweighted(make_uniform_ansatz(3, DOMAIN, S, 0.4),
-                                         X0, 1.0, model, cfg, seed=59)
+                                         X0, 1.0, model, cfg, seed=59, n_paths=1500)
         assert e_full.psi.stderr < e_half.psi.stderr < e_none.psi.stderr
 
     def test_censored_paths_hard_error(self):
         model = easy_model()
-        cfg = SimConfig(epsilon=EPS, h=1e-3, max_steps=100, seed=60, batch_size=64)
+        cfg = SimConfig(epsilon=EPS, h=1e-3, max_steps=100, seed=60)
         with pytest.raises(CensoredPathError):
             estimate_psi_reweighted(make_uniform_ansatz(3, DOMAIN, S, 0.4),
-                                    X0, 1.0, model, cfg, seed=60)
+                                    X0, 1.0, model, cfg, seed=60, n_paths=64)
 
 
 class TestMfptReweighted:
     def test_untilted_matches_quadrature(self):
         model = easy_model()
-        cfg = SimConfig(epsilon=EPS, h=1e-3, seed=61, batch_size=2000)
+        cfg = SimConfig(epsilon=EPS, h=1e-3, seed=61)
         est = estimate_mfpt_reweighted(make_uniform_ansatz(3, DOMAIN, S, 0.4),
-                                       X0, model, cfg, seed=61)
+                                       X0, model, cfg, seed=61, n_paths=2000)
         oracle = mfpt_quadrature_oracle(model.potential, EPS, X0, S.hi, DOMAIN.hi)
         assert abs(est.estimate - oracle) < 3 * est.stderr + 0.05 * oracle
 
     def test_start_on_boundary_is_exactly_zero(self):
         model = easy_model()
-        cfg = SimConfig(epsilon=EPS, h=1e-3, seed=62, batch_size=16)
-        est = estimate_mfpt_reweighted(None, -1.0, model, cfg, seed=62)
+        cfg = SimConfig(epsilon=EPS, h=1e-3, seed=62)
+        est = estimate_mfpt_reweighted(None, -1.0, model, cfg, seed=62, n_paths=16)
         assert est.estimate == 0.0
         assert est.ci95 == (0.0, 0.0)
 
@@ -156,8 +156,8 @@ class TestMfptReweighted:
         oracle = mfpt_quadrature_oracle(model.potential, EPS, X0, S.hi, DOMAIN.hi)
         reps = []
         for r in range(50):
-            cfg = SimConfig(epsilon=EPS, h=2e-3, seed=700 + r, batch_size=400)
-            est = estimate_mfpt_reweighted(control, X0, model, cfg, seed=700 + r)
+            cfg = SimConfig(epsilon=EPS, h=2e-3, seed=700 + r)
+            est = estimate_mfpt_reweighted(control, X0, model, cfg, seed=700 + r, n_paths=400)
             reps.append(est.estimate)
         reps = np.array(reps)
         rep_se = reps.std(ddof=1) / np.sqrt(reps.size)
@@ -167,8 +167,8 @@ class TestMfptReweighted:
 
 def test_degeneracy_warning_fires():
     model = easy_model()
-    cfg = SimConfig(epsilon=EPS, h=2e-3, seed=63, batch_size=300)
+    cfg = SimConfig(epsilon=EPS, h=2e-3, seed=63)
     # absurdly strong tilt: weights degenerate
     control = lambda x: -8.0 * np.ones_like(np.asarray(x, dtype=np.float64))
     with pytest.warns(RuntimeWarning, match="effective sample size"):
-        estimate_mfpt_reweighted(control, X0, model, cfg, seed=63)
+        estimate_mfpt_reweighted(control, X0, model, cfg, seed=63, n_paths=300)

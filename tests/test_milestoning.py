@@ -20,7 +20,7 @@ def easy_model():
 
 
 def quick_cfgs(batch=256, iters=8):
-    sim = SimConfig(epsilon=0.5, h=2e-3, max_steps=200_000, seed=3, batch_size=batch)
+    sim = SimConfig(epsilon=0.5, h=2e-3, max_steps=200_000, seed=3)
     dc = DescentConfig(max_iters=iters, grad_tol=0.05, batch_size=batch)
     return sim, dc
 
@@ -129,7 +129,7 @@ class TestRunMilestoning:
 
     def test_partial_results_preserved_on_failure(self):
         model = easy_model()
-        sim = SimConfig(epsilon=0.5, h=2e-3, max_steps=60, seed=3, batch_size=64)
+        sim = SimConfig(epsilon=0.5, h=2e-3, max_steps=60, seed=3)
         dc = DescentConfig(max_iters=2, grad_tol=0.05, batch_size=64)
         ansatz = make_uniform_ansatz(4, DOMAIN, S, 0.4)
         ladder = build_ladder(S, DOMAIN, 2)

@@ -31,17 +31,17 @@ def small_ansatz(m=4, coeffs=None, width=0.4):
 class TestEstimateCost:
     def test_zero_observable_zero_control_is_exactly_zero(self):
         model = ModelBundle(make_flat(), constant_observable(0.0), S, DOMAIN)
-        cfg = SimConfig(epsilon=EPS, h=2e-3, seed=3, batch_size=64)
-        value, stderr = estimate_cost(small_ansatz(), 0.3, model, cfg, seed=3)
+        cfg = SimConfig(epsilon=EPS, h=2e-3, seed=3)
+        value, stderr = estimate_cost(small_ansatz(), 0.3, model, cfg, seed=3, n_paths=64)
         assert value == 0.0
         assert stderr == 0.0
 
     def test_uncontrolled_cost_matches_sigma_times_mfpt(self):
         sigma = 2.0
         model = easy_model(sigma)
-        cfg = SimConfig(epsilon=EPS, h=1e-3, seed=5, batch_size=1500)
+        cfg = SimConfig(epsilon=EPS, h=1e-3, seed=5)
         x0 = 1.0
-        value, stderr = estimate_cost(small_ansatz(), x0, model, cfg, seed=5)
+        value, stderr = estimate_cost(small_ansatz(), x0, model, cfg, seed=5, n_paths=1500)
         oracle = sigma * mfpt_quadrature_oracle(model.potential, EPS, x0, S.hi,
                                                 DOMAIN.hi)
         # 3 stderr plus a small allowance for the O(sqrt(h)) hitting bias
@@ -49,15 +49,17 @@ class TestEstimateCost:
 
     def test_censored_batch_is_an_error(self):
         model = easy_model()
-        cfg = SimConfig(epsilon=EPS, h=1e-3, max_steps=50, seed=5, batch_size=32)
+        cfg = SimConfig(epsilon=EPS, h=1e-3, max_steps=50, seed=5)
         with pytest.raises(CensoredPathError):
-            estimate_cost(small_ansatz(), 1.0, model, cfg, seed=5)
+            estimate_cost(small_ansatz(), 1.0, model, cfg, seed=5, n_paths=32)
 
     def test_cost_independent_of_ansatz_geometry_when_zero(self):
         model = easy_model()
-        cfg = SimConfig(epsilon=EPS, h=2e-3, seed=9, batch_size=256)
-        v1, _ = estimate_cost(small_ansatz(3, width=0.2), 1.0, model, cfg, seed=9)
-        v2, _ = estimate_cost(small_ansatz(8, width=0.5), 1.0, model, cfg, seed=9)
+        cfg = SimConfig(epsilon=EPS, h=2e-3, seed=9)
+        v1, _ = estimate_cost(small_ansatz(3, width=0.2), 1.0, model, cfg, seed=9,
+                              n_paths=256)
+        v2, _ = estimate_cost(small_ansatz(8, width=0.5), 1.0, model, cfg, seed=9,
+                              n_paths=256)
         assert v1 == pytest.approx(v2, rel=1e-12)
 
 
@@ -66,7 +68,7 @@ class TestFixedHorizonGradient:
     def test_matches_central_differences_with_crn(self, trial):
         model = ModelBundle(make_harmonic(), constant_observable(1.0),
                             StoppingSet(-1.45, -1.4), DOMAIN)
-        cfg = SimConfig(epsilon=EPS, h=2e-3, seed=100 + trial, batch_size=3000)
+        cfg = SimConfig(epsilon=EPS, h=2e-3, seed=100 + trial)
         horizon = 0.3
         rng = np.random.default_rng(trial)
         ansatz = small_ansatz(4, coeffs=0.6 * rng.standard_normal(4))
@@ -91,7 +93,7 @@ class TestFixedHorizonGradient:
     def test_zero_control_zero_observable_gradient_vanishes(self):
         model = ModelBundle(make_harmonic(), constant_observable(0.0),
                             StoppingSet(-1.45, -1.4), DOMAIN)
-        cfg = SimConfig(epsilon=EPS, h=2e-3, seed=2, batch_size=500)
+        cfg = SimConfig(epsilon=EPS, h=2e-3, seed=2)
         est = estimate_exact_gradient_fixed_horizon(small_ansatz(), 0.2, model, cfg,
                                                     0.2, seed=2, n_paths=500)
         np.testing.assert_allclose(est.gradient, 0.0, atol=1e-12)
@@ -99,7 +101,7 @@ class TestFixedHorizonGradient:
 
     def test_non_integer_horizon_rejected(self):
         model = easy_model()
-        cfg = SimConfig(epsilon=EPS, h=3e-3, seed=2, batch_size=8)
+        cfg = SimConfig(epsilon=EPS, h=3e-3, seed=2)
         with pytest.raises(ValueError):
             estimate_exact_gradient_fixed_horizon(small_ansatz(), 1.0, model, cfg,
                                                   0.01, seed=2, n_paths=8)
@@ -108,9 +110,9 @@ class TestFixedHorizonGradient:
 class TestInexactGradient:
     def test_zero_coefficients_first_term_vanishes(self):
         model = easy_model()
-        cfg = SimConfig(epsilon=EPS, h=2e-3, seed=4, batch_size=400)
+        cfg = SimConfig(epsilon=EPS, h=2e-3, seed=4)
         ansatz = small_ansatz(4)
-        est = estimate_inexact_gradient(ansatz, 1.0, model, cfg, seed=4)
+        est = estimate_inexact_gradient(ansatz, 1.0, model, cfg, seed=4, n_paths=400)
         # with c = 0 the cost is sigma tau; the covariance term carries it all
         batch_cost_se = est.value_stderr
         assert est.value > 0
@@ -122,7 +124,7 @@ class TestInexactGradient:
         # estimator and the exact one are the same computation
         model = ModelBundle(make_harmonic(), constant_observable(1.0),
                             StoppingSet(-1.45, -1.4), DOMAIN)
-        cfg = SimConfig(epsilon=EPS, h=2e-3, seed=6, batch_size=800)
+        cfg = SimConfig(epsilon=EPS, h=2e-3, seed=6)
         ansatz = small_ansatz(4, coeffs=[0.3, -0.2, 0.1, 0.4])
         exact = estimate_exact_gradient_fixed_horizon(ansatz, 0.2, model, cfg, 0.3,
                                                       seed=6, n_paths=800)
@@ -132,7 +134,7 @@ class TestInexactGradient:
     def test_descent_direction_reduces_cost(self):
         # one small step along -gradient lowers the CRN-fixed cost
         model = easy_model()
-        cfg = SimConfig(epsilon=EPS, h=2e-3, seed=8, batch_size=1000)
+        cfg = SimConfig(epsilon=EPS, h=2e-3, seed=8)
         ansatz = small_ansatz(4)
         x0 = 1.0
         est = estimate_inexact_gradient(ansatz, x0, model, cfg, seed=8, n_paths=1000)
@@ -144,9 +146,10 @@ class TestInexactGradient:
 
     def test_censored_paths_warn_and_are_excluded(self):
         model = easy_model()
-        cfg = SimConfig(epsilon=EPS, h=1e-3, max_steps=3000, seed=11, batch_size=64)
+        cfg = SimConfig(epsilon=EPS, h=1e-3, max_steps=3000, seed=11)
         with pytest.warns(RuntimeWarning):
-            est = estimate_inexact_gradient(small_ansatz(), 1.0, model, cfg, seed=11)
+            est = estimate_inexact_gradient(small_ansatz(), 1.0, model, cfg, seed=11,
+                                            n_paths=64)
         assert est.n_censored > 0
 
 
@@ -163,14 +166,14 @@ class TestVariationalBound:
         A = ansatz.values_matrix(grid.nodes)
         coef, *_ = np.linalg.lstsq(A, sol.free_energy, rcond=None)
         fitted = ansatz.with_coefficients(coef)
-        cfg = SimConfig(epsilon=EPS, h=1e-3, seed=13, batch_size=2000)
-        value, stderr = estimate_cost(fitted, x0, model, cfg, seed=13)
+        cfg = SimConfig(epsilon=EPS, h=1e-3, seed=13)
+        value, stderr = estimate_cost(fitted, x0, model, cfg, seed=13, n_paths=2000)
         assert value >= f_x0 - 3 * stderr - 0.05
 
 
 def test_make_objective_subspace_restriction():
     model = easy_model()
-    cfg = SimConfig(epsilon=EPS, h=2e-3, seed=14, batch_size=300)
+    cfg = SimConfig(epsilon=EPS, h=2e-3, seed=14)
     template = small_ansatz(4, coeffs=[0.5, 0.1, -0.2, 0.3])
     indices = np.array([1, 3])
     objective = make_objective(template, 1.0, model, cfg, indices=indices,

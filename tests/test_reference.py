@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from optforce.model import (SimulationDomain, StoppingSet, make_flat,
-                            make_harmonic, make_skew_double_well)
+                            make_harmonic, make_potential)
 from optforce.reference import (Grid1D, QuadratureError, ReferenceError,
                                 build_grid, mfpt_quadrature_oracle, solve_fk,
                                 solve_mfpt_pde, solve_reference)
@@ -37,7 +37,7 @@ class TestGrid:
 class TestSolveFK:
     def test_sigma_zero_gives_ones(self):
         g = build_grid(S, DOMAIN, 1e-3)
-        sol = solve_fk(make_skew_double_well(), 0.0, EPS, g, S)
+        sol = solve_fk(make_potential("skew_double_well"), 0.0, EPS, g, S)
         np.testing.assert_allclose(sol.psi, 1.0, atol=1e-12)
         np.testing.assert_allclose(sol.free_energy, 0.0, atol=1e-12)
 
@@ -52,7 +52,7 @@ class TestSolveFK:
     def test_skew_double_well_shape(self):
         # free energy is zero at the boundary and increases away from S
         g = build_grid(S, DOMAIN, 1e-3)
-        sol = solve_fk(make_skew_double_well(), 1.0, EPS, g, S)
+        sol = solve_fk(make_potential("skew_double_well"), 1.0, EPS, g, S)
         assert sol.free_energy[0] == pytest.approx(0.0, abs=1e-12)
         assert np.all(np.diff(sol.free_energy) > -1e-9)
         assert 0.0 < sol.psi.min() and sol.psi.max() <= 1.0 + 1e-12
@@ -64,13 +64,13 @@ class TestSolveFK:
 
     def test_maximum_principle(self):
         g = build_grid(S, DOMAIN, 1e-3)
-        sol = solve_fk(make_skew_double_well(), 2.0, EPS, g, S)
+        sol = solve_fk(make_potential("skew_double_well"), 2.0, EPS, g, S)
         assert np.all(sol.psi > 0.0)
         assert np.all(sol.psi <= 1.0 + 1e-12)
 
     def test_hjb_residual_second_order(self):
         # eps F'' - V' F' - |F'|^2 + sigma = O(dx^2) in the interior
-        p = make_skew_double_well()
+        p = make_potential("skew_double_well")
         sigma = 1.0
 
         def residual(dx):
@@ -99,23 +99,23 @@ class TestSolveMFPT:
 
     def test_boundary_values(self):
         g = build_grid(S, DOMAIN, 1e-3)
-        m = solve_mfpt_pde(make_skew_double_well(), EPS, g, S)
+        m = solve_mfpt_pde(make_potential("skew_double_well"), EPS, g, S)
         assert m[0] == 0.0
         assert np.all(m[1:] > 0.0)
 
     def test_sigma_derivative_cross_check(self):
         g = build_grid(S, DOMAIN, 1e-3)
-        m = solve_mfpt_pde(make_skew_double_well(), EPS, g, S,
+        m = solve_mfpt_pde(make_potential("skew_double_well"), EPS, g, S,
                            verify_sigma_derivative=True)
         # explicit: derivative route agrees to first order in delta
         delta = 2e-5
-        sol = solve_fk(make_skew_double_well(), delta, EPS, g, S)
+        sol = solve_fk(make_potential("skew_double_well"), delta, EPS, g, S)
         m_alt = sol.free_energy / delta
         mask = m > 1.0
         assert np.max(np.abs(m_alt[mask] / m[mask] - 1.0)) < 1e-2
 
     def test_grid_refinement_order(self):
-        p = make_skew_double_well()
+        p = make_potential("skew_double_well")
         x_probe = 1.0
 
         def value(dx):
@@ -141,7 +141,7 @@ class TestQuadratureOracle:
         assert val == pytest.approx(0.7394416300990793, rel=1e-9)
 
     def test_monotone_in_x(self):
-        p = make_skew_double_well()
+        p = make_potential("skew_double_well")
         xs = [0.0, 0.5, 1.0, 1.5]
         vals = [mfpt_quadrature_oracle(p, EPS, x, -1.0, 2.0) for x in xs]
         assert all(a < b for a, b in zip(vals, vals[1:]))
@@ -151,7 +151,7 @@ class TestQuadratureOracle:
             mfpt_quadrature_oracle(make_flat(), EPS, -0.5, 0.0, 1.0)
 
     def test_pde_matches_oracle_at_start_point(self):
-        p = make_skew_double_well()
+        p = make_potential("skew_double_well")
         g = build_grid(S, DOMAIN, 1e-3)
         m = solve_mfpt_pde(p, EPS, g, S)
         x0 = 1.0298959850506604
@@ -161,7 +161,7 @@ class TestQuadratureOracle:
 
 def test_solve_reference_bundles_all_fields():
     g = build_grid(S, DOMAIN, 2e-3)
-    sol = solve_reference(make_skew_double_well(), 1.0, EPS, g, S)
+    sol = solve_reference(make_potential("skew_double_well"), 1.0, EPS, g, S)
     assert sol.psi is not None and sol.free_energy is not None and sol.mfpt is not None
     assert sol.sigma == 1.0
     assert sol.interp("mfpt", -1.0) == pytest.approx(0.0, abs=1e-9)
@@ -169,7 +169,7 @@ def test_solve_reference_bundles_all_fields():
 
 def test_tilted_mfpt_much_smaller():
     # replacing V by V + 2F speeds up hitting by well over 10x
-    p = make_skew_double_well()
+    p = make_potential("skew_double_well")
     g = build_grid(S, DOMAIN, 1e-3)
     sol = solve_fk(p, 1.0, EPS, g, S)
     F = sol.free_energy
