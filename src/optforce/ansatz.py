@@ -133,7 +133,6 @@ def make_uniform_ansatz(m: int, domain: SimulationDomain, exclude: StoppingSet,
 def tilted_potential_from(ansatz: GaussianAnsatz, p: Potential) -> Potential:
     """The tilted landscape G = V + 2F as a Potential; grad G = grad V - sqrt(2) c."""
     return Potential(
-        dimension=1,
         evaluate=lambda x: p.evaluate(x) + 2.0 * ansatz.value(x),
         gradient=lambda x: p.gradient(x) - SQRT2 * ansatz.control(x),
         label=f"tilted({p.label})",

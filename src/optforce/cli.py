@@ -233,26 +233,44 @@ def cmd_gradcheck(cfg: RunConfig, out: Path) -> int:
     return 0 if ok_all else 1
 
 
-def _read_reference_csv(path: Path):
-    rows = [ln for ln in path.read_text().splitlines() if ln and not ln.startswith("#")]
-    data = np.array([[float(v) for v in ln.split(",")] for ln in rows[1:]])
-    return {"x": data[:, 0], "psi": data[:, 1], "F": data[:, 2], "mfpt": data[:, 3]}
+def _csv_rows(text: str) -> list[str]:
+    """Data rows of a CSV written with a `# config_hash:` line, header dropped."""
+    return [ln for ln in text.splitlines() if ln and not ln.startswith("#")][1:]
+
+
+def _csv_hash(text: str) -> str:
+    """The hash on a CSV's `# config_hash: <hash>` first line."""
+    return text.partition("\n")[0].removeprefix("# config_hash: ")
 
 
 def cmd_compare(cfg: RunConfig, out: Path) -> int:
     model = cfg.build_model()
     x0 = cfg.start_point(model)
+    chash = cfg.config_hash()
     checks = []
 
     def check(name, ok, detail):
         checks.append({"name": name, "pass": bool(ok), "detail": detail})
 
-    ref = _read_reference_csv(out / "reference.csv")
+    ref_text = (out / "reference.csv").read_text()
     probes = json.loads((out / "oracle_probes.json").read_text())
+    estimates = json.loads((out / "estimates.json").read_text())
+    traces = {tf.name: tf.read_text() for tf in sorted(out.glob("trace*.csv"))}
+    inputs = {"reference.csv": _csv_hash(ref_text),
+              "oracle_probes.json": probes.get("config_hash"),
+              "estimates.json": estimates.get("config_hash"),
+              **{name: _csv_hash(text) for name, text in traces.items()}}
+    stale = [name for name, h in inputs.items() if h != chash]
+    if stale:
+        print(f"error: {', '.join(stale)} in {out} came from another config; rerun "
+              f"the stages that write them at config_hash {chash}", file=sys.stderr)
+        return 2
+
+    data = np.array([[float(v) for v in ln.split(",")] for ln in _csv_rows(ref_text)])
+    ref = {"x": data[:, 0], "F": data[:, 2], "mfpt": data[:, 3]}
     check("pde_vs_oracle", probes["max_rel_error"] < 1e-3,
           {"max_rel_error": probes["max_rel_error"], "tolerance": 1e-3})
 
-    estimates = json.loads((out / "estimates.json").read_text())
     by_name = {r["quantity"]: r for r in estimates["records"]}
     ansatz = _load_ansatz(out)
     grid = build_grid(model.stopping_set, model.domain, cfg.dx)
@@ -274,13 +292,10 @@ def cmd_compare(cfg: RunConfig, out: Path) -> int:
 
     # variational bound over every iterate of the descent trace
     f_x0 = float(np.interp(x0, ref["x"], ref["F"]))
-    trace_files = sorted(out.glob("trace*.csv"))
     bound_ok = True
     worst = np.inf
-    for tf in trace_files:
-        rows = [ln for ln in tf.read_text().splitlines()
-                if ln and not ln.startswith("#")][1:]
-        for ln in rows:
+    for text in traces.values():
+        for ln in _csv_rows(text):
             vals = ln.split(",")
             cost, stderr = float(vals[1]), float(vals[4])
             margin = cost - (f_x0 - 3.0 * stderr - DISCRETIZATION_ALLOWANCE)
@@ -289,10 +304,10 @@ def cmd_compare(cfg: RunConfig, out: Path) -> int:
     check("variational_bound", bound_ok,
           {"f_reference": f_x0, "allowance": DISCRETIZATION_ALLOWANCE,
            "worst_margin": None if not np.isfinite(worst) else worst,
-           "trace_files": [t.name for t in trace_files]})
+           "trace_files": list(traces)})
 
     ok_all = all(c["pass"] for c in checks)
-    _write_json(out / "compare.json", {"config_hash": cfg.config_hash(),
+    _write_json(out / "compare.json", {"config_hash": chash, "inputs": inputs,
                                        "pass": ok_all, "checks": checks})
     for c in checks:
         print(f"compare: {c['name']}: {'PASS' if c['pass'] else 'FAIL'}")

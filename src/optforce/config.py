@@ -49,6 +49,12 @@ def _from_dict(cls, doc: dict, path: str):
         raise ConfigError(f"{path or 'config'}: {err}") from None
 
 
+def _require(ok: bool, field_name: str, rule: str, value):
+    """Range check for RunConfig.__post_init__; _from_dict reports it as a ConfigError."""
+    if not ok:
+        raise ValueError(f"{field_name} must be {rule}, got {value!r}")
+
+
 def _coerce(value, hint, key: str):
     """Parse a string in an int or float field; PyYAML reads `1e-3` as a string."""
     if not isinstance(value, str):
@@ -116,6 +122,23 @@ class RunConfig:
     ladder: LadderSpec = field(default_factory=LadderSpec)
     estimate: EstimateSpec = field(default_factory=EstimateSpec)
     out_dir: str = "runs"
+
+    def __post_init__(self):
+        _require(self.sigma >= 0, "sigma", "nonnegative", self.sigma)
+        _require(self.epsilon > 0, "epsilon", "positive", self.epsilon)
+        _require(self.h > 0, "h", "positive", self.h)
+        _require(self.dx > 0, "dx", "positive", self.dx)
+        _require(self.seed >= 0, "seed", "nonnegative", self.seed)
+        _require(self.max_steps >= 1, "max_steps", "at least 1", self.max_steps)
+        a, d, e = self.ansatz, self.descent, self.estimate
+        _require(a.m >= 1, "ansatz.m", "at least 1", a.m)
+        _require(a.width > 0, "ansatz.width", "positive", a.width)
+        _require(self.ladder.shells >= 1, "ladder.shells", "at least 1", self.ladder.shells)
+        # a Monte Carlo gradient or estimate needs two paths (DescentConfig
+        # alone also drives deterministic objectives at batch_size 1)
+        _require(d.batch_size >= 2, "descent.batch_size", "at least 2", d.batch_size)
+        _require(d.h is None or d.h > 0, "descent.h", "positive", d.h)
+        _require(e.n_paths >= 2, "estimate.n_paths", "at least 2", e.n_paths)
 
     # -- construction ---------------------------------------------------------
 

@@ -4,9 +4,11 @@ The controlled update is
 
     x_{k+1} = x_k + h (sqrt(2) c(x_k) - V'(x_k)) + sqrt(2 h eps) eta_{k+1}
 
-with i.i.d. standard normal eta.  Along each path we accumulate the work
-h * sum f(x_k), the quadratic control cost h * sum |c(x_k)|^2 / 2, and the
-log likelihood ratio of the uncontrolled versus the controlled path measure
+with i.i.d. standard normal eta.  The forcing c = -sqrt(2) grad F comes from
+a GaussianAnsatz F, or is zero (control None) for the plain dynamics.  Along
+each path we accumulate the work h * sigma per step (constant running cost
+f = sigma), the quadratic control cost h * sum |c(x_k)|^2 / 2, and the log
+likelihood ratio of the uncontrolled versus the controlled path measure
 
     log dP/dQ = sum_k [ -sqrt(h/eps) c(x_k) eta_{k+1} - (h/(2 eps)) |c(x_k)|^2 ],
 
@@ -25,7 +27,7 @@ batches are reproducible for a given n_paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -126,21 +128,18 @@ class BatchResult:
         return total
 
 
-def _run_chunk(x0, control, basis, model: ModelBundle, cfg: SimConfig,
-               n_paths, seed, tag, path_offset, fixed_steps, terminal_value):
+def _run_chunk(x0, control, model: ModelBundle, cfg: SimConfig, n_paths, seed, tag,
+               path_offset, fixed_steps, terminal_value, scores):
     h, eps = cfg.h, cfg.epsilon
     lr_eta = np.sqrt(h / eps)
     lr_quad = h / (2.0 * eps)
     noise_amp = np.sqrt(2.0 * h * eps)
+    run_cost = h * model.observable.sigma
     p = model.potential
-    f = model.observable
     s = model.stopping_set
     domain = model.domain
     reflect = domain.boundary == "reflect"
-    m = basis.m if basis is not None else 0
     limit = fixed_steps if fixed_steps is not None else cfg.max_steps
-    f_const = f.sigma if f.kind == "constant" else None
-    coeffs = basis.coefficients if basis is not None else None
 
     # outputs, in path-index order
     out_steps = np.zeros(n_paths, dtype=np.int64)
@@ -150,8 +149,8 @@ def _run_chunk(x0, control, basis, model: ModelBundle, cfg: SimConfig,
     out_llr = np.zeros(n_paths)
     out_x = np.full(n_paths, float(x0))
     out_term = np.zeros(n_paths) if terminal_value is not None else None
-    out_cb = np.zeros((n_paths, m)) if basis is not None else None
-    out_eb = np.zeros((n_paths, m)) if basis is not None else None
+    out_cb = np.zeros((n_paths, control.m)) if scores else None
+    out_eb = np.zeros((n_paths, control.m)) if scores else None
 
     # dense working arrays over still-active paths; idx maps rows to outputs
     idx = np.arange(n_paths)
@@ -159,8 +158,8 @@ def _run_chunk(x0, control, basis, model: ModelBundle, cfg: SimConfig,
     work = np.zeros(n_paths)
     ccost = np.zeros(n_paths)
     log_lr = np.zeros(n_paths)
-    sum_cb = np.zeros((n_paths, m)) if basis is not None else None
-    sum_eta_b = np.zeros((n_paths, m)) if basis is not None else None
+    sum_cb = np.zeros((n_paths, control.m)) if scores else None
+    sum_eta_b = np.zeros((n_paths, control.m)) if scores else None
     gens = [path_stream(seed, path_offset + i, tag) for i in range(n_paths)]
     blocks = np.empty((n_paths, NOISE_BLOCK))
     for i, g in enumerate(gens):
@@ -176,7 +175,7 @@ def _run_chunk(x0, control, basis, model: ModelBundle, cfg: SimConfig,
         out_x[slots] = x[rows]
         if did_hit and terminal_value is not None:
             out_term[slots] = terminal_value(x[rows])
-        if basis is not None:
+        if scores:
             out_cb[slots] = sum_cb[rows]
             out_eb[slots] = sum_eta_b[rows]
 
@@ -190,25 +189,20 @@ def _run_chunk(x0, control, basis, model: ModelBundle, cfg: SimConfig,
         eta = blocks[:, pos]
         pos += 1
 
-        if basis is not None:
-            bmat = basis.basis_controls(x)
-            c = bmat @ coeffs
-            sum_cb += c[:, None] * bmat
-            sum_eta_b += eta[:, None] * bmat
-        elif control is not None:
-            c = np.asarray(control(x), dtype=np.float64)
+        if control is None:
+            c = 0.0
         else:
-            c = None
+            bmat = control.basis_controls(x)
+            c = bmat @ control.coefficients
+            if scores:
+                sum_cb += c[:, None] * bmat
+                sum_eta_b += eta[:, None] * bmat
 
-        work += h * f_const if f_const is not None \
-            else h * np.asarray(f.evaluate(x), dtype=np.float64)
-        if c is not None:
-            c2 = c * c
-            ccost += (0.5 * h) * c2
-            log_lr -= lr_eta * c * eta + lr_quad * c2
-            x = x + h * (SQRT2 * c - np.asarray(p.gradient(x), dtype=np.float64)) + noise_amp * eta
-        else:
-            x = x - h * np.asarray(p.gradient(x), dtype=np.float64) + noise_amp * eta
+        work += run_cost
+        c2 = c * c
+        ccost += (0.5 * h) * c2
+        log_lr -= lr_eta * c * eta + lr_quad * c2
+        x = x + h * (SQRT2 * c - np.asarray(p.gradient(x), dtype=np.float64)) + noise_amp * eta
         if not np.all(np.isfinite(x)):
             bad = idx[~np.isfinite(x)]
             raise NumericalFailureError(
@@ -232,7 +226,7 @@ def _run_chunk(x0, control, basis, model: ModelBundle, cfg: SimConfig,
                 log_lr = log_lr[keep]
                 blocks = blocks[keep]
                 gens = [g for g, k in zip(gens, keep) if k]
-                if basis is not None:
+                if scores:
                     sum_cb = sum_cb[keep]
                     sum_eta_b = sum_eta_b[keep]
 
@@ -245,21 +239,21 @@ def _run_chunk(x0, control, basis, model: ModelBundle, cfg: SimConfig,
 
 def run_batch(x0: float, control, model: ModelBundle, cfg: SimConfig, *,
               n_paths: int, seed: int | None = None, tag: int = 0,
-              basis=None, fixed_steps: int | None = None,
-              terminal_value=None) -> BatchResult:
+              fixed_steps: int | None = None, terminal_value=None,
+              scores: bool = False) -> BatchResult:
     """Simulate n_paths controlled paths and reduce their statistics.
 
     Parameters
     ----------
-    control : callable x -> c(x), or None for plain dynamics.  Ignored when
-        `basis` is given.
-    basis : GaussianAnsatz whose control field drives the paths; per-basis
-        gradient accumulators (sum_cb, sum_eta_b) are collected.
+    control : GaussianAnsatz whose control field c = bmat @ coefficients
+        drives the paths, or None for the plain dynamics (c = 0).
     fixed_steps : run exactly this many steps with no stopping test
         (deterministic horizon); otherwise run to the first entry into the
         stopping set, capped at cfg.max_steps.
     terminal_value : callable evaluated at the hitting point and added to the
         per-path cost (milestoning inner-boundary values).
+    scores : also collect the per-basis gradient accumulators sum_cb and
+        sum_eta_b (needs an ansatz control); left None otherwise.
 
     Path i always consumes the stream (seed, tag, i).  Paths run in chunks of
     KERNEL_CHUNK, one after another; a chunk's results do not depend on the
@@ -270,18 +264,12 @@ def run_batch(x0: float, control, model: ModelBundle, cfg: SimConfig, *,
         raise ValueError(f"x0={x0} already inside the stopping set")
     seed = cfg.seed if seed is None else seed
 
-    parts = [_run_chunk(x0, control, basis, model, cfg, min(KERNEL_CHUNK, n_paths - lo),
-                        seed, tag, lo, fixed_steps, terminal_value)
+    parts = [_run_chunk(x0, control, model, cfg, min(KERNEL_CHUNK, n_paths - lo),
+                        seed, tag, lo, fixed_steps, terminal_value, scores)
              for lo in range(0, n_paths, KERNEL_CHUNK)]
-    if len(parts) == 1:
-        return parts[0]
 
     def cat(name):
         vals = [getattr(part, name) for part in parts]
         return None if vals[0] is None else np.concatenate(vals)
 
-    return BatchResult(n_steps=cat("n_steps"), hit=cat("hit"), work=cat("work"),
-                       control_cost=cat("control_cost"),
-                       log_lr_p_over_q=cat("log_lr_p_over_q"), final_x=cat("final_x"),
-                       terminal=cat("terminal"), sum_cb=cat("sum_cb"),
-                       sum_eta_b=cat("sum_eta_b"))
+    return BatchResult(**{f.name: cat(f.name) for f in fields(BatchResult)})

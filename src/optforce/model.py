@@ -26,7 +26,6 @@ class Potential:
     elementwise (1D state space).
     """
 
-    dimension: int
     evaluate: Callable
     gradient: Callable
     label: str
@@ -34,21 +33,17 @@ class Potential:
 
 @dataclass(frozen=True)
 class Observable:
-    """Running cost f accumulated along a path until the stopping time.
-
-    kind is "constant" (f = sigma everywhere, sigma recorded) or "general".
-    """
+    """Constant running cost f = sigma, accumulated along a path until it stops."""
 
     evaluate: Callable
-    kind: str
-    sigma: float | None = None
+    sigma: float
 
 
 def constant_observable(sigma: float) -> Observable:
     """Observable f(x) = sigma for all x."""
     sigma = float(sigma)
     return Observable(evaluate=lambda x: np.broadcast_to(np.float64(sigma), np.shape(x)) if np.ndim(x) else sigma,
-                      kind="constant", sigma=sigma)
+                      sigma=sigma)
 
 
 @dataclass(frozen=True)
@@ -112,7 +107,6 @@ class ModelBundle:
 def make_flat() -> Potential:
     """Zero potential (free Brownian motion)."""
     return Potential(
-        dimension=1,
         evaluate=lambda x: np.zeros_like(np.asarray(x, dtype=np.float64)),
         gradient=lambda x: np.zeros_like(np.asarray(x, dtype=np.float64)),
         label="flat",
@@ -123,7 +117,6 @@ def make_harmonic(k: float = 1.0) -> Potential:
     """Harmonic well V(x) = k x^2 / 2."""
     k = float(k)
     return Potential(
-        dimension=1,
         evaluate=lambda x: 0.5 * k * np.asarray(x, dtype=np.float64) ** 2,
         gradient=lambda x: k * np.asarray(x, dtype=np.float64),
         label="harmonic",
@@ -134,7 +127,6 @@ def make_scaled_double_well(barrier_scale: float = 1.0, skew: float = -0.25) -> 
     """Double well barrier_scale*(x^2-1)^2 + skew*x, for easy/hard test cases."""
     b, s = float(barrier_scale), float(skew)
     return Potential(
-        dimension=1,
         evaluate=lambda x: b * (np.asarray(x, dtype=np.float64) ** 2 - 1.0) ** 2 + s * np.asarray(x, dtype=np.float64),
         gradient=lambda x: 4.0 * b * np.asarray(x, dtype=np.float64) * (np.asarray(x, dtype=np.float64) ** 2 - 1.0) + s,
         label=f"double_well(b={b},skew={s})",

@@ -61,9 +61,8 @@ def estimate_cost(ansatz: GaussianAnsatz, x0: float, model: ModelBundle,
     is biased and estimator-grade results must not silently absorb that.
     """
     fixed_steps = _steps_for_horizon(fixed_horizon, cfg)
-    batch = run_batch(x0, None, model, cfg, n_paths=n_paths, seed=seed, tag=tag,
-                      basis=ansatz, fixed_steps=fixed_steps,
-                      terminal_value=terminal_value)
+    batch = run_batch(x0, ansatz, model, cfg, n_paths=n_paths, seed=seed, tag=tag,
+                      fixed_steps=fixed_steps, terminal_value=terminal_value)
     if batch.n_censored:
         raise CensoredPathError(
             f"{batch.n_censored}/{batch.n_paths} paths did not hit within "
@@ -114,8 +113,8 @@ def estimate_inexact_gradient(ansatz: GaussianAnsatz, x0: float, model: ModelBun
     Censored paths are excluded with a warning and counted in n_censored;
     the optimizer degrades gracefully, estimator-grade users must check.
     """
-    batch = run_batch(x0, None, model, cfg, n_paths=n_paths, seed=seed, tag=tag,
-                      basis=ansatz, terminal_value=terminal_value)
+    batch = run_batch(x0, ansatz, model, cfg, n_paths=n_paths, seed=seed, tag=tag,
+                      terminal_value=terminal_value, scores=True)
     keep = batch.hit
     if batch.n_censored:
         warnings.warn(f"excluding {batch.n_censored} censored paths from the "
@@ -137,8 +136,8 @@ def estimate_exact_gradient_fixed_horizon(ansatz: GaussianAnsatz, x0: float,
     fixed_steps = _steps_for_horizon(horizon, cfg)
     if fixed_steps is None:
         raise ValueError("horizon is required")
-    batch = run_batch(x0, None, model, cfg, n_paths=n_paths, seed=seed, tag=tag,
-                      basis=ansatz, fixed_steps=fixed_steps)
+    batch = run_batch(x0, ansatz, model, cfg, n_paths=n_paths, seed=seed, tag=tag,
+                      fixed_steps=fixed_steps, scores=True)
     return _assemble(batch, cfg, np.ones(batch.n_paths, dtype=bool))
 
 

@@ -79,21 +79,38 @@ class ReferenceSolution:
         return np.interp(x, self.grid.nodes, vals)
 
 
-def _banded_solve(diag, upper, lower, rhs):
-    n = diag.size
+def _solve_generator(p: Potential, grid: Grid1D, diffusion: float, drift: float,
+                     shift: float, source: float, boundary_value: float) -> np.ndarray:
+    """Solve diffusion u'' - drift V' u' - shift u = source on the grid.
+
+    u(grid.lo) = boundary_value and u'(grid.hi) = 0.  Second-order centered
+    differences; the outer boundary reflects through a symmetric ghost node.
+    """
+    dx = grid.spacing
+    n = grid.nodes.size
+    vp = np.asarray(p.gradient(grid.nodes), dtype=np.float64)
+    e = diffusion / dx ** 2
     ab = np.zeros((3, n))
-    ab[1] = diag
-    ab[0, 1:] = upper
-    ab[2, :-1] = lower
-    return solve_banded((1, 1), ab, rhs)
+    ab[1] = -2.0 * e - shift
+    ab[0, 1:] = e - drift * vp[:-1] / (2.0 * dx)    # coefficient of u_{i+1}, rows 0..n-2
+    ab[2, :-1] = e + drift * vp[1:] / (2.0 * dx)    # coefficient of u_{i-1}, rows 1..n-1
+    # Dirichlet row at the stopping boundary
+    ab[1, 0] = 1.0
+    ab[0, 1] = 0.0
+    # reflecting outer boundary: ghost u_n = u_{n-2}
+    ab[2, -2] = 2.0 * e
+    rhs = np.full(n, float(source))
+    rhs[0] = boundary_value
+    u = solve_banded((1, 1), ab, rhs)
+    u[0] = boundary_value   # Dirichlet row, exact
+    return u
 
 
 def solve_fk(p: Potential, sigma: float, epsilon: float, grid: Grid1D,
              s: StoppingSet) -> ReferenceSolution:
     """Solve eps^2 psi'' - eps V' psi' = sigma psi, psi(grid.lo) = 1, psi'(hi) = 0.
 
-    Second-order centered differences on the uniform grid, reflecting outer
-    boundary via a symmetric ghost node.  Returns psi and F = -eps log psi.
+    Returns psi and F = -eps log psi.
     """
     if sigma < 0:
         raise ReferenceError(f"sigma must be >= 0, got {sigma}")
@@ -104,27 +121,7 @@ def solve_fk(p: Potential, sigma: float, epsilon: float, grid: Grid1D,
         ones = np.ones(grid.nodes.size)
         return ReferenceSolution(grid=grid, psi=ones, free_energy=np.zeros_like(ones),
                                  mfpt=None, sigma=0.0)
-    x = grid.nodes
-    dx = grid.spacing
-    n = x.size
-    vp = np.asarray(p.gradient(x), dtype=np.float64)
-    e2 = epsilon ** 2 / dx ** 2
-
-    diag = np.full(n, -2.0 * e2 - sigma)
-    upper = e2 - epsilon * vp[:-1] / (2.0 * dx)      # coefficient of psi_{i+1}, rows 0..n-2
-    lower = e2 + epsilon * vp[1:] / (2.0 * dx)       # coefficient of psi_{i-1}, rows 1..n-1
-    rhs = np.zeros(n)
-
-    # Dirichlet at the stopping boundary
-    diag[0] = 1.0
-    upper[0] = 0.0
-    rhs[0] = 1.0
-    # reflecting outer boundary: ghost psi_n = psi_{n-2}
-    diag[-1] = -2.0 * e2 - sigma
-    lower[-1] = 2.0 * e2
-
-    psi = _banded_solve(diag, upper, lower, rhs)
-    psi[0] = 1.0   # Dirichlet row, exact
+    psi = _solve_generator(p, grid, epsilon ** 2, epsilon, sigma, 0.0, 1.0)
     if not np.all(np.isfinite(psi)):
         raise ReferenceError("singular or ill-conditioned boundary value problem")
     if np.any(psi <= 0.0):
@@ -145,25 +142,7 @@ def solve_mfpt_pde(p: Potential, epsilon: float, grid: Grid1D, s: StoppingSet,
     """
     if abs(grid.lo - s.hi) > 1e-9:
         raise ValueError("grid must start at the right edge of the stopping set")
-    x = grid.nodes
-    dx = grid.spacing
-    n = x.size
-    vp = np.asarray(p.gradient(x), dtype=np.float64)
-    e = epsilon / dx ** 2
-
-    diag = np.full(n, -2.0 * e)
-    upper = e - vp[:-1] / (2.0 * dx)
-    lower = e + vp[1:] / (2.0 * dx)
-    rhs = np.full(n, -1.0)
-
-    diag[0] = 1.0
-    upper[0] = 0.0
-    rhs[0] = 0.0
-    diag[-1] = -2.0 * e
-    lower[-1] = 2.0 * e
-
-    m = _banded_solve(diag, upper, lower, rhs)
-    m[0] = 0.0   # Dirichlet row, exact
+    m = _solve_generator(p, grid, epsilon, 1.0, 0.0, -1.0, 0.0)
     if not np.all(np.isfinite(m)) or np.any(m[1:] <= 0.0):
         raise ReferenceError("MFPT solve failed (non-finite or negative values)")
 

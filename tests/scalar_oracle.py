@@ -3,7 +3,8 @@
 `optforce.dynamics.run_batch` must reproduce these paths from the same
 per-path noise streams; the stored states also give the discrete action, so
 the kernel's accumulated log likelihood ratio can be checked against the
-action difference it expands.
+action difference it expands.  `FieldControl` hands the oracle's control
+fields x -> c(x) to the kernel, which takes only ansatz-shaped controls.
 """
 
 from __future__ import annotations
@@ -16,6 +17,24 @@ from optforce.dynamics import (NOISE_BLOCK, SQRT2, NumericalFailureError, SimCon
                                _reflect)
 from optforce.model import (Observable, OutOfDomainError, Potential, SimulationDomain,
                             StoppingSet)
+
+
+class FieldControl:
+    """One-column basis whose control is exactly fn(x).
+
+    The kernel forms c = basis_controls(x) @ coefficients; with the single
+    column fn(x) and the coefficient 1.0 that product is fn(x) bit for bit,
+    so tests keep exact reference controls that no Gaussian basis spans.
+    """
+
+    m = 1
+    coefficients = np.ones(1)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def basis_controls(self, x) -> np.ndarray:
+        return np.asarray(self.fn(x), dtype=np.float64)[:, None]
 
 
 @dataclass

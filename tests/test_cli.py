@@ -1,4 +1,5 @@
 import json
+import shutil
 import warnings
 from pathlib import Path
 
@@ -137,6 +138,21 @@ class TestCliPipeline:
         assert by_name["pde_vs_oracle"]["pass"]
         assert by_name["variational_bound"]["pass"]
         assert by_name["tilted_mfpt_coverage"]["pass"]
+        chash = RunConfig.load(cfg_path).config_hash()
+        assert doc["inputs"] == {name: chash for name in (
+            "reference.csv", "oracle_probes.json", "estimates.json", "trace.csv")}
+
+    def test_compare_rejects_outputs_of_another_config(self, run_dir, tmp_path, capsys):
+        cfg_path, out = run_dir
+        mixed = tmp_path / "mixed"
+        shutil.copytree(out, mixed)
+        assert main(["reference", "--config", str(cfg_path), "--set", "dx=0.004",
+                     "--out", str(mixed)]) == 0
+        capsys.readouterr()
+        assert main(["compare", "--config", str(cfg_path), "--out", str(mixed)]) == 2
+        err = capsys.readouterr().err
+        assert "reference.csv" in err and "oracle_probes.json" in err, err
+        assert "estimates.json" not in err and "trace.csv" not in err, err
 
     def test_reruns_are_byte_identical(self, run_dir, tmp_path):
         cfg_path, out = run_dir
@@ -187,6 +203,24 @@ class TestCliErrors:
         assert main(["estimate", "--config", str(cfg_path), "--set", override]) == 2
         err = capsys.readouterr().err
         assert all(name in err for name in names), err
+
+    @pytest.mark.parametrize("command,override,names", [
+        ("gradcheck", "h=-1", ("h must be positive",)),
+        ("gradcheck", "epsilon=0", ("epsilon must be positive",)),
+        ("gradcheck", "seed=-3", ("seed must be nonnegative",)),
+        ("optimize", "ansatz.m=0", ("ansatz.m must be at least 1",)),
+        ("reference", "dx=-1", ("dx must be positive",)),
+        ("reference", "sigma=-1", ("sigma must be nonnegative",)),
+        ("optimize", "descent.batch_size=1", ("descent.batch_size must be at least 2",)),
+        ("optimize", "ladder.shells=0", ("ladder.shells must be at least 1",)),
+    ])
+    def test_out_of_range_value_exits_2_naming_it(self, tmp_path, capsys, command,
+                                                  override, names):
+        cfg_path = fast_config(tmp_path)
+        assert main([command, "--config", str(cfg_path), "--set", override]) == 2
+        err = capsys.readouterr().err
+        assert all(name in err for name in names), err
+        assert not (tmp_path / "out").exists()
 
 
 def test_gradcheck_runs_and_passes(tmp_path):

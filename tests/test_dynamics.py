@@ -7,8 +7,8 @@ from optforce.dynamics import (KERNEL_CHUNK, NOISE_BLOCK, NumericalFailureError,
 from optforce.model import (ModelBundle, Potential, SimulationDomain, StoppingSet,
                             constant_observable, make_flat, make_harmonic,
                             make_potential)
-from scalar_oracle import (Trajectory, discrete_action, em_step, log_likelihood_ratio,
-                           simulate_until_hit)
+from scalar_oracle import (FieldControl, Trajectory, discrete_action, em_step,
+                           log_likelihood_ratio, simulate_until_hit)
 
 EPS = 0.5
 CFG = SimConfig(epsilon=EPS, h=0.01, max_steps=200_000, seed=7)
@@ -16,7 +16,7 @@ DOMAIN = SimulationDomain(-4.0, 4.0)
 
 
 def linear_potential(slope):
-    return Potential(1, lambda x: slope * np.asarray(x, dtype=np.float64),
+    return Potential(lambda x: slope * np.asarray(x, dtype=np.float64),
                      lambda x: np.full_like(np.asarray(x, dtype=np.float64), slope),
                      f"linear({slope})")
 
@@ -52,7 +52,7 @@ class TestEmStep:
             em_step(0.99, 0.0, 3.0, CFG, make_flat(), dom)
 
     def test_nonfinite_raises(self):
-        bad = Potential(1, lambda x: x, lambda x: np.full_like(np.asarray(x, float), np.nan), "bad")
+        bad = Potential(lambda x: x, lambda x: np.full_like(np.asarray(x, float), np.nan), "bad")
         with pytest.raises(NumericalFailureError):
             em_step(0.0, 0.0, 0.0, CFG, bad)
 
@@ -159,7 +159,7 @@ class TestLogLikelihoodRatio:
         s = StoppingSet(-0.4, -0.3)
         model = ModelBundle(make_flat(), constant_observable(1.0), s, DOMAIN)
         control = lambda x: 0.7 * np.cos(np.asarray(x))
-        batch = run_batch(0.3, control, model, CFG, n_paths=4000, seed=21)
+        batch = run_batch(0.3, FieldControl(control), model, CFG, n_paths=4000, seed=21)
         assert batch.hit.all()
         w = np.exp(batch.log_lr_p_over_q)
         se = w.std(ddof=1) / np.sqrt(w.size)
@@ -174,7 +174,8 @@ class TestBatchConsistency:
         f = constant_observable(1.5)
         model = ModelBundle(p, f, s, DOMAIN)
         control = lambda x: -0.4 * np.asarray(x)
-        batch = run_batch(0.5, control, model, CFG, n_paths=5, seed=99, tag=2)
+        batch = run_batch(0.5, FieldControl(control), model, CFG, n_paths=5, seed=99,
+                          tag=2)
         for i in range(5):
             tr = simulate_until_hit(0.5, control, s, f, CFG, p,
                                     path_stream(99, i, tag=2), DOMAIN)
@@ -200,13 +201,38 @@ class TestBatchConsistency:
         model = ModelBundle(make_flat(), constant_observable(1.0), s, DOMAIN)
         ansatz = make_uniform_ansatz(4, DOMAIN, s, 0.5).with_coefficients(
             [0.3, -0.2, 0.1, 0.4])
-        one = run_batch(0.4, None, model, CFG, n_paths=KERNEL_CHUNK, seed=5, basis=ansatz)
-        more = run_batch(0.4, None, model, CFG, n_paths=1500, seed=5, basis=ansatz)
+        one = run_batch(0.4, ansatz, model, CFG, n_paths=KERNEL_CHUNK, seed=5, scores=True)
+        more = run_batch(0.4, ansatz, model, CFG, n_paths=1500, seed=5, scores=True)
         assert KERNEL_CHUNK == 1024 and more.n_paths == 1500
         for name in ("n_steps", "work", "control_cost", "log_lr_p_over_q", "final_x",
                      "sum_cb", "sum_eta_b"):
             np.testing.assert_array_equal(getattr(more, name)[:KERNEL_CHUNK],
                                           getattr(one, name))
+
+    def test_scores_off_reproduces_scores_on(self):
+        # the score accumulators only read the path; they never steer it
+        s = StoppingSet(-0.3, -0.2)
+        model = ModelBundle(make_harmonic(), constant_observable(1.0), s, DOMAIN)
+        ansatz = make_uniform_ansatz(4, DOMAIN, s, 0.5).with_coefficients(
+            [0.3, -0.2, 0.1, 0.4])
+        on = run_batch(0.4, ansatz, model, CFG, n_paths=200, seed=8, scores=True)
+        off = run_batch(0.4, ansatz, model, CFG, n_paths=200, seed=8)
+        assert on.sum_cb.shape == on.sum_eta_b.shape == (200, 4)
+        assert off.sum_cb is None and off.sum_eta_b is None
+        for name in ("n_steps", "work", "control_cost", "log_lr_p_over_q", "final_x"):
+            np.testing.assert_array_equal(getattr(off, name), getattr(on, name))
+
+    def test_no_control_matches_all_zero_ansatz(self):
+        s = StoppingSet(-0.3, -0.2)
+        model = ModelBundle(make_potential("skew_double_well"), constant_observable(1.0),
+                            s, DOMAIN)
+        zero = make_uniform_ansatz(4, DOMAIN, s, 0.5)
+        plain = run_batch(0.4, None, model, CFG, n_paths=200, seed=9)
+        forced = run_batch(0.4, zero, model, CFG, n_paths=200, seed=9)
+        for name in ("n_steps", "hit", "work", "control_cost", "log_lr_p_over_q",
+                     "final_x"):
+            np.testing.assert_array_equal(getattr(plain, name), getattr(forced, name))
+        assert not np.any(plain.control_cost) and not np.any(plain.log_lr_p_over_q)
 
     def test_fixed_horizon_mode(self):
         model = ModelBundle(make_harmonic(), constant_observable(2.0),
@@ -224,7 +250,8 @@ class TestReweightingConsistency:
                             StoppingSet(-3.9, -3.8), DOMAIN)
         n, steps = 4000, 60
         control = lambda x: 0.5 * np.sin(np.asarray(x)) + 0.3
-        bq = run_batch(0.2, control, model, CFG, n_paths=n, seed=31, fixed_steps=steps)
+        bq = run_batch(0.2, FieldControl(control), model, CFG, n_paths=n, seed=31,
+                       fixed_steps=steps)
         bp = run_batch(0.2, None, model, CFG, n_paths=n, seed=32, fixed_steps=steps)
         phi_q = np.cos(bq.final_x) * np.exp(bq.log_lr_p_over_q)
         phi_p = np.cos(bp.final_x)
@@ -241,7 +268,7 @@ def reference_control():
     grid = build_grid(s, dom, 1e-3)
     sol = solve_fk(p, 1.0, EPS, grid, s)
     fp = np.gradient(sol.free_energy, grid.nodes)
-    control = lambda x: -np.sqrt(2.0) * np.interp(x, grid.nodes, fp)
+    control = FieldControl(lambda x: -np.sqrt(2.0) * np.interp(x, grid.nodes, fp))
     f_x0 = float(sol.interp("free_energy", 1.0298959850506604))
     return p, s, dom, control, f_x0
 

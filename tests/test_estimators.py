@@ -8,6 +8,7 @@ from optforce.estimators import (estimate_mfpt_reweighted, estimate_psi_reweight
 from optforce.model import (ModelBundle, SimulationDomain, StoppingSet,
                             constant_observable, make_scaled_double_well)
 from optforce.reference import build_grid, mfpt_quadrature_oracle, solve_fk
+from scalar_oracle import FieldControl
 
 EPS = 0.5
 DOMAIN = SimulationDomain(-1.5, 2.0)
@@ -24,7 +25,7 @@ def reference_control(model, sigma=1.0, scale=1.0):
     grid = build_grid(model.stopping_set, model.domain, 1e-3)
     sol = solve_fk(model.potential, sigma, EPS, grid, model.stopping_set)
     fp = np.gradient(sol.free_energy, grid.nodes)
-    return (lambda x: -np.sqrt(2.0) * scale * np.interp(x, grid.nodes, fp)), sol
+    return FieldControl(lambda x: -np.sqrt(2.0) * scale * np.interp(x, grid.nodes, fp)), sol
 
 
 class TestSummarize:
@@ -169,6 +170,6 @@ def test_degeneracy_warning_fires():
     model = easy_model()
     cfg = SimConfig(epsilon=EPS, h=2e-3, seed=63)
     # absurdly strong tilt: weights degenerate
-    control = lambda x: -8.0 * np.ones_like(np.asarray(x, dtype=np.float64))
+    control = FieldControl(lambda x: -8.0 * np.ones_like(np.asarray(x, dtype=np.float64)))
     with pytest.warns(RuntimeWarning, match="effective sample size"):
         estimate_mfpt_reweighted(control, X0, model, cfg, seed=63, n_paths=300)

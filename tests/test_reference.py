@@ -176,7 +176,7 @@ def test_tilted_mfpt_much_smaller():
     nodes, dx = g.nodes, g.spacing
     fp = np.gradient(F, nodes)
     from optforce.model import Potential
-    tilted = Potential(1, lambda x: p.evaluate(x) + 2 * np.interp(x, nodes, F),
+    tilted = Potential(lambda x: p.evaluate(x) + 2 * np.interp(x, nodes, F),
                        lambda x: p.gradient(x) + 2 * np.interp(x, nodes, fp),
                        "tilted")
     m_tilted = solve_mfpt_pde(tilted, EPS, g, S)
