@@ -49,6 +49,9 @@ class GaussianAnsatz:
             if m.shape != c.shape:
                 raise ValueError("active_mask must match the basis size")
             object.__setattr__(self, "active_mask", m)
+        # per-step constants of the basis evaluation
+        object.__setattr__(self, "_w2", w ** 2)
+        object.__setattr__(self, "_two_w2", 2.0 * w ** 2)
 
     @property
     def m(self) -> int:
@@ -64,23 +67,30 @@ class GaussianAnsatz:
 
     # -- basis evaluation ---------------------------------------------------
 
+    def _offsets_and_bumps(self, x):
+        """d = x_i - mu_j and v_j(x_i), unmasked, computed in place."""
+        xa = np.atleast_1d(np.asarray(x, dtype=np.float64))
+        d = np.subtract.outer(xa, self.centers)
+        v = np.negative(d)
+        v *= d
+        v /= self._two_w2
+        return d, np.exp(v, out=v)
+
     def values_matrix(self, x) -> np.ndarray:
         """(n, m) matrix of v_j(x_i); masked columns are zero."""
-        xa = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        d = xa[:, None] - self.centers[None, :]
-        v = np.exp(-d * d / (2.0 * self.widths ** 2))
+        _, v = self._offsets_and_bumps(x)
         if self.active_mask is not None:
-            v = v * self.active_mask
+            v *= self.active_mask
         return v
 
     def basis_controls(self, x) -> np.ndarray:
         """(n, m) matrix of b_j(x_i) = sqrt(2) (x - mu_j)/s_j^2 * v_j(x_i)."""
-        xa = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        d = xa[:, None] - self.centers[None, :]
-        v = np.exp(-d * d / (2.0 * self.widths ** 2))
-        b = SQRT2 * d / self.widths ** 2 * v
+        b, v = self._offsets_and_bumps(x)
+        b *= SQRT2
+        b /= self._w2
+        b *= v
         if self.active_mask is not None:
-            b = b * self.active_mask
+            b *= self.active_mask
         return b
 
     def value(self, x):

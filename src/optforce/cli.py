@@ -24,7 +24,8 @@ import yaml
 
 from .ansatz import GaussianAnsatz, init_fill_wells, make_uniform_ansatz, tilted_potential_from
 from .config import ConfigError, RunConfig
-from .estimators import estimate_mfpt_reweighted, estimate_psi_reweighted
+from .estimators import (estimate_mfpt_forced, estimate_mfpt_reweighted,
+                         estimate_psi_reweighted)
 from .milestoning import build_ladder, run_milestoning, MilestoneLadder
 from .objective import estimate_cost, estimate_exact_gradient_fixed_horizon, make_objective
 from .optimizer import descend
@@ -170,14 +171,10 @@ def cmd_estimate(cfg: RunConfig, out: Path) -> int:
     record("psi", psi.psi)
     record("free_energy", psi.free_energy)
 
-    # MFPT of the tilted landscape G = V + 2F (plain Monte Carlo: the tilt is
-    # realized as a change of potential, so all weights are one).
-    tilted = tilted_potential_from(ansatz, model.potential)
-    tilted_model = cfg.build_model()
-    tilted_model = type(tilted_model)(tilted, tilted_model.observable,
-                                      tilted_model.stopping_set, tilted_model.domain)
-    mfpt_tilted = estimate_mfpt_reweighted(None, x0, tilted_model, sim_cfg,
-                                           seed=cfg.seed, tag=2, n_paths=n)
+    # MFPT of the tilted landscape G = V + 2F: the forcing by F on V is the
+    # plain dynamics on G, so the forced paths' hitting times are its samples
+    mfpt_tilted = estimate_mfpt_forced(ansatz, x0, model, sim_cfg, seed=cfg.seed,
+                                       tag=2, n_paths=n)
     record("mfpt_tilted", mfpt_tilted)
 
     if cfg.estimate.untilted:
@@ -255,10 +252,13 @@ def cmd_compare(cfg: RunConfig, out: Path) -> int:
     ref_text = (out / "reference.csv").read_text()
     probes = json.loads((out / "oracle_probes.json").read_text())
     estimates = json.loads((out / "estimates.json").read_text())
+    # ansatz.json carries no hash; optimize.json is written with it
+    optimized = json.loads((out / "optimize.json").read_text())
     traces = {tf.name: tf.read_text() for tf in sorted(out.glob("trace*.csv"))}
     inputs = {"reference.csv": _csv_hash(ref_text),
               "oracle_probes.json": probes.get("config_hash"),
               "estimates.json": estimates.get("config_hash"),
+              "optimize.json": optimized.get("config_hash"),
               **{name: _csv_hash(text) for name, text in traces.items()}}
     stale = [name for name, h in inputs.items() if h != chash]
     if stale:

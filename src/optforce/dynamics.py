@@ -20,14 +20,17 @@ folding at the domain edges).
 
 Per-path noise streams are derived from (seed, tag, path index) through a
 counter-based generator and consumed in fixed-size blocks, so a path sees
-the same noise however paths are grouped.  Its controlled statistics can
-still differ in the last bits with the grouping (see KERNEL_CHUNK), so
-batches are reproducible for a given n_paths.
+the same noise however paths are grouped and whatever the block size.  A
+batch runs all its paths in one loop.  The control c = bmat @ coefficients
+(BLAS gemv) and the terminal values are evaluated per segment of
+KERNEL_CHUNK path indices, because gemv rounds the last n % 4 rows of an
+n-row product in another kernel than the first n - n % 4, which round the
+same whatever n; batches are reproducible for a given n_paths.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,13 +38,18 @@ from .model import ModelBundle, SimulationDomain, OutOfDomainError
 
 SQRT2 = np.sqrt(2.0)
 
-# per-path noise streams are consumed in blocks of this many normals
-NOISE_BLOCK = 512
+# per-path noise streams are consumed in blocks of this many normals; the
+# draws do not depend on it, the working set (n_paths x NOISE_BLOCK) does
+NOISE_BLOCK = 128
 
-# paths per kernel chunk.  The controlled update evaluates c = bmat @ coeffs
-# (BLAS gemv) over the live lanes, and gemv rounds a row differently
-# depending on how many rows are live, so changing the width changes the
-# last bits of controlled batches and with them every recorded output.
+# path indices per segment.  The controlled update evaluates c = bmat @ coeffs
+# (BLAS gemv) once per segment of live rows, and so does terminal_value.  On
+# OpenBLAS an (n, m) @ (m,) gemv rounds its first n - n % 4 rows the same
+# whatever n and the row order, but its last n % 4 rows in another kernel,
+# which changes the last bits of about a third of them (random data).  Evaluating each
+# segment on its own keeps every row in the company it had when paths ran in
+# chunks of this width; changing it changes the last bits of controlled
+# batches and with them every recorded output.
 KERNEL_CHUNK = 1024
 
 
@@ -78,8 +86,9 @@ class SimConfig:
 
 def path_stream(seed: int, path_index: int, tag: int = 0) -> np.random.Generator:
     """Counter-based per-path RNG stream for (seed, tag, path_index)."""
-    bits = np.random.Philox(key=np.array([seed, tag], dtype=np.uint64))
-    return np.random.Generator(bits.jumped(path_index))
+    # the counter Philox(key).jumped(path_index) starts from, set directly
+    return np.random.Generator(np.random.Philox(
+        counter=[0, 0, path_index, 0], key=np.array([seed, tag], dtype=np.uint64)))
 
 
 def _reflect(x, domain: SimulationDomain):
@@ -107,6 +116,7 @@ class BatchResult:
     terminal: np.ndarray | None = None
     sum_cb: np.ndarray | None = None        # sum_k c(x_k) b_j(x_k), per basis j
     sum_eta_b: np.ndarray | None = None     # sum_k eta_{k+1} b_j(x_k), per basis j
+    loop_iters: int = 0                     # iterations of the kernel's step loop
 
     @property
     def n_paths(self) -> int:
@@ -128,8 +138,36 @@ class BatchResult:
         return total
 
 
-def _run_chunk(x0, control, model: ModelBundle, cfg: SimConfig, n_paths, seed, tag,
-               path_offset, fixed_steps, terminal_value, scores):
+def run_batch(x0: float, control, model: ModelBundle, cfg: SimConfig, *,
+              n_paths: int, seed: int | None = None, tag: int = 0,
+              fixed_steps: int | None = None, terminal_value=None,
+              scores: bool = False) -> BatchResult:
+    """Simulate n_paths controlled paths and reduce their statistics.
+
+    Parameters
+    ----------
+    control : GaussianAnsatz whose control field c = bmat @ coefficients
+        drives the paths, or None for the plain dynamics (c = 0).
+    fixed_steps : run exactly this many steps with no stopping test
+        (deterministic horizon); otherwise run to the first entry into the
+        stopping set, capped at cfg.max_steps.
+    terminal_value : callable evaluated at the hitting point and added to the
+        per-path cost (milestoning inner-boundary values).
+    scores : also collect the per-basis gradient accumulators sum_cb and
+        sum_eta_b (needs an ansatz control); left None otherwise.
+
+    Path i always consumes the stream (seed, tag, i).  All paths advance in
+    one loop, one step per iteration, and retired paths leave the working
+    arrays.  The row-wise calls c = bmat @ coefficients and terminal_value
+    run once per segment: the live paths among path indices
+    [k KERNEL_CHUNK, (k+1) KERNEL_CHUNK).  A path's results therefore do not
+    depend on the paths in later segments, but a controlled path's last bits
+    depend on which other paths share its segment: gemv rounds the last
+    n % 4 of a segment's n live rows in its tail kernel.
+    """
+    if fixed_steps is None and bool(model.stopping_set.contains(x0)):
+        raise ValueError(f"x0={x0} already inside the stopping set")
+    seed = cfg.seed if seed is None else seed
     h, eps = cfg.h, cfg.epsilon
     lr_eta = np.sqrt(h / eps)
     lr_quad = h / (2.0 * eps)
@@ -152,48 +190,58 @@ def _run_chunk(x0, control, model: ModelBundle, cfg: SimConfig, n_paths, seed, t
     out_cb = np.zeros((n_paths, control.m)) if scores else None
     out_eb = np.zeros((n_paths, control.m)) if scores else None
 
-    # dense working arrays over still-active paths; idx maps rows to outputs
+    # dense working arrays over still-active paths; idx maps rows to outputs.
+    # Every live path has taken the same number of steps, so they share the
+    # accumulated work and the position in their noise blocks.
     idx = np.arange(n_paths)
     x = np.full(n_paths, float(x0))
-    work = np.zeros(n_paths)
+    work = 0.0
     ccost = np.zeros(n_paths)
     log_lr = np.zeros(n_paths)
+    c = np.zeros(n_paths) if control is not None else 0.0
     sum_cb = np.zeros((n_paths, control.m)) if scores else None
     sum_eta_b = np.zeros((n_paths, control.m)) if scores else None
-    gens = [path_stream(seed, path_offset + i, tag) for i in range(n_paths)]
+    gens = [path_stream(seed, i, tag) for i in range(n_paths)]
     blocks = np.empty((n_paths, NOISE_BLOCK))
-    for i, g in enumerate(gens):
-        blocks[i] = g.standard_normal(NOISE_BLOCK)
+    seg_starts = np.arange(0, n_paths, KERNEL_CHUNK)
+
+    def segments():
+        """(lo, hi) row bounds of the nonempty segments of live paths."""
+        bounds = np.append(np.searchsorted(idx, seg_starts), idx.size).tolist()
+        return [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
 
     def retire(rows, did_hit):
         slots = idx[rows]
         out_steps[slots] = step
         out_hit[slots] = did_hit
-        out_work[slots] = work[rows]
+        out_work[slots] = work
         out_cc[slots] = ccost[rows]
         out_llr[slots] = log_lr[rows]
         out_x[slots] = x[rows]
         if did_hit and terminal_value is not None:
-            out_term[slots] = terminal_value(x[rows])
+            for lo, hi in segs:
+                sel = rows[lo:hi]
+                if sel.any():
+                    out_term[idx[lo:hi][sel]] = terminal_value(x[lo:hi][sel])
         if scores:
             out_cb[slots] = sum_cb[rows]
             out_eb[slots] = sum_eta_b[rows]
 
-    pos = 0
+    segs = segments()
+    pos = NOISE_BLOCK
     step = 0
     while idx.size and step < limit:
         if pos == NOISE_BLOCK:
             for i, g in enumerate(gens):
-                blocks[i] = g.standard_normal(NOISE_BLOCK)
+                g.standard_normal(out=blocks[i])
             pos = 0
         eta = blocks[:, pos]
         pos += 1
 
-        if control is None:
-            c = 0.0
-        else:
+        if control is not None:
             bmat = control.basis_controls(x)
-            c = bmat @ control.coefficients
+            for lo, hi in segs:
+                np.matmul(bmat[lo:hi], control.coefficients, out=c[lo:hi])
             if scores:
                 sum_cb += c[:, None] * bmat
                 sum_eta_b += eta[:, None] * bmat
@@ -203,73 +251,38 @@ def _run_chunk(x0, control, model: ModelBundle, cfg: SimConfig, n_paths, seed, t
         ccost += (0.5 * h) * c2
         log_lr -= lr_eta * c * eta + lr_quad * c2
         x = x + h * (SQRT2 * c - np.asarray(p.gradient(x), dtype=np.float64)) + noise_amp * eta
-        if not np.all(np.isfinite(x)):
-            bad = idx[~np.isfinite(x)]
+        finite = np.isfinite(x)
+        if not finite.all():
             raise NumericalFailureError(
-                f"non-finite update for paths {bad.tolist()} at step {step}",
-                x=x[~np.isfinite(x)], step=step)
+                f"non-finite update for paths {idx[~finite].tolist()} at step {step}",
+                x=x[~finite], step=step)
         if reflect:
             x = _reflect(x, domain)
-        elif not np.all(domain.contains(x)):
+        elif not domain.contains(x).all():
             raise OutOfDomainError("a path left the domain with abort boundary")
         step += 1
 
         if fixed_steps is None:
             inside = s.contains(x)
-            if np.any(inside):
+            if inside.any():
                 retire(inside, True)
                 keep = ~inside
                 idx = idx[keep]
                 x = x[keep]
-                work = work[keep]
                 ccost = ccost[keep]
                 log_lr = log_lr[keep]
                 blocks = blocks[keep]
                 gens = [g for g, k in zip(gens, keep) if k]
+                if control is not None:
+                    c = c[:idx.size]
                 if scores:
                     sum_cb = sum_cb[keep]
                     sum_eta_b = sum_eta_b[keep]
+                segs = segments()
 
     if idx.size:
         retire(np.ones(idx.size, dtype=bool), fixed_steps is not None)
     return BatchResult(n_steps=out_steps, hit=out_hit, work=out_work,
                        control_cost=out_cc, log_lr_p_over_q=out_llr, final_x=out_x,
-                       terminal=out_term, sum_cb=out_cb, sum_eta_b=out_eb)
-
-
-def run_batch(x0: float, control, model: ModelBundle, cfg: SimConfig, *,
-              n_paths: int, seed: int | None = None, tag: int = 0,
-              fixed_steps: int | None = None, terminal_value=None,
-              scores: bool = False) -> BatchResult:
-    """Simulate n_paths controlled paths and reduce their statistics.
-
-    Parameters
-    ----------
-    control : GaussianAnsatz whose control field c = bmat @ coefficients
-        drives the paths, or None for the plain dynamics (c = 0).
-    fixed_steps : run exactly this many steps with no stopping test
-        (deterministic horizon); otherwise run to the first entry into the
-        stopping set, capped at cfg.max_steps.
-    terminal_value : callable evaluated at the hitting point and added to the
-        per-path cost (milestoning inner-boundary values).
-    scores : also collect the per-basis gradient accumulators sum_cb and
-        sum_eta_b (needs an ansatz control); left None otherwise.
-
-    Path i always consumes the stream (seed, tag, i).  Paths run in chunks of
-    KERNEL_CHUNK, one after another; a chunk's results do not depend on the
-    paths after it, but a controlled path's last bits depend on which other
-    paths share its chunk.
-    """
-    if fixed_steps is None and bool(model.stopping_set.contains(x0)):
-        raise ValueError(f"x0={x0} already inside the stopping set")
-    seed = cfg.seed if seed is None else seed
-
-    parts = [_run_chunk(x0, control, model, cfg, min(KERNEL_CHUNK, n_paths - lo),
-                        seed, tag, lo, fixed_steps, terminal_value, scores)
-             for lo in range(0, n_paths, KERNEL_CHUNK)]
-
-    def cat(name):
-        vals = [getattr(part, name) for part in parts]
-        return None if vals[0] is None else np.concatenate(vals)
-
-    return BatchResult(**{f.name: cat(f.name) for f in fields(BatchResult)})
+                       terminal=out_term, sum_cb=out_cb, sum_eta_b=out_eb,
+                       loop_iters=step)

@@ -127,3 +127,15 @@ def estimate_mfpt_reweighted(control, x0: float, model: ModelBundle, cfg: SimCon
     result = summarize(cfg.h * batch.n_steps, w)
     _check_degeneracy(result)
     return result
+
+
+def estimate_mfpt_forced(control, x0: float, model: ModelBundle, cfg: SimConfig, *,
+                         seed: int | None = None, tag: int = 0,
+                         n_paths: int) -> EstimatorResult:
+    """Estimate E[tau] under the forced dynamics themselves (unit weights).
+
+    With an ansatz F as control these are the plain dynamics on the tilted
+    landscape V + 2F: x + h (sqrt(2) c - V') rounds as x - h (V' - sqrt(2) c).
+    """
+    batch = _tilted_batch(control, x0, model, cfg, seed, tag, n_paths)
+    return summarize(cfg.h * batch.n_steps, np.ones(batch.n_paths))

@@ -126,9 +126,14 @@ def make_harmonic(k: float = 1.0) -> Potential:
 def make_scaled_double_well(barrier_scale: float = 1.0, skew: float = -0.25) -> Potential:
     """Double well barrier_scale*(x^2-1)^2 + skew*x, for easy/hard test cases."""
     b, s = float(barrier_scale), float(skew)
+
+    def gradient(x):
+        x = np.asarray(x, dtype=np.float64)
+        return 4.0 * b * x * (x ** 2 - 1.0) + s
+
     return Potential(
         evaluate=lambda x: b * (np.asarray(x, dtype=np.float64) ** 2 - 1.0) ** 2 + s * np.asarray(x, dtype=np.float64),
-        gradient=lambda x: 4.0 * b * np.asarray(x, dtype=np.float64) * (np.asarray(x, dtype=np.float64) ** 2 - 1.0) + s,
+        gradient=gradient,
         label=f"double_well(b={b},skew={s})",
     )
 

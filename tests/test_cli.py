@@ -140,7 +140,8 @@ class TestCliPipeline:
         assert by_name["tilted_mfpt_coverage"]["pass"]
         chash = RunConfig.load(cfg_path).config_hash()
         assert doc["inputs"] == {name: chash for name in (
-            "reference.csv", "oracle_probes.json", "estimates.json", "trace.csv")}
+            "reference.csv", "oracle_probes.json", "estimates.json", "optimize.json",
+            "trace.csv")}
 
     def test_compare_rejects_outputs_of_another_config(self, run_dir, tmp_path, capsys):
         cfg_path, out = run_dir
@@ -153,6 +154,23 @@ class TestCliPipeline:
         err = capsys.readouterr().err
         assert "reference.csv" in err and "oracle_probes.json" in err, err
         assert "estimates.json" not in err and "trace.csv" not in err, err
+
+    @pytest.mark.parametrize("stale_hash", ["0000000000000000", None])
+    def test_compare_rejects_an_ansatz_of_another_config(self, run_dir, tmp_path, capsys,
+                                                         stale_hash):
+        # ansatz.json has no hash of its own; the optimize.json beside it vouches
+        cfg_path, out = run_dir
+        mixed = tmp_path / "mixed"
+        shutil.copytree(out, mixed)
+        summary = json.loads((mixed / "optimize.json").read_text())
+        summary.pop("config_hash")
+        if stale_hash is not None:
+            summary["config_hash"] = stale_hash
+        (mixed / "optimize.json").write_text(json.dumps(summary))
+        capsys.readouterr()
+        assert main(["compare", "--config", str(cfg_path), "--out", str(mixed)]) == 2
+        err = capsys.readouterr().err
+        assert "optimize.json" in err and "reference.csv" not in err, err
 
     def test_reruns_are_byte_identical(self, run_dir, tmp_path):
         cfg_path, out = run_dir

@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+import optforce.dynamics
 from optforce.ansatz import make_uniform_ansatz
 from optforce.dynamics import (KERNEL_CHUNK, NOISE_BLOCK, NumericalFailureError,
                                SimConfig, path_stream, run_batch)
@@ -234,6 +237,29 @@ class TestBatchConsistency:
             np.testing.assert_array_equal(getattr(plain, name), getattr(forced, name))
         assert not np.any(plain.control_cost) and not np.any(plain.log_lr_p_over_q)
 
+    def test_noise_block_size_changes_no_bit(self, monkeypatch):
+        s = StoppingSet(-0.3, -0.2)
+        model = ModelBundle(make_harmonic(), constant_observable(1.0), s, DOMAIN)
+        ansatz = make_uniform_ansatz(4, DOMAIN, s, 0.5).with_coefficients(
+            [0.3, -0.2, 0.1, 0.4])
+        batches = []
+        for block in (7, 128):
+            monkeypatch.setattr(optforce.dynamics, "NOISE_BLOCK", block)
+            batches.append(run_batch(0.4, ansatz, model, CFG, n_paths=1500, seed=6,
+                                     scores=True))
+        for name in BATCH_ARRAYS:
+            np.testing.assert_array_equal(getattr(batches[0], name),
+                                          getattr(batches[1], name))
+
+    def test_loop_iters_counts_the_kernel_loop(self):
+        s = StoppingSet(-0.3, -0.2)
+        model = ModelBundle(make_harmonic(), constant_observable(1.0), s, DOMAIN)
+        fixed = run_batch(0.4, None, model, CFG, n_paths=2100, seed=2, fixed_steps=300)
+        stopping = run_batch(0.4, None, model, CFG, n_paths=2100, seed=2)
+        assert fixed.loop_iters == 300
+        assert stopping.loop_iters == stopping.n_steps.max()
+        assert stopping.hit.all() and stopping.n_steps.min() < stopping.loop_iters
+
     def test_fixed_horizon_mode(self):
         model = ModelBundle(make_harmonic(), constant_observable(2.0),
                             StoppingSet(-3.9, -3.8), DOMAIN)
@@ -241,6 +267,82 @@ class TestBatchConsistency:
         assert np.all(batch.n_steps == 50)
         assert batch.hit.all()
         np.testing.assert_allclose(batch.work, 2.0 * CFG.h * 50)
+
+
+BATCH_ARRAYS = ("n_steps", "hit", "work", "control_cost", "log_lr_p_over_q",
+                "final_x", "terminal", "sum_cb", "sum_eta_b")
+
+
+def _sha256(a) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+# sha256 of A[:n] @ v for n = 1031..1028 (A, v standard normal from
+# default_rng(12345)) on the OpenBLAS build the digests below were recorded
+# with; gemv rounds the last n % 4 rows in a kernel of its own
+GEMV_FINGERPRINT = "fc443e655ebdefcbc38c2f7b0bb68b83629b3ff75e1315c37a4404dc7f9cfe38"
+
+
+def _gemv_fingerprint() -> str:
+    rng = np.random.default_rng(12345)
+    a, v = rng.standard_normal((1031, 10)), rng.standard_normal(10)
+    digest = hashlib.sha256()
+    for n in (1031, 1030, 1029, 1028):
+        digest.update((a[:n] @ v).tobytes())
+    return digest.hexdigest()
+
+
+class TestRecordedBits:
+    """Batches whose every field was recorded before the kernel ran in one loop."""
+
+    @pytest.fixture(autouse=True)
+    def same_blas_rounding(self):
+        if _gemv_fingerprint() != GEMV_FINGERPRINT:
+            pytest.skip("this BLAS rounds gemv rows differently from the one the "
+                        "digests were recorded with")
+
+    def test_masked_scored_batch_with_terminal_value(self):
+        s = StoppingSet(-4.0, -0.2)
+        model = ModelBundle(make_harmonic(), constant_observable(1.5), s, DOMAIN)
+        # ten columns: below eight, gemv's tail rows round as its body rows
+        ansatz = make_uniform_ansatz(10, DOMAIN, s, 0.5).with_coefficients(
+            [0.4, -0.3, 0.25, 0.1, -0.2, 0.15, 0.05, -0.1, 0.2, 0.3]).with_mask(
+            [True, True, False, True, True, False, True, True, True, True])
+        inner = ansatz.with_mask(ansatz.centers <= 1.0)
+        inner_at_r = float(inner.value(-0.2))
+        cfg = SimConfig(epsilon=0.5, h=0.01, max_steps=200_000, seed=3)
+        batch = run_batch(0.4, ansatz, model, cfg, n_paths=2500, seed=11, tag=4,
+                          scores=True,
+                          terminal_value=lambda x: 0.3 + inner.value(x) - inner_at_r)
+        assert {name: _sha256(getattr(batch, name)) for name in BATCH_ARRAYS} == {
+            "n_steps": "18be06555bd249c21cb8049d54aa1b8f213b95c9a5900f6a50a9aa5a6e8e9d91",
+            "hit": "65dd06770bcfb4ae754d025b05b52e356ee15daa54b9e02ae8af4c3d08daa617",
+            "work": "f64fd8319e20cf9f90e583fc242240d1fbbd756e8cb93f049770c12960c94d14",
+            "control_cost": "df4dd211e6d70a723827f0e7d7d143940f5d67e4947a01fa404a799dbd3d0cab",
+            "log_lr_p_over_q": "8be1f947929a411204b664c5e9c14e560c30b82fce3144c2956e6c873a536a65",
+            "final_x": "cf4e39c6bc033047514a7ddad542cf971da2b42b889e800737f3aad121e65452",
+            "terminal": "cc078819225460a32805ae8302e87b870b60faa5c8d2e1145da72afec47173d5",
+            "sum_cb": "8310a0afd29462241da527ecc9c0d6163953e986e18946ac7a87b5ccb24910ea",
+            "sum_eta_b": "d19d61ab4e1def81a3bcf37aace22f53d8bb2f02c1ecd4fc36edd8f3e914058c",
+        }
+
+    def test_fixed_horizon_cost_batch(self):
+        model = ModelBundle(make_potential("skew_double_well"), constant_observable(1.0),
+                            StoppingSet(-1.1, -1.0), DOMAIN)
+        ansatz = make_uniform_ansatz(10, DOMAIN, model.stopping_set, 0.35)
+        ansatz = ansatz.with_coefficients(0.5 * np.random.default_rng(5).standard_normal(10))
+        cfg = SimConfig(epsilon=0.5, h=1e-3, seed=2)
+        batch = run_batch(1.03, ansatz, model, cfg, n_paths=4000, seed=13, tag=5,
+                          fixed_steps=300)
+        assert {name: _sha256(getattr(batch, name)) for name in BATCH_ARRAYS[:6]} == {
+            "n_steps": "73d9021f7d2e92883a5bd95b9309d2c8da6e03b4a8cc4a9bc29c1f2104b1143f",
+            "hit": "0d206c94e5ba5046f7e6952c38c6b2d2d7191b3de532bc8e2ec6e78d36cee936",
+            "work": "e01a28f3dfd6e74b6952f7b547218757e10b68b5c721851810211268ce472943",
+            "control_cost": "efe3884f3020e0b2a7cf0dc082984c1746f623e1877b4ef8dc15a2bd92fada08",
+            "log_lr_p_over_q": "3f9e0abb7cdc036c14b88a31e1fee5c06a66a7c2544ac57ecfb177f0e8afd2f4",
+            "final_x": "75e7b5b090c8bc584096d3b1d5fc62788da6de99023e0e3a899f5dbb993186f1",
+        }
+        assert batch.terminal is batch.sum_cb is batch.sum_eta_b is None
 
 
 class TestReweightingConsistency:
@@ -299,6 +401,13 @@ def test_sim_config_validation():
         SimConfig(epsilon=0.5, h=-1.0)
     with pytest.raises(ValueError):
         SimConfig(epsilon=0.5, h=0.01, seed=-1)
+
+
+@pytest.mark.parametrize("index", [0, 1, 1023, 1024, 4095, 2 ** 40])
+def test_path_stream_is_the_jumped_key_stream(index):
+    jumped = np.random.Philox(key=np.array([3, 2], dtype=np.uint64)).jumped(index)
+    np.testing.assert_array_equal(path_stream(3, index, tag=2).standard_normal(300),
+                                  np.random.Generator(jumped).standard_normal(300))
 
 
 def test_path_stream_independent_of_order():
