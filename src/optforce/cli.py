@@ -6,7 +6,8 @@ config and seed produce byte-identical outputs, and every output embeds the
 config hash.
 
     reference   finite-difference reference curves + quadrature oracle probes
-    optimize    learn the forcing by gradient descent (or milestoning shells)
+    optimize    learn the forcing by descent on a ladder of milestoning shells
+                (one shell by default: a plain descent from x0)
     estimate    reweighted estimators from tilted paths
     gradcheck   fixed-horizon exact gradient vs finite differences
     compare     join reference and estimates into a pass/fail report
@@ -27,8 +28,7 @@ from .config import ConfigError, RunConfig
 from .estimators import (estimate_mfpt_forced, estimate_mfpt_reweighted,
                          estimate_psi_reweighted)
 from .milestoning import build_ladder, run_milestoning, MilestoneLadder
-from .objective import estimate_cost, estimate_exact_gradient_fixed_horizon, make_objective
-from .optimizer import descend
+from .objective import estimate_cost, estimate_exact_gradient_fixed_horizon
 from .reference import build_grid, mfpt_quadrature_oracle, solve_mfpt_pde, solve_reference
 
 N_ORACLE_PROBES = 20
@@ -59,8 +59,6 @@ def cmd_reference(cfg: RunConfig, out: Path) -> int:
     grid = build_grid(model.stopping_set, model.domain, cfg.dx)
     sol = solve_reference(model.potential, cfg.sigma, cfg.epsilon, grid,
                           model.stopping_set)
-    solve_mfpt_pde(model.potential, cfg.epsilon, grid, model.stopping_set,
-                   verify_sigma_derivative=True)
     _write_reference_csv(out / "reference.csv", sol, cfg.config_hash())
 
     # oracle probes strictly inside the grid
@@ -93,29 +91,18 @@ def cmd_optimize(cfg: RunConfig, out: Path) -> int:
     sim_cfg = cfg.descent_sim_config()
     chash = cfg.config_hash()
 
-    use_milestoning = cfg.ladder.shells > 1 or cfg.ladder.thresholds is not None
-    if use_milestoning:
-        if cfg.ladder.thresholds is not None:
-            ladder = MilestoneLadder(np.asarray(cfg.ladder.thresholds, dtype=np.float64),
-                                     model.stopping_set)
-        else:
-            ladder = build_ladder(model.stopping_set, model.domain, cfg.ladder.shells)
-        result = run_milestoning(ladder, ansatz, model, sim_cfg, cfg.descent,
-                                 seed=cfg.seed, x0=x0)
-        final = result.ansatz
-        for i, trace in enumerate(result.shell_traces):
-            trace.write_csv(out / f"trace_shell_{i}.csv", chash)
-        traces = result.shell_traces
-        summary_extra = {"boundary_values": [float(v) for v in result.boundary_values],
-                         "shells": ladder.n_shells}
+    if cfg.ladder.thresholds is not None:
+        ladder = MilestoneLadder(cfg.ladder.thresholds, model.stopping_set)
     else:
-        objective = make_objective(ansatz, x0, model, sim_cfg,
-                                   n_paths=cfg.descent.batch_size)
-        a_best, trace = descend(a0, cfg.descent, objective, seed=cfg.seed)
-        final = ansatz.with_coefficients(a_best)
-        trace.write_csv(out / "trace.csv", chash)
-        traces = [trace]
-        summary_extra = {"shells": 1}
+        ladder = build_ladder(model.stopping_set, model.domain, cfg.ladder.shells)
+    result = run_milestoning(ladder, ansatz, model, sim_cfg, cfg.descent,
+                             seed=cfg.seed, x0=x0)
+    final = result.ansatz
+    traces = result.shell_traces
+    for i, trace in enumerate(traces):
+        # one shell is a plain descent and keeps the plain trace name
+        name = "trace.csv" if len(traces) == 1 else f"trace_shell_{i}.csv"
+        trace.write_csv(out / name, chash)
 
     (out / "ansatz.json").write_text(final.to_json() + "\n")
     # the termination rule is norm < max(grad_tol, 2 * gradient stderr norm);
@@ -133,10 +120,10 @@ def cmd_optimize(cfg: RunConfig, out: Path) -> int:
         "boundary_offset": float(final.value(model.stopping_set.hi)),
         "iterations": sum(len(t.records) for t in traces),
         "mean_steps": float(np.mean([t.mean_steps for t in traces])),
-        **summary_extra,
+        "boundary_values": [float(v) for v in result.boundary_values],
+        "shells": ladder.n_shells,
     })
-    print(f"optimize: wrote {out/'ansatz.json'} "
-          f"({'milestoning' if use_milestoning else 'descent'}, "
+    print(f"optimize: wrote {out/'ansatz.json'} ({ladder.n_shells} shell(s), "
           f"{sum(len(t.records) for t in traces)} iterations)")
     return 0
 

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from typing import Any, get_args, get_type_hints
 
 import yaml
 
 from .dynamics import SimConfig
+from .milestoning import MilestoneLadder
 from .model import (ModelBundle, SimulationDomain, StoppingSet,
                     constant_observable, default_start_point, make_potential)
 from .optimizer import DescentConfig
@@ -39,10 +40,10 @@ def _from_dict(cls, doc: dict, path: str):
     hints = get_type_hints(cls)
     kwargs = {}
     for name, value in doc.items():
-        sub = _NESTED.get((cls, name))
+        hint = hints[name]
         key = f"{path}.{name}" if path else name
-        kwargs[name] = (_from_dict(sub, value, key) if sub
-                        else _coerce(value, hints[name], key))
+        kwargs[name] = (_from_dict(hint, value, key) if is_dataclass(hint)
+                        else _coerce(value, hint, key))
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as err:
@@ -139,6 +140,14 @@ class RunConfig:
         _require(d.batch_size >= 2, "descent.batch_size", "at least 2", d.batch_size)
         _require(d.h is None or d.h > 0, "descent.h", "positive", d.h)
         _require(e.n_paths >= 2, "estimate.n_paths", "at least 2", e.n_paths)
+        stop, edge = self.stopping_set, self.domain.hi
+        _require(self.x0 is None or stop.hi < self.x0 <= edge, "x0",
+                 f"in ({stop.hi}, {edge}], right of the stopping set", self.x0)
+        if self.ladder.thresholds is not None:
+            try:
+                MilestoneLadder(self.ladder.thresholds, StoppingSet(stop.lo, stop.hi))
+            except ValueError as err:
+                raise ValueError(f"ladder.thresholds: {err}") from None
 
     # -- construction ---------------------------------------------------------
 
@@ -205,13 +214,3 @@ class RunConfig:
         model = model or self.build_model()
         return default_start_point(model.potential, model.domain, model.stopping_set)
 
-
-_NESTED = {
-    (RunConfig, "potential"): PotentialSpec,
-    (RunConfig, "stopping_set"): IntervalSpec,
-    (RunConfig, "domain"): DomainSpec,
-    (RunConfig, "ansatz"): AnsatzSpec,
-    (RunConfig, "descent"): DescentConfig,
-    (RunConfig, "ladder"): LadderSpec,
-    (RunConfig, "estimate"): EstimateSpec,
-}

@@ -6,11 +6,14 @@ the already-learned value at the crossing point as a terminal cost.  Only
 the shell's own basis coefficients are optimized; inner coefficients stay
 frozen, outer ones are still zero.  Working inward-out this composes the
 value function from short trajectories only.
+
+A plain descent is the one-shell ladder, so `optforce optimize` always runs
+a ladder: one shell by default, started at x0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,10 +93,6 @@ class MilestoningResult:
     def boundary_values(self) -> np.ndarray:
         """Learned value on each interior boundary r_1..r_K."""
         return self.anchors[1:]
-
-    @property
-    def mean_steps(self) -> float:
-        return float(np.mean([t.mean_steps for t in self.shell_traces]))
 
     def value(self, x):
         """Anchored piecewise value function (zero on the target boundary).
@@ -177,10 +176,7 @@ def run_milestoning(ladder: MilestoneLadder, ansatz: GaussianAnsatz,
                                                descent_cfg, seed=seed + i,
                                                start=start, anchor=anchors[-1])
         except Exception as err:
-            raise MilestoningError(
-                f"shell {i} failed: {err}",
-                partial=MilestoningResult(current, ladder, traces,
-                                          np.array(anchors))) from err
+            raise MilestoningError(f"shell {i} failed: {err}") from err
         traces.append(trace)
         anchors.append(cost)
     return MilestoningResult(ansatz=current, ladder=ladder, shell_traces=traces,
@@ -188,8 +184,4 @@ def run_milestoning(ladder: MilestoneLadder, ansatz: GaussianAnsatz,
 
 
 class MilestoningError(RuntimeError):
-    """A shell solve failed; partial results are preserved on .partial."""
-
-    def __init__(self, message, partial: MilestoningResult | None = None):
-        super().__init__(message)
-        self.partial = partial
+    """A shell solve failed, or its descent censored paths."""

@@ -21,7 +21,7 @@ product-mean form has the same expectation but more variance.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -142,34 +142,24 @@ def estimate_exact_gradient_fixed_horizon(ansatz: GaussianAnsatz, x0: float,
 
 
 def make_objective(ansatz_template: GaussianAnsatz, x0: float, model: ModelBundle,
-                   cfg: SimConfig, *, indices: np.ndarray | None = None,
-                   terminal_value=None, n_paths: int):
+                   cfg: SimConfig, *, indices: np.ndarray, terminal_value=None,
+                   n_paths: int):
     """Bind problem data into an `evaluate(coefficients, seed) -> GradientEstimate`.
 
-    With `indices` the returned objective works in the subspace of those
-    coefficients: it accepts the reduced vector, holds all other
-    coefficients at the template's values, and reports the reduced gradient
-    (milestoning shells).
+    The objective works in the subspace of the coefficients at `indices`: it
+    accepts the reduced vector, holds all other coefficients at the
+    template's values, and reports the reduced gradient.  A plain descent
+    passes every index.
     """
     base = ansatz_template.coefficients.copy()
 
     def evaluate(a, seed) -> GradientEstimate:
-        a = np.asarray(a, dtype=np.float64)
-        if indices is None:
-            full = a
-        else:
-            full = base.copy()
-            full[indices] = a
+        full = base.copy()
+        full[indices] = a
         est = estimate_inexact_gradient(
             ansatz_template.with_coefficients(full), x0, model, cfg,
             seed=seed, terminal_value=terminal_value, n_paths=n_paths)
-        if indices is None:
-            return est
-        return GradientEstimate(
-            value=est.value, gradient=est.gradient[indices],
-            value_stderr=est.value_stderr,
-            gradient_stderr=est.gradient_stderr[indices],
-            n_paths=est.n_paths, n_censored=est.n_censored,
-            mean_steps=est.mean_steps)
+        return replace(est, gradient=est.gradient[indices],
+                       gradient_stderr=est.gradient_stderr[indices])
 
     return evaluate

@@ -160,9 +160,12 @@ def solve_mfpt_pde(p: Potential, epsilon: float, grid: Grid1D, s: StoppingSet,
 
 def solve_reference(p: Potential, sigma: float, epsilon: float, grid: Grid1D,
                     s: StoppingSet) -> ReferenceSolution:
-    """psi, F and MFPT on one grid (convenience for the CLI)."""
+    """psi, F and MFPT on one grid.
+
+    The MFPT is cross-checked against the sigma-derivative route.
+    """
     sol = solve_fk(p, sigma, epsilon, grid, s)
-    m = solve_mfpt_pde(p, epsilon, grid, s)
+    m = solve_mfpt_pde(p, epsilon, grid, s, verify_sigma_derivative=True)
     return ReferenceSolution(grid=grid, psi=sol.psi, free_energy=sol.free_energy,
                              mfpt=m, sigma=float(sigma))
 

@@ -7,8 +7,12 @@ import numpy as np
 import pytest
 import yaml
 
+from optforce.ansatz import init_fill_wells, make_uniform_ansatz
 from optforce.cli import main
 from optforce.config import ConfigError, RunConfig
+from optforce.objective import make_objective
+from optforce.optimizer import descend
+from optforce.reference import build_grid
 
 
 def fast_config(tmp_path, **overrides):
@@ -117,6 +121,25 @@ class TestCliPipeline:
         assert trace[1] == "iteration,cost,grad_norm,alpha,stderr,mean_steps"
         summary = json.loads((out / "optimize.json").read_text())
         assert "config_hash" in summary and "final_cost" in summary
+
+    def test_default_optimize_is_a_plain_descent(self, run_dir):
+        # the default one-shell ladder reproduces descent over every coefficient
+        cfg_path, out = run_dir
+        cfg = RunConfig.load(cfg_path)
+        model = cfg.build_model()
+        ansatz = make_uniform_ansatz(cfg.ansatz.m, model.domain, model.stopping_set,
+                                     cfg.ansatz.width)
+        a0 = init_fill_wells(ansatz, model.potential,
+                             build_grid(model.stopping_set, model.domain, cfg.dx))
+        objective = make_objective(ansatz.with_coefficients(a0), cfg.start_point(model),
+                                   model, cfg.descent_sim_config(),
+                                   indices=np.arange(cfg.ansatz.m),
+                                   n_paths=cfg.descent.batch_size)
+        a_plain, _ = descend(a0, cfg.descent, objective, seed=cfg.seed)
+        written = json.loads((out / "ansatz.json").read_text())["coefficients"]
+        assert written == a_plain.tolist()
+        summary = json.loads((out / "optimize.json").read_text())
+        assert summary["shells"] == 1 and len(summary["boundary_values"]) == 1
 
     def test_estimate_outputs(self, run_dir):
         _, out = run_dir
@@ -231,6 +254,12 @@ class TestCliErrors:
         ("reference", "sigma=-1", ("sigma must be nonnegative",)),
         ("optimize", "descent.batch_size=1", ("descent.batch_size must be at least 2",)),
         ("optimize", "ladder.shells=0", ("ladder.shells must be at least 1",)),
+        ("optimize", "x0=-1.05", ("x0 must be in (-1.0, 2.0]",)),
+        ("estimate", "x0=-1.3", ("x0 must be in (-1.0, 2.0]",)),
+        ("compare", "x0=2.5", ("x0 must be in (-1.0, 2.0]",)),
+        ("optimize", "ladder.thresholds=[0,2]", ("ladder.thresholds", "first threshold")),
+        ("optimize", "ladder.thresholds=[-1,1,0.5]", ("ladder.thresholds",
+                                                      "strictly increasing")),
     ])
     def test_out_of_range_value_exits_2_naming_it(self, tmp_path, capsys, command,
                                                   override, names):
@@ -239,6 +268,28 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert all(name in err for name in names), err
         assert not (tmp_path / "out").exists()
+
+
+def test_optimize_with_two_shells_writes_a_trace_per_shell(tmp_path):
+    cfg_path = fast_config(tmp_path)
+    out = tmp_path / "out"
+    shells = ["--config", str(cfg_path), "--set", "ladder.shells=2"]
+    assert main(["reference", *shells]) == 0
+    assert main(["optimize", *shells]) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["estimate", *shells]) == 0
+    # compare exits 1 on this problem's speed-up band; only its inputs are checked
+    main(["compare", *shells])
+    assert sorted(p.name for p in out.glob("trace*.csv")) == [
+        "trace_shell_0.csv", "trace_shell_1.csv"]
+    summary = json.loads((out / "optimize.json").read_text())
+    assert summary["shells"] == 2 and len(summary["boundary_values"]) == 2
+    inputs = json.loads((out / "compare.json").read_text())["inputs"]
+    chash = RunConfig.load(cfg_path).with_overrides({"ladder.shells": 2}).config_hash()
+    assert inputs == {name: chash for name in (
+        "reference.csv", "oracle_probes.json", "estimates.json", "optimize.json",
+        "trace_shell_0.csv", "trace_shell_1.csv")}
 
 
 def test_gradcheck_runs_and_passes(tmp_path):

@@ -83,7 +83,8 @@ class TestSolveShell:
         ansatz = make_uniform_ansatz(4, DOMAIN, S, 0.4)
         updated, trace, _ = solve_shell(0, ladder, ansatz, model, sim, dc,
                                         seed=3, start=1.0)
-        objective = make_objective(ansatz, 1.0, model, sim, n_paths=dc.batch_size)
+        objective = make_objective(ansatz, 1.0, model, sim, indices=np.arange(ansatz.m),
+                                   n_paths=dc.batch_size)
         a_plain, trace_plain = descend(ansatz.coefficients, dc, objective, seed=3)
         np.testing.assert_array_equal(updated.coefficients, a_plain)
 
@@ -108,7 +109,8 @@ class TestRunMilestoning:
         ladder = build_ladder(S, DOMAIN, 1)
         x0 = 1.0
         result = run_milestoning(ladder, ansatz, model, sim, dc, seed=3, x0=x0)
-        objective = make_objective(ansatz, x0, model, sim, n_paths=dc.batch_size)
+        objective = make_objective(ansatz, x0, model, sim, indices=np.arange(ansatz.m),
+                                   n_paths=dc.batch_size)
         a_plain, _ = descend(ansatz.coefficients, dc, objective, seed=3)
         np.testing.assert_array_equal(result.ansatz.coefficients, a_plain)
 
@@ -127,15 +129,14 @@ class TestRunMilestoning:
         diff = np.abs(r2.value(probes) - r1.value(probes))
         assert np.max(diff) <= 2 * threshold
 
-    def test_partial_results_preserved_on_failure(self):
+    def test_failing_shell_raises_naming_it(self):
         model = easy_model()
         sim = SimConfig(epsilon=0.5, h=2e-3, max_steps=60, seed=3)
         dc = DescentConfig(max_iters=2, grad_tol=0.05, batch_size=64)
         ansatz = make_uniform_ansatz(4, DOMAIN, S, 0.4)
         ladder = build_ladder(S, DOMAIN, 2)
-        with pytest.raises(MilestoningError) as err:
+        with pytest.raises(MilestoningError, match=r"shell \d failed"):
             run_milestoning(ladder, ansatz, model, sim, dc, seed=3)
-        assert err.value.partial is not None
 
     def test_anchored_value_function_is_piecewise_consistent(self):
         model = easy_model()

@@ -180,7 +180,8 @@ def test_make_objective_subspace_restriction():
                                n_paths=300)
     est = objective(np.array([0.1, 0.3]), 14)
     assert est.gradient.shape == (2,)
-    full = make_objective(template, 1.0, model, cfg, n_paths=300)
+    full = make_objective(template, 1.0, model, cfg, indices=np.arange(4),
+                          n_paths=300)
     est_full = full(np.array([0.5, 0.1, -0.2, 0.3]), 14)
     np.testing.assert_allclose(est.gradient,
                                est_full.gradient[indices], rtol=1e-10)
