@@ -25,9 +25,10 @@ import yaml
 
 from .ansatz import GaussianAnsatz, init_fill_wells, make_uniform_ansatz, tilted_potential_from
 from .config import ConfigError, RunConfig
+from .dynamics import CensoredPathError, NumericalFailureError
 from .estimators import (estimate_mfpt_forced, estimate_mfpt_reweighted,
                          estimate_psi_reweighted)
-from .milestoning import build_ladder, run_milestoning, MilestoneLadder
+from .milestoning import build_ladder, run_milestoning, MilestoneLadder, MilestoningError
 from .objective import estimate_cost, estimate_exact_gradient_fixed_horizon
 from .reference import build_grid, mfpt_quadrature_oracle, solve_mfpt_pde, solve_reference
 
@@ -105,10 +106,8 @@ def cmd_optimize(cfg: RunConfig, out: Path) -> int:
         trace.write_csv(out / name, chash)
 
     (out / "ansatz.json").write_text(final.to_json() + "\n")
-    # the termination rule is norm < max(grad_tol, 2 * gradient stderr norm);
-    # report the level actually in force at the final iterate
-    thresholds = [max(cfg.descent.grad_tol, 2.0 * t.records[-1].grad_stderr_norm)
-                  for t in traces]
+    # report the stopping level actually in force at the final iterate
+    thresholds = [cfg.descent.stop_level(t.records[-1].grad_stderr_norm) for t in traces]
     _write_json(out / "optimize.json", {
         "config_hash": chash,
         "x0": x0,
@@ -357,6 +356,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except (MilestoningError, CensoredPathError, NumericalFailureError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

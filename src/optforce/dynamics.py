@@ -54,16 +54,15 @@ KERNEL_CHUNK = 1024
 
 
 class NumericalFailureError(RuntimeError):
-    """The update produced a non-finite state; carries the offending data."""
-
-    def __init__(self, message, x=None, step=None):
-        super().__init__(message)
-        self.x = x
-        self.step = step
+    """The update produced a non-finite state."""
 
 
 class CensoredPathError(RuntimeError):
-    """A path reached max_steps without hitting the stopping set."""
+    """A path reached max_steps without hitting the stopping set.
+
+    Every estimate is an expectation up to the hitting time, which a censored
+    path does not have, so run_batch raises this rather than return the batch.
+    """
 
 
 @dataclass(frozen=True)
@@ -108,7 +107,7 @@ class BatchResult:
     """Per-path statistics of a batch, in path-index order."""
 
     n_steps: np.ndarray
-    hit: np.ndarray
+    hit: np.ndarray       # all True: every path hit, or ran its fixed horizon
     work: np.ndarray
     control_cost: np.ndarray
     log_lr_p_over_q: np.ndarray
@@ -121,10 +120,6 @@ class BatchResult:
     @property
     def n_paths(self) -> int:
         return self.n_steps.size
-
-    @property
-    def n_censored(self) -> int:
-        return int(np.sum(~self.hit))
 
     @property
     def mean_steps(self) -> float:
@@ -150,7 +145,9 @@ def run_batch(x0: float, control, model: ModelBundle, cfg: SimConfig, *,
         drives the paths, or None for the plain dynamics (c = 0).
     fixed_steps : run exactly this many steps with no stopping test
         (deterministic horizon); otherwise run to the first entry into the
-        stopping set, capped at cfg.max_steps.
+        stopping set, capped at cfg.max_steps.  A path still outside the
+        stopping set at the cap is censored, and the batch raises
+        CensoredPathError; a fixed_steps batch never censors.
     terminal_value : callable evaluated at the hitting point and added to the
         per-path cost (milestoning inner-boundary values).
     scores : also collect the per-basis gradient accumulators sum_cb and
@@ -181,7 +178,6 @@ def run_batch(x0: float, control, model: ModelBundle, cfg: SimConfig, *,
 
     # outputs, in path-index order
     out_steps = np.zeros(n_paths, dtype=np.int64)
-    out_hit = np.zeros(n_paths, dtype=bool)
     out_work = np.zeros(n_paths)
     out_cc = np.zeros(n_paths)
     out_llr = np.zeros(n_paths)
@@ -210,15 +206,14 @@ def run_batch(x0: float, control, model: ModelBundle, cfg: SimConfig, *,
         bounds = np.append(np.searchsorted(idx, seg_starts), idx.size).tolist()
         return [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
 
-    def retire(rows, did_hit):
+    def retire(rows):
         slots = idx[rows]
         out_steps[slots] = step
-        out_hit[slots] = did_hit
         out_work[slots] = work
         out_cc[slots] = ccost[rows]
         out_llr[slots] = log_lr[rows]
         out_x[slots] = x[rows]
-        if did_hit and terminal_value is not None:
+        if terminal_value is not None:
             for lo, hi in segs:
                 sel = rows[lo:hi]
                 if sel.any():
@@ -254,8 +249,7 @@ def run_batch(x0: float, control, model: ModelBundle, cfg: SimConfig, *,
         finite = np.isfinite(x)
         if not finite.all():
             raise NumericalFailureError(
-                f"non-finite update for paths {idx[~finite].tolist()} at step {step}",
-                x=x[~finite], step=step)
+                f"non-finite update for paths {idx[~finite].tolist()} at step {step}")
         if reflect:
             x = _reflect(x, domain)
         elif not domain.contains(x).all():
@@ -265,7 +259,7 @@ def run_batch(x0: float, control, model: ModelBundle, cfg: SimConfig, *,
         if fixed_steps is None:
             inside = s.contains(x)
             if inside.any():
-                retire(inside, True)
+                retire(inside)
                 keep = ~inside
                 idx = idx[keep]
                 x = x[keep]
@@ -281,8 +275,11 @@ def run_batch(x0: float, control, model: ModelBundle, cfg: SimConfig, *,
                 segs = segments()
 
     if idx.size:
-        retire(np.ones(idx.size, dtype=bool), fixed_steps is not None)
-    return BatchResult(n_steps=out_steps, hit=out_hit, work=out_work,
-                       control_cost=out_cc, log_lr_p_over_q=out_llr, final_x=out_x,
-                       terminal=out_term, sum_cb=out_cb, sum_eta_b=out_eb,
-                       loop_iters=step)
+        if fixed_steps is None:
+            raise CensoredPathError(f"{idx.size}/{n_paths} paths did not hit within "
+                                    f"max_steps={cfg.max_steps}")
+        retire(np.ones(idx.size, dtype=bool))
+    return BatchResult(n_steps=out_steps, hit=np.ones(n_paths, dtype=bool),
+                       work=out_work, control_cost=out_cc, log_lr_p_over_q=out_llr,
+                       final_x=out_x, terminal=out_term, sum_cb=out_cb,
+                       sum_eta_b=out_eb, loop_iters=step)

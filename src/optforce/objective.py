@@ -20,13 +20,12 @@ product-mean form has the same expectation but more variance.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .ansatz import GaussianAnsatz
-from .dynamics import BatchResult, CensoredPathError, SimConfig, run_batch
+from .dynamics import BatchResult, SimConfig, run_batch
 from .model import ModelBundle
 
 
@@ -39,7 +38,6 @@ class GradientEstimate:
     value_stderr: float
     gradient_stderr: np.ndarray
     n_paths: int
-    n_censored: int
     mean_steps: float
 
     @property
@@ -57,16 +55,12 @@ def estimate_cost(ansatz: GaussianAnsatz, x0: float, model: ModelBundle,
                   n_paths: int):
     """Batch mean and standard error of the per-path cost under the ansatz tilt.
 
-    Any censored (non-hitting) path is an error: a mean over censored batches
-    is biased and estimator-grade results must not silently absorb that.
+    A path that does not hit within cfg.max_steps makes run_batch raise
+    CensoredPathError: a mean over the paths that did hit would be biased.
     """
     fixed_steps = _steps_for_horizon(fixed_horizon, cfg)
     batch = run_batch(x0, ansatz, model, cfg, n_paths=n_paths, seed=seed, tag=tag,
                       fixed_steps=fixed_steps, terminal_value=terminal_value)
-    if batch.n_censored:
-        raise CensoredPathError(
-            f"{batch.n_censored}/{batch.n_paths} paths did not hit within "
-            f"max_steps={cfg.max_steps}; cost estimate would be biased")
     cost = batch.cost_per_path()
     return float(np.mean(cost)), float(np.std(cost, ddof=1) / np.sqrt(cost.size))
 
@@ -80,14 +74,14 @@ def _steps_for_horizon(fixed_horizon, cfg: SimConfig):
     return int(round(n))
 
 
-def _assemble(batch: BatchResult, cfg: SimConfig, keep: np.ndarray) -> GradientEstimate:
+def _assemble(batch: BatchResult, cfg: SimConfig) -> GradientEstimate:
     h, eps = cfg.h, cfg.epsilon
-    cost = batch.cost_per_path()[keep]
-    u = batch.sum_cb[keep] * h                      # explicit term, per path
-    v = batch.sum_eta_b[keep] * np.sqrt(h / eps)    # minus the action derivative
+    cost = batch.cost_per_path()
+    u = batch.sum_cb * h                      # explicit term, per path
+    v = batch.sum_eta_b * np.sqrt(h / eps)    # minus the action derivative
     n = cost.size
     if n < 2:
-        raise ValueError("need at least two uncensored paths for an estimate")
+        raise ValueError("need at least two paths for an estimate")
     dc = cost - cost.mean()
     dv = v - v.mean(axis=0)
     grad = u.mean(axis=0) + (dc @ dv) / (n - 1)
@@ -100,7 +94,6 @@ def _assemble(batch: BatchResult, cfg: SimConfig, keep: np.ndarray) -> GradientE
         value_stderr=float(np.std(cost, ddof=1) / np.sqrt(n)),
         gradient_stderr=grad_se,
         n_paths=batch.n_paths,
-        n_censored=batch.n_censored,
         mean_steps=batch.mean_steps,
     )
 
@@ -110,16 +103,12 @@ def estimate_inexact_gradient(ansatz: GaussianAnsatz, x0: float, model: ModelBun
                               terminal_value=None, n_paths: int) -> GradientEstimate:
     """Random-stopping-time gradient estimate (boundary terms dropped).
 
-    Censored paths are excluded with a warning and counted in n_censored;
-    the optimizer degrades gracefully, estimator-grade users must check.
+    A path that does not hit within cfg.max_steps makes run_batch raise
+    CensoredPathError, as for estimate_cost.
     """
     batch = run_batch(x0, ansatz, model, cfg, n_paths=n_paths, seed=seed, tag=tag,
                       terminal_value=terminal_value, scores=True)
-    keep = batch.hit
-    if batch.n_censored:
-        warnings.warn(f"excluding {batch.n_censored} censored paths from the "
-                      "gradient estimate", RuntimeWarning)
-    return _assemble(batch, cfg, keep)
+    return _assemble(batch, cfg)
 
 
 def estimate_exact_gradient_fixed_horizon(ansatz: GaussianAnsatz, x0: float,
@@ -138,7 +127,7 @@ def estimate_exact_gradient_fixed_horizon(ansatz: GaussianAnsatz, x0: float,
         raise ValueError("horizon is required")
     batch = run_batch(x0, ansatz, model, cfg, n_paths=n_paths, seed=seed, tag=tag,
                       fixed_steps=fixed_steps, scores=True)
-    return _assemble(batch, cfg, np.ones(batch.n_paths, dtype=bool))
+    return _assemble(batch, cfg)
 
 
 def make_objective(ansatz_template: GaussianAnsatz, x0: float, model: ModelBundle,

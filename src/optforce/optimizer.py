@@ -24,11 +24,7 @@ MAX_FIRST_STEP = 1.0
 
 
 class OptimizerError(RuntimeError):
-    """Descent aborted; carries the trace collected so far."""
-
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = trace
+    """Descent aborted."""
 
 
 @dataclass(frozen=True)
@@ -53,6 +49,10 @@ class DescentConfig:
         if self.reseed_policy not in ("fresh", "fixed"):
             raise ValueError(f"unknown reseed policy {self.reseed_policy!r}")
 
+    def stop_level(self, grad_stderr_norm: float) -> float:
+        """Gradient norm max(grad_tol, 2 * its stderr norm) below which descent stops."""
+        return max(self.grad_tol, 2.0 * grad_stderr_norm)
+
 
 @dataclass
 class DescentRecord:
@@ -64,7 +64,6 @@ class DescentRecord:
     grad_stderr_norm: float
     alpha: float
     mean_steps: float
-    n_censored: int
     line_search_fallback: bool = False
 
 
@@ -202,8 +201,10 @@ def descend(a0: np.ndarray, cfg: DescentConfig, objective, *, seed: int = 0):
 
     objective(a, seed) -> GradientEstimate; one seed is used for all probes
     within an iteration.  Terminates when the gradient norm drops below
-    max(grad_tol, 2 * gradient stderr norm) or after max_iters; returns the
-    best-seen coefficients by cost value together with the trace.
+    cfg.stop_level or after max_iters; returns the best-seen coefficients by
+    cost value together with the trace.  A line-search probe whose batch
+    censors a path or fails numerically is rejected; an iterate's batch that
+    does raises.
     """
     a = np.asarray(a0, dtype=np.float64).copy()
     if not np.all(np.isfinite(a)):
@@ -214,7 +215,7 @@ def descend(a0: np.ndarray, cfg: DescentConfig, objective, *, seed: int = 0):
     failed = GradientEstimate(value=np.inf, gradient=np.zeros_like(a),
                               value_stderr=np.inf,
                               gradient_stderr=np.full_like(a, np.inf),
-                              n_paths=0, n_censored=0, mean_steps=0.0)
+                              n_paths=0, mean_steps=0.0)
 
     for it in range(cfg.max_iters):
         it_seed = seed if cfg.reseed_policy == "fixed" else seed + 1_000_003 * (it + 1)
@@ -223,14 +224,13 @@ def descend(a0: np.ndarray, cfg: DescentConfig, objective, *, seed: int = 0):
         def probe(b):
             # a pathological probe (runaway control) must never be accepted
             try:
-                cand = objective(b, it_seed)
+                return objective(b, it_seed)
             except (CensoredPathError, NumericalFailureError):
                 return failed
-            return failed if cand.n_censored else cand
 
         alpha = 0.0
         fallback = False
-        done = est.grad_norm < max(cfg.grad_tol, 2.0 * est.grad_stderr_norm)
+        done = est.grad_norm < cfg.stop_level(est.grad_stderr_norm)
         if not done:
             ls = wolfe_line_search(
                 a, -est.gradient, probe,
@@ -245,8 +245,7 @@ def descend(a0: np.ndarray, cfg: DescentConfig, objective, *, seed: int = 0):
             iteration=it, coefficients=a.copy(), cost=est.value,
             cost_stderr=est.value_stderr, grad_norm=est.grad_norm,
             grad_stderr_norm=est.grad_stderr_norm, alpha=alpha,
-            mean_steps=est.mean_steps, n_censored=est.n_censored,
-            line_search_fallback=fallback))
+            mean_steps=est.mean_steps, line_search_fallback=fallback))
         if est.value < best_cost:
             best_cost, best_a = est.value, a.copy()
         if done:
@@ -255,6 +254,5 @@ def descend(a0: np.ndarray, cfg: DescentConfig, objective, *, seed: int = 0):
 
         a = a - alpha * est.gradient
         if not np.all(np.isfinite(a)):
-            raise OptimizerError(f"coefficients became non-finite at iteration {it}",
-                                 trace=trace)
+            raise OptimizerError(f"coefficients became non-finite at iteration {it}")
     return best_a, trace

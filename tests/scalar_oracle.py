@@ -60,7 +60,7 @@ def em_step(x, control_value, noise, cfg: SimConfig, p: Potential,
     h, eps = cfg.h, cfg.epsilon
     x_new = x + h * (SQRT2 * control_value - p.gradient(x)) + np.sqrt(2.0 * h * eps) * noise
     if not np.all(np.isfinite(x_new)):
-        raise NumericalFailureError("non-finite Euler-Maruyama update", x=x, step=None)
+        raise NumericalFailureError("non-finite Euler-Maruyama update")
     if domain is not None:
         if domain.boundary == "reflect":
             x_new = _reflect(x_new, domain)

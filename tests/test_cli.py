@@ -269,6 +269,15 @@ class TestCliErrors:
         assert all(name in err for name in names), err
         assert not (tmp_path / "out").exists()
 
+    def test_a_failed_run_ends_in_one_error_line(self, tmp_path, capsys):
+        cfg_path = fast_config(tmp_path)
+        code = main(["optimize", "--config", str(cfg_path), "--set", "max_steps=50",
+                     "--set", "descent.max_iters=2", "--set", "descent.batch_size=64"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.splitlines()) == 1 and "Traceback" not in err, err
+        assert err.startswith("error: shell 0 failed") and "did not hit" in err, err
+
 
 def test_optimize_with_two_shells_writes_a_trace_per_shell(tmp_path):
     cfg_path = fast_config(tmp_path)
@@ -290,6 +299,18 @@ def test_optimize_with_two_shells_writes_a_trace_per_shell(tmp_path):
     assert inputs == {name: chash for name in (
         "reference.csv", "oracle_probes.json", "estimates.json", "optimize.json",
         "trace_shell_0.csv", "trace_shell_1.csv")}
+
+
+def test_untilted_estimate_adds_the_plain_mfpt(tmp_path):
+    cfg_path = fast_config(tmp_path)
+    assert main(["optimize", "--config", str(cfg_path)]) == 0
+    assert main(["estimate", "--config", str(cfg_path),
+                 "--set", "estimate.untilted=true"]) == 0
+    doc = json.loads((tmp_path / "out" / "estimates.json").read_text())
+    by_name = {r["quantity"]: r for r in doc["records"]}
+    assert "mfpt" in by_name
+    # the untilted paths carry weight one each
+    assert by_name["psi"]["ess"] == by_name["psi"]["n"]
 
 
 def test_gradcheck_runs_and_passes(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -5,8 +6,8 @@ import pytest
 
 import optforce.dynamics
 from optforce.ansatz import make_uniform_ansatz
-from optforce.dynamics import (KERNEL_CHUNK, NOISE_BLOCK, NumericalFailureError,
-                               SimConfig, path_stream, run_batch)
+from optforce.dynamics import (KERNEL_CHUNK, NOISE_BLOCK, CensoredPathError,
+                               NumericalFailureError, SimConfig, path_stream, run_batch)
 from optforce.model import (ModelBundle, Potential, SimulationDomain, StoppingSet,
                             constant_observable, make_flat, make_harmonic,
                             make_potential)
@@ -267,6 +268,32 @@ class TestBatchConsistency:
         assert np.all(batch.n_steps == 50)
         assert batch.hit.all()
         np.testing.assert_allclose(batch.work, 2.0 * CFG.h * 50)
+
+
+class TestCensoring:
+    """run_batch is the one place that decides censoring."""
+
+    def capped(self):
+        # cap at the median hitting step of the uncapped batch, so some paths
+        # hit within it and the rest do not
+        s = StoppingSet(-0.3, -0.2)
+        model = ModelBundle(make_harmonic(), constant_observable(1.0), s, DOMAIN)
+        full = run_batch(0.4, None, model, CFG, n_paths=64, seed=4)
+        cap = int(np.median(full.n_steps))
+        return model, dataclasses.replace(CFG, max_steps=cap), int(np.sum(full.n_steps > cap))
+
+    def test_a_path_that_never_hits_raises_naming_count_and_cap(self):
+        model, cfg, k = self.capped()
+        assert 0 < k < 64
+        message = rf"^{k}/64 paths did not hit within max_steps={cfg.max_steps}$"
+        with pytest.raises(CensoredPathError, match=message):
+            run_batch(0.4, None, model, cfg, n_paths=64, seed=4)
+
+    def test_a_fixed_horizon_never_censors(self):
+        model, cfg, _ = self.capped()
+        batch = run_batch(0.4, None, model, cfg, n_paths=64, seed=4,
+                          fixed_steps=cfg.max_steps)
+        assert np.all(batch.n_steps == cfg.max_steps) and batch.hit.all()
 
 
 BATCH_ARRAYS = ("n_steps", "hit", "work", "control_cost", "log_lr_p_over_q",

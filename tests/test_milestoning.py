@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import optforce.objective
 from optforce.ansatz import make_uniform_ansatz
 from optforce.dynamics import SimConfig
 from optforce.milestoning import (MilestoneLadder, MilestoningError, build_ladder,
@@ -96,8 +97,6 @@ class TestSolveShell:
         ladder = build_ladder(S, DOMAIN, 2)
         ansatz = make_uniform_ansatz(6, DOMAIN, S, 0.4)
         result = run_milestoning(ladder, ansatz, model, sim, dc, seed=3)
-        r1 = float(ladder.thresholds[1])
-        assert result.value(r1) == pytest.approx(result.anchors[1], abs=1e-12)
         np.testing.assert_array_equal(result.boundary_values, result.anchors[1:])
 
 
@@ -114,21 +113,6 @@ class TestRunMilestoning:
         a_plain, _ = descend(ansatz.coefficients, dc, objective, seed=3)
         np.testing.assert_array_equal(result.ansatz.coefficients, a_plain)
 
-    def test_two_shell_value_agrees_with_single_shot(self):
-        model = easy_model()
-        sim, dc = quick_cfgs(batch=512, iters=12)
-        ansatz = make_uniform_ansatz(6, DOMAIN, S, 0.4)
-        x0 = 1.0
-        r2 = run_milestoning(build_ladder(S, DOMAIN, 2), ansatz, model, sim, dc,
-                             seed=3, x0=x0)
-        r1 = run_milestoning(build_ladder(S, DOMAIN, 1), ansatz, model, sim, dc,
-                             seed=3, x0=x0)
-        threshold = max(dc.grad_tol,
-                        2 * r1.shell_traces[0].records[-1].grad_stderr_norm)
-        probes = np.linspace(-0.9, x0, 5)
-        diff = np.abs(r2.value(probes) - r1.value(probes))
-        assert np.max(diff) <= 2 * threshold
-
     def test_failing_shell_raises_naming_it(self):
         model = easy_model()
         sim = SimConfig(epsilon=0.5, h=2e-3, max_steps=60, seed=3)
@@ -138,14 +122,20 @@ class TestRunMilestoning:
         with pytest.raises(MilestoningError, match=r"shell \d failed"):
             run_milestoning(ladder, ansatz, model, sim, dc, seed=3)
 
-    def test_anchored_value_function_is_piecewise_consistent(self):
-        model = easy_model()
-        sim, dc = quick_cfgs(batch=128, iters=4)
-        ansatz = make_uniform_ansatz(6, DOMAIN, S, 0.4)
-        result = run_milestoning(build_ladder(S, DOMAIN, 3), ansatz, model, sim, dc,
-                                 seed=3)
-        # zero at the target boundary, continuous ramps within shells
-        assert result.value(-1.0) == pytest.approx(0.0, abs=1e-12)
-        xs = np.linspace(-0.99, 1.99, 50)
-        vals = result.value(xs)
-        assert np.all(np.isfinite(vals))
+    def test_a_censoring_iterate_stops_the_shell_at_once(self, monkeypatch):
+        # the first iterate's batch censors paths; no further batch is run
+        calls = []
+        run_batch = optforce.objective.run_batch
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("seed"))
+            return run_batch(*args, **kwargs)
+
+        monkeypatch.setattr(optforce.objective, "run_batch", counting)
+        sim = SimConfig(epsilon=0.5, h=2e-3, max_steps=600, seed=3)
+        dc = DescentConfig(max_iters=2, grad_tol=0.05, batch_size=64)
+        ansatz = make_uniform_ansatz(4, DOMAIN, S, 0.4)
+        with pytest.raises(MilestoningError, match="did not hit"):
+            run_milestoning(build_ladder(S, DOMAIN, 2), ansatz, easy_model(), sim, dc,
+                            seed=3)
+        assert len(calls) == 1

@@ -16,7 +16,7 @@ def quadratic_objective(center=None):
         return GradientEstimate(value=float(0.5 * d @ d), gradient=d,
                                 value_stderr=0.0,
                                 gradient_stderr=np.zeros_like(a),
-                                n_paths=1, n_censored=0, mean_steps=1.0)
+                                n_paths=1, mean_steps=1.0)
 
     return evaluate
 
@@ -49,7 +49,7 @@ class TestWolfeLineSearch:
             return GradientEstimate(value=val, gradient=np.sinh(a),
                                     value_stderr=0.0,
                                     gradient_stderr=np.zeros_like(a),
-                                    n_paths=1, n_censored=0, mean_steps=1.0)
+                                    n_paths=1, mean_steps=1.0)
 
         a = np.array([1.5, -2.0, 0.5])
         est0 = evaluate(a)
@@ -99,7 +99,7 @@ class TestDescend:
             return GradientEstimate(value=float(0.5 * a @ a), gradient=g,
                                     value_stderr=0.001,
                                     gradient_stderr=np.full(a.size, 0.01),
-                                    n_paths=100, n_censored=0, mean_steps=1.0)
+                                    n_paths=100, mean_steps=1.0)
 
         cfg = DescentConfig(max_iters=10, grad_tol=1e-3, batch_size=1,
                             reseed_policy="fixed")
@@ -116,7 +116,7 @@ class TestDescend:
             g = 1e-4 * rng.standard_normal(a.size)
             return GradientEstimate(value=1.0, gradient=g, value_stderr=0.1,
                                     gradient_stderr=np.full(a.size, 1.0),
-                                    n_paths=10, n_censored=0, mean_steps=1.0)
+                                    n_paths=10, mean_steps=1.0)
 
         cfg = DescentConfig(max_iters=50, grad_tol=1e-9, batch_size=1)
         _, trace = descend(np.array([1.0]), cfg, pure_noise, seed=1)
@@ -129,7 +129,7 @@ class TestDescend:
             return GradientEstimate(value=float(np.sum(a)), gradient=np.ones(a.size),
                                     value_stderr=0.0,
                                     gradient_stderr=np.zeros(a.size),
-                                    n_paths=1, n_censored=0, mean_steps=1.0)
+                                    n_paths=1, mean_steps=1.0)
 
         cfg = DescentConfig(max_iters=7, grad_tol=1e-9, batch_size=1)
         _, trace = descend(np.zeros(2), cfg, drifting, seed=0)
@@ -159,7 +159,7 @@ class TestDescend:
                           + (a[0] - 0.7) ** 2 * 0.1 * np.cos(a[0])])
             return GradientEstimate(value=val, gradient=g, value_stderr=0.0,
                                     gradient_stderr=np.zeros(1),
-                                    n_paths=1, n_censored=0, mean_steps=1.0)
+                                    n_paths=1, mean_steps=1.0)
 
         from scipy.optimize import minimize_scalar
         ref = minimize_scalar(lambda t: scalar_obj(np.array([t]), 0).value,
@@ -177,7 +177,7 @@ class TestDescentTrace:
             trace.append(DescentRecord(iteration=i, coefficients=np.zeros(1),
                                        cost=c, cost_stderr=stderr, grad_norm=1.0,
                                        grad_stderr_norm=0.1, alpha=0.1,
-                                       mean_steps=10.0, n_censored=0))
+                                       mean_steps=10.0))
         return trace
 
     def test_monotone_cost_not_flagged(self):
