@@ -315,7 +315,11 @@ def _parse_set(pairs):
         if "=" not in pair:
             raise ConfigError(f"--set expects key=value, got {pair!r}")
         key, _, raw = pair.partition("=")
-        overrides[key.strip()] = yaml.safe_load(raw)
+        try:
+            overrides[key.strip()] = yaml.safe_load(raw)
+        except yaml.YAMLError as err:
+            raise ConfigError(f"--set {key.strip()}: {raw!r} is not a YAML value "
+                              f"({getattr(err, 'problem', err)})") from None
     return overrides
 
 

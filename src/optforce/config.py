@@ -15,10 +15,11 @@ from typing import Any, get_args, get_type_hints
 
 import yaml
 
-from .dynamics import SimConfig
+from .dynamics import MAX_SEED, SimConfig
 from .milestoning import MilestoneLadder
-from .model import (ModelBundle, SimulationDomain, StoppingSet,
-                    constant_observable, default_start_point, make_potential)
+from .model import (BOUNDARIES, POTENTIALS, ModelBundle, SimulationDomain,
+                    StoppingSet, constant_observable, default_start_point,
+                    make_potential)
 from .optimizer import DescentConfig
 
 # The experiment's "width 0.1" is read as the variance of the Gaussian bumps;
@@ -125,6 +126,15 @@ class RunConfig:
     out_dir: str = "runs"
 
     def __post_init__(self):
+        pot = self.potential
+        _require(pot.name in POTENTIALS, "potential.name", f"one of {sorted(POTENTIALS)}",
+                 pot.name)
+        try:
+            POTENTIALS[pot.name](**pot.params)
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"potential.params: {err}") from None
+        _require(self.domain.boundary in BOUNDARIES, "domain.boundary",
+                 f"one of {list(BOUNDARIES)}", self.domain.boundary)
         _require(self.sigma >= 0, "sigma", "nonnegative", self.sigma)
         _require(self.epsilon > 0, "epsilon", "positive", self.epsilon)
         _require(self.h > 0, "h", "positive", self.h)
@@ -143,11 +153,19 @@ class RunConfig:
         stop, edge = self.stopping_set, self.domain.hi
         _require(self.x0 is None or stop.hi < self.x0 <= edge, "x0",
                  f"in ({stop.hi}, {edge}], right of the stopping set", self.x0)
+        shells = self.ladder.shells
         if self.ladder.thresholds is not None:
             try:
-                MilestoneLadder(self.ladder.thresholds, StoppingSet(stop.lo, stop.hi))
+                shells = MilestoneLadder(self.ladder.thresholds,
+                                         StoppingSet(stop.lo, stop.hi)).n_shells
             except ValueError as err:
                 raise ValueError(f"ladder.thresholds: {err}") from None
+        # shell i descends from seed + i, and each iteration adds to that; every
+        # seed a run derives must fit in a Philox key word
+        top = d.iteration_seed(self.seed + shells - 1, d.max_iters - 1)
+        _require(top <= MAX_SEED, "seed", f"at most {MAX_SEED - (top - self.seed)}, "
+                 f"so that the largest seed the run derives ({top}) fits in 64 bits",
+                 self.seed)
 
     # -- construction ---------------------------------------------------------
 
@@ -158,7 +176,10 @@ class RunConfig:
     @staticmethod
     def load(path) -> "RunConfig":
         with open(path) as fh:
-            doc = yaml.safe_load(fh)
+            try:
+                doc = yaml.safe_load(fh)
+            except yaml.YAMLError as err:
+                raise ConfigError(f"{path} is not valid YAML: {err}") from None
         return RunConfig.from_dict(doc or {})
 
     def to_dict(self) -> dict:

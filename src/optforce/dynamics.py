@@ -65,6 +65,10 @@ class CensoredPathError(RuntimeError):
     """
 
 
+# a seed is one uint64 word of a path stream's Philox key
+MAX_SEED = 2 ** 64 - 1
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Temperature, step size, step cap and seed for the simulator."""
@@ -79,7 +83,7 @@ class SimConfig:
             raise ValueError("epsilon and h must be strictly positive")
         if self.max_steps < 1:
             raise ValueError("max_steps must be positive")
-        if self.seed < 0:
+        if not 0 <= self.seed <= MAX_SEED:
             raise ValueError("seed must be a nonnegative 64-bit integer")
 
 

@@ -6,12 +6,12 @@ arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 
 class OutOfDomainError(ValueError):
@@ -61,6 +61,10 @@ class StoppingSet:
         return (x >= self.lo) & (x <= self.hi)
 
 
+# what a path does on leaving the simulation domain
+BOUNDARIES = ("reflect", "abort")
+
+
 @dataclass(frozen=True)
 class SimulationDomain:
     """Truncation box for simulation; the landscape is unbounded, the solver is not.
@@ -75,7 +79,7 @@ class SimulationDomain:
     def __post_init__(self):
         if not self.lo < self.hi:
             raise ValueError(f"domain needs lo < hi, got [{self.lo}, {self.hi}]")
-        if self.boundary not in ("reflect", "abort"):
+        if self.boundary not in BOUNDARIES:
             raise ValueError(f"unknown boundary behavior {self.boundary!r}")
 
     def contains(self, x):
@@ -165,10 +169,71 @@ def make_potential(name: str, **params) -> Potential:
 # ---------------------------------------------------------------------------
 
 def find_local_minimum(p: Potential, lo: float, hi: float) -> float:
-    """Locate a local minimum of V on [lo, hi] (bounded scalar minimization)."""
-    res = minimize_scalar(lambda x: float(p.evaluate(x)), bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-12})
-    return float(res.x)
+    """Locate a local minimum of V on [lo, hi] by bounded Brent search.
+
+    A line-for-line port of scipy's `minimize_scalar(method="bounded")`
+    (BSD-licensed: golden-section steps plus parabolic interpolation, after
+    Brent's fmin) at xatol=1e-12 and scipy's 500-evaluation cap, so it returns
+    scipy's x bit for bit.  It lives here because importing scipy.optimize for
+    this one call costs each CLI stage ~0.45 s.
+    """
+    xatol, maxfun = 1e-12, 500
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = float(lo), float(hi)
+    # xf: best point so far; nfc, fulc: the two before it (parabola nodes)
+    xf = nfc = fulc = a + golden_mean * (b - a)
+    fx = ffulc = fnfc = float(p.evaluate(xf))
+    rat = e = 0.0
+    num = 1
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a) and num < maxfun:
+        golden = True
+        if abs(e) > tol1:
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            pp = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                pp = -pp
+            q = abs(q)
+            r, e = e, rat
+            if abs(pp) < abs(0.5 * q * r) and q * (a - xf) < pp < q * (b - xf):
+                golden = False
+                rat = pp / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = golden_mean * e
+        x = xf + (-1.0 if rat < 0 else 1.0) * max(abs(rat), tol1)
+        fu = float(p.evaluate(x))
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+    return xf
 
 
 def default_start_point(p: Potential, domain: SimulationDomain, s: StoppingSet) -> float:

@@ -22,6 +22,8 @@ from .objective import GradientEstimate
 # space; steep early gradients would otherwise probe pathological controls
 MAX_FIRST_STEP = 1.0
 
+RESEED_STRIDE = 1_000_003
+
 
 class OptimizerError(RuntimeError):
     """Descent aborted."""
@@ -52,6 +54,10 @@ class DescentConfig:
     def stop_level(self, grad_stderr_norm: float) -> float:
         """Gradient norm max(grad_tol, 2 * its stderr norm) below which descent stops."""
         return max(self.grad_tol, 2.0 * grad_stderr_norm)
+
+    def iteration_seed(self, seed: int, it: int) -> int:
+        """Seed of every batch in iteration it: fresh per iteration unless "fixed"."""
+        return seed if self.reseed_policy == "fixed" else seed + RESEED_STRIDE * (it + 1)
 
 
 @dataclass
@@ -218,7 +224,7 @@ def descend(a0: np.ndarray, cfg: DescentConfig, objective, *, seed: int = 0):
                               n_paths=0, mean_steps=0.0)
 
     for it in range(cfg.max_iters):
-        it_seed = seed if cfg.reseed_policy == "fixed" else seed + 1_000_003 * (it + 1)
+        it_seed = cfg.iteration_seed(seed, it)
         est = objective(a, it_seed)
 
         def probe(b):

@@ -10,6 +10,10 @@ L = eps d^2/dx^2 - V' d/dx, so the exponential-cost function
 solves  eps^2 psi'' - eps V' psi' = sigma psi  with psi = 1 on the stopping
 boundary and a reflecting (zero-derivative) outer boundary, and
 F = -eps log psi is the value function of the associated control problem.
+
+scipy is imported only inside the two functions that use it
+(`_solve_generator` and `mfpt_quadrature_oracle`), so the stages that never
+solve a reference start without paying for it.
 """
 
 from __future__ import annotations
@@ -17,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.linalg import solve_banded
 
 from .model import Potential, StoppingSet, SimulationDomain
 
@@ -86,6 +88,8 @@ def _solve_generator(p: Potential, grid: Grid1D, diffusion: float, drift: float,
     u(grid.lo) = boundary_value and u'(grid.hi) = 0.  Second-order centered
     differences; the outer boundary reflects through a symmetric ghost node.
     """
+    from scipy.linalg import solve_banded
+
     dx = grid.spacing
     n = grid.nodes.size
     vp = np.asarray(p.gradient(grid.nodes), dtype=np.float64)
@@ -180,6 +184,8 @@ def mfpt_quadrature_oracle(p: Potential, epsilon: float, x: float,
     with absorbing boundary a = absorb_at and reflecting boundary b =
     reflect_at.  Independent of the finite-difference solvers.
     """
+    from scipy.integrate import quad
+
     a, b = float(absorb_at), float(reflect_at)
     if not (a < x <= b):
         raise ValueError(f"need absorb_at < x <= reflect_at, got {a} < {x} <= {b}")

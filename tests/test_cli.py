@@ -1,5 +1,8 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -9,9 +12,11 @@ import yaml
 
 from optforce.ansatz import init_fill_wells, make_uniform_ansatz
 from optforce.cli import main
+import optforce
 from optforce.config import ConfigError, RunConfig
+from optforce.dynamics import MAX_SEED
 from optforce.objective import make_objective
-from optforce.optimizer import descend
+from optforce.optimizer import RESEED_STRIDE, descend
 from optforce.reference import build_grid
 
 
@@ -70,6 +75,9 @@ class TestRunConfig:
     def test_start_point_default_is_right_minimum(self):
         assert RunConfig().start_point() == pytest.approx(1.0298959850506604,
                                                           abs=1e-6)
+
+    def test_start_point_default_is_pinned_bit_for_bit(self):
+        assert RunConfig().start_point() == 1.0298959851321596
 
     def test_hash_changes_with_content(self):
         a = RunConfig()
@@ -260,6 +268,10 @@ class TestCliErrors:
         ("optimize", "ladder.thresholds=[0,2]", ("ladder.thresholds", "first threshold")),
         ("optimize", "ladder.thresholds=[-1,1,0.5]", ("ladder.thresholds",
                                                       "strictly increasing")),
+        ("optimize", "potential.name=nope", ("potential.name must be one of", "'nope'")),
+        ("reference", "potential.params={k: 1}", ("potential.params", "'k'")),
+        ("estimate", "domain.boundary=wrap", ("domain.boundary must be one of", "'wrap'")),
+        ("optimize", "x0=[", ("--set x0", "'[' is not a YAML value")),
     ])
     def test_out_of_range_value_exits_2_naming_it(self, tmp_path, capsys, command,
                                                   override, names):
@@ -268,6 +280,19 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert all(name in err for name in names), err
         assert not (tmp_path / "out").exists()
+
+    def test_a_seed_beyond_the_philox_key_exits_2_naming_it(self, tmp_path, capsys):
+        # one shell, one descent iteration: the run derives seed + RESEED_STRIDE
+        cfg_path = fast_config(tmp_path, descent={"max_iters": 1, "batch_size": 16})
+        top = MAX_SEED - RESEED_STRIDE
+        for seed in (99999999999999999999999, top + 1):
+            assert main(["reference", "--config", str(cfg_path),
+                         "--seed", str(seed)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: config: seed must be at most "
+                                  f"{top},"), err
+        assert not (tmp_path / "out").exists()
+        assert main(["optimize", "--config", str(cfg_path), "--seed", str(top)]) == 0
 
     def test_a_failed_run_ends_in_one_error_line(self, tmp_path, capsys):
         cfg_path = fast_config(tmp_path)
@@ -321,3 +346,30 @@ def test_gradcheck_runs_and_passes(tmp_path):
     doc = json.loads((out / "gradcheck.json").read_text())
     assert doc["pass"]
     assert len(doc["components"]) == 4
+
+
+# runs in a fresh interpreter: the stages that solve no reference never import scipy
+SCIPY_FREE_SCRIPT = """\
+import sys
+from optforce.cli import main
+from optforce.config import RunConfig
+cfg = RunConfig()
+cfg.start_point(cfg.build_model())
+assert "scipy" not in sys.modules, "start-up"
+out, stages = sys.argv[1], sys.argv[2:]
+for stage in stages:
+    code = main([stage, "--out", out, "--set", "descent.max_iters=1",
+                 "--set", "descent.batch_size=16", "--set", "estimate.n_paths=16",
+                 "--set", "h=0.01"])
+    assert code in (0, 1) and (code == 0 or stage == "gradcheck"), (stage, code)
+    assert "scipy" not in sys.modules, stage
+"""
+
+
+@pytest.mark.parametrize("stages", [("gradcheck",), ("optimize", "estimate")])
+def test_stages_that_solve_no_reference_never_import_scipy(tmp_path, stages):
+    env = dict(os.environ, PYTHONPATH=str(Path(optforce.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", SCIPY_FREE_SCRIPT,
+                           str(tmp_path / "out"), *stages],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from optforce.dynamics import SimConfig, run_batch
-from optforce.model import (ModelBundle, OutOfDomainError, SimulationDomain,
-                            StoppingSet, constant_observable, default_start_point,
-                            make_flat, make_harmonic, make_potential)
+from optforce.model import (POTENTIALS, ModelBundle, OutOfDomainError,
+                            SimulationDomain, StoppingSet, constant_observable,
+                            default_start_point, find_local_minimum, make_flat,
+                            make_harmonic, make_potential)
 
 DOMAIN = SimulationDomain(-1.5, 2.0)
 S = StoppingSet(-1.1, -1.0)
@@ -51,6 +52,27 @@ class TestSkewDoubleWell:
         x0 = default_start_point(p, DOMAIN, S)
         assert x0 == pytest.approx(1.0298959850506604, abs=1e-6)
         assert abs(p.gradient(x0)) < 1e-4
+
+
+class TestFindLocalMinimum:
+    def test_matches_scipy_bounded_brent_bit_for_bit(self):
+        from scipy.optimize import minimize_scalar
+
+        rng = np.random.default_rng(1208)
+        draws = {"skew_double_well": lambda: {},
+                 "flat": lambda: {},
+                 "harmonic": lambda: {"k": rng.uniform(0.1, 5.0)},
+                 "double_well": lambda: {"barrier_scale": rng.uniform(0.1, 3.0),
+                                         "skew": rng.uniform(-1.0, 1.0)}}
+        assert sorted(draws) == sorted(POTENTIALS)
+        for case in range(240):
+            name = sorted(draws)[case % 4]
+            p = make_potential(name, **draws[name]())
+            lo = rng.uniform(-2.0, 1.5)
+            hi = lo + rng.uniform(1e-3, 3.0)
+            want = minimize_scalar(lambda x: float(p.evaluate(x)), bounds=(lo, hi),
+                                   method="bounded", options={"xatol": 1e-12}).x
+            assert find_local_minimum(p, lo, hi) == want, (name, lo, hi)
 
 
 @pytest.mark.parametrize("name,params", [
