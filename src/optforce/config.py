@@ -58,15 +58,20 @@ def _require(ok: bool, field_name: str, rule: str, value):
 
 
 def _coerce(value, hint, key: str):
-    """Parse a string in an int or float field; PyYAML reads `1e-3` as a string."""
-    if not isinstance(value, str):
-        return value
+    """Parse a string in an int or float field; PyYAML reads `1e-3` as a string.
+
+    A list or mapping there is rejected by the field's dotted key, before a
+    range check would fail on it with a comparison error that names no field.
+    """
     for kind in (int, float):
         if hint is kind or kind in get_args(hint):
+            wrong = ConfigError(f"{key} must be {kind.__name__}, got {value!r}")
+            if isinstance(value, (list, dict)):
+                raise wrong
             try:
-                return kind(value)
+                return kind(value) if isinstance(value, str) else value
             except ValueError:
-                raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}") from None
+                raise wrong from None
     return value
 
 
@@ -150,9 +155,17 @@ class RunConfig:
         _require(d.batch_size >= 2, "descent.batch_size", "at least 2", d.batch_size)
         _require(d.h is None or d.h > 0, "descent.h", "positive", d.h)
         _require(e.n_paths >= 2, "estimate.n_paths", "at least 2", e.n_paths)
-        stop, edge = self.stopping_set, self.domain.hi
-        _require(self.x0 is None or stop.hi < self.x0 <= edge, "x0",
-                 f"in ({stop.hi}, {edge}], right of the stopping set", self.x0)
+        stop, dom = self.stopping_set, self.domain
+        _require(stop.lo < stop.hi, "stopping_set", "an interval with lo < hi",
+                 [stop.lo, stop.hi])
+        _require(dom.lo < dom.hi, "domain", "an interval with lo < hi", [dom.lo, dom.hi])
+        # milestoning shell sets are half-lines down to domain.lo; paths start
+        # right of the stopping set
+        _require(dom.lo <= stop.lo and stop.hi < dom.hi, "stopping_set",
+                 f"inside domain [{dom.lo}, {dom.hi}] with room to its right",
+                 [stop.lo, stop.hi])
+        _require(self.x0 is None or stop.hi < self.x0 <= dom.hi, "x0",
+                 f"in ({stop.hi}, {dom.hi}], right of the stopping set", self.x0)
         shells = self.ladder.shells
         if self.ladder.thresholds is not None:
             try:

@@ -26,6 +26,13 @@ batch runs all its paths in one loop.  The control c = bmat @ coefficients
 KERNEL_CHUNK path indices, because gemv rounds the last n % 4 rows of an
 n-row product in another kernel than the first n - n % 4, which round the
 same whatever n; batches are reproducible for a given n_paths.
+
+A path that enters the stopping set retires on that step.  Retirement
+compacts the per-row arrays (positions, costs, log likelihood ratios, score
+accumulators, path indices), because gemv must see exactly the live rows of
+each segment for its tail rows to round as before.  It compacts neither the
+noise blocks, which the live rows read through a row map until the next
+refill, nor the list of streams, which is indexed by path index.
 """
 
 from __future__ import annotations
@@ -88,10 +95,38 @@ class SimConfig:
 
 
 def path_stream(seed: int, path_index: int, tag: int = 0) -> np.random.Generator:
-    """Counter-based per-path RNG stream for (seed, tag, path_index)."""
+    """Counter-based per-path RNG stream for (seed, tag, path_index).
+
+    This is the definition of a stream.  run_batch does not build one per
+    path: it resets pooled bit generators to the state this one starts in
+    (same counter and key, empty buffer), which draws the same numbers.
+    """
     # the counter Philox(key).jumped(path_index) starts from, set directly
     return np.random.Generator(np.random.Philox(
         counter=[0, 0, path_index, 0], key=np.array([seed, tag], dtype=np.uint64)))
+
+
+# Generators that finished batches handed back.  Setting a Philox's full
+# state costs a fraction of building one, which also draws OS entropy for a
+# seed sequence it never uses.  A batch takes generators out of the pool and
+# puts them back when its loop ends, so a batch started inside another (from
+# a terminal_value) never shares one; a batch that raises just drops its own.
+_idle_streams: list[np.random.Generator] = []
+
+
+def _take_streams(seed: int, tag: int, n: int) -> list[np.random.Generator]:
+    """Generators on the streams (seed, tag, 0), ..., (seed, tag, n - 1)."""
+    reuse = _idle_streams[max(len(_idle_streams) - n, 0):]
+    del _idle_streams[len(_idle_streams) - len(reuse):]
+    counter = np.zeros(4, dtype=np.uint64)
+    state = {"bit_generator": "Philox",
+             "state": {"counter": counter, "key": np.array([seed, tag], dtype=np.uint64)},
+             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    for i, g in enumerate(reuse):
+        counter[2] = i      # path_stream's counter [0, 0, i, 0]
+        g.bit_generator.state = state
+    return reuse + [path_stream(seed, i, tag) for i in range(len(reuse), n)]
 
 
 def _reflect(x, domain: SimulationDomain):
@@ -158,13 +193,16 @@ def run_batch(x0: float, control, model: ModelBundle, cfg: SimConfig, *,
         sum_eta_b (needs an ansatz control); left None otherwise.
 
     Path i always consumes the stream (seed, tag, i).  All paths advance in
-    one loop, one step per iteration, and retired paths leave the working
-    arrays.  The row-wise calls c = bmat @ coefficients and terminal_value
-    run once per segment: the live paths among path indices
-    [k KERNEL_CHUNK, (k+1) KERNEL_CHUNK).  A path's results therefore do not
-    depend on the paths in later segments, but a controlled path's last bits
-    depend on which other paths share its segment: gemv rounds the last
-    n % 4 of a segment's n live rows in its tail kernel.
+    one loop, one step per iteration.  The row-wise calls
+    c = bmat @ coefficients and terminal_value run once per segment: the
+    live paths among path indices [k KERNEL_CHUNK, (k+1) KERNEL_CHUNK).  A
+    path's results therefore do not depend on the paths in later segments,
+    but a controlled path's last bits depend on which other paths share its
+    segment: gemv rounds the last n % 4 of a segment's n live rows in its
+    tail kernel.  That is why retired paths leave every per-row working
+    array on the step they hit.  The noise block rows stay where they were
+    filled, read through a row map, and the streams stay in path-index
+    order; the next refill writes the r-th live path's block into row r.
     """
     if fixed_steps is None and bool(model.stopping_set.contains(x0)):
         raise ValueError(f"x0={x0} already inside the stopping set")
@@ -192,7 +230,9 @@ def run_batch(x0: float, control, model: ModelBundle, cfg: SimConfig, *,
 
     # dense working arrays over still-active paths; idx maps rows to outputs.
     # Every live path has taken the same number of steps, so they share the
-    # accumulated work and the position in their noise blocks.
+    # accumulated work and the position in their noise blocks.  The noise
+    # rows and the streams stay where they are when paths retire: brow maps
+    # the live rows to their rows of blocks, gens is indexed by path index.
     idx = np.arange(n_paths)
     x = np.full(n_paths, float(x0))
     work = 0.0
@@ -201,12 +241,14 @@ def run_batch(x0: float, control, model: ModelBundle, cfg: SimConfig, *,
     c = np.zeros(n_paths) if control is not None else 0.0
     sum_cb = np.zeros((n_paths, control.m)) if scores else None
     sum_eta_b = np.zeros((n_paths, control.m)) if scores else None
-    gens = [path_stream(seed, i, tag) for i in range(n_paths)]
+    gens = _take_streams(seed, tag, n_paths)
     blocks = np.empty((n_paths, NOISE_BLOCK))
     seg_starts = np.arange(0, n_paths, KERNEL_CHUNK)
 
     def segments():
         """(lo, hi) row bounds of the nonempty segments of live paths."""
+        if n_paths <= KERNEL_CHUNK:
+            return [(0, idx.size)]
         bounds = np.append(np.searchsorted(idx, seg_starts), idx.size).tolist()
         return [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
 
@@ -220,7 +262,7 @@ def run_batch(x0: float, control, model: ModelBundle, cfg: SimConfig, *,
         if terminal_value is not None:
             for lo, hi in segs:
                 sel = rows[lo:hi]
-                if sel.any():
+                if np.count_nonzero(sel):
                     out_term[idx[lo:hi][sel]] = terminal_value(x[lo:hi][sel])
         if scores:
             out_cb[slots] = sum_cb[rows]
@@ -231,10 +273,12 @@ def run_batch(x0: float, control, model: ModelBundle, cfg: SimConfig, *,
     step = 0
     while idx.size and step < limit:
         if pos == NOISE_BLOCK:
-            for i, g in enumerate(gens):
-                g.standard_normal(out=blocks[i])
+            # the r-th live path's next block goes to row r
+            for r, i in enumerate(idx.tolist()):
+                gens[i].standard_normal(out=blocks[r])
+            brow = np.arange(idx.size)
             pos = 0
-        eta = blocks[:, pos]
+        eta = blocks[:, pos][brow]
         pos += 1
 
         if control is not None:
@@ -251,26 +295,25 @@ def run_batch(x0: float, control, model: ModelBundle, cfg: SimConfig, *,
         log_lr -= lr_eta * c * eta + lr_quad * c2
         x = x + h * (SQRT2 * c - np.asarray(p.gradient(x), dtype=np.float64)) + noise_amp * eta
         finite = np.isfinite(x)
-        if not finite.all():
+        if np.count_nonzero(finite) < x.size:
             raise NumericalFailureError(
                 f"non-finite update for paths {idx[~finite].tolist()} at step {step}")
         if reflect:
             x = _reflect(x, domain)
-        elif not domain.contains(x).all():
+        elif np.count_nonzero(domain.contains(x)) < x.size:
             raise OutOfDomainError("a path left the domain with abort boundary")
         step += 1
 
         if fixed_steps is None:
             inside = s.contains(x)
-            if inside.any():
+            if np.count_nonzero(inside):
                 retire(inside)
                 keep = ~inside
                 idx = idx[keep]
                 x = x[keep]
                 ccost = ccost[keep]
                 log_lr = log_lr[keep]
-                blocks = blocks[keep]
-                gens = [g for g, k in zip(gens, keep) if k]
+                brow = brow[keep]
                 if control is not None:
                     c = c[:idx.size]
                 if scores:
@@ -278,6 +321,7 @@ def run_batch(x0: float, control, model: ModelBundle, cfg: SimConfig, *,
                     sum_eta_b = sum_eta_b[keep]
                 segs = segments()
 
+    _idle_streams.extend(gens)
     if idx.size:
         if fixed_steps is None:
             raise CensoredPathError(f"{idx.size}/{n_paths} paths did not hit within "

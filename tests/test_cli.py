@@ -272,6 +272,11 @@ class TestCliErrors:
         ("reference", "potential.params={k: 1}", ("potential.params", "'k'")),
         ("estimate", "domain.boundary=wrap", ("domain.boundary must be one of", "'wrap'")),
         ("optimize", "x0=[", ("--set x0", "'[' is not a YAML value")),
+        ("estimate", "stopping_set.lo=5", ("stopping_set must be an interval with lo < hi",
+                                           "[5, -1.0]")),
+        ("estimate", "domain.hi=-1.05", ("stopping_set must be inside domain [-1.5, -1.05]",)),
+        ("optimize", "x0=[1]", ("x0 must be float, got [1]",)),
+        ("estimate", "estimate.n_paths=[3]", ("estimate.n_paths must be int, got [3]",)),
     ])
     def test_out_of_range_value_exits_2_naming_it(self, tmp_path, capsys, command,
                                                   override, names):
@@ -279,6 +284,7 @@ class TestCliErrors:
         assert main([command, "--config", str(cfg_path), "--set", override]) == 2
         err = capsys.readouterr().err
         assert all(name in err for name in names), err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
         assert not (tmp_path / "out").exists()
 
     def test_a_seed_beyond_the_philox_key_exits_2_naming_it(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -170,6 +171,20 @@ class TestLogLikelihoodRatio:
         assert abs(w.mean() - 1.0) < 3 * se
 
 
+def assert_matches_oracle(batch, x0, control, model, seed, tag):
+    """Every path of the batch is the oracle's path on its own stream."""
+    for i in range(batch.n_paths):
+        tr = simulate_until_hit(x0, control, model.stopping_set, model.observable, CFG,
+                                model.potential, path_stream(seed, i, tag=tag),
+                                model.domain)
+        assert tr.n_tau == batch.n_steps[i]
+        assert tr.work == pytest.approx(batch.work[i], rel=1e-12)
+        assert tr.control_cost == pytest.approx(batch.control_cost[i], rel=1e-12)
+        assert tr.log_lr_p_over_q == pytest.approx(batch.log_lr_p_over_q[i],
+                                                   rel=1e-12, abs=1e-14)
+        assert tr.states[-1] == pytest.approx(batch.final_x[i], rel=1e-12)
+
+
 class TestBatchConsistency:
     def test_batch_matches_single_path_streams(self):
         # the vectorized runner consumes exactly the per-path streams
@@ -180,15 +195,7 @@ class TestBatchConsistency:
         control = lambda x: -0.4 * np.asarray(x)
         batch = run_batch(0.5, FieldControl(control), model, CFG, n_paths=5, seed=99,
                           tag=2)
-        for i in range(5):
-            tr = simulate_until_hit(0.5, control, s, f, CFG, p,
-                                    path_stream(99, i, tag=2), DOMAIN)
-            assert tr.n_tau == batch.n_steps[i]
-            assert tr.work == pytest.approx(batch.work[i], rel=1e-12)
-            assert tr.control_cost == pytest.approx(batch.control_cost[i], rel=1e-12)
-            assert tr.log_lr_p_over_q == pytest.approx(batch.log_lr_p_over_q[i],
-                                                       rel=1e-12, abs=1e-14)
-            assert tr.states[-1] == pytest.approx(batch.final_x[i], rel=1e-12)
+        assert_matches_oracle(batch, 0.5, control, model, seed=99, tag=2)
 
     def test_deterministic_given_seed(self):
         s = StoppingSet(-0.3, -0.2)
@@ -268,6 +275,77 @@ class TestBatchConsistency:
         assert np.all(batch.n_steps == 50)
         assert batch.hit.all()
         np.testing.assert_allclose(batch.work, 2.0 * CFG.h * 50)
+
+
+class TestRetirementBookkeeping:
+    """Retired paths leave the per-row arrays; noise rows and streams stay put."""
+
+    def test_paths_retiring_between_refills_read_their_own_noise(self, monkeypatch):
+        # a 3-normal block: paths retire between refills, and every step after
+        # a retirement reads the noise through the row map
+        monkeypatch.setattr(optforce.dynamics, "NOISE_BLOCK", 3)
+        model = ModelBundle(make_harmonic(), constant_observable(1.5),
+                            StoppingSet(-0.3, -0.2), DOMAIN)
+        control = lambda x: -0.4 * np.asarray(x)
+        batch = run_batch(0.5, FieldControl(control), model, CFG, n_paths=48, seed=21,
+                          tag=3)
+        assert np.any(batch.n_steps % 3) and np.unique(batch.n_steps).size > 24
+        assert_matches_oracle(batch, 0.5, control, model, seed=21, tag=3)
+
+    def test_reused_generators_restart_their_streams(self, monkeypatch):
+        # A builds fresh generators; B reuses A's and builds more; the second A
+        # reuses generators that B left partway through other streams
+        monkeypatch.setattr(optforce.dynamics, "_idle_streams", [])
+        s = StoppingSet(-0.3, -0.2)
+        model = ModelBundle(make_harmonic(), constant_observable(1.0), s, DOMAIN)
+        ansatz = make_uniform_ansatz(4, DOMAIN, s, 0.5).with_coefficients(
+            [0.3, -0.2, 0.1, 0.4])
+        first = run_batch(0.4, ansatz, model, CFG, n_paths=300, seed=5, scores=True)
+        run_batch(0.4, ansatz, model, CFG, n_paths=1200, seed=6, tag=1, scores=True)
+        again = run_batch(0.4, ansatz, model, CFG, n_paths=300, seed=5, scores=True)
+        for name in ("n_steps", "hit", "work", "control_cost", "log_lr_p_over_q",
+                     "final_x", "sum_cb", "sum_eta_b", "loop_iters"):
+            np.testing.assert_array_equal(getattr(again, name), getattr(first, name))
+
+    def test_a_batch_run_inside_terminal_value_takes_its_own_generators(self, monkeypatch):
+        monkeypatch.setattr(optforce.dynamics, "_idle_streams", [])
+        s = StoppingSet(-0.3, -0.2)
+        model = ModelBundle(make_harmonic(), constant_observable(1.0), s, DOMAIN)
+        inner = lambda: run_batch(0.0, None, model, CFG, n_paths=5, seed=9, tag=3,
+                                  fixed_steps=4).final_x.sum()
+        value = inner()
+        plain = run_batch(0.4, None, model, CFG, n_paths=64, seed=4)
+        # the pool now holds the 64 generators the outer batch takes
+        nested = run_batch(0.4, None, model, CFG, n_paths=64, seed=4,
+                           terminal_value=lambda x: np.full(x.size, inner()))
+        np.testing.assert_array_equal(nested.terminal, np.full(64, value))
+        for name in ("n_steps", "work", "log_lr_p_over_q", "final_x"):
+            np.testing.assert_array_equal(getattr(nested, name), getattr(plain, name))
+
+    @pytest.mark.parametrize("boundary", ["reflect", "abort"])
+    def test_an_infinite_gradient_names_the_paths_and_step(self, boundary):
+        # V' is infinite right of 1.2: a path's update from a state there is
+        # -inf.  The oracle on the finite harmonic gives every path's first
+        # state right of 1.2; paths that hit earlier have left the batch.
+        s = StoppingSet(-0.3, -0.2)
+        good = make_harmonic()
+        wall = Potential(good.evaluate, lambda x: np.where(np.asarray(x) > 1.2, np.inf,
+                                                         good.gradient(x)), "wall")
+        first_out, n_tau = [], []
+        for i in range(64):
+            tr = simulate_until_hit(0.4, None, s, constant_observable(1.0), CFG, good,
+                                    path_stream(3, i), DOMAIN)
+            out = np.flatnonzero(tr.states[:-1] > 1.2)
+            first_out.append(out[0] if out.size else np.inf)
+            n_tau.append(tr.n_tau)
+        step = int(min(first_out))
+        paths = [i for i, k in enumerate(first_out) if k == step]
+        assert np.sum(np.array(n_tau) <= step) > 0
+        model = ModelBundle(wall, constant_observable(1.0), s,
+                            SimulationDomain(DOMAIN.lo, DOMAIN.hi, boundary))
+        message = re.escape(f"non-finite update for paths {paths} at step {step}")
+        with pytest.raises(NumericalFailureError, match=f"^{message}$"):
+            run_batch(0.4, None, model, CFG, n_paths=64, seed=3)
 
 
 class TestCensoring:
