@@ -13,9 +13,8 @@ from .estimators import (EstimatorResult, PsiEstimate, estimate_mfpt_reweighted,
                          estimate_psi_reweighted, summarize)
 from .milestoning import (MilestoneLadder, MilestoningResult, build_ladder,
                           run_milestoning, solve_shell)
-from .model import (ModelBundle, Observable, Potential, SimulationDomain,
-                    StoppingSet, constant_observable, default_start_point,
-                    make_flat, make_harmonic, make_potential)
+from .model import (ModelBundle, Potential, SimulationDomain, StoppingSet,
+                    default_start_point, make_flat, make_harmonic, make_potential)
 from .objective import (GradientEstimate, estimate_cost,
                         estimate_exact_gradient_fixed_horizon,
                         estimate_inexact_gradient, make_objective)

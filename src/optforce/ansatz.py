@@ -9,7 +9,7 @@ c = -sqrt(2) grad F identically.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,17 +21,11 @@ SQRT2 = np.sqrt(2.0)
 
 @dataclass(frozen=True)
 class GaussianAnsatz:
-    """Gaussian basis with centers, widths (standard deviations) and coefficients.
-
-    active_mask, when set, zeroes out the contribution of the masked-off basis
-    functions to values, controls and basis matrices (used by the milestoning
-    shells).
-    """
+    """Gaussian basis with centers, widths (standard deviations) and coefficients."""
 
     centers: np.ndarray
     widths: np.ndarray
     coefficients: np.ndarray
-    active_mask: np.ndarray | None = None
 
     def __post_init__(self):
         c = np.asarray(self.centers, dtype=np.float64)
@@ -44,11 +38,6 @@ class GaussianAnsatz:
         object.__setattr__(self, "centers", c)
         object.__setattr__(self, "widths", w)
         object.__setattr__(self, "coefficients", a)
-        if self.active_mask is not None:
-            m = np.asarray(self.active_mask, dtype=bool)
-            if m.shape != c.shape:
-                raise ValueError("active_mask must match the basis size")
-            object.__setattr__(self, "active_mask", m)
         # per-step constants of the basis evaluation
         object.__setattr__(self, "_w2", w ** 2)
         object.__setattr__(self, "_two_w2", 2.0 * w ** 2)
@@ -58,17 +47,12 @@ class GaussianAnsatz:
         return self.centers.size
 
     def with_coefficients(self, a) -> "GaussianAnsatz":
-        return GaussianAnsatz(self.centers, self.widths, np.asarray(a, dtype=np.float64),
-                              self.active_mask)
-
-    def with_mask(self, mask) -> "GaussianAnsatz":
-        return GaussianAnsatz(self.centers, self.widths, self.coefficients,
-                              None if mask is None else np.asarray(mask, dtype=bool))
+        return GaussianAnsatz(self.centers, self.widths, np.asarray(a, dtype=np.float64))
 
     # -- basis evaluation ---------------------------------------------------
 
     def _offsets_and_bumps(self, x):
-        """d = x_i - mu_j and v_j(x_i), unmasked, computed in place."""
+        """d = x_i - mu_j and v_j(x_i), computed in place."""
         xa = np.atleast_1d(np.asarray(x, dtype=np.float64))
         d = np.subtract.outer(xa, self.centers)
         v = np.negative(d)
@@ -77,11 +61,8 @@ class GaussianAnsatz:
         return d, np.exp(v, out=v)
 
     def values_matrix(self, x) -> np.ndarray:
-        """(n, m) matrix of v_j(x_i); masked columns are zero."""
-        _, v = self._offsets_and_bumps(x)
-        if self.active_mask is not None:
-            v *= self.active_mask
-        return v
+        """(n, m) matrix of v_j(x_i)."""
+        return self._offsets_and_bumps(x)[1]
 
     def basis_controls(self, x) -> np.ndarray:
         """(n, m) matrix of b_j(x_i) = sqrt(2) (x - mu_j)/s_j^2 * v_j(x_i)."""
@@ -89,8 +70,6 @@ class GaussianAnsatz:
         b *= SQRT2
         b /= self._w2
         b *= v
-        if self.active_mask is not None:
-            b *= self.active_mask
         return b
 
     def value(self, x):
@@ -145,7 +124,6 @@ def tilted_potential_from(ansatz: GaussianAnsatz, p: Potential) -> Potential:
     return Potential(
         evaluate=lambda x: p.evaluate(x) + 2.0 * ansatz.value(x),
         gradient=lambda x: p.gradient(x) - SQRT2 * ansatz.control(x),
-        label=f"tilted({p.label})",
     )
 
 

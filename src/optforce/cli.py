@@ -29,6 +29,7 @@ from .dynamics import CensoredPathError, NumericalFailureError
 from .estimators import (estimate_mfpt_forced, estimate_mfpt_reweighted,
                          estimate_psi_reweighted)
 from .milestoning import build_ladder, run_milestoning, MilestoneLadder, MilestoningError
+from .model import OutOfDomainError
 from .objective import estimate_cost, estimate_exact_gradient_fixed_horizon
 from .reference import build_grid, mfpt_quadrature_oracle, solve_mfpt_pde, solve_reference
 
@@ -152,8 +153,8 @@ def cmd_estimate(cfg: RunConfig, out: Path) -> int:
                         "stderr": res.stderr, "ci95": list(res.ci95), "n": res.n_paths,
                         "ess": res.ess, "config_hash": chash})
 
-    psi = estimate_psi_reweighted(ansatz, x0, cfg.sigma, model, sim_cfg,
-                                  seed=cfg.seed, tag=1, n_paths=n)
+    psi = estimate_psi_reweighted(ansatz, x0, model, sim_cfg, seed=cfg.seed, tag=1,
+                                  n_paths=n)
     record("psi", psi.psi)
     record("free_energy", psi.free_energy)
 
@@ -360,7 +361,8 @@ def main(argv=None) -> int:
     except FileNotFoundError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (MilestoningError, CensoredPathError, NumericalFailureError) as err:
+    except (MilestoningError, CensoredPathError, NumericalFailureError,
+            OutOfDomainError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

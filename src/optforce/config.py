@@ -18,8 +18,7 @@ import yaml
 from .dynamics import MAX_SEED, SimConfig
 from .milestoning import MilestoneLadder
 from .model import (BOUNDARIES, POTENTIALS, ModelBundle, SimulationDomain,
-                    StoppingSet, constant_observable, default_start_point,
-                    make_potential)
+                    StoppingSet, default_start_point, make_potential)
 from .optimizer import DescentConfig
 
 # The experiment's "width 0.1" is read as the variance of the Gaussian bumps;
@@ -198,10 +197,6 @@ class RunConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def save(self, path):
-        with open(path, "w") as fh:
-            yaml.safe_dump(self.to_dict(), fh, sort_keys=True)
-
     def with_overrides(self, overrides: dict[str, Any]) -> "RunConfig":
         """Apply dotted-path overrides like {"descent.grad_tol": 0.01}."""
         doc = self.to_dict()
@@ -226,14 +221,13 @@ class RunConfig:
     def build_model(self) -> ModelBundle:
         return ModelBundle(
             potential=make_potential(self.potential.name, **self.potential.params),
-            observable=constant_observable(self.sigma),
+            sigma=float(self.sigma),
             stopping_set=StoppingSet(self.stopping_set.lo, self.stopping_set.hi),
             domain=SimulationDomain(self.domain.lo, self.domain.hi, self.domain.boundary),
         )
 
     def sim_config(self, h: float | None = None) -> SimConfig:
-        return SimConfig(epsilon=self.epsilon, h=h or self.h,
-                         max_steps=self.max_steps, seed=self.seed)
+        return SimConfig(epsilon=self.epsilon, h=h or self.h, max_steps=self.max_steps)
 
     def descent_sim_config(self) -> SimConfig:
         # a tighter step cap: legitimate controlled paths are far shorter, and

@@ -6,9 +6,10 @@ The controlled update is
 
 with i.i.d. standard normal eta.  The forcing c = -sqrt(2) grad F comes from
 a GaussianAnsatz F, or is zero (control None) for the plain dynamics.  Along
-each path we accumulate the work h * sigma per step (constant running cost
-f = sigma), the quadratic control cost h * sum |c(x_k)|^2 / 2, and the log
-likelihood ratio of the uncontrolled versus the controlled path measure
+each path we accumulate the work h * sigma per step (sigma is the model's
+constant running cost), the quadratic control cost h * sum |c(x_k)|^2 / 2,
+and the log likelihood ratio of the uncontrolled versus the controlled path
+measure
 
     log dP/dQ = sum_k [ -sqrt(h/eps) c(x_k) eta_{k+1} - (h/(2 eps)) |c(x_k)|^2 ],
 
@@ -20,12 +21,14 @@ folding at the domain edges).
 
 Per-path noise streams are derived from (seed, tag, path index) through a
 counter-based generator and consumed in fixed-size blocks, so a path sees
-the same noise however paths are grouped and whatever the block size.  A
-batch runs all its paths in one loop.  The control c = bmat @ coefficients
-(BLAS gemv) and the terminal values are evaluated per segment of
-KERNEL_CHUNK path indices, because gemv rounds the last n % 4 rows of an
-n-row product in another kernel than the first n - n % 4, which round the
-same whatever n; batches are reproducible for a given n_paths.
+the same noise however paths are grouped and whatever the block size.
+Every batch takes its seed from its caller, and run_batch checks that the
+seed fits the generator's 64-bit key word.  A batch runs all its paths in
+one loop.  The control c = bmat @ coefficients (BLAS gemv) and the terminal
+values are evaluated per segment of KERNEL_CHUNK path indices, because gemv
+rounds the last n % 4 rows of an n-row product in another kernel than the
+first n - n % 4, which round the same whatever n; batches are reproducible
+for a given n_paths.
 
 A path that enters the stopping set retires on that step.  Retirement
 compacts the per-row arrays (positions, costs, log likelihood ratios, score
@@ -78,20 +81,17 @@ MAX_SEED = 2 ** 64 - 1
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Temperature, step size, step cap and seed for the simulator."""
+    """Temperature, step size and step cap for the simulator."""
 
     epsilon: float
     h: float
     max_steps: int = 10_000_000
-    seed: int = 0
 
     def __post_init__(self):
         if self.epsilon <= 0 or self.h <= 0:
             raise ValueError("epsilon and h must be strictly positive")
         if self.max_steps < 1:
             raise ValueError("max_steps must be positive")
-        if not 0 <= self.seed <= MAX_SEED:
-            raise ValueError("seed must be a nonnegative 64-bit integer")
 
 
 def path_stream(seed: int, path_index: int, tag: int = 0) -> np.random.Generator:
@@ -173,7 +173,7 @@ class BatchResult:
 
 
 def run_batch(x0: float, control, model: ModelBundle, cfg: SimConfig, *,
-              n_paths: int, seed: int | None = None, tag: int = 0,
+              n_paths: int, seed: int, tag: int = 0,
               fixed_steps: int | None = None, terminal_value=None,
               scores: bool = False) -> BatchResult:
     """Simulate n_paths controlled paths and reduce their statistics.
@@ -192,7 +192,8 @@ def run_batch(x0: float, control, model: ModelBundle, cfg: SimConfig, *,
     scores : also collect the per-basis gradient accumulators sum_cb and
         sum_eta_b (needs an ansatz control); left None otherwise.
 
-    Path i always consumes the stream (seed, tag, i).  All paths advance in
+    Path i always consumes the stream (seed, tag, i); seed must fit in
+    [0, MAX_SEED], one word of the stream's Philox key.  All paths advance in
     one loop, one step per iteration.  The row-wise calls
     c = bmat @ coefficients and terminal_value run once per segment: the
     live paths among path indices [k KERNEL_CHUNK, (k+1) KERNEL_CHUNK).  A
@@ -206,12 +207,13 @@ def run_batch(x0: float, control, model: ModelBundle, cfg: SimConfig, *,
     """
     if fixed_steps is None and bool(model.stopping_set.contains(x0)):
         raise ValueError(f"x0={x0} already inside the stopping set")
-    seed = cfg.seed if seed is None else seed
+    if not 0 <= seed <= MAX_SEED:
+        raise ValueError(f"seed {seed} is not a nonnegative 64-bit integer")
     h, eps = cfg.h, cfg.epsilon
     lr_eta = np.sqrt(h / eps)
     lr_quad = h / (2.0 * eps)
     noise_amp = np.sqrt(2.0 * h * eps)
-    run_cost = h * model.observable.sigma
+    run_cost = h * model.sigma
     p = model.potential
     s = model.stopping_set
     domain = model.domain
@@ -300,8 +302,12 @@ def run_batch(x0: float, control, model: ModelBundle, cfg: SimConfig, *,
                 f"non-finite update for paths {idx[~finite].tolist()} at step {step}")
         if reflect:
             x = _reflect(x, domain)
-        elif np.count_nonzero(domain.contains(x)) < x.size:
-            raise OutOfDomainError("a path left the domain with abort boundary")
+        else:
+            in_domain = domain.contains(x)
+            if np.count_nonzero(in_domain) < x.size:
+                raise OutOfDomainError(
+                    f"paths {idx[~in_domain].tolist()} left the domain "
+                    f"[{domain.lo}, {domain.hi}] at step {step} with abort boundary")
         step += 1
 
         if fixed_steps is None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import SimConfig, run_batch
-from .model import ModelBundle, constant_observable
+from .model import ModelBundle
 
 ESS_DEGENERACY_FRACTION = 0.01
 
@@ -26,8 +26,6 @@ class EstimatorResult:
     ci95: tuple[float, float]
     n_paths: int
     ess: float
-    min_weight: float
-    max_weight: float
 
     @property
     def degenerate(self) -> bool:
@@ -58,8 +56,7 @@ def summarize(samples, weights) -> EstimatorResult:
     return EstimatorResult(
         estimate=mean, stderr=stderr,
         ci95=(mean - 1.96 * stderr, mean + 1.96 * stderr),
-        n_paths=n, ess=ess,
-        min_weight=float(np.min(w)), max_weight=float(np.max(w)))
+        n_paths=n, ess=ess)
 
 
 def _tilted_batch(control, x0, model: ModelBundle, cfg: SimConfig, seed, tag,
@@ -78,18 +75,15 @@ def _check_degeneracy(result: EstimatorResult):
             "ratio is degenerate and the estimate is unreliable", RuntimeWarning)
 
 
-def estimate_psi_reweighted(control, x0: float, sigma: float, model: ModelBundle,
-                            cfg: SimConfig, *, seed: int | None = None, tag: int = 0,
-                            n_paths: int) -> PsiEstimate:
-    """Estimate psi_sigma(x0) = E[exp(-sigma tau / eps)] from tilted paths.
+def estimate_psi_reweighted(control, x0: float, model: ModelBundle, cfg: SimConfig,
+                            *, seed: int, tag: int = 0, n_paths: int) -> PsiEstimate:
+    """Estimate psi_sigma(x0) = E[exp(-sigma tau / eps)] at the model's sigma.
 
     control is the GaussianAnsatz that tilts the paths, or None; with the
     optimal tilt the per-path product exp(-work/eps) * w is nearly constant.
     Also returns F = -eps log psi with the delta-method standard error.
     """
-    bundle = ModelBundle(model.potential, constant_observable(sigma),
-                         model.stopping_set, model.domain)
-    batch = _tilted_batch(control, x0, bundle, cfg, seed, tag, n_paths)
+    batch = _tilted_batch(control, x0, model, cfg, seed, tag, n_paths)
     w = np.exp(batch.log_lr_p_over_q)
     samples = np.exp(-batch.work / cfg.epsilon)
     psi = summarize(samples, w)
@@ -100,13 +94,12 @@ def estimate_psi_reweighted(control, x0: float, sigma: float, model: ModelBundle
     free_energy = EstimatorResult(
         estimate=float(f_mean), stderr=float(f_stderr),
         ci95=(float(f_mean - 1.96 * f_stderr), float(f_mean + 1.96 * f_stderr)),
-        n_paths=psi.n_paths, ess=psi.ess,
-        min_weight=psi.min_weight, max_weight=psi.max_weight)
+        n_paths=psi.n_paths, ess=psi.ess)
     return PsiEstimate(psi=psi, free_energy=free_energy)
 
 
 def estimate_mfpt_reweighted(control, x0: float, model: ModelBundle, cfg: SimConfig,
-                             *, seed: int | None = None, tag: int = 0,
+                             *, seed: int, tag: int = 0,
                              n_paths: int) -> EstimatorResult:
     """Estimate E[tau] under the plain dynamics from tilted paths.
 
@@ -116,7 +109,7 @@ def estimate_mfpt_reweighted(control, x0: float, model: ModelBundle, cfg: SimCon
     """
     if bool(model.stopping_set.contains(x0)):
         return EstimatorResult(estimate=0.0, stderr=0.0, ci95=(0.0, 0.0), n_paths=n_paths,
-                               ess=float(n_paths), min_weight=1.0, max_weight=1.0)
+                               ess=float(n_paths))
     batch = _tilted_batch(control, x0, model, cfg, seed, tag, n_paths)
     w = np.exp(batch.log_lr_p_over_q)
     result = summarize(cfg.h * batch.n_steps, w)
@@ -125,8 +118,7 @@ def estimate_mfpt_reweighted(control, x0: float, model: ModelBundle, cfg: SimCon
 
 
 def estimate_mfpt_forced(control, x0: float, model: ModelBundle, cfg: SimConfig, *,
-                         seed: int | None = None, tag: int = 0,
-                         n_paths: int) -> EstimatorResult:
+                         seed: int, tag: int = 0, n_paths: int) -> EstimatorResult:
     """Estimate E[tau] under the forced dynamics themselves (unit weights).
 
     With an ansatz F as control these are the plain dynamics on the tilted

@@ -4,8 +4,11 @@ Shell i lives between thresholds r_i and r_{i+1}; its trajectories start at
 the outer threshold, stop at first entry into the inner region, and carry
 the already-learned value at the crossing point as a terminal cost.  Only
 the shell's own basis coefficients are optimized; inner coefficients stay
-frozen, outer ones are still zero.  Working inward-out this composes the
-value function from short trajectories only.
+frozen, and outer ones keep their starting values.  `optforce optimize`
+starts from the `init_fill_wells` fit, so while an inner shell is solved the
+outer shells' part of that fit still forces the paths that wander outward.
+Working inward-out this composes the value function from short trajectories
+only.
 
 A plain descent is the one-shell ladder, so `optforce optimize` always runs
 a ladder: one shell by default, started at x0.
@@ -13,7 +16,7 @@ a ladder: one shell by default, started at x0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -116,11 +119,12 @@ def solve_shell(i: int, ladder: MilestoneLadder, ansatz: GaussianAnsatz,
     else:
         r_inner = float(ladder.thresholds[i])
         stop = StoppingSet(model.domain.lo, r_inner)
-        inner = ansatz.with_mask(ansatz.centers <= r_inner)
+        inner = ansatz.with_coefficients(
+            np.where(ansatz.centers <= r_inner, ansatz.coefficients, 0.0))
         inner_at_r = float(inner.value(r_inner))
         terminal = lambda x: anchor + inner.value(x) - inner_at_r
 
-    shell_model = ModelBundle(model.potential, model.observable, stop, model.domain)
+    shell_model = replace(model, stopping_set=stop)
     x_start = float(ladder.thresholds[i + 1]) if start is None else float(start)
 
     objective = make_objective(ansatz, x_start, shell_model, sim_cfg,

@@ -1,4 +1,4 @@
-"""Energy landscapes, running-cost observables, stopping sets and domains.
+"""Energy landscapes, stopping sets and domains, bundled with a running cost.
 
 Everything here is immutable after construction and vectorized over numpy
 arrays.
@@ -28,22 +28,6 @@ class Potential:
 
     evaluate: Callable
     gradient: Callable
-    label: str
-
-
-@dataclass(frozen=True)
-class Observable:
-    """Constant running cost f = sigma, accumulated along a path until it stops."""
-
-    evaluate: Callable
-    sigma: float
-
-
-def constant_observable(sigma: float) -> Observable:
-    """Observable f(x) = sigma for all x."""
-    sigma = float(sigma)
-    return Observable(evaluate=lambda x: np.broadcast_to(np.float64(sigma), np.shape(x)) if np.ndim(x) else sigma,
-                      sigma=sigma)
 
 
 @dataclass(frozen=True)
@@ -88,10 +72,10 @@ class SimulationDomain:
 
 @dataclass(frozen=True)
 class ModelBundle:
-    """Potential + observable + stopping set + domain, validated together."""
+    """Potential, constant running cost sigma, stopping set and domain."""
 
     potential: Potential
-    observable: Observable
+    sigma: float
     stopping_set: StoppingSet
     domain: SimulationDomain
 
@@ -113,7 +97,6 @@ def make_flat() -> Potential:
     return Potential(
         evaluate=lambda x: np.zeros_like(np.asarray(x, dtype=np.float64)),
         gradient=lambda x: np.zeros_like(np.asarray(x, dtype=np.float64)),
-        label="flat",
     )
 
 
@@ -123,7 +106,6 @@ def make_harmonic(k: float = 1.0) -> Potential:
     return Potential(
         evaluate=lambda x: 0.5 * k * np.asarray(x, dtype=np.float64) ** 2,
         gradient=lambda x: k * np.asarray(x, dtype=np.float64),
-        label="harmonic",
     )
 
 
@@ -138,7 +120,6 @@ def make_scaled_double_well(barrier_scale: float = 1.0, skew: float = -0.25) -> 
     return Potential(
         evaluate=lambda x: b * (np.asarray(x, dtype=np.float64) ** 2 - 1.0) ** 2 + s * np.asarray(x, dtype=np.float64),
         gradient=gradient,
-        label=f"double_well(b={b},skew={s})",
     )
 
 

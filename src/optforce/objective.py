@@ -2,10 +2,11 @@
 
 The semi-discrete cost is
 
-    I_h(a) = E_Q[ sum_{k < N_tau} h ( f(x_k) + |c(x_k)|^2 / 2 ) ]
+    I_h(a) = E_Q[ sum_{k < N_tau} h ( sigma + |c(x_k)|^2 / 2 ) ]
 
-with c = sum_j a_j b_j and Q the path measure of the controlled chain.  Its
-derivative splits into an explicit term and a score (measure) term,
+with the model's running cost sigma, c = sum_j a_j b_j and Q the path
+measure of the controlled chain.  Its derivative splits into an explicit
+term and a score (measure) term,
 
     dI_h/da_j = E[ h sum_k c(x_k) b_j(x_k) ]
               + sqrt(h/eps) Cov( G, sum_k eta_{k+1} b_j(x_k) ),
@@ -50,9 +51,8 @@ class GradientEstimate:
 
 
 def estimate_cost(ansatz: GaussianAnsatz, x0: float, model: ModelBundle,
-                  cfg: SimConfig, *, seed: int | None = None, tag: int = 0,
-                  fixed_horizon: float | None = None, terminal_value=None,
-                  n_paths: int):
+                  cfg: SimConfig, *, seed: int, tag: int = 0,
+                  fixed_horizon: float | None = None, n_paths: int):
     """Batch mean and standard error of the per-path cost under the ansatz tilt.
 
     A path that does not hit within cfg.max_steps makes run_batch raise
@@ -60,7 +60,7 @@ def estimate_cost(ansatz: GaussianAnsatz, x0: float, model: ModelBundle,
     """
     fixed_steps = _steps_for_horizon(fixed_horizon, cfg)
     batch = run_batch(x0, ansatz, model, cfg, n_paths=n_paths, seed=seed, tag=tag,
-                      fixed_steps=fixed_steps, terminal_value=terminal_value)
+                      fixed_steps=fixed_steps)
     cost = batch.cost_per_path()
     return float(np.mean(cost)), float(np.std(cost, ddof=1) / np.sqrt(cost.size))
 
@@ -99,7 +99,7 @@ def _assemble(batch: BatchResult, cfg: SimConfig) -> GradientEstimate:
 
 
 def estimate_inexact_gradient(ansatz: GaussianAnsatz, x0: float, model: ModelBundle,
-                              cfg: SimConfig, *, seed: int | None = None, tag: int = 0,
+                              cfg: SimConfig, *, seed: int, tag: int = 0,
                               terminal_value=None, n_paths: int) -> GradientEstimate:
     """Random-stopping-time gradient estimate (boundary terms dropped).
 
@@ -113,8 +113,7 @@ def estimate_inexact_gradient(ansatz: GaussianAnsatz, x0: float, model: ModelBun
 
 def estimate_exact_gradient_fixed_horizon(ansatz: GaussianAnsatz, x0: float,
                                           model: ModelBundle, cfg: SimConfig,
-                                          horizon: float, *,
-                                          seed: int | None = None, tag: int = 0,
+                                          horizon: float, *, seed: int, tag: int = 0,
                                           n_paths: int) -> GradientEstimate:
     """Exact gradient for a deterministic horizon (no stopping set).
 

@@ -63,7 +63,6 @@ class DescentConfig:
 @dataclass
 class DescentRecord:
     iteration: int
-    coefficients: np.ndarray
     cost: float
     cost_stderr: float
     grad_norm: float
@@ -118,7 +117,6 @@ class DescentTrace:
 class LineSearchResult:
     alpha: float
     value: float
-    gradient: np.ndarray | None
     n_evals: int
     fallback: bool
 
@@ -127,13 +125,12 @@ def wolfe_line_search(a: np.ndarray, direction: np.ndarray, evaluate, *,
                       value0: float, grad0: np.ndarray,
                       c1: float = 1e-4, c2: float = 0.9,
                       alpha_init: float = 1.0, alpha_max: float = 10.0,
-                      max_zoom: int = 20,
                       max_first_step: float | None = None) -> LineSearchResult:
     """Strong-Wolfe step on the fixed-random-number restriction phi(t) = f(a + t d).
 
     evaluate(b) must return an object with .value and .gradient computed with
     the same noise realization for every probe.  Falls back to plain Armijo
-    backtracking after max_zoom zoom steps, and to alpha_init/10 (flagged)
+    backtracking after 20 zoom steps, and to alpha_init/10 (flagged)
     when even that fails.
     """
     a = np.asarray(a, dtype=np.float64)
@@ -151,20 +148,20 @@ def wolfe_line_search(a: np.ndarray, direction: np.ndarray, evaluate, *,
         nonlocal evals
         est = evaluate(a + t * d)
         evals += 1
-        return est.value, float(np.dot(est.gradient, d)), est
+        return est.value, float(np.dot(est.gradient, d))
 
     def armijo(t, val):
         return val <= phi0 + c1 * t * dphi0
 
     def zoom(t_lo, phi_lo, t_hi):
-        for _ in range(max_zoom):
+        for _ in range(20):
             t = 0.5 * (t_lo + t_hi)
-            val, slope, est = probe(t)
+            val, slope = probe(t)
             if not armijo(t, val) or val >= phi_lo:
                 t_hi = t
             else:
                 if abs(slope) <= -c2 * dphi0:
-                    return LineSearchResult(t, val, est.gradient, evals, False)
+                    return LineSearchResult(t, val, evals, False)
                 if slope * (t_hi - t_lo) >= 0.0:
                     t_hi = t_lo
                 t_lo, phi_lo = t, val
@@ -173,14 +170,14 @@ def wolfe_line_search(a: np.ndarray, direction: np.ndarray, evaluate, *,
     t_prev, phi_prev = 0.0, phi0
     t = min(alpha_init, alpha_max)
     for it in range(12):
-        val, slope, est = probe(t)
+        val, slope = probe(t)
         if not armijo(t, val) or (it > 0 and val >= phi_prev):
             res = zoom(t_prev, phi_prev, t)
             if res is not None:
                 return res
             break
         if abs(slope) <= -c2 * dphi0:
-            return LineSearchResult(t, val, est.gradient, evals, False)
+            return LineSearchResult(t, val, evals, False)
         if slope >= 0.0:
             res = zoom(t, val, t_prev)
             if res is not None:
@@ -188,21 +185,21 @@ def wolfe_line_search(a: np.ndarray, direction: np.ndarray, evaluate, *,
             break
         if t >= alpha_max:
             # curvature never turned on [0, alpha_max]; the cap is the best step
-            return LineSearchResult(t, val, est.gradient, evals, False)
+            return LineSearchResult(t, val, evals, False)
         t_prev, phi_prev = t, val
         t = min(2.0 * t, alpha_max)
 
     # Armijo-only backtracking
     t = min(alpha_init, alpha_max)
     for _ in range(20):
-        val, _, est = probe(t)
+        val, _ = probe(t)
         if armijo(t, val):
-            return LineSearchResult(t, val, est.gradient, evals, False)
+            return LineSearchResult(t, val, evals, False)
         t *= 0.5
-    return LineSearchResult(alpha_init / 10.0, phi0, None, evals, True)
+    return LineSearchResult(alpha_init / 10.0, phi0, evals, True)
 
 
-def descend(a0: np.ndarray, cfg: DescentConfig, objective, *, seed: int = 0):
+def descend(a0: np.ndarray, cfg: DescentConfig, objective, *, seed: int):
     """Iterate a_{i+1} = a_i - alpha_i grad I(a_i) until the gradient is noise-level.
 
     objective(a, seed) -> GradientEstimate; one seed is used for all probes
@@ -248,7 +245,7 @@ def descend(a0: np.ndarray, cfg: DescentConfig, objective, *, seed: int = 0):
             fallback = ls.fallback
 
         trace.append(DescentRecord(
-            iteration=it, coefficients=a.copy(), cost=est.value,
+            iteration=it, cost=est.value,
             cost_stderr=est.value_stderr, grad_norm=est.grad_norm,
             grad_stderr_norm=est.grad_stderr_norm, alpha=alpha,
             mean_steps=est.mean_steps, line_search_fallback=fallback))

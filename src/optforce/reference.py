@@ -175,8 +175,7 @@ def solve_reference(p: Potential, sigma: float, epsilon: float, grid: Grid1D,
 
 
 def mfpt_quadrature_oracle(p: Potential, epsilon: float, x: float,
-                           absorb_at: float, reflect_at: float,
-                           epsabs: float = 1e-8, epsrel: float = 1e-6) -> float:
+                           absorb_at: float, reflect_at: float) -> float:
     """Mean first passage time by the 1D closed form, adaptive quadrature.
 
         E[tau](x) = (1/eps) int_a^x e^{V(y)/eps} int_y^b e^{-V(z)/eps} dz dy
@@ -186,6 +185,8 @@ def mfpt_quadrature_oracle(p: Potential, epsilon: float, x: float,
     """
     from scipy.integrate import quad
 
+    # the outer integral's tolerances; the inner one runs 1e3 and 1e2 times tighter
+    epsabs, epsrel = 1e-8, 1e-6
     a, b = float(absorb_at), float(reflect_at)
     if not (a < x <= b):
         raise ValueError(f"need absorb_at < x <= reflect_at, got {a} < {x} <= {b}")

@@ -15,8 +15,7 @@ import numpy as np
 
 from optforce.dynamics import (NOISE_BLOCK, SQRT2, NumericalFailureError, SimConfig,
                                _reflect)
-from optforce.model import (Observable, OutOfDomainError, Potential, SimulationDomain,
-                            StoppingSet)
+from optforce.model import OutOfDomainError, Potential, SimulationDomain, StoppingSet
 
 
 class FieldControl:
@@ -69,13 +68,14 @@ def em_step(x, control_value, noise, cfg: SimConfig, p: Potential,
     return x_new
 
 
-def simulate_until_hit(x0: float, control, s: StoppingSet, f: Observable,
+def simulate_until_hit(x0: float, control, s: StoppingSet, sigma: float,
                        cfg: SimConfig, p: Potential, stream: np.random.Generator,
                        domain: SimulationDomain | None = None,
                        store_path: bool = True) -> Trajectory:
     """Run one controlled path from x0 until it enters S or max_steps is hit.
 
-    control is a map x -> control value, or None for the plain dynamics.
+    control is a map x -> control value, or None for the plain dynamics; the
+    path accumulates the work h * sigma per step.
     Noises are drawn from `stream` in blocks of NOISE_BLOCK.
     """
     if bool(s.contains(x0)):
@@ -101,7 +101,7 @@ def simulate_until_hit(x0: float, control, s: StoppingSet, f: Observable,
         eta = block[pos]
         pos += 1
         c = 0.0 if control is None else float(control(x))
-        work += h * float(f.evaluate(x))
+        work += h * sigma
         cost += h * 0.5 * c * c
         log_lr += -lr_eta * c * eta - lr_quad * c * c
         x = float(em_step(x, c, eta, cfg, p, domain))

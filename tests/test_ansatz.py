@@ -80,16 +80,6 @@ class TestEvaluation:
             base.with_coefficients(u).value(xs) + base.with_coefficients(w).value(xs),
             rtol=1e-12)
 
-    def test_mask_zeroes_contributions(self):
-        a = GaussianAnsatz(np.array([0.0, 1.0]), np.array([0.3, 0.3]),
-                           np.array([1.0, 1.0]))
-        masked = a.with_mask(np.array([True, False]))
-        assert masked.value(1.0) == pytest.approx(
-            float(np.exp(-1.0 / (2 * 0.09))), rel=1e-12)
-        only_first = a.with_coefficients(np.array([1.0, 0.0]))
-        assert masked.value(0.7) == pytest.approx(only_first.value(0.7), rel=1e-12)
-        assert masked.control(0.7) == pytest.approx(only_first.control(0.7), rel=1e-12)
-
 
 class TestTiltedPotential:
     def test_zero_coefficients_returns_v(self):

@@ -1,0 +1,55 @@
+"""The benchmark's recorded output digests, checked on every test run.
+
+perfbench/expected.json holds the sha256 of each output the benchmark
+digests, per workload, at model seed 20240.  These tests rerun the `shells`
+workload's `optimize` and the headline `optimize` and `estimate` in this
+process and compare the bytes of `ansatz.json`, the `trace*.csv` files and
+`estimates.json`, so a change that moves an output bit fails here too and
+not only in a benchmark run.
+"""
+
+import hashlib
+import json
+from fnmatch import fnmatch
+from pathlib import Path
+
+import pytest
+
+from blas_rounding import skip_unless_recorded_gemv
+from optforce.cli import main
+
+MODEL_SEED = 20240
+EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+PATTERNS = ("ansatz.json", "trace*.csv", "estimates.json")
+
+
+@pytest.fixture(autouse=True)
+def same_blas_rounding():
+    skip_unless_recorded_gemv()
+
+
+def recorded(workload: str) -> dict[str, str]:
+    with open(EXPECTED) as fh:
+        found = json.load(fh)[workload][str(MODEL_SEED)]["digests"]
+    return {name: digest for name, digest in found.items()
+            if any(fnmatch(name, p) for p in PATTERNS)}
+
+
+def written(out: Path) -> dict[str, str]:
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for pattern in PATTERNS for path in sorted(out.glob(pattern))}
+
+
+def run(out: Path, *args: str):
+    assert main([*args, "--seed", str(MODEL_SEED), "--out", str(out)]) == 0
+
+
+def test_shells_optimize_writes_the_recorded_bytes(tmp_path):
+    run(tmp_path, "optimize", "--set", "ladder.shells=3")
+    assert written(tmp_path) == recorded("shells")
+
+
+def test_headline_optimize_and_estimate_write_the_recorded_bytes(tmp_path):
+    run(tmp_path, "optimize")
+    run(tmp_path, "estimate")
+    assert written(tmp_path) == recorded("headline")

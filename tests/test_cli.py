@@ -55,7 +55,7 @@ class TestRunConfig:
     def test_round_trip(self, tmp_path):
         cfg = RunConfig().with_overrides({"descent.grad_tol": 0.01, "seed": 5})
         path = tmp_path / "c.yaml"
-        cfg.save(path)
+        path.write_text(yaml.safe_dump(cfg.to_dict()))
         again = RunConfig.load(path)
         assert again == cfg
         assert again.config_hash() == cfg.config_hash()
@@ -308,6 +308,16 @@ class TestCliErrors:
         assert code == 1
         assert len(err.splitlines()) == 1 and "Traceback" not in err, err
         assert err.startswith("error: shell 0 failed") and "did not hit" in err, err
+
+    def test_a_path_leaving_an_abort_domain_ends_in_one_error_line(self, tmp_path, capsys):
+        cfg_path = fast_config(tmp_path)
+        code = main(["gradcheck", "--config", str(cfg_path), "--set", "domain.boundary=abort",
+                     "--set", "domain.hi=1.05"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.splitlines()) == 1 and "Traceback" not in err, err
+        assert err.startswith("error: paths [") and \
+            "left the domain [-1.5, 1.05] at step" in err, err
 
 
 def test_optimize_with_two_shells_writes_a_trace_per_shell(tmp_path):

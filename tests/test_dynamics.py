@@ -9,21 +9,20 @@ import optforce.dynamics
 from optforce.ansatz import make_uniform_ansatz
 from optforce.dynamics import (KERNEL_CHUNK, NOISE_BLOCK, CensoredPathError,
                                NumericalFailureError, SimConfig, path_stream, run_batch)
-from optforce.model import (ModelBundle, Potential, SimulationDomain, StoppingSet,
-                            constant_observable, make_flat, make_harmonic,
-                            make_potential)
+from optforce.model import (ModelBundle, OutOfDomainError, Potential, SimulationDomain,
+                            StoppingSet, make_flat, make_harmonic, make_potential)
+from blas_rounding import skip_unless_recorded_gemv
 from scalar_oracle import (FieldControl, Trajectory, discrete_action, em_step,
                            log_likelihood_ratio, simulate_until_hit)
 
 EPS = 0.5
-CFG = SimConfig(epsilon=EPS, h=0.01, max_steps=200_000, seed=7)
+CFG = SimConfig(epsilon=EPS, h=0.01, max_steps=200_000)
 DOMAIN = SimulationDomain(-4.0, 4.0)
 
 
 def linear_potential(slope):
     return Potential(lambda x: slope * np.asarray(x, dtype=np.float64),
-                     lambda x: np.full_like(np.asarray(x, dtype=np.float64), slope),
-                     f"linear({slope})")
+                     lambda x: np.full_like(np.asarray(x, dtype=np.float64), slope))
 
 
 class TestEmStep:
@@ -57,7 +56,7 @@ class TestEmStep:
             em_step(0.99, 0.0, 3.0, CFG, make_flat(), dom)
 
     def test_nonfinite_raises(self):
-        bad = Potential(lambda x: x, lambda x: np.full_like(np.asarray(x, float), np.nan), "bad")
+        bad = Potential(lambda x: x, lambda x: np.full_like(np.asarray(x, float), np.nan))
         with pytest.raises(NumericalFailureError):
             em_step(0.0, 0.0, 0.0, CFG, bad)
 
@@ -66,13 +65,12 @@ class TestSimulateUntilHit:
     def test_x0_inside_rejected(self):
         s = StoppingSet(-0.1, 0.1)
         with pytest.raises(ValueError):
-            simulate_until_hit(0.05, None, s, constant_observable(1.0), CFG,
+            simulate_until_hit(0.05, None, s, 1.0, CFG,
                                make_flat(), path_stream(7, 0), DOMAIN)
 
     def test_hits_and_bookkeeping(self):
         s = StoppingSet(-0.1, 0.1)
-        f = constant_observable(2.0)
-        tr = simulate_until_hit(0.5, None, s, f, CFG, make_flat(),
+        tr = simulate_until_hit(0.5, None, s, 2.0, CFG, make_flat(),
                                 path_stream(7, 0), DOMAIN)
         assert tr.hit
         assert tr.states.size == tr.n_tau + 1
@@ -85,10 +83,10 @@ class TestSimulateUntilHit:
         assert tr.control_cost == 0.0
 
     def test_censoring(self):
-        cfg = SimConfig(epsilon=EPS, h=0.01, max_steps=10, seed=7)
+        cfg = SimConfig(epsilon=EPS, h=0.01, max_steps=10)
         s = StoppingSet(-10.1, -10.0)
         dom = SimulationDomain(-11.0, 4.0)
-        tr = simulate_until_hit(0.5, None, s, constant_observable(1.0), cfg,
+        tr = simulate_until_hit(0.5, None, s, 1.0, cfg,
                                 make_flat(), path_stream(7, 3), dom)
         assert not tr.hit
         assert tr.n_tau == 10
@@ -97,7 +95,7 @@ class TestSimulateUntilHit:
         s = StoppingSet(-0.3, -0.2)
         control = lambda x: -0.8 * np.asarray(x) - 0.5
         p = make_harmonic()
-        tr = simulate_until_hit(0.4, control, s, constant_observable(1.0), CFG, p,
+        tr = simulate_until_hit(0.4, control, s, 1.0, CFG, p,
                                 path_stream(11, 5), DOMAIN)
         assert tr.hit
         direct = log_likelihood_ratio(tr, control, CFG, p)
@@ -109,7 +107,7 @@ class TestDiscreteAction:
         s = StoppingSet(-0.3, -0.2)
         control = lambda x: -0.5 * np.asarray(x)
         p = make_harmonic()
-        tr = simulate_until_hit(0.4, control, s, constant_observable(1.0), CFG, p,
+        tr = simulate_until_hit(0.4, control, s, 1.0, CFG, p,
                                 path_stream(3, 1), DOMAIN)
         action = discrete_action(tr, control, CFG, p)
         assert action == pytest.approx(0.5 * np.sum(tr.noises ** 2), rel=1e-9)
@@ -138,7 +136,7 @@ class TestDiscreteAction:
 class TestLogLikelihoodRatio:
     def test_zero_control_zero(self):
         s = StoppingSet(-0.2, -0.1)
-        tr = simulate_until_hit(0.3, None, s, constant_observable(1.0), CFG,
+        tr = simulate_until_hit(0.3, None, s, 1.0, CFG,
                                 make_flat(), path_stream(5, 0), DOMAIN)
         assert log_likelihood_ratio(tr, None, CFG, make_flat()) == 0.0
 
@@ -152,7 +150,7 @@ class TestLogLikelihoodRatio:
         tr = Trajectory(n_tau=1, work=0.0, control_cost=0.0,
                         log_lr_p_over_q=0.0, hit=True,
                         states=np.array([x0, x1]), noises=np.array([eta]))
-        cfg = SimConfig(epsilon=eps, h=h, seed=0)
+        cfg = SimConfig(epsilon=eps, h=h)
         val = log_likelihood_ratio(tr, lambda x: np.ones_like(np.asarray(x, float)),
                                    cfg, make_flat())
         expected = -np.sqrt(h / eps) * c * eta - h / (2 * eps) * c ** 2
@@ -162,7 +160,7 @@ class TestLogLikelihoodRatio:
     def test_martingale_normalization(self):
         # E_Q[exp(log dP/dQ)] = 1 over a batch
         s = StoppingSet(-0.4, -0.3)
-        model = ModelBundle(make_flat(), constant_observable(1.0), s, DOMAIN)
+        model = ModelBundle(make_flat(), 1.0, s, DOMAIN)
         control = lambda x: 0.7 * np.cos(np.asarray(x))
         batch = run_batch(0.3, FieldControl(control), model, CFG, n_paths=4000, seed=21)
         assert batch.hit.all()
@@ -174,7 +172,7 @@ class TestLogLikelihoodRatio:
 def assert_matches_oracle(batch, x0, control, model, seed, tag):
     """Every path of the batch is the oracle's path on its own stream."""
     for i in range(batch.n_paths):
-        tr = simulate_until_hit(x0, control, model.stopping_set, model.observable, CFG,
+        tr = simulate_until_hit(x0, control, model.stopping_set, model.sigma, CFG,
                                 model.potential, path_stream(seed, i, tag=tag),
                                 model.domain)
         assert tr.n_tau == batch.n_steps[i]
@@ -190,8 +188,7 @@ class TestBatchConsistency:
         # the vectorized runner consumes exactly the per-path streams
         s = StoppingSet(-0.3, -0.2)
         p = make_harmonic()
-        f = constant_observable(1.5)
-        model = ModelBundle(p, f, s, DOMAIN)
+        model = ModelBundle(p, 1.5, s, DOMAIN)
         control = lambda x: -0.4 * np.asarray(x)
         batch = run_batch(0.5, FieldControl(control), model, CFG, n_paths=5, seed=99,
                           tag=2)
@@ -199,7 +196,7 @@ class TestBatchConsistency:
 
     def test_deterministic_given_seed(self):
         s = StoppingSet(-0.3, -0.2)
-        model = ModelBundle(make_flat(), constant_observable(1.0), s, DOMAIN)
+        model = ModelBundle(make_flat(), 1.0, s, DOMAIN)
         b1 = run_batch(0.4, None, model, CFG, n_paths=64, seed=5)
         b2 = run_batch(0.4, None, model, CFG, n_paths=64, seed=5)
         np.testing.assert_array_equal(b1.n_steps, b2.n_steps)
@@ -209,7 +206,7 @@ class TestBatchConsistency:
         # a controlled batch larger than one chunk repeats the 1-chunk batch
         # bit for bit on its first KERNEL_CHUNK paths
         s = StoppingSet(-0.3, -0.2)
-        model = ModelBundle(make_flat(), constant_observable(1.0), s, DOMAIN)
+        model = ModelBundle(make_flat(), 1.0, s, DOMAIN)
         ansatz = make_uniform_ansatz(4, DOMAIN, s, 0.5).with_coefficients(
             [0.3, -0.2, 0.1, 0.4])
         one = run_batch(0.4, ansatz, model, CFG, n_paths=KERNEL_CHUNK, seed=5, scores=True)
@@ -223,7 +220,7 @@ class TestBatchConsistency:
     def test_scores_off_reproduces_scores_on(self):
         # the score accumulators only read the path; they never steer it
         s = StoppingSet(-0.3, -0.2)
-        model = ModelBundle(make_harmonic(), constant_observable(1.0), s, DOMAIN)
+        model = ModelBundle(make_harmonic(), 1.0, s, DOMAIN)
         ansatz = make_uniform_ansatz(4, DOMAIN, s, 0.5).with_coefficients(
             [0.3, -0.2, 0.1, 0.4])
         on = run_batch(0.4, ansatz, model, CFG, n_paths=200, seed=8, scores=True)
@@ -235,7 +232,7 @@ class TestBatchConsistency:
 
     def test_no_control_matches_all_zero_ansatz(self):
         s = StoppingSet(-0.3, -0.2)
-        model = ModelBundle(make_potential("skew_double_well"), constant_observable(1.0),
+        model = ModelBundle(make_potential("skew_double_well"), 1.0,
                             s, DOMAIN)
         zero = make_uniform_ansatz(4, DOMAIN, s, 0.5)
         plain = run_batch(0.4, None, model, CFG, n_paths=200, seed=9)
@@ -247,7 +244,7 @@ class TestBatchConsistency:
 
     def test_noise_block_size_changes_no_bit(self, monkeypatch):
         s = StoppingSet(-0.3, -0.2)
-        model = ModelBundle(make_harmonic(), constant_observable(1.0), s, DOMAIN)
+        model = ModelBundle(make_harmonic(), 1.0, s, DOMAIN)
         ansatz = make_uniform_ansatz(4, DOMAIN, s, 0.5).with_coefficients(
             [0.3, -0.2, 0.1, 0.4])
         batches = []
@@ -261,7 +258,7 @@ class TestBatchConsistency:
 
     def test_loop_iters_counts_the_kernel_loop(self):
         s = StoppingSet(-0.3, -0.2)
-        model = ModelBundle(make_harmonic(), constant_observable(1.0), s, DOMAIN)
+        model = ModelBundle(make_harmonic(), 1.0, s, DOMAIN)
         fixed = run_batch(0.4, None, model, CFG, n_paths=2100, seed=2, fixed_steps=300)
         stopping = run_batch(0.4, None, model, CFG, n_paths=2100, seed=2)
         assert fixed.loop_iters == 300
@@ -269,7 +266,7 @@ class TestBatchConsistency:
         assert stopping.hit.all() and stopping.n_steps.min() < stopping.loop_iters
 
     def test_fixed_horizon_mode(self):
-        model = ModelBundle(make_harmonic(), constant_observable(2.0),
+        model = ModelBundle(make_harmonic(), 2.0,
                             StoppingSet(-3.9, -3.8), DOMAIN)
         batch = run_batch(0.0, None, model, CFG, n_paths=16, seed=1, fixed_steps=50)
         assert np.all(batch.n_steps == 50)
@@ -284,7 +281,7 @@ class TestRetirementBookkeeping:
         # a 3-normal block: paths retire between refills, and every step after
         # a retirement reads the noise through the row map
         monkeypatch.setattr(optforce.dynamics, "NOISE_BLOCK", 3)
-        model = ModelBundle(make_harmonic(), constant_observable(1.5),
+        model = ModelBundle(make_harmonic(), 1.5,
                             StoppingSet(-0.3, -0.2), DOMAIN)
         control = lambda x: -0.4 * np.asarray(x)
         batch = run_batch(0.5, FieldControl(control), model, CFG, n_paths=48, seed=21,
@@ -297,7 +294,7 @@ class TestRetirementBookkeeping:
         # reuses generators that B left partway through other streams
         monkeypatch.setattr(optforce.dynamics, "_idle_streams", [])
         s = StoppingSet(-0.3, -0.2)
-        model = ModelBundle(make_harmonic(), constant_observable(1.0), s, DOMAIN)
+        model = ModelBundle(make_harmonic(), 1.0, s, DOMAIN)
         ansatz = make_uniform_ansatz(4, DOMAIN, s, 0.5).with_coefficients(
             [0.3, -0.2, 0.1, 0.4])
         first = run_batch(0.4, ansatz, model, CFG, n_paths=300, seed=5, scores=True)
@@ -310,7 +307,7 @@ class TestRetirementBookkeeping:
     def test_a_batch_run_inside_terminal_value_takes_its_own_generators(self, monkeypatch):
         monkeypatch.setattr(optforce.dynamics, "_idle_streams", [])
         s = StoppingSet(-0.3, -0.2)
-        model = ModelBundle(make_harmonic(), constant_observable(1.0), s, DOMAIN)
+        model = ModelBundle(make_harmonic(), 1.0, s, DOMAIN)
         inner = lambda: run_batch(0.0, None, model, CFG, n_paths=5, seed=9, tag=3,
                                   fixed_steps=4).final_x.sum()
         value = inner()
@@ -330,10 +327,10 @@ class TestRetirementBookkeeping:
         s = StoppingSet(-0.3, -0.2)
         good = make_harmonic()
         wall = Potential(good.evaluate, lambda x: np.where(np.asarray(x) > 1.2, np.inf,
-                                                         good.gradient(x)), "wall")
+                                                         good.gradient(x)))
         first_out, n_tau = [], []
         for i in range(64):
-            tr = simulate_until_hit(0.4, None, s, constant_observable(1.0), CFG, good,
+            tr = simulate_until_hit(0.4, None, s, 1.0, CFG, good,
                                     path_stream(3, i), DOMAIN)
             out = np.flatnonzero(tr.states[:-1] > 1.2)
             first_out.append(out[0] if out.size else np.inf)
@@ -341,10 +338,30 @@ class TestRetirementBookkeeping:
         step = int(min(first_out))
         paths = [i for i, k in enumerate(first_out) if k == step]
         assert np.sum(np.array(n_tau) <= step) > 0
-        model = ModelBundle(wall, constant_observable(1.0), s,
+        model = ModelBundle(wall, 1.0, s,
                             SimulationDomain(DOMAIN.lo, DOMAIN.hi, boundary))
         message = re.escape(f"non-finite update for paths {paths} at step {step}")
         with pytest.raises(NumericalFailureError, match=f"^{message}$"):
+            run_batch(0.4, None, model, CFG, n_paths=64, seed=3)
+
+    def test_leaving_an_abort_domain_names_the_paths_and_step(self):
+        # The oracle on the wide reflecting domain gives the step whose update
+        # takes each path right of 1.4; paths that hit earlier have left the batch.
+        s = StoppingSet(-0.3, -0.2)
+        first_out, n_tau = [], []
+        for i in range(64):
+            tr = simulate_until_hit(0.4, None, s, 1.0, CFG, make_harmonic(),
+                                    path_stream(3, i), DOMAIN)
+            out = np.flatnonzero(tr.states[1:] > 1.4)
+            first_out.append(out[0] if out.size else np.inf)
+            n_tau.append(tr.n_tau)
+        step = int(min(first_out))
+        paths = [i for i, k in enumerate(first_out) if k == step]
+        assert np.sum(np.array(n_tau) <= step) > 0
+        model = ModelBundle(make_harmonic(), 1.0, s, SimulationDomain(DOMAIN.lo, 1.4, "abort"))
+        message = re.escape(f"paths {paths} left the domain [{DOMAIN.lo}, 1.4] at step "
+                            f"{step} with abort boundary")
+        with pytest.raises(OutOfDomainError, match=f"^{message}$"):
             run_batch(0.4, None, model, CFG, n_paths=64, seed=3)
 
 
@@ -355,7 +372,7 @@ class TestCensoring:
         # cap at the median hitting step of the uncapped batch, so some paths
         # hit within it and the rest do not
         s = StoppingSet(-0.3, -0.2)
-        model = ModelBundle(make_harmonic(), constant_observable(1.0), s, DOMAIN)
+        model = ModelBundle(make_harmonic(), 1.0, s, DOMAIN)
         full = run_batch(0.4, None, model, CFG, n_paths=64, seed=4)
         cap = int(np.median(full.n_steps))
         return model, dataclasses.replace(CFG, max_steps=cap), int(np.sum(full.n_steps > cap))
@@ -382,44 +399,33 @@ def _sha256(a) -> str:
     return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
 
 
-# sha256 of A[:n] @ v for n = 1031..1028 (A, v standard normal from
-# default_rng(12345)) on the OpenBLAS build the digests below were recorded
-# with; gemv rounds the last n % 4 rows in a kernel of its own
-GEMV_FINGERPRINT = "fc443e655ebdefcbc38c2f7b0bb68b83629b3ff75e1315c37a4404dc7f9cfe38"
-
-
-def _gemv_fingerprint() -> str:
-    rng = np.random.default_rng(12345)
-    a, v = rng.standard_normal((1031, 10)), rng.standard_normal(10)
-    digest = hashlib.sha256()
-    for n in (1031, 1030, 1029, 1028):
-        digest.update((a[:n] @ v).tobytes())
-    return digest.hexdigest()
-
-
 class TestRecordedBits:
     """Batches whose every field was recorded before the kernel ran in one loop."""
 
     @pytest.fixture(autouse=True)
     def same_blas_rounding(self):
-        if _gemv_fingerprint() != GEMV_FINGERPRINT:
-            pytest.skip("this BLAS rounds gemv rows differently from the one the "
-                        "digests were recorded with")
+        skip_unless_recorded_gemv()
 
     def test_masked_scored_batch_with_terminal_value(self):
+        # recorded with two basis functions masked off, whose score columns the
+        # mask held at +0.0; zeroed coefficients drive the same paths
         s = StoppingSet(-4.0, -0.2)
-        model = ModelBundle(make_harmonic(), constant_observable(1.5), s, DOMAIN)
+        model = ModelBundle(make_harmonic(), 1.5, s, DOMAIN)
         # ten columns: below eight, gemv's tail rows round as its body rows
-        ansatz = make_uniform_ansatz(10, DOMAIN, s, 0.5).with_coefficients(
-            [0.4, -0.3, 0.25, 0.1, -0.2, 0.15, 0.05, -0.1, 0.2, 0.3]).with_mask(
-            [True, True, False, True, True, False, True, True, True, True])
-        inner = ansatz.with_mask(ansatz.centers <= 1.0)
+        full = make_uniform_ansatz(10, DOMAIN, s, 0.5).with_coefficients(
+            [0.4, -0.3, 0.25, 0.1, -0.2, 0.15, 0.05, -0.1, 0.2, 0.3])
+        active = np.array([True, True, False, True, True, False, True, True, True, True])
+        ansatz = full.with_coefficients(np.where(active, full.coefficients, 0.0))
+        inner = full.with_coefficients(np.where(full.centers <= 1.0, full.coefficients, 0.0))
         inner_at_r = float(inner.value(-0.2))
-        cfg = SimConfig(epsilon=0.5, h=0.01, max_steps=200_000, seed=3)
+        cfg = SimConfig(epsilon=0.5, h=0.01, max_steps=200_000)
         batch = run_batch(0.4, ansatz, model, cfg, n_paths=2500, seed=11, tag=4,
                           scores=True,
                           terminal_value=lambda x: 0.3 + inner.value(x) - inner_at_r)
-        assert {name: _sha256(getattr(batch, name)) for name in BATCH_ARRAYS} == {
+        arrays = {name: getattr(batch, name) for name in BATCH_ARRAYS}
+        for name in ("sum_cb", "sum_eta_b"):
+            arrays[name] = np.where(active, arrays[name], 0.0)
+        assert {name: _sha256(a) for name, a in arrays.items()} == {
             "n_steps": "18be06555bd249c21cb8049d54aa1b8f213b95c9a5900f6a50a9aa5a6e8e9d91",
             "hit": "65dd06770bcfb4ae754d025b05b52e356ee15daa54b9e02ae8af4c3d08daa617",
             "work": "f64fd8319e20cf9f90e583fc242240d1fbbd756e8cb93f049770c12960c94d14",
@@ -432,11 +438,11 @@ class TestRecordedBits:
         }
 
     def test_fixed_horizon_cost_batch(self):
-        model = ModelBundle(make_potential("skew_double_well"), constant_observable(1.0),
+        model = ModelBundle(make_potential("skew_double_well"), 1.0,
                             StoppingSet(-1.1, -1.0), DOMAIN)
         ansatz = make_uniform_ansatz(10, DOMAIN, model.stopping_set, 0.35)
         ansatz = ansatz.with_coefficients(0.5 * np.random.default_rng(5).standard_normal(10))
-        cfg = SimConfig(epsilon=0.5, h=1e-3, seed=2)
+        cfg = SimConfig(epsilon=0.5, h=1e-3)
         batch = run_batch(1.03, ansatz, model, cfg, n_paths=4000, seed=13, tag=5,
                           fixed_steps=300)
         assert {name: _sha256(getattr(batch, name)) for name in BATCH_ARRAYS[:6]} == {
@@ -453,7 +459,7 @@ class TestRecordedBits:
 class TestReweightingConsistency:
     def test_reweighted_expectation_matches_plain(self):
         # E_Q[Phi exp(log dP/dQ)] = E_P[Phi] for a bounded functional
-        model = ModelBundle(make_harmonic(), constant_observable(1.0),
+        model = ModelBundle(make_harmonic(), 1.0,
                             StoppingSet(-3.9, -3.8), DOMAIN)
         n, steps = 4000, 60
         control = lambda x: 0.5 * np.sin(np.asarray(x)) + 0.3
@@ -483,11 +489,11 @@ def reference_control():
 class TestZeroVarianceStructure:
     def test_mean_matches_reference_and_variance_shrinks(self, reference_control):
         p, s, dom, control, f_x0 = reference_control
-        model = ModelBundle(p, constant_observable(1.0), s, dom)
+        model = ModelBundle(p, 1.0, s, dom)
         x0 = 1.0298959850506604
         stds = []
         for h, n, seed in ((2e-3, 200, 40), (1e-3, 200, 41), (5e-4, 200, 42)):
-            cfg = SimConfig(epsilon=EPS, h=h, max_steps=10_000_000, seed=seed)
+            cfg = SimConfig(epsilon=EPS, h=h, max_steps=10_000_000)
             batch = run_batch(x0, control, model, cfg, n_paths=n, seed=seed)
             assert batch.hit.all()
             y = np.exp(-batch.work / EPS + batch.log_lr_p_over_q)
@@ -504,8 +510,13 @@ def test_sim_config_validation():
         SimConfig(epsilon=0.0, h=0.01)
     with pytest.raises(ValueError):
         SimConfig(epsilon=0.5, h=-1.0)
-    with pytest.raises(ValueError):
-        SimConfig(epsilon=0.5, h=0.01, seed=-1)
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_run_batch_rejects_a_seed_outside_the_philox_key(seed):
+    model = ModelBundle(make_flat(), 1.0, StoppingSet(-0.3, -0.2), DOMAIN)
+    with pytest.raises(ValueError, match=f"^seed {seed} is not a nonnegative 64-bit"):
+        run_batch(0.4, None, model, CFG, n_paths=4, seed=seed)
 
 
 @pytest.mark.parametrize("index", [0, 1, 1023, 1024, 4095, 2 ** 40])

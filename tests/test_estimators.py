@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from optforce.dynamics import CensoredPathError, SimConfig
 from optforce.estimators import (estimate_mfpt_reweighted, estimate_psi_reweighted,
                                  summarize)
 from optforce.model import (ModelBundle, SimulationDomain, StoppingSet,
-                            constant_observable, make_scaled_double_well)
+                            make_scaled_double_well)
 from optforce.reference import build_grid, mfpt_quadrature_oracle, solve_fk
 from scalar_oracle import FieldControl
 
@@ -16,9 +18,9 @@ S = StoppingSet(-1.1, -1.0)
 X0 = 1.0
 
 
-def easy_model(sigma=1.0):
+def easy_model():
     return ModelBundle(make_scaled_double_well(barrier_scale=0.5, skew=-0.25),
-                       constant_observable(sigma), S, DOMAIN)
+                       1.0, S, DOMAIN)
 
 
 def reference_control(model, sigma=1.0, scale=1.0):
@@ -59,7 +61,6 @@ class TestSummarize:
         res = summarize(s, w)
         assert res.ci95[0] <= res.estimate <= res.ci95[1]
         assert 0 < res.ess <= res.n_paths
-        assert res.min_weight <= res.max_weight
 
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
@@ -69,32 +70,32 @@ class TestSummarize:
 class TestPsiReweighted:
     def test_untilted_matches_fd_reference(self):
         model = easy_model()
-        cfg = SimConfig(epsilon=EPS, h=1e-3, seed=50)
+        cfg = SimConfig(epsilon=EPS, h=1e-3)
         ansatz = make_uniform_ansatz(4, DOMAIN, S, 0.4)   # zero coefficients
-        est = estimate_psi_reweighted(ansatz, X0, 1.0, model, cfg, seed=50, n_paths=2000)
+        est = estimate_psi_reweighted(ansatz, X0, model, cfg, seed=50, n_paths=2000)
         _, sol = reference_control(model)
         psi_ref = float(sol.interp("psi", X0))
         assert abs(est.psi.estimate - psi_ref) < 3 * est.psi.stderr + 0.02 * psi_ref
-        # untilted: all weights are one
-        assert est.psi.min_weight == est.psi.max_weight == 1.0
+        # untilted: all weights are equal
         assert est.psi.ess == est.psi.n_paths
 
     def test_sigma_zero_reduces_to_martingale(self):
         # weights must average to one; a mild tilt keeps their tail light
         # enough for the sample mean to see it at this n
-        model = easy_model(0.0)
-        cfg = SimConfig(epsilon=EPS, h=2e-3, seed=51)
+        model = easy_model()
+        cfg = SimConfig(epsilon=EPS, h=2e-3)
         control, _ = reference_control(model, sigma=1.0, scale=0.2)
-        est = estimate_psi_reweighted(control, X0, 0.0, model, cfg, seed=51, n_paths=1500)
+        est = estimate_psi_reweighted(control, X0, dataclasses.replace(model, sigma=0.0),
+                                      cfg, seed=51, n_paths=1500)
         assert abs(est.psi.estimate - 1.0) < 3 * est.psi.stderr
 
     def test_zero_variance_control_beats_crude_by_100x(self):
         model = easy_model()
-        cfg = SimConfig(epsilon=EPS, h=1e-3, seed=52)
+        cfg = SimConfig(epsilon=EPS, h=1e-3)
         control, sol = reference_control(model)
-        tilted = estimate_psi_reweighted(control, X0, 1.0, model, cfg, seed=52, n_paths=1500)
+        tilted = estimate_psi_reweighted(control, X0, model, cfg, seed=52, n_paths=1500)
         crude = estimate_psi_reweighted(make_uniform_ansatz(4, DOMAIN, S, 0.4),
-                                        X0, 1.0, model, cfg, seed=53, n_paths=1500)
+                                        X0, model, cfg, seed=53, n_paths=1500)
         assert tilted.psi.stderr ** 2 * 100.0 < crude.psi.stderr ** 2
         # free energy via the delta method agrees with the reference
         f_ref = float(sol.interp("free_energy", X0))
@@ -103,13 +104,13 @@ class TestPsiReweighted:
 
     def test_tilt_invariance_of_estimand(self):
         model = easy_model()
-        cfg = SimConfig(epsilon=EPS, h=1e-3, seed=54)
+        cfg = SimConfig(epsilon=EPS, h=1e-3)
         full, _ = reference_control(model, scale=1.0)
         half, _ = reference_control(model, scale=0.5)
-        e_full = estimate_psi_reweighted(full, X0, 1.0, model, cfg, seed=54, n_paths=1500)
-        e_half = estimate_psi_reweighted(half, X0, 1.0, model, cfg, seed=55, n_paths=1500)
+        e_full = estimate_psi_reweighted(full, X0, model, cfg, seed=54, n_paths=1500)
+        e_half = estimate_psi_reweighted(half, X0, model, cfg, seed=55, n_paths=1500)
         e_none = estimate_psi_reweighted(make_uniform_ansatz(3, DOMAIN, S, 0.4),
-                                         X0, 1.0, model, cfg, seed=56, n_paths=1500)
+                                         X0, model, cfg, seed=56, n_paths=1500)
         pairs = [(e_full, e_half), (e_half, e_none), (e_full, e_none)]
         for a, b in pairs:
             combined = np.hypot(a.psi.stderr, b.psi.stderr)
@@ -117,27 +118,27 @@ class TestPsiReweighted:
 
     def test_variance_ordering(self):
         model = easy_model()
-        cfg = SimConfig(epsilon=EPS, h=1e-3, seed=57)
+        cfg = SimConfig(epsilon=EPS, h=1e-3)
         full, _ = reference_control(model, scale=1.0)
         half, _ = reference_control(model, scale=0.5)
-        e_full = estimate_psi_reweighted(full, X0, 1.0, model, cfg, seed=57, n_paths=1500)
-        e_half = estimate_psi_reweighted(half, X0, 1.0, model, cfg, seed=58, n_paths=1500)
+        e_full = estimate_psi_reweighted(full, X0, model, cfg, seed=57, n_paths=1500)
+        e_half = estimate_psi_reweighted(half, X0, model, cfg, seed=58, n_paths=1500)
         e_none = estimate_psi_reweighted(make_uniform_ansatz(3, DOMAIN, S, 0.4),
-                                         X0, 1.0, model, cfg, seed=59, n_paths=1500)
+                                         X0, model, cfg, seed=59, n_paths=1500)
         assert e_full.psi.stderr < e_half.psi.stderr < e_none.psi.stderr
 
     def test_censored_paths_hard_error(self):
         model = easy_model()
-        cfg = SimConfig(epsilon=EPS, h=1e-3, max_steps=100, seed=60)
+        cfg = SimConfig(epsilon=EPS, h=1e-3, max_steps=100)
         with pytest.raises(CensoredPathError):
             estimate_psi_reweighted(make_uniform_ansatz(3, DOMAIN, S, 0.4),
-                                    X0, 1.0, model, cfg, seed=60, n_paths=64)
+                                    X0, model, cfg, seed=60, n_paths=64)
 
 
 class TestMfptReweighted:
     def test_untilted_matches_quadrature(self):
         model = easy_model()
-        cfg = SimConfig(epsilon=EPS, h=1e-3, seed=61)
+        cfg = SimConfig(epsilon=EPS, h=1e-3)
         est = estimate_mfpt_reweighted(make_uniform_ansatz(3, DOMAIN, S, 0.4),
                                        X0, model, cfg, seed=61, n_paths=2000)
         oracle = mfpt_quadrature_oracle(model.potential, EPS, X0, S.hi, DOMAIN.hi)
@@ -145,7 +146,7 @@ class TestMfptReweighted:
 
     def test_start_on_boundary_is_exactly_zero(self):
         model = easy_model()
-        cfg = SimConfig(epsilon=EPS, h=1e-3, seed=62)
+        cfg = SimConfig(epsilon=EPS, h=1e-3)
         est = estimate_mfpt_reweighted(None, -1.0, model, cfg, seed=62, n_paths=16)
         assert est.estimate == 0.0
         assert est.ci95 == (0.0, 0.0)
@@ -157,7 +158,7 @@ class TestMfptReweighted:
         oracle = mfpt_quadrature_oracle(model.potential, EPS, X0, S.hi, DOMAIN.hi)
         reps = []
         for r in range(50):
-            cfg = SimConfig(epsilon=EPS, h=2e-3, seed=700 + r)
+            cfg = SimConfig(epsilon=EPS, h=2e-3)
             est = estimate_mfpt_reweighted(control, X0, model, cfg, seed=700 + r, n_paths=400)
             reps.append(est.estimate)
         reps = np.array(reps)
@@ -168,7 +169,7 @@ class TestMfptReweighted:
 
 def test_degeneracy_warning_fires():
     model = easy_model()
-    cfg = SimConfig(epsilon=EPS, h=2e-3, seed=63)
+    cfg = SimConfig(epsilon=EPS, h=2e-3)
     # absurdly strong tilt: weights degenerate
     control = FieldControl(lambda x: -8.0 * np.ones_like(np.asarray(x, dtype=np.float64)))
     with pytest.warns(RuntimeWarning, match="effective sample size"):

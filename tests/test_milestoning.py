@@ -7,7 +7,7 @@ from optforce.dynamics import SimConfig
 from optforce.milestoning import (MilestoneLadder, MilestoningError, build_ladder,
                                   run_milestoning, solve_shell)
 from optforce.model import (ModelBundle, SimulationDomain, StoppingSet,
-                            constant_observable, make_scaled_double_well)
+                            make_scaled_double_well)
 from optforce.objective import make_objective
 from optforce.optimizer import DescentConfig, descend
 
@@ -17,11 +17,11 @@ S = StoppingSet(-1.1, -1.0)
 
 def easy_model():
     return ModelBundle(make_scaled_double_well(barrier_scale=0.5, skew=-0.25),
-                       constant_observable(1.0), S, DOMAIN)
+                       1.0, S, DOMAIN)
 
 
 def quick_cfgs(batch=256, iters=8):
-    sim = SimConfig(epsilon=0.5, h=2e-3, max_steps=200_000, seed=3)
+    sim = SimConfig(epsilon=0.5, h=2e-3, max_steps=200_000)
     dc = DescentConfig(max_iters=iters, grad_tol=0.05, batch_size=batch)
     return sim, dc
 
@@ -67,7 +67,7 @@ class TestBuildLadder:
 class TestSolveShell:
     def test_zero_observable_keeps_coefficients_near_zero(self):
         # zero running cost, zero terminal: control only adds cost
-        model = ModelBundle(easy_model().potential, constant_observable(0.0),
+        model = ModelBundle(easy_model().potential, 0.0,
                             S, DOMAIN)
         sim, dc = quick_cfgs(batch=256, iters=6)
         ladder = build_ladder(S, DOMAIN, 1)
@@ -115,7 +115,7 @@ class TestRunMilestoning:
 
     def test_failing_shell_raises_naming_it(self):
         model = easy_model()
-        sim = SimConfig(epsilon=0.5, h=2e-3, max_steps=60, seed=3)
+        sim = SimConfig(epsilon=0.5, h=2e-3, max_steps=60)
         dc = DescentConfig(max_iters=2, grad_tol=0.05, batch_size=64)
         ansatz = make_uniform_ansatz(4, DOMAIN, S, 0.4)
         ladder = build_ladder(S, DOMAIN, 2)
@@ -132,7 +132,7 @@ class TestRunMilestoning:
             return run_batch(*args, **kwargs)
 
         monkeypatch.setattr(optforce.objective, "run_batch", counting)
-        sim = SimConfig(epsilon=0.5, h=2e-3, max_steps=600, seed=3)
+        sim = SimConfig(epsilon=0.5, h=2e-3, max_steps=600)
         dc = DescentConfig(max_iters=2, grad_tol=0.05, batch_size=64)
         ansatz = make_uniform_ansatz(4, DOMAIN, S, 0.4)
         with pytest.raises(MilestoningError, match="did not hit"):

@@ -3,9 +3,9 @@ import pytest
 
 from optforce.dynamics import SimConfig, run_batch
 from optforce.model import (POTENTIALS, ModelBundle, OutOfDomainError,
-                            SimulationDomain, StoppingSet, constant_observable,
-                            default_start_point, find_local_minimum, make_flat,
-                            make_harmonic, make_potential)
+                            SimulationDomain, StoppingSet, default_start_point,
+                            find_local_minimum, make_flat, make_harmonic,
+                            make_potential)
 
 DOMAIN = SimulationDomain(-1.5, 2.0)
 S = StoppingSet(-1.1, -1.0)
@@ -107,25 +107,21 @@ class TestEvalModel:
     """Potential, gradient and running cost at one point, as the kernel reads them."""
 
     def test_bundled_evaluation(self):
-        p = make_potential("skew_double_well")
-        f = constant_observable(1.0)
-        energy, grad, cost = p.evaluate(0.0), p.gradient(0.0), f.evaluate(0.0)
-        assert (energy, grad, cost) == pytest.approx((2.0, -0.5, 1.0))
-
-    def test_zero_observable(self):
-        assert constant_observable(0.0).evaluate(0.7) == 0.0
+        model = ModelBundle(make_potential("skew_double_well"), 1.0, S, DOMAIN)
+        energy, grad = model.potential.evaluate(0.0), model.potential.gradient(0.0)
+        assert (energy, grad, model.sigma) == pytest.approx((2.0, -0.5, 1.0))
 
     def test_flat_potential(self):
-        p, f = make_flat(), constant_observable(2.5)
-        energy, grad, cost = p.evaluate(0.3), p.gradient(0.3), f.evaluate(0.3)
-        assert (energy, grad, cost) == pytest.approx((0.0, 0.0, 2.5))
+        model = ModelBundle(make_flat(), 2.5, S, DOMAIN)
+        energy, grad = model.potential.evaluate(0.3), model.potential.gradient(0.3)
+        assert (energy, grad, model.sigma) == pytest.approx((0.0, 0.0, 2.5))
 
     def test_out_of_domain(self):
         assert not DOMAIN.contains(5.0)
         abort = SimulationDomain(DOMAIN.lo, DOMAIN.hi, boundary="abort")
-        model = ModelBundle(make_flat(), constant_observable(1.0), S, abort)
+        model = ModelBundle(make_flat(), 1.0, S, abort)
         with pytest.raises(OutOfDomainError):
-            run_batch(1.95, None, model, SimConfig(epsilon=0.5, h=0.01), n_paths=8)
+            run_batch(1.95, None, model, SimConfig(epsilon=0.5, h=0.01), n_paths=8, seed=0)
 
 
 class TestIsHit:
@@ -157,14 +153,8 @@ class TestValidation:
 
     def test_stopping_set_strictly_inside_domain(self):
         with pytest.raises(ValueError):
-            ModelBundle(make_flat(), constant_observable(1.0),
+            ModelBundle(make_flat(), 1.0,
                         StoppingSet(-2.0, -1.0), DOMAIN)
-
-
-def test_observable_constant_vectorized():
-    f = constant_observable(3.0)
-    assert f.sigma == 3.0
-    np.testing.assert_allclose(f.evaluate(np.zeros(5)), 3.0)
 
 
 def test_harmonic_label_and_values():

@@ -174,9 +174,8 @@ class TestDescentTrace:
         trace = DescentTrace()
         from optforce.optimizer import DescentRecord
         for i, c in enumerate(costs):
-            trace.append(DescentRecord(iteration=i, coefficients=np.zeros(1),
-                                       cost=c, cost_stderr=stderr, grad_norm=1.0,
-                                       grad_stderr_norm=0.1, alpha=0.1,
+            trace.append(DescentRecord(iteration=i, cost=c, cost_stderr=stderr,
+                                       grad_norm=1.0, grad_stderr_norm=0.1, alpha=0.1,
                                        mean_steps=10.0))
         return trace
 

@@ -177,8 +177,7 @@ def test_tilted_mfpt_much_smaller():
     fp = np.gradient(F, nodes)
     from optforce.model import Potential
     tilted = Potential(lambda x: p.evaluate(x) + 2 * np.interp(x, nodes, F),
-                       lambda x: p.gradient(x) + 2 * np.interp(x, nodes, fp),
-                       "tilted")
+                       lambda x: p.gradient(x) + 2 * np.interp(x, nodes, fp))
     m_tilted = solve_mfpt_pde(tilted, EPS, g, S)
     m_plain = solve_mfpt_pde(p, EPS, g, S)
     x0 = 1.0298959850506604
