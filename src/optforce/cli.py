@@ -334,8 +334,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="YAML config file (defaults reproduce the headline run)")
     parser.add_argument("--seed", type=int, default=None, help="override the seed")
     parser.add_argument("--out", type=Path, default=None, help="output directory")
-    # accepted and ignored: the batch thread pool it sized was slower than one
-    # thread, and existing scripts still pass --workers 1
+    # accepted and ignored.  run_batch forks one worker per CPU the process may
+    # use for batches of several KERNEL_CHUNK segments, bit for bit; existing
+    # scripts, the benchmark's among them, still pass --workers 1, and
+    # honouring it would turn that off where it is measured (taskset limits
+    # the CPUs instead)
     parser.add_argument("--workers", type=int, default=1, help=argparse.SUPPRESS)
     parser.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override a config field by dotted path")

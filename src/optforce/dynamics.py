@@ -23,12 +23,18 @@ Per-path noise streams are derived from (seed, tag, path index) through a
 counter-based generator and consumed in fixed-size blocks, so a path sees
 the same noise however paths are grouped and whatever the block size.
 Every batch takes its seed from its caller, and run_batch checks that the
-seed fits the generator's 64-bit key word.  A batch runs all its paths in
-one loop.  The control c = bmat @ coefficients (BLAS gemv) and the terminal
+seed fits the generator's 64-bit key word.  A batch runs its paths in one
+loop.  The control c = bmat @ coefficients (BLAS gemv) and the terminal
 values are evaluated per segment of KERNEL_CHUNK path indices, because gemv
 rounds the last n % 4 rows of an n-row product in another kernel than the
 first n - n % 4, which round the same whatever n; batches are reproducible
 for a given n_paths.
+
+A segment is also the unit of parallel work.  A path's bits depend only on
+its own stream and on the live paths of its segment, so a batch of several
+segments is split into contiguous groups of whole segments, one per CPU the
+process may use; each group runs the same loop in a forked child, and the
+groups' results joined in path order are the bits the one loop gives.
 
 A path that enters the stopping set retires on that step.  Retirement
 compacts the per-row arrays (positions, costs, log likelihood ratios, score
@@ -40,7 +46,10 @@ refill, nor the list of streams, which is indexed by path index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import os
+import pickle
+import threading
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -59,12 +68,22 @@ NOISE_BLOCK = 128
 # which changes the last bits of about a third of them (random data).  Evaluating each
 # segment on its own keeps every row in the company it had when paths ran in
 # chunks of this width; changing it changes the last bits of controlled
-# batches and with them every recorded output.
+# batches and with them every recorded output.  For the same reason a segment
+# is the unit of parallel work: a group of whole segments run on its own
+# meets every row in the same company as the whole batch.
 KERNEL_CHUNK = 1024
 
 
 class NumericalFailureError(RuntimeError):
-    """The update produced a non-finite state."""
+    """The update produced a non-finite state.
+
+    When run_batch raises it, `paths` holds the sorted indices of the paths
+    whose update was not finite and `step` the step it failed on.
+    """
+
+    def __init__(self, message: str, paths=(), step: int | None = None):
+        super().__init__(message)
+        self.paths, self.step = list(paths), step
 
 
 class CensoredPathError(RuntimeError):
@@ -77,6 +96,23 @@ class CensoredPathError(RuntimeError):
 
 # a seed is one uint64 word of a path stream's Philox key
 MAX_SEED = 2 ** 64 - 1
+
+# how many failing path indices an error message lists
+NAMED_PATHS = 5
+
+
+def _path_failure(kind, paths: list[int], step: int, domain: SimulationDomain):
+    """The NumericalFailureError or OutOfDomainError of `paths` failing on `step`."""
+    shown = ", ".join(map(str, paths[:NAMED_PATHS]))
+    if len(paths) > NAMED_PATHS:
+        shown += ", ..."
+    named = f"{len(paths)} path{'' if len(paths) == 1 else 's'} [{shown}]"
+    if kind is NumericalFailureError:
+        message = f"non-finite update for {named} at step {step}"
+    else:
+        message = (f"{named} left the domain [{domain.lo}, {domain.hi}] at step {step} "
+                   f"with abort boundary")
+    return kind(message, paths, step)
 
 
 @dataclass(frozen=True)
@@ -114,8 +150,8 @@ def path_stream(seed: int, path_index: int, tag: int = 0) -> np.random.Generator
 _idle_streams: list[np.random.Generator] = []
 
 
-def _take_streams(seed: int, tag: int, n: int) -> list[np.random.Generator]:
-    """Generators on the streams (seed, tag, 0), ..., (seed, tag, n - 1)."""
+def _take_streams(seed: int, tag: int, first: int, n: int) -> list[np.random.Generator]:
+    """Generators on the streams (seed, tag, first), ..., (seed, tag, first + n - 1)."""
     reuse = _idle_streams[max(len(_idle_streams) - n, 0):]
     del _idle_streams[len(_idle_streams) - len(reuse):]
     counter = np.zeros(4, dtype=np.uint64)
@@ -124,9 +160,9 @@ def _take_streams(seed: int, tag: int, n: int) -> list[np.random.Generator]:
              "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
              "has_uint32": 0, "uinteger": 0}
     for i, g in enumerate(reuse):
-        counter[2] = i      # path_stream's counter [0, 0, i, 0]
+        counter[2] = first + i      # path_stream's counter [0, 0, first + i, 0]
         g.bit_generator.state = state
-    return reuse + [path_stream(seed, i, tag) for i in range(len(reuse), n)]
+    return reuse + [path_stream(seed, first + i, tag) for i in range(len(reuse), n)]
 
 
 def _reflect(x, domain: SimulationDomain):
@@ -193,22 +229,161 @@ def run_batch(x0: float, control, model: ModelBundle, cfg: SimConfig, *,
         sum_eta_b (needs an ansatz control); left None otherwise.
 
     Path i always consumes the stream (seed, tag, i); seed must fit in
-    [0, MAX_SEED], one word of the stream's Philox key.  All paths advance in
-    one loop, one step per iteration.  The row-wise calls
-    c = bmat @ coefficients and terminal_value run once per segment: the
-    live paths among path indices [k KERNEL_CHUNK, (k+1) KERNEL_CHUNK).  A
-    path's results therefore do not depend on the paths in later segments,
-    but a controlled path's last bits depend on which other paths share its
-    segment: gemv rounds the last n % 4 of a segment's n live rows in its
-    tail kernel.  That is why retired paths leave every per-row working
-    array on the step they hit.  The noise block rows stay where they were
-    filled, read through a row map, and the streams stay in path-index
-    order; the next refill writes the r-th live path's block into row r.
+    [0, MAX_SEED], one word of the stream's Philox key.  The paths advance
+    one step per loop iteration.  The row-wise calls c = bmat @ coefficients
+    and terminal_value run once per segment: the live paths among path
+    indices [k KERNEL_CHUNK, (k+1) KERNEL_CHUNK).  A path's results
+    therefore do not depend on the paths in other segments, but a controlled
+    path's last bits depend on which other paths share its segment: gemv
+    rounds the last n % 4 of a segment's n live rows in its tail kernel.
+    That is why retired paths leave every per-row working array on the step
+    they hit.  The noise block rows stay where they were filled, read
+    through a row map, and the streams stay in path-index order; the next
+    refill writes the r-th live path's block into row r.
+
+    Because no bit of a path depends on another segment, a batch of more
+    than one segment runs as contiguous groups of whole segments, one per
+    CPU the process may use: this process runs the first group and forked
+    children the others, each the same loop over its own paths.  The
+    results are joined in path order and loop_iters is the longest group's
+    count.  A failing update raises what the one loop would: the error of
+    the earliest failing step over all groups, naming the paths of every
+    group that failed on it.  A batch of one segment, a process running
+    other threads, where forking is unsafe, or a platform without fork runs
+    all its paths here.
     """
     if fixed_steps is None and bool(model.stopping_set.contains(x0)):
         raise ValueError(f"x0={x0} already inside the stopping set")
     if not 0 <= seed <= MAX_SEED:
         raise ValueError(f"seed {seed} is not a nonnegative 64-bit integer")
+
+    def run(first, stop):
+        return _run_paths(first, stop, x0, control, model, cfg, seed, tag, fixed_steps,
+                          terminal_value, scores)
+
+    groups = _groups(n_paths)
+    if len(groups) == 1:
+        result, censored = run(0, n_paths)
+    else:
+        outcomes = _run_forked(run, groups)
+        errors = [o for o in outcomes if isinstance(o, Exception)]
+        if errors:
+            raise _first_error(errors, model.domain)
+        result = _joined([part for part, _ in outcomes])
+        censored = sum(k for _, k in outcomes)
+    if censored:
+        raise CensoredPathError(f"{censored}/{n_paths} paths did not hit within "
+                                f"max_steps={cfg.max_steps}")
+    return result
+
+
+def _groups(n_paths: int) -> list[tuple[int, int]]:
+    """[first, stop) bounds of the path groups a batch runs in parallel.
+
+    Contiguous groups of whole segments, one per CPU the process may use and
+    near equal in paths; one group when there is one segment or one CPU,
+    when other threads run (a forked child would hold their locks as they
+    were), or where os.fork or os.sched_getaffinity is missing.
+    """
+    n_segments = -(-n_paths // KERNEL_CHUNK)
+    if (n_segments < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):
+        return [(0, n_paths)]
+    workers = min(len(os.sched_getaffinity(0)), n_segments)
+    cuts = {min(round(i * n_paths / (workers * KERNEL_CHUNK)) * KERNEL_CHUNK, n_paths)
+            for i in range(workers)}
+    bounds = sorted(cuts | {n_paths})
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _run_forked(run, groups: list[tuple[int, int]]) -> list:
+    """run(first, stop) for every group: the first here, the others in forked children.
+
+    Returns each group's result, or the Exception it raised, in group order.
+    A child pickles its outcome into a pipe and leaves with os._exit; every
+    child is read to the end of its pipe and reaped, also when this
+    process's own group ends in an interrupt.
+    """
+    children = []
+    outcomes = []
+    try:
+        for first, stop in groups[1:]:
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(read_end)
+                    try:
+                        outcome = run(first, stop)
+                    except Exception as err:
+                        outcome = err
+                    data = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+                    with open(write_end, "wb") as pipe:
+                        pipe.write(data)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write_end)
+            children.append((pid, read_end))
+        try:
+            outcomes.append(run(*groups[0]))
+        except Exception as err:
+            outcomes.append(err)
+    finally:
+        written = []
+        for pid, read_end in children:
+            with open(read_end, "rb") as pipe:
+                data = pipe.read()
+            written.append((pid, data, os.waitpid(pid, 0)[1]))
+    for pid, data, status in written:
+        # bytes a child of this process wrote, so safe to unpickle
+        outcomes.append(pickle.loads(data) if data else RuntimeError(
+            f"batch worker {pid} ended without a result "
+            f"(exit status {os.waitstatus_to_exitcode(status)})"))
+    return outcomes
+
+
+def _first_error(errors: list[Exception], domain: SimulationDomain) -> Exception:
+    """The error the one loop over every group's paths raises.
+
+    That is the failure on the earliest step of any group (non-finite updates
+    before domain exits on the same step), naming the paths of every group
+    that failed the same way on that step.  An error that names no step (one
+    a terminal_value raised) wins over those, and the first group's wins.
+    """
+    for e in errors:
+        if not isinstance(e, (NumericalFailureError, OutOfDomainError)) or e.step is None:
+            return e
+    step = min(e.step for e in errors)
+    first = [e for e in errors if e.step == step]
+    kind = (NumericalFailureError if any(isinstance(e, NumericalFailureError) for e in first)
+            else OutOfDomainError)
+    paths = sorted(i for e in first if isinstance(e, kind) for i in e.paths)
+    return _path_failure(kind, paths, step, domain)
+
+
+def _joined(parts: list[BatchResult]) -> BatchResult:
+    """The BatchResult of consecutive path groups, fields joined in path order."""
+    joined = {}
+    for field in fields(BatchResult):
+        values = [getattr(part, field.name) for part in parts]
+        if field.name == "loop_iters":
+            joined[field.name] = max(values)
+        else:
+            joined[field.name] = None if values[0] is None else np.concatenate(values)
+    return BatchResult(**joined)
+
+
+def _run_paths(first: int, stop: int, x0: float, control, model: ModelBundle,
+               cfg: SimConfig, seed: int, tag: int, fixed_steps: int | None,
+               terminal_value, scores: bool) -> tuple[BatchResult, int]:
+    """The kernel loop over paths [first, stop) of a batch; first is a segment start.
+
+    Returns their BatchResult and, for a stopping batch, how many of them
+    were still live at cfg.max_steps (their statistics are left unset).
+    """
+    n_paths = stop - first
     h, eps = cfg.h, cfg.epsilon
     lr_eta = np.sqrt(h / eps)
     lr_quad = h / (2.0 * eps)
@@ -217,6 +392,7 @@ def run_batch(x0: float, control, model: ModelBundle, cfg: SimConfig, *,
     p = model.potential
     s = model.stopping_set
     domain = model.domain
+    left, width = domain.lo, domain.hi - domain.lo
     reflect = domain.boundary == "reflect"
     limit = fixed_steps if fixed_steps is not None else cfg.max_steps
 
@@ -230,11 +406,12 @@ def run_batch(x0: float, control, model: ModelBundle, cfg: SimConfig, *,
     out_cb = np.zeros((n_paths, control.m)) if scores else None
     out_eb = np.zeros((n_paths, control.m)) if scores else None
 
-    # dense working arrays over still-active paths; idx maps rows to outputs.
-    # Every live path has taken the same number of steps, so they share the
-    # accumulated work and the position in their noise blocks.  The noise
-    # rows and the streams stay where they are when paths retire: brow maps
-    # the live rows to their rows of blocks, gens is indexed by path index.
+    # dense working arrays over still-active paths; idx maps rows to outputs,
+    # path index - first.  Every live path has taken the same number of
+    # steps, so they share the accumulated work and the position in their
+    # noise blocks.  The noise rows and the streams stay where they are when
+    # paths retire: brow maps the live rows to their rows of blocks, gens is
+    # indexed by idx.
     idx = np.arange(n_paths)
     x = np.full(n_paths, float(x0))
     work = 0.0
@@ -243,7 +420,7 @@ def run_batch(x0: float, control, model: ModelBundle, cfg: SimConfig, *,
     c = np.zeros(n_paths) if control is not None else 0.0
     sum_cb = np.zeros((n_paths, control.m)) if scores else None
     sum_eta_b = np.zeros((n_paths, control.m)) if scores else None
-    gens = _take_streams(seed, tag, n_paths)
+    gens = _take_streams(seed, tag, first, n_paths)
     blocks = np.empty((n_paths, NOISE_BLOCK))
     seg_starts = np.arange(0, n_paths, KERNEL_CHUNK)
 
@@ -269,6 +446,9 @@ def run_batch(x0: float, control, model: ModelBundle, cfg: SimConfig, *,
         if scores:
             out_cb[slots] = sum_cb[rows]
             out_eb[slots] = sum_eta_b[rows]
+
+    def fail(kind, rows):
+        return _path_failure(kind, (idx[rows] + first).tolist(), step, domain)
 
     segs = segments()
     pos = NOISE_BLOCK
@@ -296,18 +476,20 @@ def run_batch(x0: float, control, model: ModelBundle, cfg: SimConfig, *,
         ccost += (0.5 * h) * c2
         log_lr -= lr_eta * c * eta + lr_quad * c2
         x = x + h * (SQRT2 * c - np.asarray(p.gradient(x), dtype=np.float64)) + noise_amp * eta
-        finite = np.isfinite(x)
-        if np.count_nonzero(finite) < x.size:
-            raise NumericalFailureError(
-                f"non-finite update for paths {idx[~finite].tolist()} at step {step}")
-        if reflect:
-            x = _reflect(x, domain)
+        # a step that leaves every path in [lo, hi] needs no folding: there
+        # _reflect gives lo + (x - lo) exactly, and a NaN or an inf fails the test
+        if reflect and (y := x - left).min() >= 0.0 and y.max() <= width:
+            x = left + y
         else:
-            in_domain = domain.contains(x)
-            if np.count_nonzero(in_domain) < x.size:
-                raise OutOfDomainError(
-                    f"paths {idx[~in_domain].tolist()} left the domain "
-                    f"[{domain.lo}, {domain.hi}] at step {step} with abort boundary")
+            finite = np.isfinite(x)
+            if np.count_nonzero(finite) < x.size:
+                raise fail(NumericalFailureError, ~finite)
+            if reflect:
+                x = _reflect(x, domain)
+            else:
+                in_domain = domain.contains(x)
+                if np.count_nonzero(in_domain) < x.size:
+                    raise fail(OutOfDomainError, ~in_domain)
         step += 1
 
         if fixed_steps is None:
@@ -328,12 +510,13 @@ def run_batch(x0: float, control, model: ModelBundle, cfg: SimConfig, *,
                 segs = segments()
 
     _idle_streams.extend(gens)
+    censored = 0
     if idx.size:
         if fixed_steps is None:
-            raise CensoredPathError(f"{idx.size}/{n_paths} paths did not hit within "
-                                    f"max_steps={cfg.max_steps}")
-        retire(np.ones(idx.size, dtype=bool))
+            censored = idx.size
+        else:
+            retire(np.ones(idx.size, dtype=bool))
     return BatchResult(n_steps=out_steps, hit=np.ones(n_paths, dtype=bool),
                        work=out_work, control_cost=out_cc, log_lr_p_over_q=out_llr,
                        final_x=out_x, terminal=out_term, sum_cb=out_cb,
-                       sum_eta_b=out_eb, loop_iters=step)
+                       sum_eta_b=out_eb, loop_iters=step), censored

@@ -2,9 +2,10 @@
 
 perfbench/expected.json holds the sha256 of each output the benchmark
 digests, per workload, at model seed 20240.  These tests rerun the `shells`
-workload's `optimize` and the headline `optimize` and `estimate` in this
-process and compare the bytes of `ansatz.json`, the `trace*.csv` files and
-`estimates.json`, so a change that moves an output bit fails here too and
+workload's `optimize`, the headline `optimize` and `estimate` and the
+`gradcheck` workload in this process and compare the bytes of
+`ansatz.json`, the `trace*.csv` files, `estimates.json` and
+`gradcheck.json`, so a change that moves an output bit fails here too and
 not only in a benchmark run.
 """
 
@@ -20,7 +21,7 @@ from optforce.cli import main
 
 MODEL_SEED = 20240
 EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
-PATTERNS = ("ansatz.json", "trace*.csv", "estimates.json")
+PATTERNS = ("ansatz.json", "trace*.csv", "estimates.json", "gradcheck.json")
 
 
 @pytest.fixture(autouse=True)
@@ -53,3 +54,8 @@ def test_headline_optimize_and_estimate_write_the_recorded_bytes(tmp_path):
     run(tmp_path, "optimize")
     run(tmp_path, "estimate")
     assert written(tmp_path) == recorded("headline")
+
+
+def test_gradcheck_writes_the_recorded_bytes(tmp_path):
+    run(tmp_path, "gradcheck")
+    assert written(tmp_path) == recorded("gradcheck")

@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
+import os
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -274,6 +276,12 @@ class TestBatchConsistency:
         np.testing.assert_allclose(batch.work, 2.0 * CFG.h * 50)
 
 
+def named(paths):
+    """How a run_batch error names its failing paths: the count, then at most five."""
+    shown = ", ".join(map(str, paths[:5])) + (", ..." if len(paths) > 5 else "")
+    return f"{len(paths)} path{'' if len(paths) == 1 else 's'} [{shown}]"
+
+
 class TestRetirementBookkeeping:
     """Retired paths leave the per-row arrays; noise rows and streams stay put."""
 
@@ -340,9 +348,10 @@ class TestRetirementBookkeeping:
         assert np.sum(np.array(n_tau) <= step) > 0
         model = ModelBundle(wall, 1.0, s,
                             SimulationDomain(DOMAIN.lo, DOMAIN.hi, boundary))
-        message = re.escape(f"non-finite update for paths {paths} at step {step}")
-        with pytest.raises(NumericalFailureError, match=f"^{message}$"):
+        message = re.escape(f"non-finite update for {named(paths)} at step {step}")
+        with pytest.raises(NumericalFailureError, match=f"^{message}$") as failed:
             run_batch(0.4, None, model, CFG, n_paths=64, seed=3)
+        assert failed.value.paths == paths and failed.value.step == step
 
     def test_leaving_an_abort_domain_names_the_paths_and_step(self):
         # The oracle on the wide reflecting domain gives the step whose update
@@ -359,10 +368,11 @@ class TestRetirementBookkeeping:
         paths = [i for i, k in enumerate(first_out) if k == step]
         assert np.sum(np.array(n_tau) <= step) > 0
         model = ModelBundle(make_harmonic(), 1.0, s, SimulationDomain(DOMAIN.lo, 1.4, "abort"))
-        message = re.escape(f"paths {paths} left the domain [{DOMAIN.lo}, 1.4] at step "
+        message = re.escape(f"{named(paths)} left the domain [{DOMAIN.lo}, 1.4] at step "
                             f"{step} with abort boundary")
-        with pytest.raises(OutOfDomainError, match=f"^{message}$"):
+        with pytest.raises(OutOfDomainError, match=f"^{message}$") as failed:
             run_batch(0.4, None, model, CFG, n_paths=64, seed=3)
+        assert failed.value.paths == paths and failed.value.step == step
 
 
 class TestCensoring:
@@ -454,6 +464,102 @@ class TestRecordedBits:
             "final_x": "75e7b5b090c8bc584096d3b1d5fc62788da6de99023e0e3a899f5dbb993186f1",
         }
         assert batch.terminal is batch.sum_cb is batch.sum_eta_b is None
+
+
+class TestSplitBatches:
+    """A batch of several segments runs as path groups in forked children.
+
+    Each test sets the CPU count the process may use, runs the batch on 1 CPU
+    (the one loop) and on 2 and 3 (two and three groups, all but the first in
+    children), and checks that no child outlives the call.
+    """
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        def use(n, n_paths):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+            assert len(optforce.dynamics._groups(n_paths)) == n
+        return use
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("n_paths, fixed_steps", [(2500, None), (4000, 300)])
+    def test_every_field_repeats_the_one_loop(self, cpus, n_paths, fixed_steps):
+        s = StoppingSet(-4.0, -0.2)
+        model = ModelBundle(make_harmonic(), 1.5, s, DOMAIN)
+        ansatz = make_uniform_ansatz(10, DOMAIN, s, 0.5).with_coefficients(
+            [0.4, -0.3, 0.25, 0.1, -0.2, 0.15, 0.05, -0.1, 0.2, 0.3])
+        batches = []
+        for n in (1, 2, 3):
+            cpus(n, n_paths)
+            batches.append(run_batch(0.4, ansatz, model, CFG, n_paths=n_paths, seed=11,
+                                     tag=4, fixed_steps=fixed_steps, scores=True,
+                                     terminal_value=lambda x: 0.3 + ansatz.value(x)))
+            self.assert_no_child_left()
+        for batch in batches[1:]:
+            for name in (*BATCH_ARRAYS, "loop_iters"):
+                np.testing.assert_array_equal(getattr(batch, name), getattr(batches[0], name))
+
+    @pytest.mark.parametrize("seed, step, paths", [
+        (4, 9, [2925]),                       # groups fail on steps 11, 10 and 9
+        (8, 10, [649, 843, 1251, 3057]),      # all three fail on step 10
+    ])
+    def test_a_failure_raises_the_earliest_step_of_any_group(self, cpus, seed, step, paths):
+        model = ModelBundle(make_harmonic(), 1.0, StoppingSet(-0.3, -0.2),
+                            SimulationDomain(DOMAIN.lo, 1.4, "abort"))
+        message = re.escape(f"{named(paths)} left the domain [{DOMAIN.lo}, 1.4] at step "
+                            f"{step} with abort boundary")
+        for n in (1, 2, 3):
+            cpus(n, 3072)
+            with pytest.raises(OutOfDomainError, match=f"^{message}$") as failed:
+                run_batch(0.4, None, model, CFG, n_paths=3072, seed=seed)
+            assert failed.value.paths == paths and failed.value.step == step
+            self.assert_no_child_left()
+
+    def test_the_censored_count_is_summed_over_the_groups(self, cpus):
+        model = ModelBundle(make_harmonic(), 1.0, StoppingSet(-0.3, -0.2), DOMAIN)
+        cpus(1, 3072)
+        full = run_batch(0.4, None, model, CFG, n_paths=3072, seed=4)
+        cap = int(np.median(full.n_steps))
+        late = full.n_steps.reshape(3, KERNEL_CHUNK) > cap
+        assert late.any(axis=1).all()
+        message = rf"^{late.sum()}/3072 paths did not hit within max_steps={cap}$"
+        for n in (1, 2, 3):
+            cpus(n, 3072)
+            with pytest.raises(CensoredPathError, match=message):
+                run_batch(0.4, None, model, dataclasses.replace(CFG, max_steps=cap),
+                          n_paths=3072, seed=4)
+            self.assert_no_child_left()
+
+    def test_an_error_in_a_child_is_raised_here(self, cpus):
+        model = ModelBundle(make_harmonic(), 1.0, StoppingSet(-0.3, -0.2), DOMAIN)
+        here = os.getpid()
+
+        def terminal_value(x):
+            if os.getpid() != here:
+                raise ValueError("terminal value failed in a child")
+            return np.zeros(x.size)
+
+        cpus(2, 2100)
+        with pytest.raises(ValueError, match="^terminal value failed in a child$"):
+            run_batch(0.4, None, model, CFG, n_paths=2100, seed=4,
+                      terminal_value=terminal_value)
+        self.assert_no_child_left()
+
+    def test_a_process_running_threads_runs_one_group(self, cpus):
+        cpus(2, 4000)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert optforce.dynamics._groups(4000) == [(0, 4000)]
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
 
 
 class TestReweightingConsistency:
