@@ -25,13 +25,13 @@ import yaml
 
 from .ansatz import GaussianAnsatz, init_fill_wells, make_uniform_ansatz, tilted_potential_from
 from .config import ConfigError, RunConfig
-from .dynamics import CensoredPathError, NumericalFailureError
+from .dynamics import PathFailure
 from .estimators import (estimate_mfpt_forced, estimate_mfpt_reweighted,
                          estimate_psi_reweighted)
-from .milestoning import build_ladder, run_milestoning, MilestoneLadder, MilestoningError
-from .model import OutOfDomainError
+from .milestoning import MilestoningError, run_milestoning
 from .objective import estimate_cost, estimate_exact_gradient_fixed_horizon
-from .reference import build_grid, mfpt_quadrature_oracle, solve_mfpt_pde, solve_reference
+from .reference import (QuadratureError, ReferenceError, build_grid, mfpt_quadrature_oracle,
+                        solve_mfpt_pde, solve_reference)
 
 N_ORACLE_PROBES = 20
 
@@ -93,10 +93,7 @@ def cmd_optimize(cfg: RunConfig, out: Path) -> int:
     sim_cfg = cfg.descent_sim_config()
     chash = cfg.config_hash()
 
-    if cfg.ladder.thresholds is not None:
-        ladder = MilestoneLadder(cfg.ladder.thresholds, model.stopping_set)
-    else:
-        ladder = build_ladder(model.stopping_set, model.domain, cfg.ladder.shells)
+    ladder = cfg.build_ladder(model)
     result = run_milestoning(ladder, ansatz, model, sim_cfg, cfg.descent,
                              seed=cfg.seed, x0=x0)
     final = result.ansatz
@@ -120,7 +117,7 @@ def cmd_optimize(cfg: RunConfig, out: Path) -> int:
         "boundary_offset": float(final.value(model.stopping_set.hi)),
         "iterations": sum(len(t.records) for t in traces),
         "mean_steps": float(np.mean([t.mean_steps for t in traces])),
-        "boundary_values": [float(v) for v in result.boundary_values],
+        "boundary_values": [float(v) for v in result.anchors[1:]],
         "shells": ladder.n_shells,
     })
     print(f"optimize: wrote {out/'ansatz.json'} ({ladder.n_shells} shell(s), "
@@ -364,8 +361,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (MilestoningError, CensoredPathError, NumericalFailureError,
-            OutOfDomainError) as err:
+    except (MilestoningError, PathFailure, ReferenceError, QuadratureError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -15,11 +15,13 @@ from typing import Any, get_args, get_type_hints
 
 import yaml
 
+from .ansatz import make_uniform_ansatz
 from .dynamics import MAX_SEED, SimConfig
-from .milestoning import MilestoneLadder
+from .milestoning import MilestoneLadder, build_ladder as uniform_ladder
 from .model import (BOUNDARIES, POTENTIALS, ModelBundle, SimulationDomain,
                     StoppingSet, default_start_point, make_potential)
 from .optimizer import DescentConfig
+from .reference import build_grid
 
 # The experiment's "width 0.1" is read as the variance of the Gaussian bumps;
 # stored here as the standard deviation sqrt(0.1).
@@ -133,10 +135,6 @@ class RunConfig:
         pot = self.potential
         _require(pot.name in POTENTIALS, "potential.name", f"one of {sorted(POTENTIALS)}",
                  pot.name)
-        try:
-            POTENTIALS[pot.name](**pot.params)
-        except (TypeError, ValueError) as err:
-            raise ValueError(f"potential.params: {err}") from None
         _require(self.domain.boundary in BOUNDARIES, "domain.boundary",
                  f"one of {list(BOUNDARIES)}", self.domain.boundary)
         _require(self.sigma >= 0, "sigma", "nonnegative", self.sigma)
@@ -165,13 +163,15 @@ class RunConfig:
                  [stop.lo, stop.hi])
         _require(self.x0 is None or stop.hi < self.x0 <= dom.hi, "x0",
                  f"in ({stop.hi}, {dom.hi}], right of the stopping set", self.x0)
-        shells = self.ladder.shells
-        if self.ladder.thresholds is not None:
-            try:
-                shells = MilestoneLadder(self.ladder.thresholds,
-                                         StoppingSet(stop.lo, stop.hi)).n_shells
-            except ValueError as err:
-                raise ValueError(f"ladder.thresholds: {err}") from None
+        try:
+            model = self.build_model()   # the intervals passed the checks above
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"potential.params: {err}") from None
+        try:
+            build_grid(model.stopping_set, model.domain, self.dx)
+        except ValueError as err:
+            raise ValueError(f"dx: {err}") from None
+        shells = self.build_ladder(model).n_shells
         # shell i descends from seed + i, and each iteration adds to that; every
         # seed a run derives must fit in a Philox key word
         top = d.iteration_seed(self.seed + shells - 1, d.max_iters - 1)
@@ -225,6 +225,29 @@ class RunConfig:
             stopping_set=StoppingSet(self.stopping_set.lo, self.stopping_set.hi),
             domain=SimulationDomain(self.domain.lo, self.domain.hi, self.domain.boundary),
         )
+
+    def build_ladder(self, model: ModelBundle) -> MilestoneLadder:
+        """The run's ladder: `ladder.thresholds`, or `ladder.shells` uniform shells.
+
+        A ValueError names the field if a shell holds none of the `ansatz.m`
+        uniform basis centers.
+        """
+        spec = self.ladder
+        name = "ladder.shells" if spec.thresholds is None else "ladder.thresholds"
+        try:
+            ladder = (uniform_ladder(model.stopping_set, model.domain, spec.shells)
+                      if spec.thresholds is None
+                      else MilestoneLadder(spec.thresholds, model.stopping_set))
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"{name}: {err}") from None
+        layout = make_uniform_ansatz(self.ansatz.m, model.domain, model.stopping_set,
+                                     self.ansatz.width)
+        for i in range(ladder.n_shells):
+            if ladder.shell_indices(layout, i).size == 0:
+                raise ValueError(f"{name}: shell {i} of {ladder.n_shells} holds none of "
+                                 f"the {self.ansatz.m} basis centers; use fewer shells "
+                                 "or more basis functions")
+        return ladder
 
     def sim_config(self, h: float | None = None) -> SimConfig:
         return SimConfig(epsilon=self.epsilon, h=h or self.h, max_steps=self.max_steps)

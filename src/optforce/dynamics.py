@@ -53,7 +53,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .model import ModelBundle, SimulationDomain, OutOfDomainError
+from .model import ModelBundle, SimulationDomain
 
 SQRT2 = np.sqrt(2.0)
 
@@ -74,11 +74,12 @@ NOISE_BLOCK = 128
 KERNEL_CHUNK = 1024
 
 
-class NumericalFailureError(RuntimeError):
-    """The update produced a non-finite state.
+class PathFailure(RuntimeError):
+    """Paths of a batch failed, so run_batch returns no result for it.
 
-    When run_batch raises it, `paths` holds the sorted indices of the paths
-    whose update was not finite and `step` the step it failed on.
+    `paths` holds the sorted indices of the failing paths and `step` the
+    step they failed on; a CensoredPathError, which fails the batch as a
+    whole, names no path and no step.
     """
 
     def __init__(self, message: str, paths=(), step: int | None = None):
@@ -86,8 +87,16 @@ class NumericalFailureError(RuntimeError):
         self.paths, self.step = list(paths), step
 
 
-class CensoredPathError(RuntimeError):
-    """A path reached max_steps without hitting the stopping set.
+class NumericalFailureError(PathFailure):
+    """The update produced a non-finite state."""
+
+
+class OutOfDomainError(PathFailure):
+    """An update took paths out of a domain with an abort boundary."""
+
+
+class CensoredPathError(PathFailure):
+    """Paths reached max_steps without hitting the stopping set.
 
     Every estimate is an expectation up to the hitting time, which a censored
     path does not have, so run_batch raises this rather than return the batch.
@@ -182,7 +191,6 @@ class BatchResult:
     """Per-path statistics of a batch, in path-index order."""
 
     n_steps: np.ndarray
-    hit: np.ndarray       # all True: every path hit, or ran its fixed horizon
     work: np.ndarray
     control_cost: np.ndarray
     log_lr_p_over_q: np.ndarray
@@ -195,6 +203,11 @@ class BatchResult:
     @property
     def n_paths(self) -> int:
         return self.n_steps.size
+
+    @property
+    def hit(self) -> np.ndarray:
+        """All True: every path of a returned batch hit, or ran its fixed horizon."""
+        return np.ones(self.n_paths, dtype=bool)
 
     @property
     def mean_steps(self) -> float:
@@ -217,7 +230,9 @@ def run_batch(x0: float, control, model: ModelBundle, cfg: SimConfig, *,
     Parameters
     ----------
     control : GaussianAnsatz whose control field c = bmat @ coefficients
-        drives the paths, or None for the plain dynamics (c = 0).
+        drives the paths, or None for the plain dynamics (c = 0).  Without
+        scores, an ansatz whose coefficients are all zero runs as None: the
+        same bits, without evaluating the basis.
     fixed_steps : run exactly this many steps with no stopping test
         (deterministic horizon); otherwise run to the first entry into the
         stopping set, capped at cfg.max_steps.  A path still outside the
@@ -256,6 +271,8 @@ def run_batch(x0: float, control, model: ModelBundle, cfg: SimConfig, *,
         raise ValueError(f"x0={x0} already inside the stopping set")
     if not 0 <= seed <= MAX_SEED:
         raise ValueError(f"seed {seed} is not a nonnegative 64-bit integer")
+    if not scores and control is not None and not np.any(control.coefficients):
+        control = None
 
     def run(first, stop):
         return _run_paths(first, stop, x0, control, model, cfg, seed, tag, fixed_steps,
@@ -353,7 +370,7 @@ def _first_error(errors: list[Exception], domain: SimulationDomain) -> Exception
     a terminal_value raised) wins over those, and the first group's wins.
     """
     for e in errors:
-        if not isinstance(e, (NumericalFailureError, OutOfDomainError)) or e.step is None:
+        if not isinstance(e, PathFailure) or e.step is None:
             return e
     step = min(e.step for e in errors)
     first = [e for e in errors if e.step == step]
@@ -516,7 +533,6 @@ def _run_paths(first: int, stop: int, x0: float, control, model: ModelBundle,
             censored = idx.size
         else:
             retire(np.ones(idx.size, dtype=bool))
-    return BatchResult(n_steps=out_steps, hit=np.ones(n_paths, dtype=bool),
-                       work=out_work, control_cost=out_cc, log_lr_p_over_q=out_llr,
-                       final_x=out_x, terminal=out_term, sum_cb=out_cb,
-                       sum_eta_b=out_eb, loop_iters=step), censored
+    return BatchResult(n_steps=out_steps, work=out_work, control_cost=out_cc,
+                       log_lr_p_over_q=out_llr, final_x=out_x, terminal=out_term,
+                       sum_cb=out_cb, sum_eta_b=out_eb, loop_iters=step), censored

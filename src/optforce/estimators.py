@@ -59,14 +59,6 @@ def summarize(samples, weights) -> EstimatorResult:
         n_paths=n, ess=ess)
 
 
-def _tilted_batch(control, x0, model: ModelBundle, cfg: SimConfig, seed, tag,
-                  n_paths):
-    # None runs an all-zero ansatz's plain dynamics 2.4x faster: no basis evaluation
-    if control is not None and np.all(control.coefficients == 0.0):
-        control = None
-    return run_batch(x0, control, model, cfg, n_paths=n_paths, seed=seed, tag=tag)
-
-
 def _check_degeneracy(result: EstimatorResult):
     if result.degenerate:
         warnings.warn(
@@ -83,7 +75,7 @@ def estimate_psi_reweighted(control, x0: float, model: ModelBundle, cfg: SimConf
     optimal tilt the per-path product exp(-work/eps) * w is nearly constant.
     Also returns F = -eps log psi with the delta-method standard error.
     """
-    batch = _tilted_batch(control, x0, model, cfg, seed, tag, n_paths)
+    batch = run_batch(x0, control, model, cfg, n_paths=n_paths, seed=seed, tag=tag)
     w = np.exp(batch.log_lr_p_over_q)
     samples = np.exp(-batch.work / cfg.epsilon)
     psi = summarize(samples, w)
@@ -110,7 +102,7 @@ def estimate_mfpt_reweighted(control, x0: float, model: ModelBundle, cfg: SimCon
     if bool(model.stopping_set.contains(x0)):
         return EstimatorResult(estimate=0.0, stderr=0.0, ci95=(0.0, 0.0), n_paths=n_paths,
                                ess=float(n_paths))
-    batch = _tilted_batch(control, x0, model, cfg, seed, tag, n_paths)
+    batch = run_batch(x0, control, model, cfg, n_paths=n_paths, seed=seed, tag=tag)
     w = np.exp(batch.log_lr_p_over_q)
     result = summarize(cfg.h * batch.n_steps, w)
     _check_degeneracy(result)
@@ -124,5 +116,5 @@ def estimate_mfpt_forced(control, x0: float, model: ModelBundle, cfg: SimConfig,
     With an ansatz F as control these are the plain dynamics on the tilted
     landscape V + 2F: x + h (sqrt(2) c - V') rounds as x - h (V' - sqrt(2) c).
     """
-    batch = _tilted_batch(control, x0, model, cfg, seed, tag, n_paths)
+    batch = run_batch(x0, control, model, cfg, n_paths=n_paths, seed=seed, tag=tag)
     return summarize(cfg.h * batch.n_steps, np.ones(batch.n_paths))

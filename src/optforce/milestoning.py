@@ -11,7 +11,8 @@ Working inward-out this composes the value function from short trajectories
 only.
 
 A plain descent is the one-shell ladder, so `optforce optimize` always runs
-a ladder: one shell by default, started at x0.
+a ladder: one shell by default, started at x0.  `RunConfig.build_ladder`
+owns a run's ladder and rejects one with a shell that holds no basis center.
 """
 
 from __future__ import annotations
@@ -60,19 +61,9 @@ class MilestoneLadder:
             inside |= ansatz.centers <= lo   # centers on/left of r_0 belong innermost
         return np.where(inside)[0]
 
-    def assign(self, ansatz: GaussianAnsatz) -> list[np.ndarray]:
-        groups = [self.shell_indices(ansatz, i) for i in range(self.n_shells)]
-        for i, g in enumerate(groups):
-            if g.size == 0:
-                raise ValueError(f"shell {i} has no basis functions; "
-                                 "fewer shells or more basis functions needed")
-        return groups
-
 
 def build_ladder(s0: StoppingSet, domain, k: int) -> MilestoneLadder:
     """k shells with thresholds uniformly spaced from S's right edge to the domain edge."""
-    if k < 1:
-        raise ValueError("need at least one shell")
     thresholds = np.linspace(s0.hi, domain.hi, k + 1)
     return MilestoneLadder(thresholds=thresholds, stopping_set=s0)
 
@@ -90,11 +81,6 @@ class MilestoningResult:
     ansatz: GaussianAnsatz
     shell_traces: list[DescentTrace]
     anchors: np.ndarray                # level at each threshold r_0..r_K
-
-    @property
-    def boundary_values(self) -> np.ndarray:
-        """Learned value on each interior boundary r_1..r_K."""
-        return self.anchors[1:]
 
 
 def solve_shell(i: int, ladder: MilestoneLadder, ansatz: GaussianAnsatz,
@@ -148,7 +134,6 @@ def run_milestoning(ladder: MilestoneLadder, ansatz: GaussianAnsatz,
     it lies in that shell (so a one-shell ladder reproduces plain descent
     exactly); all other shells start on their outer threshold.
     """
-    ladder.assign(ansatz)
     traces: list[DescentTrace] = []
     anchors = [0.0]
     current = ansatz

@@ -14,18 +14,6 @@ from typing import Callable
 import numpy as np
 
 
-class OutOfDomainError(ValueError):
-    """A point lies outside the configured simulation domain.
-
-    When run_batch raises it, `paths` holds the sorted indices of the paths
-    that left the domain and `step` the step whose update took them out.
-    """
-
-    def __init__(self, message: str, paths=(), step: int | None = None):
-        super().__init__(message)
-        self.paths, self.step = list(paths), step
-
-
 @dataclass(frozen=True)
 class Potential:
     """Energy landscape V with an analytic gradient.

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import CensoredPathError, NumericalFailureError
+from .dynamics import PathFailure
 from .objective import GradientEstimate
 
 
@@ -43,6 +43,8 @@ class DescentConfig:
     h: float | None = 2e-3
 
     def __post_init__(self):
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
         if not (0.0 < self.wolfe_c1 < self.wolfe_c2 < 1.0):
             raise ValueError(f"need 0 < wolfe_c1 < wolfe_c2 < 1, got wolfe_c1="
                              f"{self.wolfe_c1}, wolfe_c2={self.wolfe_c2}")
@@ -206,8 +208,8 @@ def descend(a0: np.ndarray, cfg: DescentConfig, objective, *, seed: int):
     within an iteration.  Terminates when the gradient norm drops below
     cfg.stop_level or after max_iters; returns the best-seen coefficients by
     cost value together with the trace.  A line-search probe whose batch
-    censors a path or fails numerically is rejected; an iterate's batch that
-    does raises.
+    raises a PathFailure (a censored path, a non-finite update or a path
+    leaving an abort domain) is rejected; an iterate's batch that does raises.
     """
     a = np.asarray(a0, dtype=np.float64).copy()
     if not np.all(np.isfinite(a)):
@@ -228,7 +230,7 @@ def descend(a0: np.ndarray, cfg: DescentConfig, objective, *, seed: int):
             # a pathological probe (runaway control) must never be accepted
             try:
                 return objective(b, it_seed)
-            except (CensoredPathError, NumericalFailureError):
+            except PathFailure:
                 return failed
 
         alpha = 0.0

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from optforce.dynamics import (NOISE_BLOCK, SQRT2, NumericalFailureError, SimConfig,
-                               _reflect)
-from optforce.model import OutOfDomainError, Potential, SimulationDomain, StoppingSet
+from optforce.dynamics import (NOISE_BLOCK, SQRT2, NumericalFailureError, OutOfDomainError,
+                               SimConfig, _reflect)
+from optforce.model import Potential, SimulationDomain, StoppingSet
 
 
 class FieldControl:

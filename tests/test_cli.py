@@ -278,11 +278,18 @@ class TestCliErrors:
         ("estimate", "domain.hi=-1.05", ("stopping_set must be inside domain [-1.5, -1.05]",)),
         ("optimize", "x0=[1]", ("x0 must be float, got [1]",)),
         ("estimate", "estimate.n_paths=[3]", ("estimate.n_paths must be int, got [3]",)),
+        ("optimize", "ladder.shells=20", ("ladder.shells: shell 1 of 20 holds none of the 6",)),
+        ("reference", ("ansatz.m=2", "ladder.shells=3"),
+         ("ladder.shells: shell 1 of 3 holds none of the 2",)),
+        ("optimize", "descent.max_iters=0", ("descent", "max_iters must be at least 1")),
+        ("optimize", "dx=5", ("dx: grid too coarse",)),
     ])
     def test_out_of_range_value_exits_2_naming_it(self, tmp_path, capsys, command,
                                                   override, names):
         cfg_path = fast_config(tmp_path)
-        assert main([command, "--config", str(cfg_path), "--set", override]) == 2
+        overrides = [override] if isinstance(override, str) else override
+        sets = [arg for pair in overrides for arg in ("--set", pair)]
+        assert main([command, "--config", str(cfg_path), *sets]) == 2
         err = capsys.readouterr().err
         assert all(name in err for name in names), err
         assert err.startswith("error: ") and err.count("\n") == 1, err
@@ -309,6 +316,13 @@ class TestCliErrors:
         assert code == 1
         assert len(err.splitlines()) == 1 and "Traceback" not in err, err
         assert err.startswith("error: shell 0 failed") and "did not hit" in err, err
+
+    def test_a_failed_reference_check_ends_in_one_error_line(self, tmp_path, capsys):
+        code = main(["reference", "--set", "epsilon=0.1", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.splitlines()) == 1 and "Traceback" not in err, err
+        assert err.startswith("error: sigma-derivative cross-check disagrees"), err
 
     def test_a_path_leaving_an_abort_domain_ends_in_one_error_line(self, tmp_path, capsys):
         cfg_path = fast_config(tmp_path)

@@ -10,9 +10,10 @@ import pytest
 import optforce.dynamics
 from optforce.ansatz import make_uniform_ansatz
 from optforce.dynamics import (KERNEL_CHUNK, NOISE_BLOCK, CensoredPathError,
-                               NumericalFailureError, SimConfig, path_stream, run_batch)
-from optforce.model import (ModelBundle, OutOfDomainError, Potential, SimulationDomain,
-                            StoppingSet, make_flat, make_harmonic, make_potential)
+                               NumericalFailureError, OutOfDomainError, SimConfig,
+                               path_stream, run_batch)
+from optforce.model import (ModelBundle, Potential, SimulationDomain, StoppingSet,
+                            make_flat, make_harmonic, make_potential)
 from blas_rounding import skip_unless_recorded_gemv
 from scalar_oracle import (FieldControl, Trajectory, discrete_action, em_step,
                            log_likelihood_ratio, simulate_until_hit)
@@ -238,11 +239,23 @@ class TestBatchConsistency:
                             s, DOMAIN)
         zero = make_uniform_ansatz(4, DOMAIN, s, 0.5)
         plain = run_batch(0.4, None, model, CFG, n_paths=200, seed=9)
-        forced = run_batch(0.4, zero, model, CFG, n_paths=200, seed=9)
+        # scores keep the basis evaluation that the shortcut of a batch without
+        # them skips
+        forced = run_batch(0.4, zero, model, CFG, n_paths=200, seed=9, scores=True)
+        shortcut = run_batch(0.4, zero, model, CFG, n_paths=200, seed=9)
         for name in ("n_steps", "hit", "work", "control_cost", "log_lr_p_over_q",
                      "final_x"):
             np.testing.assert_array_equal(getattr(plain, name), getattr(forced, name))
+            np.testing.assert_array_equal(getattr(plain, name), getattr(shortcut, name))
         assert not np.any(plain.control_cost) and not np.any(plain.log_lr_p_over_q)
+
+    def test_all_zero_ansatz_runs_without_the_basis(self, monkeypatch):
+        s = StoppingSet(-0.3, -0.2)
+        model = ModelBundle(make_harmonic(), 1.0, s, DOMAIN)
+        zero = make_uniform_ansatz(4, DOMAIN, s, 0.5)
+        monkeypatch.setattr(type(zero), "basis_controls", None)
+        batch = run_batch(0.4, zero, model, CFG, n_paths=50, seed=9)
+        assert batch.sum_cb is None and batch.hit.all()
 
     def test_noise_block_size_changes_no_bit(self, monkeypatch):
         s = StoppingSet(-0.3, -0.2)

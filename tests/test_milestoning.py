@@ -3,6 +3,7 @@ import pytest
 
 import optforce.objective
 from optforce.ansatz import make_uniform_ansatz
+from optforce.config import ConfigError, RunConfig
 from optforce.dynamics import SimConfig
 from optforce.milestoning import (MilestoneLadder, MilestoningError, build_ladder,
                                   run_milestoning, solve_shell)
@@ -47,21 +48,37 @@ class TestBuildLadder:
     def test_one_basis_function_per_shell(self):
         ladder = build_ladder(S, DOMAIN, 10)
         ansatz = make_uniform_ansatz(10, DOMAIN, S, 0.3)
-        groups = ladder.assign(ansatz)
-        assert all(g.size == 1 for g in groups)
+        groups = [ladder.shell_indices(ansatz, i) for i in range(ladder.n_shells)]
+        assert [g.tolist() for g in groups] == [[i] for i in range(10)]
 
     def test_empty_shell_rejected(self):
-        ladder = build_ladder(S, DOMAIN, 10)
-        ansatz = make_uniform_ansatz(3, DOMAIN, S, 0.3)
-        with pytest.raises(ValueError, match="no basis functions"):
-            ladder.assign(ansatz)
+        # three centers at -1, 0.5 and 2 leave shell 1 empty in both ladders;
+        # the run is rejected at load, naming the field
+        layout = make_uniform_ansatz(3, DOMAIN, S, 0.3)
+        thresholds = [-1.0, 0.0, 0.2, 2.0]
+        for field, ladder, value in [
+                ("ladder.shells", build_ladder(S, DOMAIN, 10), 10),
+                ("ladder.thresholds", MilestoneLadder(thresholds, S), thresholds)]:
+            assert ladder.shell_indices(layout, 1).size == 0
+            with pytest.raises(ConfigError, match=f"{field}: shell 1 of {ladder.n_shells} "
+                                                  "holds none of the 3 basis centers"):
+                RunConfig().with_overrides({field: value, "ansatz.m": 3})
 
     def test_every_basis_function_assigned_once(self):
         ladder = build_ladder(S, DOMAIN, 3)
         ansatz = make_uniform_ansatz(10, DOMAIN, S, 0.3)
-        groups = ladder.assign(ansatz)
-        all_idx = np.concatenate(groups)
+        all_idx = np.concatenate([ladder.shell_indices(ansatz, i) for i in range(3)])
         np.testing.assert_array_equal(np.sort(all_idx), np.arange(10))
+
+    @pytest.mark.parametrize("overrides,thresholds", [
+        ({}, [-1.0, 2.0]),
+        ({"ladder.shells": 3}, [-1.0, 0.0, 1.0, 2.0]),
+        ({"ladder.thresholds": [-1, 0.5, 2]}, [-1.0, 0.5, 2.0]),
+    ])
+    def test_the_config_builds_the_run_ladder(self, overrides, thresholds):
+        cfg = RunConfig().with_overrides(overrides)
+        ladder = cfg.build_ladder(cfg.build_model())
+        np.testing.assert_allclose(ladder.thresholds, thresholds)
 
 
 class TestSolveShell:
@@ -97,7 +114,8 @@ class TestSolveShell:
         ladder = build_ladder(S, DOMAIN, 2)
         ansatz = make_uniform_ansatz(6, DOMAIN, S, 0.4)
         result = run_milestoning(ladder, ansatz, model, sim, dc, seed=3)
-        np.testing.assert_array_equal(result.boundary_values, result.anchors[1:])
+        np.testing.assert_array_equal(result.anchors,
+                                      [0.0, *(t.costs.min() for t in result.shell_traces)])
 
 
 class TestRunMilestoning:

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from optforce.dynamics import SimConfig, run_batch
-from optforce.model import (POTENTIALS, ModelBundle, OutOfDomainError,
-                            SimulationDomain, StoppingSet, default_start_point,
-                            find_local_minimum, make_flat, make_harmonic,
-                            make_potential)
+from optforce.dynamics import OutOfDomainError, SimConfig, run_batch
+from optforce.model import (POTENTIALS, ModelBundle, SimulationDomain, StoppingSet,
+                            default_start_point, find_local_minimum, make_flat,
+                            make_harmonic, make_potential)
 
 DOMAIN = SimulationDomain(-1.5, 2.0)
 S = StoppingSet(-1.1, -1.0)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from optforce.dynamics import OutOfDomainError
 from optforce.objective import GradientEstimate
 from optforce.optimizer import (DescentConfig, DescentTrace, OptimizerError,
                                 descend, wolfe_line_search)
@@ -135,6 +136,26 @@ class TestDescend:
         _, trace = descend(np.zeros(2), cfg, drifting, seed=0)
         assert len(trace.records) == 7
         assert not trace.converged
+
+    def test_a_probe_leaving_an_abort_domain_is_rejected(self):
+        # the iterates' batches stay inside; every line-search probe leaves
+        iterate = quadratic_objective(np.array([1.0]))
+        seeds = set()
+
+        def leaves_on_probes(a, seed):
+            if seed in seeds:
+                raise OutOfDomainError("1 path [0] left the domain", [0], 1)
+            seeds.add(seed)
+            return iterate(a, seed)
+
+        cfg = DescentConfig(max_iters=3, grad_tol=1e-9, batch_size=1)
+        _, trace = descend(np.zeros(1), cfg, leaves_on_probes, seed=0)
+        assert len(trace.records) == 3
+        assert all(r.line_search_fallback for r in trace.records)
+
+    def test_needs_an_iteration(self):
+        with pytest.raises(ValueError, match="max_iters must be at least 1"):
+            DescentConfig(max_iters=0)
 
     def test_nan_initial_rejected(self):
         cfg = DescentConfig(batch_size=1)

@@ -103,14 +103,15 @@ class TestSolveMFPT:
         assert m[0] == 0.0
         assert np.all(m[1:] > 0.0)
 
-    def test_sigma_derivative_cross_check(self):
+    @pytest.mark.parametrize("eps", [0.5, 0.3, 0.2])
+    def test_sigma_derivative_cross_check(self, eps):
+        # solve_reference passes its check as the MFPT grows 1800-fold; the
+        # derivative route at its step agrees to first order in delta
         g = build_grid(S, DOMAIN, 1e-3)
-        m = solve_mfpt_pde(make_potential("skew_double_well"), EPS, g, S,
-                           verify_sigma_derivative=True)
-        # explicit: derivative route agrees to first order in delta
-        delta = 2e-5
-        sol = solve_fk(make_potential("skew_double_well"), delta, EPS, g, S)
-        m_alt = sol.free_energy / delta
+        p = make_potential("skew_double_well")
+        m = solve_reference(p, 1.0, eps, g, S).mfpt
+        delta = 3.76e-3 * eps / m.max()
+        m_alt = solve_fk(p, delta, eps, g, S).free_energy / delta
         mask = m > 1.0
         assert np.max(np.abs(m_alt[mask] / m[mask] - 1.0)) < 1e-2
 
