@@ -16,7 +16,8 @@ import numpy as np
 from .model import Potential, StoppingSet, SimulationDomain
 from .reference import Grid1D
 
-SQRT2 = np.sqrt(2.0)
+# 0-d, which a ufunc takes faster than a numpy scalar
+SQRT2 = np.array(np.sqrt(2.0))
 
 
 @dataclass(frozen=True)
@@ -38,9 +39,13 @@ class GaussianAnsatz:
         object.__setattr__(self, "centers", c)
         object.__setattr__(self, "widths", w)
         object.__setattr__(self, "coefficients", a)
-        # per-step constants of the basis evaluation
-        object.__setattr__(self, "_w2", w ** 2)
-        object.__setattr__(self, "_two_w2", 2.0 * w ** 2)
+        # per-step constants of the basis evaluation; with equal widths 0-d
+        # divisors give the same quotients without a stride-0 loop over m
+        w2, minus_two_w2 = w ** 2, -(2.0 * w ** 2)
+        if w.size and np.all(w == w[0]):
+            w2, minus_two_w2 = np.array(w2[0]), np.array(minus_two_w2[0])
+        object.__setattr__(self, "_w2", w2)
+        object.__setattr__(self, "_minus_two_w2", minus_two_w2)
 
     @property
     def m(self) -> int:
@@ -53,11 +58,11 @@ class GaussianAnsatz:
 
     def _offsets_and_bumps(self, x):
         """d = x_i - mu_j and v_j(x_i), computed in place."""
-        xa = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        d = np.subtract.outer(xa, self.centers)
-        v = np.negative(d)
-        v *= d
-        v /= self._two_w2
+        d = np.asarray(x, dtype=np.float64).reshape(-1, 1) - self.centers
+        # d^2 / -(2 s^2) is -d^2 / (2 s^2) bit for bit: IEEE rounding is
+        # symmetric in sign
+        v = np.multiply(d, d)
+        v /= self._minus_two_w2
         return d, np.exp(v, out=v)
 
     def values_matrix(self, x) -> np.ndarray:

@@ -106,6 +106,7 @@ def cmd_optimize(cfg: RunConfig, out: Path) -> int:
     (out / "ansatz.json").write_text(final.to_json() + "\n")
     # report the stopping level actually in force at the final iterate
     thresholds = [cfg.descent.stop_level(t.records[-1].grad_stderr_norm) for t in traces]
+    records = [r for t in traces for r in t.records]
     _write_json(out / "optimize.json", {
         "config_hash": chash,
         "x0": x0,
@@ -115,13 +116,15 @@ def cmd_optimize(cfg: RunConfig, out: Path) -> int:
         "grad_norm": traces[-1].records[-1].grad_norm,
         "termination_threshold": max(thresholds),
         "boundary_offset": float(final.value(model.stopping_set.hi)),
-        "iterations": sum(len(t.records) for t in traces),
+        "iterations": len(records),
+        "probes": sum(r.probes for r in records),
+        "line_search_fallbacks": sum(r.line_search_fallback for r in records),
         "mean_steps": float(np.mean([t.mean_steps for t in traces])),
         "boundary_values": [float(v) for v in result.anchors[1:]],
         "shells": ladder.n_shells,
     })
     print(f"optimize: wrote {out/'ansatz.json'} ({ladder.n_shells} shell(s), "
-          f"{sum(len(t.records) for t in traces)} iterations)")
+          f"{len(records)} iterations)")
     return 0
 
 

@@ -42,6 +42,23 @@ accumulators, path indices), because gemv must see exactly the live rows of
 each segment for its tail rows to round as before.  It compacts neither the
 noise blocks, which the live rows read through a row map until the next
 refill, nor the list of streams, which is indexed by path index.
+
+What one step costs.  Long-tailed batches spend most loop iterations on a
+few live paths, where a step's time is the dispatch of its numpy calls
+(0.4-0.6 us each on a 2-core x86-64 VM), not arithmetic.  So a step issues
+as few and as cheap calls as keep every bit:
+  - one matmul for c when the batch is one segment, a loop over segments
+    otherwise;
+  - the stopping test only when lo + min(x - lo), which is min(x) because
+    rounding is monotone, lies at or below S.hi, or when the step folded
+    or runs under an abort boundary;
+  - the per-step scalars as 0-d arrays, which a ufunc takes faster than
+    Python floats;
+  - the c^2, cost, log-likelihood-ratio, position and score updates in
+    place, in buffers allocated once per batch (rows, and rows x m for the
+    score products).
+Every kept operation has its old operands and rounding; only the
+IEEE-commutative + and * swap operands.
 """
 
 from __future__ import annotations
@@ -266,6 +283,12 @@ def run_batch(x0: float, control, model: ModelBundle, cfg: SimConfig, *,
     group that failed on it.  A batch of one segment, a process running
     other threads, where forking is unsafe, or a platform without fork runs
     all its paths here.
+
+    A step costs a fixed few dozen numpy calls plus work linear in the live
+    rows: one matmul per segment (one for a one-segment batch), the
+    stopping test only on steps where lo + min(x - lo) <= S.hi or where
+    paths folded or the boundary aborts, 0-d constants, and buffers
+    preallocated per batch instead of temporaries per step.
     """
     if fixed_steps is None and bool(model.stopping_set.contains(x0)):
         raise ValueError(f"x0={x0} already inside the stopping set")
@@ -402,16 +425,18 @@ def _run_paths(first: int, stop: int, x0: float, control, model: ModelBundle,
     """
     n_paths = stop - first
     h, eps = cfg.h, cfg.epsilon
-    lr_eta = np.sqrt(h / eps)
-    lr_quad = h / (2.0 * eps)
-    noise_amp = np.sqrt(2.0 * h * eps)
+    # the per-step scalars as 0-d arrays, which a ufunc takes faster than
+    # Python floats; every product keeps its operands
+    h_, half_h, lr_eta, lr_quad, noise_amp, sqrt2 = map(np.array, (
+        h, 0.5 * h, np.sqrt(h / eps), h / (2.0 * eps), np.sqrt(2.0 * h * eps), SQRT2))
     run_cost = h * model.sigma
     p = model.potential
     s = model.stopping_set
     domain = model.domain
-    left, width = domain.lo, domain.hi - domain.lo
+    left, width = np.array(domain.lo), domain.hi - domain.lo
     reflect = domain.boundary == "reflect"
     limit = fixed_steps if fixed_steps is not None else cfg.max_steps
+    one_segment = n_paths <= KERNEL_CHUNK
 
     # outputs, in path-index order
     out_steps = np.zeros(n_paths, dtype=np.int64)
@@ -428,22 +453,32 @@ def _run_paths(first: int, stop: int, x0: float, control, model: ModelBundle,
     # steps, so they share the accumulated work and the position in their
     # noise blocks.  The noise rows and the streams stay where they are when
     # paths retire: brow maps the live rows to their rows of blocks, gens is
-    # indexed by idx.
+    # indexed by idx.  x is this loop's own array, updated in place.
     idx = np.arange(n_paths)
     x = np.full(n_paths, float(x0))
     work = 0.0
     ccost = np.zeros(n_paths)
     log_lr = np.zeros(n_paths)
-    c = np.zeros(n_paths) if control is not None else 0.0
     sum_cb = np.zeros((n_paths, control.m)) if scores else None
     sum_eta_b = np.zeros((n_paths, control.m)) if scores else None
     gens = _take_streams(seed, tag, first, n_paths)
     blocks = np.empty((n_paths, NOISE_BLOCK))
     seg_starts = np.arange(0, n_paths, KERNEL_CHUNK)
+    # per-step buffers whose first live-row-count rows the step writes: c,
+    # c^2, one scratch row and the (rows, m) products of the scores
+    c_buf = np.zeros(n_paths)
+    c2_buf = np.empty(n_paths)
+    t_buf = np.empty(n_paths)
+    prod_buf = np.empty((n_paths, control.m)) if scores else None
+
+    def views(k):
+        """The buffers' views over k live rows: c, c as a column, c^2, scratch, products."""
+        return (c_buf[:k], c_buf[:k, None], c2_buf[:k], t_buf[:k],
+                prod_buf[:k] if scores else None)
 
     def segments():
         """(lo, hi) row bounds of the nonempty segments of live paths."""
-        if n_paths <= KERNEL_CHUNK:
+        if one_segment:
             return [(0, idx.size)]
         bounds = np.append(np.searchsorted(idx, seg_starts), idx.size).tolist()
         return [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
@@ -468,6 +503,9 @@ def _run_paths(first: int, stop: int, x0: float, control, model: ModelBundle,
         return _path_failure(kind, (idx[rows] + first).tolist(), step, domain)
 
     segs = segments()
+    c, c_col, c2, t, prod = views(n_paths)
+    if control is not None:
+        coefficients = control.coefficients
     pos = NOISE_BLOCK
     step = 0
     while idx.size and step < limit:
@@ -480,23 +518,46 @@ def _run_paths(first: int, stop: int, x0: float, control, model: ModelBundle,
         eta = blocks[:, pos][brow]
         pos += 1
 
+        # t = sqrt2 c - V'(x), then x + h t + noise_amp eta; without a
+        # control c is 0, its cost and log-likelihood-ratio terms +0.0
         if control is not None:
             bmat = control.basis_controls(x)
-            for lo, hi in segs:
-                np.matmul(bmat[lo:hi], control.coefficients, out=c[lo:hi])
+            if one_segment:
+                np.matmul(bmat, coefficients, c)
+            else:
+                for lo, hi in segs:
+                    np.matmul(bmat[lo:hi], coefficients, out=c[lo:hi])
             if scores:
-                sum_cb += c[:, None] * bmat
-                sum_eta_b += eta[:, None] * bmat
-
+                np.multiply(c_col, bmat, prod)
+                sum_cb += prod
+                np.multiply(eta[:, None], bmat, prod)
+                sum_eta_b += prod
+            np.multiply(c, c, c2)
+            np.multiply(half_h, c2, t)
+            ccost += t
+            np.multiply(lr_eta, c, t)
+            t *= eta
+            c2 *= lr_quad
+            t += c2
+            log_lr -= t
+            np.multiply(sqrt2, c, t)
+            np.subtract(t, p.gradient(x), t)
+        else:
+            np.subtract(0.0, p.gradient(x), t)
         work += run_cost
-        c2 = c * c
-        ccost += (0.5 * h) * c2
-        log_lr -= lr_eta * c * eta + lr_quad * c2
-        x = x + h * (SQRT2 * c - np.asarray(p.gradient(x), dtype=np.float64)) + noise_amp * eta
+        t *= h_
+        x += t
+        np.multiply(noise_amp, eta, t)
+        x += t
         # a step that leaves every path in [lo, hi] needs no folding: there
-        # _reflect gives lo + (x - lo) exactly, and a NaN or an inf fails the test
-        if reflect and (y := x - left).min() >= 0.0 and y.max() <= width:
-            x = left + y
+        # _reflect gives lo + (x - lo) exactly, and a NaN or an inf fails the
+        # test.  Rounding is monotone, so lo + min(x - lo) is min(x): when it
+        # lies right of S, no path can have entered S on this step.
+        clear_of_s = False
+        if (reflect and (y_min := np.minimum.reduce(np.subtract(x, left, t))) >= 0.0
+                and np.maximum.reduce(t) <= width):
+            np.add(left, t, x)
+            clear_of_s = domain.lo + y_min > s.hi
         else:
             finite = np.isfinite(x)
             if np.count_nonzero(finite) < x.size:
@@ -509,7 +570,7 @@ def _run_paths(first: int, stop: int, x0: float, control, model: ModelBundle,
                     raise fail(OutOfDomainError, ~in_domain)
         step += 1
 
-        if fixed_steps is None:
+        if fixed_steps is None and not clear_of_s:
             inside = s.contains(x)
             if np.count_nonzero(inside):
                 retire(inside)
@@ -519,12 +580,11 @@ def _run_paths(first: int, stop: int, x0: float, control, model: ModelBundle,
                 ccost = ccost[keep]
                 log_lr = log_lr[keep]
                 brow = brow[keep]
-                if control is not None:
-                    c = c[:idx.size]
                 if scores:
                     sum_cb = sum_cb[keep]
                     sum_eta_b = sum_eta_b[keep]
                 segs = segments()
+                c, c_col, c2, t, prod = views(idx.size)
 
     _idle_streams.extend(gens)
     censored = 0

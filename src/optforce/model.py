@@ -108,10 +108,13 @@ def make_harmonic(k: float = 1.0) -> Potential:
 def make_scaled_double_well(barrier_scale: float = 1.0, skew: float = -0.25) -> Potential:
     """Double well barrier_scale*(x^2-1)^2 + skew*x, for easy/hard test cases."""
     b, s = float(barrier_scale), float(skew)
+    # the gradient's constants as 0-d arrays, which a ufunc takes faster than floats
+    four_b, one, skew_ = np.array(4.0 * b), np.array(1.0), np.array(s)
 
     def gradient(x):
+        # x * x is what numpy computes for x ** 2
         x = np.asarray(x, dtype=np.float64)
-        return 4.0 * b * x * (x ** 2 - 1.0) + s
+        return four_b * x * (x * x - one) + skew_
 
     return Potential(
         evaluate=lambda x: b * (np.asarray(x, dtype=np.float64) ** 2 - 1.0) ** 2 + s * np.asarray(x, dtype=np.float64),

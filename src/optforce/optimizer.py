@@ -72,6 +72,7 @@ class DescentRecord:
     alpha: float
     mean_steps: float
     line_search_fallback: bool = False
+    probes: int = 0                     # line-search objective evaluations
 
 
 @dataclass
@@ -235,6 +236,7 @@ def descend(a0: np.ndarray, cfg: DescentConfig, objective, *, seed: int):
 
         alpha = 0.0
         fallback = False
+        probes = 0
         done = est.grad_norm < cfg.stop_level(est.grad_stderr_norm)
         if not done:
             ls = wolfe_line_search(
@@ -245,12 +247,13 @@ def descend(a0: np.ndarray, cfg: DescentConfig, objective, *, seed: int):
                 max_first_step=MAX_FIRST_STEP)
             alpha = ls.alpha
             fallback = ls.fallback
+            probes = ls.n_evals
 
         trace.append(DescentRecord(
             iteration=it, cost=est.value,
             cost_stderr=est.value_stderr, grad_norm=est.grad_norm,
             grad_stderr_norm=est.grad_stderr_norm, alpha=alpha,
-            mean_steps=est.mean_steps, line_search_fallback=fallback))
+            mean_steps=est.mean_steps, line_search_fallback=fallback, probes=probes))
         if est.value < best_cost:
             best_cost, best_a = est.value, a.copy()
         if done:

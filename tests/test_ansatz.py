@@ -81,6 +81,47 @@ class TestEvaluation:
             rtol=1e-12)
 
 
+def old_basis(ansatz, x):
+    """(v, b): the basis values and controls by np.subtract.outer and (m,) divisors."""
+    w = ansatz.widths
+    d = np.subtract.outer(np.atleast_1d(np.asarray(x, dtype=np.float64)), ansatz.centers)
+    v = np.negative(d)
+    v *= d
+    v /= 2.0 * w ** 2
+    v = np.exp(v, out=v)
+    b = d * np.sqrt(2.0)
+    b /= w ** 2
+    b *= v
+    return v, b
+
+
+class TestOldFormula:
+    """The basis evaluation repeats the formula it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("widths", ["equal", "unequal"])
+    @pytest.mark.parametrize("x", [np.random.default_rng(1).uniform(-1.6, 2.1, 777), 0.3137,
+                                   -1.05], ids=["array", "scalar", "scalar_in_s"])
+    def test_basis_value_and_control(self, widths, x):
+        rng = np.random.default_rng(2)
+        ansatz = make_uniform_ansatz(10, DOMAIN, S, 0.35).with_coefficients(
+            rng.standard_normal(10))
+        if widths == "unequal":
+            ansatz = GaussianAnsatz(ansatz.centers, rng.uniform(0.1, 0.6, 10),
+                                    ansatz.coefficients)
+            assert ansatz._w2.shape == (10,)
+        else:
+            assert ansatz._w2.shape == ()
+        v, b = old_basis(ansatz, x)
+        assert np.array_equal(ansatz.values_matrix(x), v)
+        assert np.array_equal(ansatz.basis_controls(x), b)
+        value, control = v @ ansatz.coefficients, b @ ansatz.coefficients
+        if np.ndim(x) == 0:
+            value, control = float(value[0]), float(control[0])
+            assert type(ansatz.value(x)) is type(ansatz.control(x)) is float
+        assert np.array_equal(ansatz.value(x), value)
+        assert np.array_equal(ansatz.control(x), control)
+
+
 class TestTiltedPotential:
     def test_zero_coefficients_returns_v(self):
         a = make_uniform_ansatz(5, DOMAIN, S, 0.2)

@@ -6,7 +6,9 @@ workload's `optimize`, the headline `optimize` and `estimate` and the
 `gradcheck` workload in this process and compare the bytes of
 `ansatz.json`, the `trace*.csv` files, `estimates.json` and
 `gradcheck.json`, so a change that moves an output bit fails here too and
-not only in a benchmark run.
+not only in a benchmark run.  The descent's `iterations` and `probes` in
+`optimize.json` must equal the optimizer counts the benchmark's tracer
+recorded beside the digests, so telemetry and benchmark cannot drift apart.
 """
 
 import hashlib
@@ -29,11 +31,21 @@ def same_blas_rounding():
     skip_unless_recorded_gemv()
 
 
-def recorded(workload: str) -> dict[str, str]:
+def expected(workload: str) -> dict:
     with open(EXPECTED) as fh:
-        found = json.load(fh)[workload][str(MODEL_SEED)]["digests"]
-    return {name: digest for name, digest in found.items()
+        return json.load(fh)[workload][str(MODEL_SEED)]
+
+
+def recorded(workload: str) -> dict[str, str]:
+    return {name: digest for name, digest in expected(workload)["digests"].items()
             if any(fnmatch(name, p) for p in PATTERNS)}
+
+
+def assert_descent_counts(out: Path, workload: str):
+    summary = json.loads((out / "optimize.json").read_text())
+    counts = expected(workload)["counts"]
+    assert (summary["iterations"], summary["probes"]) == (
+        counts["optimizer.iterations"], counts["optimizer.probes"])
 
 
 def written(out: Path) -> dict[str, str]:
@@ -48,12 +60,14 @@ def run(out: Path, *args: str):
 def test_shells_optimize_writes_the_recorded_bytes(tmp_path):
     run(tmp_path, "optimize", "--set", "ladder.shells=3")
     assert written(tmp_path) == recorded("shells")
+    assert_descent_counts(tmp_path, "shells")
 
 
 def test_headline_optimize_and_estimate_write_the_recorded_bytes(tmp_path):
     run(tmp_path, "optimize")
     run(tmp_path, "estimate")
     assert written(tmp_path) == recorded("headline")
+    assert_descent_counts(tmp_path, "headline")
 
 
 def test_gradcheck_writes_the_recorded_bytes(tmp_path):

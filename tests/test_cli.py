@@ -129,7 +129,7 @@ class TestCliPipeline:
         trace = (out / "trace.csv").read_text().splitlines()
         assert trace[1] == "iteration,cost,grad_norm,alpha,stderr,mean_steps"
         summary = json.loads((out / "optimize.json").read_text())
-        assert "config_hash" in summary and "final_cost" in summary
+        assert {"config_hash", "final_cost", "probes", "line_search_fallbacks"} <= set(summary)
 
     def test_default_optimize_is_a_plain_descent(self, run_dir):
         # the default one-shell ladder reproduces descent over every coefficient

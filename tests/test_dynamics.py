@@ -280,6 +280,20 @@ class TestBatchConsistency:
         assert stopping.loop_iters == stopping.n_steps.max()
         assert stopping.hit.all() and stopping.n_steps.min() < stopping.loop_iters
 
+    def test_the_stopping_test_runs_only_where_a_path_can_be_in_the_set(self, monkeypatch):
+        # under reflect, a step whose every path lies right of S skips the test;
+        # every step a path retires on must still run it
+        calls = []
+        contains = StoppingSet.contains
+        monkeypatch.setattr(StoppingSet, "contains",
+                            lambda self, x: calls.append(1) or contains(self, x))
+        s = StoppingSet(-4.0, -0.2)
+        model = ModelBundle(make_harmonic(), 1.0, s, DOMAIN)
+        ansatz = make_uniform_ansatz(4, DOMAIN, s, 0.5).with_coefficients(
+            [0.3, -0.2, 0.1, 0.4])
+        batch = run_batch(0.4, ansatz, model, CFG, n_paths=512, seed=3)
+        assert len(np.unique(batch.n_steps)) <= len(calls) < batch.loop_iters
+
     def test_fixed_horizon_mode(self):
         model = ModelBundle(make_harmonic(), 2.0,
                             StoppingSet(-3.9, -3.8), DOMAIN)
@@ -477,6 +491,49 @@ class TestRecordedBits:
             "final_x": "75e7b5b090c8bc584096d3b1d5fc62788da6de99023e0e3a899f5dbb993186f1",
         }
         assert batch.terminal is batch.sum_cb is batch.sum_eta_b is None
+
+    def test_stopping_batch_under_abort(self):
+        # an abort domain always runs the full stopping test
+        domain = SimulationDomain(-4.0, 4.0, boundary="abort")
+        s = StoppingSet(-4.0, -0.2)
+        model = ModelBundle(make_harmonic(), 1.5, s, domain)
+        ansatz = make_uniform_ansatz(10, domain, s, 0.5).with_coefficients(
+            [0.4, -0.3, 0.25, 0.1, -0.2, 0.15, 0.05, -0.1, 0.2, 0.3])
+        batch = run_batch(0.4, ansatz, model, CFG, n_paths=1500, seed=12, tag=3,
+                          scores=True)
+        assert {name: _sha256(getattr(batch, name)) for name in BATCH_ARRAYS
+                if name != "terminal"} == {
+            "n_steps": "e68d847b4e69f5b1ddf54bfc681e9e889ed3e1ff0bf95dc84846c95fc2afd88f",
+            "hit": "b6f524d4dcd4f01a9cadd967f443875150f2a303fa0284179dafdee9fd9ac8d2",
+            "work": "a1a263f1e1b95779d62d701ea3e8439c9fa59e420878c87d00c7379c2943dd05",
+            "control_cost": "b87208e5ad74368384fd28289afb83c32f05d880b2ace53ef5c6dc9652990849",
+            "log_lr_p_over_q": "183d55913440f5a198b6ff4485b7914c9347e76f81e1cace947b6b55533ea7ee",
+            "final_x": "19937bcf8bb8ef27356aa865f550912365b8b2283f422936371e1b5db9d2b935",
+            "sum_cb": "b3e91387caf8881028b336190f142ac79e001ed4a395607955c7927e5418eae3",
+            "sum_eta_b": "c0857e44943c874c8e6a0a3955903df641586da4abe3f2198ae0d3a54db9e153",
+        }
+
+    def test_reflecting_batch_folding_and_stepping_over_the_set(self):
+        # a narrow set that paths step over into the left edge's folds, and a
+        # right edge near the right well: the full stopping test runs on the
+        # fold steps, about one step in five
+        domain = SimulationDomain(-0.9, 1.6)
+        s = StoppingSet(-0.55, -0.45)
+        model = ModelBundle(make_potential("double_well"), 1.0, s, domain)
+        ansatz = make_uniform_ansatz(8, domain, s, 0.3).with_coefficients(
+            [0.3, -0.2, 0.25, 0.1, -0.15, 0.2, 0.05, -0.1])
+        cfg = SimConfig(epsilon=0.5, h=0.02, max_steps=200_000)
+        batch = run_batch(0.5, ansatz, model, cfg, n_paths=700, seed=17, tag=6,
+                          terminal_value=lambda x: 0.5 * x)
+        assert {name: _sha256(getattr(batch, name)) for name in BATCH_ARRAYS[:7]} == {
+            "n_steps": "3e4ffc154f4b0366f24fa1f7460b200ab7ed33b998bee4fc1ae8bb19418d3809",
+            "hit": "d264068b47bb9a418fda55cb1ee0bd41c81d73d2dd604480ac3c0d49c490ef0a",
+            "work": "960bcb50be0d5e54f644e5009e90a1c2de029c034a98cd252260490dbab88809",
+            "control_cost": "6257d8554e3e854ca83554621ad8f11bbfc49d4aeb40bca8dfc53adffc03cbda",
+            "log_lr_p_over_q": "db5ff4f801c52c711a0636f286eeda91483e6355db91b0c275a2b3622def5b9e",
+            "final_x": "fa93768e310fc0a3dc0ec53fa44a42ae7b21a76c61defbb4c6367552e725b571",
+            "terminal": "ac0a7ab4aca64b6de0b52054f04ec1e2544e9ee47d80f49088af7ac1a35dfa88",
+        }
 
 
 class TestSplitBatches:

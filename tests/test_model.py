@@ -22,6 +22,17 @@ class TestSkewDoubleWell:
         np.testing.assert_array_equal(p.evaluate(x), 2.0 * (x ** 2 - 1.0) ** 2 - 0.5 * x)
         np.testing.assert_array_equal(p.gradient(x), 8.0 * x * (x ** 2 - 1.0) - 0.5)
 
+    @pytest.mark.parametrize("b, s", [(2.0, -0.5), (1.0, -0.25), (0.7, 0.3)])
+    def test_gradient_repeats_the_power_form_bit_for_bit(self, b, s):
+        # the gradient forms x * x and a precomputed 4b; numpy's x ** 2 is x * x
+        p = make_potential("double_well", barrier_scale=b, skew=s)
+        x = np.random.default_rng(3).uniform(-3.0, 3.0, 10_001)
+        assert np.array_equal(p.gradient(x), 4.0 * b * x * (x ** 2 - 1.0) + s)
+        for xi in x[:5]:
+            got = p.gradient(float(xi))
+            assert np.ndim(got) == 0
+            assert np.array_equal(got, 4.0 * b * xi * (xi ** 2 - 1.0) + s)
+
     def test_value_and_gradient_at_zero(self):
         p = make_potential("skew_double_well")
         assert p.evaluate(0.0) == pytest.approx(2.0)

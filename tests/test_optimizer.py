@@ -141,9 +141,11 @@ class TestDescend:
         # the iterates' batches stay inside; every line-search probe leaves
         iterate = quadratic_objective(np.array([1.0]))
         seeds = set()
+        probes = []
 
         def leaves_on_probes(a, seed):
             if seed in seeds:
+                probes.append(seed)
                 raise OutOfDomainError("1 path [0] left the domain", [0], 1)
             seeds.add(seed)
             return iterate(a, seed)
@@ -152,6 +154,10 @@ class TestDescend:
         _, trace = descend(np.zeros(1), cfg, leaves_on_probes, seed=0)
         assert len(trace.records) == 3
         assert all(r.line_search_fallback for r in trace.records)
+        # each record keeps its line search's evaluations, rejected ones too
+        assert [r.probes for r in trace.records] == [
+            probes.count(cfg.iteration_seed(0, it)) for it in range(3)]
+        assert all(r.probes > 0 for r in trace.records)
 
     def test_needs_an_iteration(self):
         with pytest.raises(ValueError, match="max_iters must be at least 1"):
