@@ -21,7 +21,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .ansatz import GaussianAnsatz, init_fill_wells, make_uniform_ansatz, tilted_potential_from
 from .config import ConfigError, RunConfig
@@ -312,7 +311,10 @@ COMMANDS = {
 
 def _parse_set(pairs):
     overrides = {}
-    for pair in pairs or []:
+    if not pairs:
+        return overrides
+    import yaml   # here, not at module level: runs without --set skip it
+    for pair in pairs:
         if "=" not in pair:
             raise ConfigError(f"--set expects key=value, got {pair!r}")
         key, _, raw = pair.partition("=")

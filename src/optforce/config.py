@@ -13,8 +13,6 @@ import json
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from typing import Any, get_args, get_type_hints
 
-import yaml
-
 from .ansatz import make_uniform_ansatz
 from .dynamics import MAX_SEED, SimConfig
 from .milestoning import MilestoneLadder, build_ladder as uniform_ladder
@@ -187,6 +185,7 @@ class RunConfig:
 
     @staticmethod
     def load(path) -> "RunConfig":
+        import yaml   # here, not at module level: runs without a config file skip it
         with open(path) as fh:
             try:
                 doc = yaml.safe_load(fh)

@@ -13,9 +13,14 @@ F = -eps log psi is the value function of the associated control problem.
 `solve_reference`, the one caller that needs both solves, owns the
 cross-check of the MFPT against the derivative of F in sigma.
 
-scipy is imported only inside the two functions that use it
-(`_solve_generator` and `mfpt_quadrature_oracle`), so the stages that never
-solve a reference start without paying for it.
+Nothing here needs scipy.  The tridiagonal solve is `dgtsv`, a port of
+LAPACK's routine of that name, which `scipy.linalg.solve_banded` runs for
+(1, 1) bands; the oracle runs `quadpack.qagse`, a port of QUADPACK's
+`dqagse`, the routine behind `scipy.integrate.quad`.  Both return scipy's
+results bit for bit: neither compiled original fuses a multiply and an add
+(no FMA instructions), so Python float arithmetic done in the same order
+rounds the same way.  Importing `scipy.integrate` and `scipy.linalg` for
+these two calls would cost the `reference` and `compare` stages about 0.7 s.
 """
 
 from __future__ import annotations
@@ -83,6 +88,52 @@ class ReferenceSolution:
         return np.interp(x, self.grid.nodes, vals)
 
 
+def dgtsv(dl, d, du, b) -> np.ndarray:
+    """Solve the tridiagonal system with diagonals dl (n - 1), d (n) and du (n - 1).
+
+    A port of LAPACK's `dgtsv` (Gaussian elimination with partial pivoting)
+    for one right-hand side b, the routine `scipy.linalg.solve_banded` runs
+    for (1, 1) bands.  It returns LAPACK's x bit for bit: the compiled
+    routine fuses no multiply and add, so Python floats in the same order
+    round the same way.  A zero pivot raises ReferenceError.
+    """
+    dl, d, du, b = (np.asarray(v, dtype=np.float64).tolist() for v in (dl, d, du, b))
+    n = len(d)
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            # no row interchange
+            if d[i] == 0.0:
+                raise ReferenceError(f"singular tridiagonal system: zero pivot in row {i}")
+            fact = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - fact * du[i]
+            b[i + 1] = b[i + 1] - fact * b[i]
+            # i = n - 2 is LAPACK's separate last step, which leaves dl and du alone
+            if i < n - 2:
+                dl[i] = 0.0
+        else:
+            # interchange rows i and i + 1
+            fact = d[i] / dl[i]
+            d[i] = dl[i]
+            temp = d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            if i < n - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            du[i] = temp
+            temp = b[i]
+            b[i] = b[i + 1]
+            b[i + 1] = temp - fact * b[i + 1]
+    if d[n - 1] == 0.0:
+        raise ReferenceError(f"singular tridiagonal system: zero pivot in row {n - 1}")
+    # back substitution with the upper factor (diagonals d, du and dl)
+    b[n - 1] = b[n - 1] / d[n - 1]
+    if n > 1:
+        b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+    return np.array(b)
+
+
 def _solve_generator(p: Potential, grid: Grid1D, diffusion: float, drift: float,
                      shift: float, source: float, boundary_value: float) -> np.ndarray:
     """Solve diffusion u'' - drift V' u' - shift u = source on the grid.
@@ -90,24 +141,21 @@ def _solve_generator(p: Potential, grid: Grid1D, diffusion: float, drift: float,
     u(grid.lo) = boundary_value and u'(grid.hi) = 0.  Second-order centered
     differences; the outer boundary reflects through a symmetric ghost node.
     """
-    from scipy.linalg import solve_banded
-
     dx = grid.spacing
     n = grid.nodes.size
     vp = np.asarray(p.gradient(grid.nodes), dtype=np.float64)
     e = diffusion / dx ** 2
-    ab = np.zeros((3, n))
-    ab[1] = -2.0 * e - shift
-    ab[0, 1:] = e - drift * vp[:-1] / (2.0 * dx)    # coefficient of u_{i+1}, rows 0..n-2
-    ab[2, :-1] = e + drift * vp[1:] / (2.0 * dx)    # coefficient of u_{i-1}, rows 1..n-1
+    d = np.full(n, -2.0 * e - shift)
+    du = e - drift * vp[:-1] / (2.0 * dx)    # coefficient of u_{i+1}, rows 0..n-2
+    dl = e + drift * vp[1:] / (2.0 * dx)     # coefficient of u_{i-1}, rows 1..n-1
     # Dirichlet row at the stopping boundary
-    ab[1, 0] = 1.0
-    ab[0, 1] = 0.0
+    d[0] = 1.0
+    du[0] = 0.0
     # reflecting outer boundary: ghost u_n = u_{n-2}
-    ab[2, -2] = 2.0 * e
+    dl[-1] = 2.0 * e
     rhs = np.full(n, float(source))
     rhs[0] = boundary_value
-    u = solve_banded((1, 1), ab, rhs)
+    u = dgtsv(dl, d, du, rhs)
     u[0] = boundary_value   # Dirichlet row, exact
     return u
 
@@ -179,8 +227,16 @@ def mfpt_quadrature_oracle(p: Potential, epsilon: float, x: float,
 
     with absorbing boundary a = absorb_at and reflecting boundary b =
     reflect_at.  Independent of the finite-difference solvers.
+
+    Both integrals run `quadpack.qagse`, the in-repo port of QUADPACK's
+    `dqagse` (imported here, so stages that never reach the oracle do not
+    load it).  Its integrand takes a subinterval's 21 Kronrod nodes at once,
+    so the inner integrand is one `np.exp` over an array.  Where numpy's
+    `exp` gives an array element the bits it gives a scalar, as at every
+    headline probe, the results equal `scipy.integrate.quad`'s on the scalar
+    integrand bit for bit.
     """
-    from scipy.integrate import quad
+    from .quadpack import qagse
 
     # the outer integral's tolerances; the inner one runs 1e3 and 1e2 times tighter
     epsabs, epsrel = 1e-8, 1e-6
@@ -189,12 +245,13 @@ def mfpt_quadrature_oracle(p: Potential, epsilon: float, x: float,
         raise ValueError(f"need absorb_at < x <= reflect_at, got {a} < {x} <= {b}")
 
     def inner(y):
-        val, _ = quad(lambda z: np.exp(-float(p.evaluate(z)) / epsilon), y, b,
-                      epsabs=epsabs * 1e-3, epsrel=epsrel * 1e-2, limit=300)
+        val, _, _, _ = qagse(lambda z: np.exp(-p.evaluate(z) / epsilon), y, b,
+                             epsabs * 1e-3, epsrel * 1e-2, limit=300)
         return val
 
-    val, err = quad(lambda y: np.exp(float(p.evaluate(y)) / epsilon) * inner(y),
-                    a, x, epsabs=epsabs, epsrel=epsrel, limit=300)
+    val, err, _, _ = qagse(
+        lambda y: np.exp(p.evaluate(y) / epsilon) * [inner(v) for v in y.tolist()],
+        a, x, epsabs, epsrel, limit=300)
     result = val / epsilon
     if not np.isfinite(result):
         raise QuadratureError(f"quadrature returned non-finite value at x={x}")

@@ -2,11 +2,11 @@
 
 perfbench/expected.json holds the sha256 of each output the benchmark
 digests, per workload, at model seed 20240.  These tests rerun the `shells`
-workload's `optimize`, the headline `optimize` and `estimate` and the
-`gradcheck` workload in this process and compare the bytes of
-`ansatz.json`, the `trace*.csv` files, `estimates.json` and
-`gradcheck.json`, so a change that moves an output bit fails here too and
-not only in a benchmark run.  The descent's `iterations` and `probes` in
+workload's `optimize`, the headline `reference`, `optimize` and `estimate`
+and the `gradcheck` workload in this process and compare the bytes of
+`reference.csv`, `oracle_probes.json`, `ansatz.json`, the `trace*.csv`
+files, `estimates.json` and `gradcheck.json`, so a change that moves an
+output bit fails here too and not only in a benchmark run.  The descent's `iterations` and `probes` in
 `optimize.json` must equal the optimizer counts the benchmark's tracer
 recorded beside the digests, so telemetry and benchmark cannot drift apart.
 """
@@ -24,6 +24,7 @@ from optforce.cli import main
 MODEL_SEED = 20240
 EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
 PATTERNS = ("ansatz.json", "trace*.csv", "estimates.json", "gradcheck.json")
+REFERENCE_PATTERNS = ("reference.csv", "oracle_probes.json")
 
 
 @pytest.fixture(autouse=True)
@@ -36,9 +37,9 @@ def expected(workload: str) -> dict:
         return json.load(fh)[workload][str(MODEL_SEED)]
 
 
-def recorded(workload: str) -> dict[str, str]:
+def recorded(workload: str, patterns=PATTERNS) -> dict[str, str]:
     return {name: digest for name, digest in expected(workload)["digests"].items()
-            if any(fnmatch(name, p) for p in PATTERNS)}
+            if any(fnmatch(name, p) for p in patterns)}
 
 
 def assert_descent_counts(out: Path, workload: str):
@@ -48,9 +49,9 @@ def assert_descent_counts(out: Path, workload: str):
         counts["optimizer.iterations"], counts["optimizer.probes"])
 
 
-def written(out: Path) -> dict[str, str]:
+def written(out: Path, patterns=PATTERNS) -> dict[str, str]:
     return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-            for pattern in PATTERNS for path in sorted(out.glob(pattern))}
+            for pattern in patterns for path in sorted(out.glob(pattern))}
 
 
 def run(out: Path, *args: str):
@@ -61,6 +62,11 @@ def test_shells_optimize_writes_the_recorded_bytes(tmp_path):
     run(tmp_path, "optimize", "--set", "ladder.shells=3")
     assert written(tmp_path) == recorded("shells")
     assert_descent_counts(tmp_path, "shells")
+
+
+def test_headline_reference_writes_the_recorded_bytes(tmp_path):
+    run(tmp_path, "reference")
+    assert written(tmp_path, REFERENCE_PATTERNS) == recorded("headline", REFERENCE_PATTERNS)
 
 
 def test_headline_optimize_and_estimate_write_the_recorded_bytes(tmp_path):
