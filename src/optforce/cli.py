@@ -24,7 +24,7 @@ import numpy as np
 
 from .ansatz import GaussianAnsatz, init_fill_wells, make_uniform_ansatz, tilted_potential_from
 from .config import ConfigError, RunConfig
-from .dynamics import PathFailure
+from .dynamics import PathFailure, ahead_counts
 from .estimators import (estimate_mfpt_forced, estimate_mfpt_reweighted,
                          estimate_psi_reweighted)
 from .milestoning import MilestoningError, run_milestoning
@@ -93,6 +93,7 @@ def cmd_optimize(cfg: RunConfig, out: Path) -> int:
     chash = cfg.config_hash()
 
     ladder = cfg.build_ladder(model)
+    ahead_before = ahead_counts()
     result = run_milestoning(ladder, ansatz, model, sim_cfg, cfg.descent,
                              seed=cfg.seed, x0=x0)
     final = result.ansatz
@@ -106,6 +107,7 @@ def cmd_optimize(cfg: RunConfig, out: Path) -> int:
     # report the stopping level actually in force at the final iterate
     thresholds = [cfg.descent.stop_level(t.records[-1].grad_stderr_norm) for t in traces]
     records = [r for t in traces for r in t.records]
+    started, joined = (n - n0 for n, n0 in zip(ahead_counts(), ahead_before))
     _write_json(out / "optimize.json", {
         "config_hash": chash,
         "x0": x0,
@@ -118,6 +120,10 @@ def cmd_optimize(cfg: RunConfig, out: Path) -> int:
         "iterations": len(records),
         "probes": sum(r.probes for r in records),
         "line_search_fallbacks": sum(r.line_search_fallback for r in records),
+        # next iterates' batches forked ahead of their line search's end, and
+        # those the next iterate joined
+        "batches_ahead": started,
+        "batches_ahead_used": joined,
         "mean_steps": float(np.mean([t.mean_steps for t in traces])),
         "boundary_values": [float(v) for v in result.anchors[1:]],
         "shells": ladder.n_shells,

@@ -36,6 +36,15 @@ segments is split into contiguous groups of whole segments, one per CPU the
 process may use; each group runs the same loop in a forked child, and the
 groups' results joined in path order are the bits the one loop gives.
 
+A batch of one segment leaves the other CPUs idle, so the process may run
+one such batch ahead: run_batch_ahead forks a child that runs the batch a
+later run_batch with the same arguments would run, and that run_batch joins
+the child instead of simulating.  The descent starts the next iterate's
+batch this way while a line-search probe runs (see optimizer.descend).  The
+join sits inside run_batch and returns the child's BatchResult, so a joined
+call is one run_batch call with the paths and loop count of a batch run
+here; only its time is the wait for the child.
+
 A path that enters the stopping set retires on that step.  Retirement
 compacts the per-row arrays (positions, costs, log likelihood ratios, score
 accumulators, path indices), because gemv must see exactly the live rows of
@@ -284,12 +293,34 @@ def run_batch(x0: float, control, model: ModelBundle, cfg: SimConfig, *,
     other threads, where forking is unsafe, or a platform without fork runs
     all its paths here.
 
+    A batch that run_batch_ahead started with the same arguments is joined
+    instead: x0, cfg, n_paths, seed, tag, fixed_steps and scores equal,
+    model and terminal_value the same objects, and the control's centers,
+    widths and coefficients the same bytes.  The call returns the child's
+    BatchResult or raises its PathFailure; any other outcome runs the batch
+    here.  A call with other arguments leaves the pending child running.
+
     A step costs a fixed few dozen numpy calls plus work linear in the live
     rows: one matmul per segment (one for a one-segment batch), the
     stopping test only on steps where lo + min(x - lo) <= S.hi or where
     paths folded or the boundary aborts, 0-d constants, and buffers
     preallocated per batch instead of temporaries per step.
     """
+    args = (x0, control, model, cfg, n_paths, seed, tag, fixed_steps, terminal_value, scores)
+    if _ahead.child is not None and _same_batch(_batch_key(*args), _ahead.key):
+        child, _ahead.child, _ahead.key = _ahead.child, None, None
+        outcome = _reap(child)
+        if isinstance(outcome, (BatchResult, PathFailure)):
+            _ahead.joined += 1
+            if isinstance(outcome, PathFailure):
+                raise outcome
+            return outcome
+    return _batch(*args)
+
+
+def _batch(x0, control, model, cfg, n_paths, seed, tag, fixed_steps, terminal_value,
+           scores) -> BatchResult:
+    """What run_batch returns for these arguments, computed by this process and its groups."""
     if fixed_steps is None and bool(model.stopping_set.contains(x0)):
         raise ValueError(f"x0={x0} already inside the stopping set")
     if not 0 <= seed <= MAX_SEED:
@@ -317,71 +348,175 @@ def run_batch(x0: float, control, model: ModelBundle, cfg: SimConfig, *,
     return result
 
 
+def _cpus() -> int:
+    """CPUs this process may fork batch work onto.
+
+    One where os.fork or os.sched_getaffinity is missing, or when other
+    threads run: a forked child would hold their locks as they were.
+    """
+    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
 def _groups(n_paths: int) -> list[tuple[int, int]]:
     """[first, stop) bounds of the path groups a batch runs in parallel.
 
-    Contiguous groups of whole segments, one per CPU the process may use and
-    near equal in paths; one group when there is one segment or one CPU,
-    when other threads run (a forked child would hold their locks as they
-    were), or where os.fork or os.sched_getaffinity is missing.
+    Contiguous groups of whole segments, one per CPU the process may fork
+    onto (_cpus) and near equal in paths; one group when there is one
+    segment or one such CPU.
     """
     n_segments = -(-n_paths // KERNEL_CHUNK)
-    if (n_segments < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
-            or threading.active_count() > 1):
+    if n_segments < 2:
         return [(0, n_paths)]
-    workers = min(len(os.sched_getaffinity(0)), n_segments)
+    workers = min(_cpus(), n_segments)
     cuts = {min(round(i * n_paths / (workers * KERNEL_CHUNK)) * KERNEL_CHUNK, n_paths)
             for i in range(workers)}
     bounds = sorted(cuts | {n_paths})
     return list(zip(bounds[:-1], bounds[1:]))
 
 
+def _fork(run, *args) -> tuple[int, int]:
+    """Start run(*args) in a forked child; returns its pid and its pipe's read end.
+
+    The child pickles the result, or the Exception run raised, into the
+    pipe and leaves with os._exit, so it runs no exit handler of this
+    process.
+    """
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_end)
+            try:
+                outcome = run(*args)
+            except Exception as err:
+                outcome = err
+            data = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+            with open(write_end, "wb") as pipe:
+                pipe.write(data)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    return pid, read_end
+
+
+def _reap(child: tuple[int, int], kill: bool = False):
+    """Wait for a child of _fork and return its result or Exception.
+
+    The pipe is read to its end (a result larger than the pipe's buffer
+    holds the child until it is read), then closed, and the child reaped,
+    also when the read is interrupted.  A child that wrote nothing gives a
+    RuntimeError.  kill ends the child with SIGKILL instead and returns None.
+    """
+    pid, read_end = child
+    data = b""
+    try:
+        if kill:
+            # imported here, off the start-up path of every stage
+            import signal
+            os.kill(pid, signal.SIGKILL)
+        else:
+            with open(read_end, "rb", closefd=False) as pipe:
+                data = pipe.read()
+    finally:
+        os.close(read_end)
+        status = os.waitpid(pid, 0)[1]
+    if kill:
+        return None
+    # bytes a child of this process wrote, so safe to unpickle
+    return pickle.loads(data) if data else RuntimeError(
+        f"batch worker {pid} ended without a result "
+        f"(exit status {os.waitstatus_to_exitcode(status)})")
+
+
 def _run_forked(run, groups: list[tuple[int, int]]) -> list:
     """run(first, stop) for every group: the first here, the others in forked children.
 
     Returns each group's result, or the Exception it raised, in group order.
-    A child pickles its outcome into a pipe and leaves with os._exit; every
-    child is read to the end of its pipe and reaped, also when this
-    process's own group ends in an interrupt.
+    Every child is reaped, also when this process's own group ends in an
+    interrupt.
     """
     children = []
-    outcomes = []
     try:
         for first, stop in groups[1:]:
-            read_end, write_end = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                code = 1
-                try:
-                    os.close(read_end)
-                    try:
-                        outcome = run(first, stop)
-                    except Exception as err:
-                        outcome = err
-                    data = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
-                    with open(write_end, "wb") as pipe:
-                        pipe.write(data)
-                    code = 0
-                finally:
-                    os._exit(code)
-            os.close(write_end)
-            children.append((pid, read_end))
+            children.append(_fork(run, first, stop))
         try:
-            outcomes.append(run(*groups[0]))
+            here = run(*groups[0])
         except Exception as err:
-            outcomes.append(err)
+            here = err
     finally:
-        written = []
-        for pid, read_end in children:
-            with open(read_end, "rb") as pipe:
-                data = pipe.read()
-            written.append((pid, data, os.waitpid(pid, 0)[1]))
-    for pid, data, status in written:
-        # bytes a child of this process wrote, so safe to unpickle
-        outcomes.append(pickle.loads(data) if data else RuntimeError(
-            f"batch worker {pid} ended without a result "
-            f"(exit status {os.waitstatus_to_exitcode(status)})"))
-    return outcomes
+        outcomes = [_reap(child) for child in children]
+    return [here, *outcomes]
+
+
+@dataclass
+class _AheadSlot:
+    """The one batch a forked child runs ahead, and this process's ahead counts."""
+
+    key: tuple | None = None
+    child: tuple[int, int] | None = None    # pid and pipe read end
+    started: int = 0
+    joined: int = 0
+
+
+_ahead = _AheadSlot()
+
+
+def _batch_key(x0, control, model, cfg, n_paths, seed, tag, fixed_steps, terminal_value,
+               scores) -> tuple:
+    """The arguments run_batch compares by value, then those it compares by identity."""
+    arrays = None if control is None else tuple(
+        np.ascontiguousarray(v).tobytes()
+        for v in (control.centers, control.widths, control.coefficients))
+    return (x0, cfg, n_paths, seed, tag, fixed_steps, scores, arrays), (model, terminal_value)
+
+
+def _same_batch(key: tuple, other: tuple) -> bool:
+    return key[0] == other[0] and all(a is b for a, b in zip(key[1], other[1]))
+
+
+def run_batch_ahead(x0: float, control, model: ModelBundle, cfg: SimConfig, *,
+                    n_paths: int, seed: int, tag: int = 0,
+                    fixed_steps: int | None = None, terminal_value=None,
+                    scores: bool = False) -> bool:
+    """Start the batch run_batch(same arguments) runs in a forked child.
+
+    The next run_batch call with these arguments joins the child instead of
+    simulating (see run_batch).  Any pending ahead batch is killed first,
+    so at most one child runs ahead.  Forks only where a CPU would idle
+    otherwise: where the process may fork onto 2 or more CPUs (_cpus) and
+    the batch is one group, which it runs in one loop.  Returns whether it
+    forked.
+    """
+    drop_ahead()
+    if _cpus() < 2 or len(_groups(n_paths)) > 1:
+        return False
+    args = (x0, control, model, cfg, n_paths, seed, tag, fixed_steps, terminal_value, scores)
+    _ahead.child = _fork(_batch, *args)
+    _ahead.key = _batch_key(*args)
+    _ahead.started += 1
+    return True
+
+
+def drop_ahead():
+    """Kill and reap the pending ahead batch's child, if there is one."""
+    child, _ahead.child, _ahead.key = _ahead.child, None, None
+    if child is not None:
+        _reap(child, kill=True)
+
+
+def ahead_counts() -> tuple[int, int]:
+    """How many batches this process started ahead, and how many run_batch joined."""
+    return _ahead.started, _ahead.joined
 
 
 def _first_error(errors: list[Exception], domain: SimulationDomain) -> Exception:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .ansatz import GaussianAnsatz
-from .dynamics import BatchResult, SimConfig, run_batch
+from .dynamics import BatchResult, SimConfig, run_batch, run_batch_ahead
 from .model import ModelBundle
 
 
@@ -137,17 +137,28 @@ def make_objective(ansatz_template: GaussianAnsatz, x0: float, model: ModelBundl
     The objective works in the subspace of the coefficients at `indices`: it
     accepts the reduced vector, holds all other coefficients at the
     template's values, and reports the reduced gradient.  A plain descent
-    passes every index.
+    passes every index.  `evaluate.ahead(coefficients, seed)` starts the
+    batch evaluate(coefficients, seed) runs in a forked child
+    (dynamics.run_batch_ahead), so that call joins it instead of simulating.
     """
     base = ansatz_template.coefficients.copy()
 
-    def evaluate(a, seed) -> GradientEstimate:
+    def ansatz_at(a) -> GaussianAnsatz:
         full = base.copy()
         full[indices] = a
+        return ansatz_template.with_coefficients(full)
+
+    def evaluate(a, seed) -> GradientEstimate:
         est = estimate_inexact_gradient(
-            ansatz_template.with_coefficients(full), x0, model, cfg,
+            ansatz_at(a), x0, model, cfg,
             seed=seed, terminal_value=terminal_value, n_paths=n_paths)
         return replace(est, gradient=est.gradient[indices],
                        gradient_stderr=est.gradient_stderr[indices])
 
+    def ahead(a, seed) -> bool:
+        # the batch estimate_inexact_gradient runs for evaluate(a, seed)
+        return run_batch_ahead(x0, ansatz_at(a), model, cfg, n_paths=n_paths, seed=seed,
+                               terminal_value=terminal_value, scores=True)
+
+    evaluate.ahead = ahead
     return evaluate

@@ -5,6 +5,17 @@ of noise streams (common random numbers), so the Wolfe conditions are
 checked on a deterministic restriction of the objective.  Across iterations
 fresh streams are drawn by default, which avoids overfitting a single noise
 realization.
+
+The next iterate's batch runs ahead on an idle CPU.  A step the line search
+accepts is its last probe b = a + t d, and the next iterate a - alpha g is b
+bit for bit, so its batch is objective(b, next seed).  Where the objective
+offers `ahead` (make_objective's), every probe first starts that batch in a
+forked child, which replaces the previous probe's; the next iterate's batch
+then joins the child of the accepted probe.  The join happens inside
+dynamics.run_batch, so every batch is still one run_batch call with the same
+paths and loop count, and traced counts do not change.  Under reseed_policy
+"fixed" the next iterate's batch is the accepted probe's own, so its
+estimate is reused and nothing runs ahead.
 """
 
 from __future__ import annotations
@@ -14,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import PathFailure
+from .dynamics import PathFailure, drop_ahead
 from .objective import GradientEstimate
 
 
@@ -211,6 +222,11 @@ def descend(a0: np.ndarray, cfg: DescentConfig, objective, *, seed: int):
     cost value together with the trace.  A line-search probe whose batch
     raises a PathFailure (a censored path, a non-finite update or a path
     leaving an abort domain) is rejected; an iterate's batch that does raises.
+
+    An objective with an `ahead(b, seed)` method gets it called at each
+    probe b before objective(b, seed), with the next iteration's seed, except
+    in the last iteration and when both seeds are equal.  The child it
+    starts is killed and reaped before descend returns or raises.
     """
     a = np.asarray(a0, dtype=np.float64).copy()
     if not np.all(np.isfinite(a)):
@@ -222,45 +238,67 @@ def descend(a0: np.ndarray, cfg: DescentConfig, objective, *, seed: int):
                               value_stderr=np.inf,
                               gradient_stderr=np.full_like(a, np.inf),
                               n_paths=0, mean_steps=0.0)
+    ahead = getattr(objective, "ahead", None)
+    est = None
+    try:
+        for it in range(cfg.max_iters):
+            it_seed = cfg.iteration_seed(seed, it)
+            next_seed = cfg.iteration_seed(seed, it + 1)
+            run_ahead = ahead is not None and it + 1 < cfg.max_iters and next_seed != it_seed
+            if est is None:
+                est = objective(a, it_seed)
+            last_b, last_est = None, failed
 
-    for it in range(cfg.max_iters):
-        it_seed = cfg.iteration_seed(seed, it)
-        est = objective(a, it_seed)
+            def probe(b):
+                nonlocal last_b, last_est
+                if run_ahead:
+                    ahead(b, next_seed)
+                last_b, last_est = b, failed
+                # a pathological probe (runaway control) must never be accepted
+                try:
+                    last_est = objective(b, it_seed)
+                except PathFailure:
+                    pass
+                return last_est
 
-        def probe(b):
-            # a pathological probe (runaway control) must never be accepted
-            try:
-                return objective(b, it_seed)
-            except PathFailure:
-                return failed
+            alpha = 0.0
+            fallback = False
+            probes = 0
+            done = est.grad_norm < cfg.stop_level(est.grad_stderr_norm)
+            if not done:
+                ls = wolfe_line_search(
+                    a, -est.gradient, probe,
+                    value0=est.value, grad0=est.gradient,
+                    c1=cfg.wolfe_c1, c2=cfg.wolfe_c2,
+                    alpha_init=cfg.alpha_init, alpha_max=cfg.alpha_max,
+                    max_first_step=MAX_FIRST_STEP)
+                alpha = ls.alpha
+                fallback = ls.fallback
+                probes = ls.n_evals
 
-        alpha = 0.0
-        fallback = False
-        probes = 0
-        done = est.grad_norm < cfg.stop_level(est.grad_stderr_norm)
-        if not done:
-            ls = wolfe_line_search(
-                a, -est.gradient, probe,
-                value0=est.value, grad0=est.gradient,
-                c1=cfg.wolfe_c1, c2=cfg.wolfe_c2,
-                alpha_init=cfg.alpha_init, alpha_max=cfg.alpha_max,
-                max_first_step=MAX_FIRST_STEP)
-            alpha = ls.alpha
-            fallback = ls.fallback
-            probes = ls.n_evals
+            trace.append(DescentRecord(
+                iteration=it, cost=est.value,
+                cost_stderr=est.value_stderr, grad_norm=est.grad_norm,
+                grad_stderr_norm=est.grad_stderr_norm, alpha=alpha,
+                mean_steps=est.mean_steps, line_search_fallback=fallback, probes=probes))
+            if est.value < best_cost:
+                best_cost, best_a = est.value, a.copy()
+            if done:
+                trace.converged = True
+                break
 
-        trace.append(DescentRecord(
-            iteration=it, cost=est.value,
-            cost_stderr=est.value_stderr, grad_norm=est.grad_norm,
-            grad_stderr_norm=est.grad_stderr_norm, alpha=alpha,
-            mean_steps=est.mean_steps, line_search_fallback=fallback, probes=probes))
-        if est.value < best_cost:
-            best_cost, best_a = est.value, a.copy()
-        if done:
-            trace.converged = True
-            break
-
-        a = a - alpha * est.gradient
-        if not np.all(np.isfinite(a)):
-            raise OptimizerError(f"coefficients became non-finite at iteration {it}")
+            a = a - alpha * est.gradient
+            if not np.all(np.isfinite(a)):
+                raise OptimizerError(f"coefficients became non-finite at iteration {it}")
+            est = None
+            if last_b is not None and last_b.tobytes() == a.tobytes():
+                # the step is the last probe's, bit for bit: under equal seeds
+                # the next iterate's batch is that probe's own, else the one
+                # the probe started ahead
+                if next_seed == it_seed and last_est is not failed:
+                    est = last_est
+            else:
+                drop_ahead()
+    finally:
+        drop_ahead()
     return best_a, trace

@@ -9,10 +9,14 @@ files, `estimates.json` and `gradcheck.json`, so a change that moves an
 output bit fails here too and not only in a benchmark run.  The descent's `iterations` and `probes` in
 `optimize.json` must equal the optimizer counts the benchmark's tracer
 recorded beside the digests, so telemetry and benchmark cannot drift apart.
+The headline test also checks how many next-iterate batches the descent
+joined from a child that ran them ahead: all 8 accepted probes' where the
+process may use a second CPU, none on one.
 """
 
 import hashlib
 import json
+import os
 from fnmatch import fnmatch
 from pathlib import Path
 
@@ -74,6 +78,10 @@ def test_headline_optimize_and_estimate_write_the_recorded_bytes(tmp_path):
     run(tmp_path, "estimate")
     assert written(tmp_path) == recorded("headline")
     assert_descent_counts(tmp_path, "headline")
+    # 8 of the 15 probes are accepted, and with a second CPU the next
+    # iterate joins the batch each of them started ahead
+    summary = json.loads((tmp_path / "optimize.json").read_text())
+    assert summary["batches_ahead_used"] == (8 if len(os.sched_getaffinity(0)) >= 2 else 0)
 
 
 def test_gradcheck_writes_the_recorded_bytes(tmp_path):

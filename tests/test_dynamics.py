@@ -11,7 +11,8 @@ import optforce.dynamics
 from optforce.ansatz import make_uniform_ansatz
 from optforce.dynamics import (KERNEL_CHUNK, NOISE_BLOCK, CensoredPathError,
                                NumericalFailureError, OutOfDomainError, SimConfig,
-                               path_stream, run_batch)
+                               ahead_counts, drop_ahead, path_stream, run_batch,
+                               run_batch_ahead)
 from optforce.model import (ModelBundle, Potential, SimulationDomain, StoppingSet,
                             make_flat, make_harmonic, make_potential)
 from blas_rounding import skip_unless_recorded_gemv
@@ -536,6 +537,11 @@ class TestRecordedBits:
         }
 
 
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestSplitBatches:
     """A batch of several segments runs as path groups in forked children.
 
@@ -543,18 +549,6 @@ class TestSplitBatches:
     (the one loop) and on 2 and 3 (two and three groups, all but the first in
     children), and checks that no child outlives the call.
     """
-
-    @pytest.fixture
-    def cpus(self, monkeypatch):
-        def use(n, n_paths):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-            assert len(optforce.dynamics._groups(n_paths)) == n
-        return use
-
-    @staticmethod
-    def assert_no_child_left():
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("n_paths, fixed_steps", [(2500, None), (4000, 300)])
     def test_every_field_repeats_the_one_loop(self, cpus, n_paths, fixed_steps):
@@ -568,7 +562,7 @@ class TestSplitBatches:
             batches.append(run_batch(0.4, ansatz, model, CFG, n_paths=n_paths, seed=11,
                                      tag=4, fixed_steps=fixed_steps, scores=True,
                                      terminal_value=lambda x: 0.3 + ansatz.value(x)))
-            self.assert_no_child_left()
+            assert_no_child_left()
         for batch in batches[1:]:
             for name in (*BATCH_ARRAYS, "loop_iters"):
                 np.testing.assert_array_equal(getattr(batch, name), getattr(batches[0], name))
@@ -587,7 +581,7 @@ class TestSplitBatches:
             with pytest.raises(OutOfDomainError, match=f"^{message}$") as failed:
                 run_batch(0.4, None, model, CFG, n_paths=3072, seed=seed)
             assert failed.value.paths == paths and failed.value.step == step
-            self.assert_no_child_left()
+            assert_no_child_left()
 
     def test_the_censored_count_is_summed_over_the_groups(self, cpus):
         model = ModelBundle(make_harmonic(), 1.0, StoppingSet(-0.3, -0.2), DOMAIN)
@@ -602,7 +596,7 @@ class TestSplitBatches:
             with pytest.raises(CensoredPathError, match=message):
                 run_batch(0.4, None, model, dataclasses.replace(CFG, max_steps=cap),
                           n_paths=3072, seed=4)
-            self.assert_no_child_left()
+            assert_no_child_left()
 
     def test_an_error_in_a_child_is_raised_here(self, cpus):
         model = ModelBundle(make_harmonic(), 1.0, StoppingSet(-0.3, -0.2), DOMAIN)
@@ -617,7 +611,7 @@ class TestSplitBatches:
         with pytest.raises(ValueError, match="^terminal value failed in a child$"):
             run_batch(0.4, None, model, CFG, n_paths=2100, seed=4,
                       terminal_value=terminal_value)
-        self.assert_no_child_left()
+        assert_no_child_left()
 
     def test_a_process_running_threads_runs_one_group(self, cpus):
         cpus(2, 4000)
@@ -630,6 +624,121 @@ class TestSplitBatches:
             release.set()
             thread.join(timeout=10)
         assert not thread.is_alive()
+
+
+class TestBatchAhead:
+    """run_batch_ahead runs a one-segment batch in a forked child, which the
+    run_batch call with the same arguments joins.
+
+    A joined call must not run the kernel loop here: the tests replace
+    _run_paths after the fork, which the child does not see.
+    """
+
+    S = StoppingSet(-4.0, -0.2)
+    MODEL = ModelBundle(make_harmonic(), 1.5, S, DOMAIN)
+    ANSATZ = make_uniform_ansatz(10, DOMAIN, S, 0.5).with_coefficients(
+        [0.4, -0.3, 0.25, 0.1, -0.2, 0.15, 0.05, -0.1, 0.2, 0.3])
+
+    @staticmethod
+    def terminal_value(x):
+        return 0.3 + TestBatchAhead.ANSATZ.value(x)
+
+    def batch(self, run=run_batch, *, control=ANSATZ, seed=11, model=MODEL, cfg=CFG,
+              n_paths=700):
+        return run(0.4, control, model, cfg, n_paths=n_paths, seed=seed, tag=4,
+                   scores=True, terminal_value=self.terminal_value)
+
+    @staticmethod
+    def run_nothing_here(monkeypatch):
+        def ran_here(*args):
+            raise AssertionError("the batch ran in this process")
+        monkeypatch.setattr(optforce.dynamics, "_run_paths", ran_here)
+
+    @staticmethod
+    def assert_same_batch(batch, expected):
+        for name in (*BATCH_ARRAYS, "sum_cb", "sum_eta_b", "loop_iters"):
+            np.testing.assert_array_equal(getattr(batch, name), getattr(expected, name))
+
+    def test_a_joined_batch_is_the_batch_run_here(self, cpus, monkeypatch):
+        cpus(2)
+        expected = self.batch()
+        started, joined = ahead_counts()
+        assert self.batch(run_batch_ahead)
+        self.run_nothing_here(monkeypatch)
+        self.assert_same_batch(self.batch(), expected)
+        assert ahead_counts() == (started + 1, joined + 1)
+        assert_no_child_left()
+
+    def test_other_arguments_neither_join_nor_kill_the_child(self, cpus, monkeypatch):
+        cpus(2)
+        expected = self.batch()
+        nudged = self.ANSATZ.with_coefficients(
+            np.nextafter(self.ANSATZ.coefficients, np.inf))
+        others = [self.batch(seed=12), self.batch(control=nudged)]
+        assert self.batch(run_batch_ahead)
+        joined = ahead_counts()[1]
+        for other, kwargs in zip(others, [{"seed": 12}, {"control": nudged}]):
+            self.assert_same_batch(self.batch(**kwargs), other)
+        assert ahead_counts()[1] == joined
+        self.run_nothing_here(monkeypatch)
+        self.assert_same_batch(self.batch(), expected)
+        assert ahead_counts()[1] == joined + 1
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("kind, model, cfg", [
+        (OutOfDomainError, ModelBundle(make_harmonic(), 1.0, StoppingSet(-0.3, -0.2),
+                                       SimulationDomain(DOMAIN.lo, 1.4, "abort")), CFG),
+        (CensoredPathError, ModelBundle(make_harmonic(), 1.0, StoppingSet(-0.3, -0.2),
+                                        DOMAIN), dataclasses.replace(CFG, max_steps=50)),
+    ])
+    def test_a_failure_in_the_child_is_raised_unchanged(self, cpus, monkeypatch, kind,
+                                                        model, cfg):
+        cpus(2)
+        with pytest.raises(kind) as here:
+            self.batch(model=model, cfg=cfg, n_paths=1000)
+        assert self.batch(run_batch_ahead, model=model, cfg=cfg, n_paths=1000)
+        self.run_nothing_here(monkeypatch)
+        with pytest.raises(kind) as joined:
+            self.batch(model=model, cfg=cfg, n_paths=1000)
+        assert type(joined.value) is kind
+        assert str(joined.value) == str(here.value)
+        assert (joined.value.paths, joined.value.step) == (here.value.paths, here.value.step)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("why", ["one CPU", "a running thread", "several segments"])
+    def test_nothing_forks_without_an_idle_cpu(self, cpus, monkeypatch, why):
+        cpus(1 if why == "one CPU" else 2)
+        n_paths = 2 * KERNEL_CHUNK if why == "several segments" else 700
+
+        def forbidden():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", forbidden)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        if why == "a running thread":
+            thread.start()
+        try:
+            started = ahead_counts()[0]
+            assert not self.batch(run_batch_ahead, n_paths=n_paths)
+            assert ahead_counts()[0] == started
+        finally:
+            release.set()
+            if thread.ident is not None:
+                thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    def test_no_child_outlives_a_join_a_replacement_or_a_drop(self, cpus):
+        cpus(2)
+        assert self.batch(run_batch_ahead)
+        self.batch()
+        assert_no_child_left()
+        # a long batch, killed when the next one replaces it
+        assert self.batch(run_batch_ahead, cfg=dataclasses.replace(CFG, h=1e-4))
+        assert self.batch(run_batch_ahead, seed=12)
+        drop_ahead()
+        assert_no_child_left()
+        assert ahead_counts()[0] > 0
 
 
 class TestReweightingConsistency:

@@ -1,8 +1,13 @@
+import dataclasses
+import os
+
 import numpy as np
 import pytest
 
-from optforce.dynamics import OutOfDomainError
-from optforce.objective import GradientEstimate
+from optforce.ansatz import make_uniform_ansatz
+from optforce.dynamics import CensoredPathError, OutOfDomainError, SimConfig, ahead_counts
+from optforce.model import ModelBundle, SimulationDomain, StoppingSet, make_scaled_double_well
+from optforce.objective import GradientEstimate, make_objective
 from optforce.optimizer import (DescentConfig, DescentTrace, OptimizerError,
                                 descend, wolfe_line_search)
 
@@ -223,3 +228,146 @@ class TestDescentTrace:
         header = text.splitlines()[1]
         assert header == "iteration,cost,grad_norm,alpha,stderr,mean_steps"
         assert len(text.splitlines()) == 2 + 6
+
+
+class TestDescendAhead:
+    """descend starts each probe's next iterate in a forked child.
+
+    The objective is a real one (make_objective on a small double well), so
+    the children run real batches; the CPU count the process may use is set
+    through os.sched_getaffinity.
+    """
+
+    X0 = 1.0
+    S = StoppingSet(-1.1, -1.0)
+    DOMAIN = SimulationDomain(-1.5, 2.0)
+    MODEL = ModelBundle(make_scaled_double_well(barrier_scale=0.5, skew=-0.25), 1.0, S,
+                        DOMAIN)
+    SIM = SimConfig(epsilon=0.5, h=2e-3, max_steps=200_000)
+    ANSATZ = make_uniform_ansatz(4, DOMAIN, S, 0.4)
+
+    def objective(self, batch_size=256):
+        return make_objective(self.ANSATZ, self.X0, self.MODEL, self.SIM,
+                              indices=np.arange(self.ANSATZ.m), n_paths=batch_size)
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_one_and_two_cpus_give_the_same_descent(self, cpus):
+        cfg = DescentConfig(max_iters=4, grad_tol=1e-9, batch_size=256)
+        runs = []
+        for n in (1, 2):
+            cpus(n)
+            before = ahead_counts()
+            a, trace = descend(self.ANSATZ.coefficients, cfg, self.objective(), seed=3)
+            runs.append((a, trace, [x - x0 for x, x0 in zip(ahead_counts(), before)]))
+            self.assert_no_child_left()
+        (a1, trace1, counts1), (a2, trace2, counts2) = runs
+        np.testing.assert_array_equal(a2, a1)
+        assert trace2.records == trace1.records
+        assert counts1 == [0, 0]
+        # every probe but the last iteration's runs ahead; an accepted one is joined
+        assert counts2[0] == sum(r.probes for r in trace2.records[:-1])
+        assert counts2[1] == sum(not r.line_search_fallback for r in trace2.records[:-1])
+        assert counts2[1] > 0
+
+    def iteration_1_iterate(self, objective, change):
+        """objective, but the estimate at iteration 1's iterate goes through change."""
+        seeds = set()
+        target = DescentConfig().iteration_seed(3, 1)
+
+        def evaluate(a, seed):
+            first = seed not in seeds
+            seeds.add(seed)
+            if first and seed == target:
+                return change(objective, a, seed)
+            return objective(a, seed)
+
+        evaluate.ahead = objective.ahead
+        return evaluate
+
+    @staticmethod
+    def converges(objective, a, seed):
+        est = objective(a, seed)
+        return dataclasses.replace(est, gradient=np.zeros_like(est.gradient))
+
+    @staticmethod
+    def inf_gradient(objective, a, seed):
+        est = objective(a, seed)
+        return dataclasses.replace(est, gradient=np.full_like(est.gradient, np.inf))
+
+    @staticmethod
+    def raises(objective, a, seed):
+        raise CensoredPathError("3/256 paths did not hit within max_steps=10")
+
+    @staticmethod
+    def probes_fail(objective):
+        seeds = set()
+
+        def evaluate(a, seed):
+            if seed in seeds:
+                raise CensoredPathError("1/256 paths did not hit within max_steps=10")
+            seeds.add(seed)
+            return objective(a, seed)
+
+        evaluate.ahead = objective.ahead
+        return evaluate
+
+    @pytest.mark.parametrize("ending", ["convergence", "max_iters", "line-search fallback",
+                                        "OptimizerError", "iterate batch raises"])
+    def test_no_child_is_left_after_any_ending(self, cpus, ending):
+        cpus(2)
+        # two iterations: the first starts children at its probes, the second
+        # ends the descent
+        cfg = DescentConfig(max_iters=2, grad_tol=1e-9, batch_size=256)
+        objective = self.objective()
+        if ending == "convergence":
+            objective = self.iteration_1_iterate(objective, self.converges)
+        elif ending == "line-search fallback":
+            objective = self.probes_fail(objective)
+        elif ending == "OptimizerError":
+            objective = self.iteration_1_iterate(objective, self.inf_gradient)
+        elif ending == "iterate batch raises":
+            objective = self.iteration_1_iterate(objective, self.raises)
+        started = ahead_counts()[0]
+        if ending == "OptimizerError":
+            # the probes along an infinite gradient are NaN
+            with np.errstate(invalid="ignore"), pytest.raises(
+                    OptimizerError, match="non-finite at iteration 1"):
+                descend(self.ANSATZ.coefficients, cfg, objective, seed=3)
+        elif ending == "iterate batch raises":
+            with pytest.raises(CensoredPathError):
+                descend(self.ANSATZ.coefficients, cfg, objective, seed=3)
+        else:
+            _, trace = descend(self.ANSATZ.coefficients, cfg, objective, seed=3)
+            assert trace.converged == (ending == "convergence")
+            assert len(trace.records) == 2
+            assert trace.records[0].line_search_fallback == (ending == "line-search fallback")
+        assert ahead_counts()[0] > started
+        self.assert_no_child_left()
+
+    def test_fixed_seeds_reuse_the_accepted_probe(self):
+        # an objective that ignores the seed evaluates the same points under
+        # "fresh" and "fixed"; "fixed" reuses the accepted probe's estimate
+        def cosh(a, seed):
+            calls.append(seed)
+            a = np.asarray(a, dtype=np.float64)
+            return GradientEstimate(value=float(np.sum(np.cosh(a))), gradient=np.sinh(a),
+                                    value_stderr=0.0, gradient_stderr=np.zeros_like(a),
+                                    n_paths=1, mean_steps=1.0)
+
+        runs = []
+        for policy in ("fresh", "fixed"):
+            calls = []
+            cfg = DescentConfig(max_iters=12, grad_tol=1e-6, batch_size=1,
+                                reseed_policy=policy)
+            a, trace = descend(np.array([1.5, -2.0, 0.5]), cfg, cosh, seed=0)
+            runs.append((a, trace, len(calls)))
+        (a_fresh, fresh, n_fresh), (a_fixed, fixed, n_fixed) = runs
+        np.testing.assert_array_equal(a_fixed, a_fresh)
+        assert fixed.records == fresh.records
+        reused = sum(not r.line_search_fallback for r in fixed.records[:-1])
+        assert reused > 0
+        assert n_fixed == n_fresh - reused
