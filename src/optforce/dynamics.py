@@ -37,13 +37,18 @@ process may use; each group runs the same loop in a forked child, and the
 groups' results joined in path order are the bits the one loop gives.
 
 A batch of one segment leaves the other CPUs idle, so the process may run
-one such batch ahead: run_batch_ahead forks a child that runs the batch a
-later run_batch with the same arguments would run, and that run_batch joins
-the child instead of simulating.  The descent starts the next iterate's
-batch this way while a line-search probe runs (see optimizer.descend).  The
-join sits inside run_batch and returns the child's BatchResult, so a joined
-call is one run_batch call with the paths and loop count of a batch run
-here; only its time is the wait for the child.
+one such batch ahead: run_batch_ahead forks a child that runs the batch's
+one group, and a later run_batch with the same arguments joins the child
+instead of simulating.  The descent starts the next iterate's batch this way
+while a line-search probe runs (see optimizer.descend).  A joined call is
+one run_batch call with the paths and loop count of a batch run here; only
+its time is the wait for the child.
+
+Every forked child hands back only a result: its paths' BatchResult and how
+many of them it censored.  Anything else (a failing update, an error from
+terminal_value, a child that dies or whose result does not pickle, a fork
+that fails) leaves the batch to the one loop here, which returns or raises
+exactly what it does where nothing forks.
 
 A path that enters the stopping set retires on that step.  Retirement
 compacts the per-row arrays (positions, costs, log likelihood ratios, score
@@ -134,20 +139,6 @@ MAX_SEED = 2 ** 64 - 1
 
 # how many failing path indices an error message lists
 NAMED_PATHS = 5
-
-
-def _path_failure(kind, paths: list[int], step: int, domain: SimulationDomain):
-    """The NumericalFailureError or OutOfDomainError of `paths` failing on `step`."""
-    shown = ", ".join(map(str, paths[:NAMED_PATHS]))
-    if len(paths) > NAMED_PATHS:
-        shown += ", ..."
-    named = f"{len(paths)} path{'' if len(paths) == 1 else 's'} [{shown}]"
-    if kind is NumericalFailureError:
-        message = f"non-finite update for {named} at step {step}"
-    else:
-        message = (f"{named} left the domain [{domain.lo}, {domain.hi}] at step {step} "
-                   f"with abort boundary")
-    return kind(message, paths, step)
 
 
 @dataclass(frozen=True)
@@ -287,18 +278,21 @@ def run_batch(x0: float, control, model: ModelBundle, cfg: SimConfig, *,
     CPU the process may use: this process runs the first group and forked
     children the others, each the same loop over its own paths.  The
     results are joined in path order and loop_iters is the longest group's
-    count.  A failing update raises what the one loop would: the error of
-    the earliest failing step over all groups, naming the paths of every
-    group that failed on it.  A batch of one segment, a process running
-    other threads, where forking is unsafe, or a platform without fork runs
-    all its paths here.
+    count.  A batch of one segment, a process running other threads, where
+    forking is unsafe, or a platform without fork runs all its paths here.
 
     A batch that run_batch_ahead started with the same arguments is joined
-    instead: x0, cfg, n_paths, seed, tag, fixed_steps and scores equal,
-    model and terminal_value the same objects, and the control's centers,
-    widths and coefficients the same bytes.  The call returns the child's
-    BatchResult or raises its PathFailure; any other outcome runs the batch
-    here.  A call with other arguments leaves the pending child running.
+    instead: x0, model, cfg, n_paths, seed, tag, fixed_steps, terminal_value
+    and scores equal, and the control's centers, widths and coefficients the
+    same bytes.  A call with other arguments leaves the pending child
+    running.
+
+    Every forked child, a split batch's group or an ahead batch, hands back
+    only its paths' BatchResult and censored count; a censored count raises
+    CensoredPathError here as the one loop's would.  Where a child hands
+    back nothing (its paths failed, terminal_value raised or it died), a
+    fork fails or the group here raises, the batch runs again as the one
+    loop here, which returns or raises what it does on one CPU.
 
     A step costs a fixed few dozen numpy calls plus work linear in the live
     rows: one matmul per segment (one for a one-segment batch), the
@@ -307,20 +301,22 @@ def run_batch(x0: float, control, model: ModelBundle, cfg: SimConfig, *,
     preallocated per batch instead of temporaries per step.
     """
     args = (x0, control, model, cfg, n_paths, seed, tag, fixed_steps, terminal_value, scores)
-    if _ahead.child is not None and _same_batch(_batch_key(*args), _ahead.key):
+    outcome = None
+    if _ahead.child is not None and _batch_key(*args) == _ahead.key:
         child, _ahead.child, _ahead.key = _ahead.child, None, None
         outcome = _reap(child)
-        if isinstance(outcome, (BatchResult, PathFailure)):
+        if outcome is not None:
             _ahead.joined += 1
-            if isinstance(outcome, PathFailure):
-                raise outcome
-            return outcome
-    return _batch(*args)
+    result, censored = outcome or _batch(*args)
+    if censored:
+        raise CensoredPathError(f"{censored}/{n_paths} paths did not hit within "
+                                f"max_steps={cfg.max_steps}")
+    return result
 
 
 def _batch(x0, control, model, cfg, n_paths, seed, tag, fixed_steps, terminal_value,
-           scores) -> BatchResult:
-    """What run_batch returns for these arguments, computed by this process and its groups."""
+           scores) -> tuple[BatchResult, int]:
+    """The BatchResult of these arguments and how many paths it censored."""
     if fixed_steps is None and bool(model.stopping_set.contains(x0)):
         raise ValueError(f"x0={x0} already inside the stopping set")
     if not 0 <= seed <= MAX_SEED:
@@ -333,19 +329,8 @@ def _batch(x0, control, model, cfg, n_paths, seed, tag, fixed_steps, terminal_va
                           terminal_value, scores)
 
     groups = _groups(n_paths)
-    if len(groups) == 1:
-        result, censored = run(0, n_paths)
-    else:
-        outcomes = _run_forked(run, groups)
-        errors = [o for o in outcomes if isinstance(o, Exception)]
-        if errors:
-            raise _first_error(errors, model.domain)
-        result = _joined([part for part, _ in outcomes])
-        censored = sum(k for _, k in outcomes)
-    if censored:
-        raise CensoredPathError(f"{censored}/{n_paths} paths did not hit within "
-                                f"max_steps={cfg.max_steps}")
-    return result
+    joined = _run_forked(run, groups) if len(groups) > 1 else None
+    return joined or run(0, n_paths)
 
 
 def _cpus() -> int:
@@ -377,85 +362,81 @@ def _groups(n_paths: int) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _fork(run, *args) -> tuple[int, int]:
+def _fork(run, *args) -> tuple[int, int] | None:
     """Start run(*args) in a forked child; returns its pid and its pipe's read end.
 
-    The child pickles the result, or the Exception run raised, into the
-    pipe and leaves with os._exit, so it runs no exit handler of this
-    process.
+    The child pickles run's result into the pipe and leaves with os._exit,
+    so it runs no exit handler of this process; where run raises or its
+    result does not pickle, it writes nothing and exits with status 1.
+    Returns None where os.fork fails.
     """
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
     except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        raise
+        pid = None
     if pid == 0:
         code = 1
         try:
             os.close(read_end)
-            try:
-                outcome = run(*args)
-            except Exception as err:
-                outcome = err
-            data = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+            data = pickle.dumps(run(*args), pickle.HIGHEST_PROTOCOL)
             with open(write_end, "wb") as pipe:
                 pipe.write(data)
             code = 0
         finally:
             os._exit(code)
     os.close(write_end)
+    if pid is None:
+        os.close(read_end)
+        return None
     return pid, read_end
 
 
 def _reap(child: tuple[int, int], kill: bool = False):
-    """Wait for a child of _fork and return its result or Exception.
+    """Wait for a child of _fork and return its result, or None if it handed back none.
 
     The pipe is read to its end (a result larger than the pipe's buffer
-    holds the child until it is read), then closed, and the child reaped,
-    also when the read is interrupted.  A child that wrote nothing gives a
-    RuntimeError.  kill ends the child with SIGKILL instead and returns None.
+    holds the child until it is read), then closed, and the child reaped.
+    kill, or a read that is interrupted, ends the child with SIGKILL instead.
     """
     pid, read_end = child
-    data = b""
+    data = None
     try:
-        if kill:
-            # imported here, off the start-up path of every stage
-            import signal
-            os.kill(pid, signal.SIGKILL)
-        else:
+        if not kill:
             with open(read_end, "rb", closefd=False) as pipe:
                 data = pipe.read()
     finally:
         os.close(read_end)
+        if data is None:
+            # imported here, off the start-up path of every stage
+            import signal
+            os.kill(pid, signal.SIGKILL)
         status = os.waitpid(pid, 0)[1]
-    if kill:
-        return None
-    # bytes a child of this process wrote, so safe to unpickle
-    return pickle.loads(data) if data else RuntimeError(
-        f"batch worker {pid} ended without a result "
-        f"(exit status {os.waitstatus_to_exitcode(status)})")
+    # bytes a child of this process wrote in full, so safe to unpickle
+    return pickle.loads(data) if data and status == 0 else None
 
 
-def _run_forked(run, groups: list[tuple[int, int]]) -> list:
+def _run_forked(run, groups: list[tuple[int, int]]) -> tuple[BatchResult, int] | None:
     """run(first, stop) for every group: the first here, the others in forked children.
 
-    Returns each group's result, or the Exception it raised, in group order.
-    Every child is reaped, also when this process's own group ends in an
-    interrupt.
+    Returns the groups' results joined in path order and their censored
+    counts summed, or None where a fork failed, a child handed back no
+    result or the group here raised.  Once the group here has failed or
+    been interrupted, the children are killed, not waited for.
     """
-    children = []
+    children, here = [], None
     try:
         for first, stop in groups[1:]:
             children.append(_fork(run, first, stop))
-        try:
+        if None not in children:
             here = run(*groups[0])
-        except Exception as err:
-            here = err
+    except Exception:
+        pass        # the one loop raises it again
     finally:
-        outcomes = [_reap(child) for child in children]
-    return [here, *outcomes]
+        outcomes = [here, *(_reap(child, kill=here is None) for child in children if child)]
+    if None in outcomes:
+        return None
+    return _joined([part for part, _ in outcomes]), sum(k for _, k in outcomes)
 
 
 @dataclass
@@ -473,15 +454,11 @@ _ahead = _AheadSlot()
 
 def _batch_key(x0, control, model, cfg, n_paths, seed, tag, fixed_steps, terminal_value,
                scores) -> tuple:
-    """The arguments run_batch compares by value, then those it compares by identity."""
+    """The arguments run_batch compares to join an ahead batch, the control as bytes."""
     arrays = None if control is None else tuple(
         np.ascontiguousarray(v).tobytes()
         for v in (control.centers, control.widths, control.coefficients))
-    return (x0, cfg, n_paths, seed, tag, fixed_steps, scores, arrays), (model, terminal_value)
-
-
-def _same_batch(key: tuple, other: tuple) -> bool:
-    return key[0] == other[0] and all(a is b for a, b in zip(key[1], other[1]))
+    return x0, model, cfg, n_paths, seed, tag, fixed_steps, terminal_value, scores, arrays
 
 
 def run_batch_ahead(x0: float, control, model: ModelBundle, cfg: SimConfig, *,
@@ -494,15 +471,17 @@ def run_batch_ahead(x0: float, control, model: ModelBundle, cfg: SimConfig, *,
     simulating (see run_batch).  Any pending ahead batch is killed first,
     so at most one child runs ahead.  Forks only where a CPU would idle
     otherwise: where the process may fork onto 2 or more CPUs (_cpus) and
-    the batch is one group, which it runs in one loop.  Returns whether it
-    forked.
+    the batch is one group, which the child runs as run_batch would.
+    Returns whether it forked; False also where os.fork fails.
     """
     drop_ahead()
     if _cpus() < 2 or len(_groups(n_paths)) > 1:
         return False
     args = (x0, control, model, cfg, n_paths, seed, tag, fixed_steps, terminal_value, scores)
-    _ahead.child = _fork(_batch, *args)
-    _ahead.key = _batch_key(*args)
+    child = _fork(_batch, *args)
+    if child is None:
+        return False
+    _ahead.child, _ahead.key = child, _batch_key(*args)
     _ahead.started += 1
     return True
 
@@ -517,25 +496,6 @@ def drop_ahead():
 def ahead_counts() -> tuple[int, int]:
     """How many batches this process started ahead, and how many run_batch joined."""
     return _ahead.started, _ahead.joined
-
-
-def _first_error(errors: list[Exception], domain: SimulationDomain) -> Exception:
-    """The error the one loop over every group's paths raises.
-
-    That is the failure on the earliest step of any group (non-finite updates
-    before domain exits on the same step), naming the paths of every group
-    that failed the same way on that step.  An error that names no step (one
-    a terminal_value raised) wins over those, and the first group's wins.
-    """
-    for e in errors:
-        if not isinstance(e, PathFailure) or e.step is None:
-            return e
-    step = min(e.step for e in errors)
-    first = [e for e in errors if e.step == step]
-    kind = (NumericalFailureError if any(isinstance(e, NumericalFailureError) for e in first)
-            else OutOfDomainError)
-    paths = sorted(i for e in first if isinstance(e, kind) for i in e.paths)
-    return _path_failure(kind, paths, step, domain)
 
 
 def _joined(parts: list[BatchResult]) -> BatchResult:
@@ -635,7 +595,18 @@ def _run_paths(first: int, stop: int, x0: float, control, model: ModelBundle,
             out_eb[slots] = sum_eta_b[rows]
 
     def fail(kind, rows):
-        return _path_failure(kind, (idx[rows] + first).tolist(), step, domain)
+        """The NumericalFailureError or OutOfDomainError of the live rows that failed."""
+        paths = (idx[rows] + first).tolist()
+        shown = ", ".join(map(str, paths[:NAMED_PATHS]))
+        if len(paths) > NAMED_PATHS:
+            shown += ", ..."
+        named = f"{len(paths)} path{'' if len(paths) == 1 else 's'} [{shown}]"
+        if kind is NumericalFailureError:
+            message = f"non-finite update for {named} at step {step}"
+        else:
+            message = (f"{named} left the domain [{domain.lo}, {domain.hi}] at step {step} "
+                       f"with abort boundary")
+        return kind(message, paths, step)
 
     segs = segments()
     c, c_col, c2, t, prod = views(n_paths)

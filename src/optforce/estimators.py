@@ -96,12 +96,8 @@ def estimate_mfpt_reweighted(control, x0: float, model: ModelBundle, cfg: SimCon
     """Estimate E[tau] under the plain dynamics from tilted paths.
 
     control is a GaussianAnsatz or None, as for estimate_psi_reweighted.
-    tau-hat is the batch mean of (h * N_tau) * w.  Degenerate case: x0 on
-    the stopping boundary returns 0 exactly.
+    tau-hat is the batch mean of (h * N_tau) * w.
     """
-    if bool(model.stopping_set.contains(x0)):
-        return EstimatorResult(estimate=0.0, stderr=0.0, ci95=(0.0, 0.0), n_paths=n_paths,
-                               ess=float(n_paths))
     batch = run_batch(x0, control, model, cfg, n_paths=n_paths, seed=seed, tag=tag)
     w = np.exp(batch.log_lr_p_over_q)
     result = summarize(cfg.h * batch.n_steps, w)

@@ -11,11 +11,13 @@ accepts is its last probe b = a + t d, and the next iterate a - alpha g is b
 bit for bit, so its batch is objective(b, next seed).  Where the objective
 offers `ahead` (make_objective's), every probe first starts that batch in a
 forked child, which replaces the previous probe's; the next iterate's batch
-then joins the child of the accepted probe.  The join happens inside
-dynamics.run_batch, so every batch is still one run_batch call with the same
-paths and loop count, and traced counts do not change.  Under reseed_policy
-"fixed" the next iterate's batch is the accepted probe's own, so its
-estimate is reused and nothing runs ahead.
+then joins the child of the accepted probe.  Once a probe's batch fails,
+the iteration starts nothing more ahead: a line search whose probes all fail
+would fork one child per probe, each killed by the next.  The join happens
+inside dynamics.run_batch, so every batch is still one run_batch call with
+the same paths and loop count, and traced counts do not change.  Under
+reseed_policy "fixed" the next iterate's batch is the accepted probe's own,
+so its estimate is reused and nothing runs ahead.
 """
 
 from __future__ import annotations
@@ -221,12 +223,14 @@ def descend(a0: np.ndarray, cfg: DescentConfig, objective, *, seed: int):
     cfg.stop_level or after max_iters; returns the best-seen coefficients by
     cost value together with the trace.  A line-search probe whose batch
     raises a PathFailure (a censored path, a non-finite update or a path
-    leaving an abort domain) is rejected; an iterate's batch that does raises.
+    leaving an abort domain) is rejected; an iterate's batch that does raises,
+    and an iterate's non-finite gradient estimate raises OptimizerError.
 
     An objective with an `ahead(b, seed)` method gets it called at each
     probe b before objective(b, seed), with the next iteration's seed, except
-    in the last iteration and when both seeds are equal.  The child it
-    starts is killed and reaped before descend returns or raises.
+    in the last iteration, when both seeds are equal and after a probe of
+    the iteration was rejected.  The child it starts is killed and reaped
+    once its probe is rejected, and before descend returns or raises.
     """
     a = np.asarray(a0, dtype=np.float64).copy()
     if not np.all(np.isfinite(a)):
@@ -247,18 +251,22 @@ def descend(a0: np.ndarray, cfg: DescentConfig, objective, *, seed: int):
             run_ahead = ahead is not None and it + 1 < cfg.max_iters and next_seed != it_seed
             if est is None:
                 est = objective(a, it_seed)
+            if not np.all(np.isfinite(est.gradient)):
+                raise OptimizerError(f"gradient estimate is non-finite at iteration {it}")
             last_b, last_est = None, failed
 
             def probe(b):
-                nonlocal last_b, last_est
+                nonlocal last_b, last_est, run_ahead
                 if run_ahead:
                     ahead(b, next_seed)
                 last_b, last_est = b, failed
-                # a pathological probe (runaway control) must never be accepted
+                # a pathological probe (runaway control) must never be accepted,
+                # and after one no probe starts the next iterate ahead
                 try:
                     last_est = objective(b, it_seed)
                 except PathFailure:
-                    pass
+                    run_ahead = False
+                    drop_ahead()
                 return last_est
 
             alpha = 0.0

@@ -1,3 +1,4 @@
+import errno
 import os
 
 import pytest
@@ -14,3 +15,23 @@ def cpus(monkeypatch):
         if n_paths is not None:
             assert len(optforce.dynamics._groups(n_paths)) == n
     return use
+
+
+@pytest.fixture
+def fork_fails(monkeypatch):
+    """os.fork raises OSError(EAGAIN), as where no further process may start;
+    returns a list that grows by one entry per attempt."""
+    attempts = []
+
+    def fork():
+        attempts.append(None)
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", fork)
+    return attempts
+
+
+def assert_no_child_left():
+    """This process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

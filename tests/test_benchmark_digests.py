@@ -11,7 +11,9 @@ output bit fails here too and not only in a benchmark run.  The descent's `itera
 recorded beside the digests, so telemetry and benchmark cannot drift apart.
 The headline test also checks how many next-iterate batches the descent
 joined from a child that ran them ahead: all 8 accepted probes' where the
-process may use a second CPU, none on one.
+process may use a second CPU, none on one.  The `shells` and `gradcheck`
+runs are repeated where os.fork fails, which leaves the next iterate's batch
+and every split batch to the one loop here.
 """
 
 import hashlib
@@ -68,6 +70,17 @@ def test_shells_optimize_writes_the_recorded_bytes(tmp_path):
     assert_descent_counts(tmp_path, "shells")
 
 
+def test_shells_optimize_writes_the_recorded_bytes_where_fork_fails(tmp_path, cpus,
+                                                                    fork_fails):
+    # every probe's next iterate is left to run here
+    cpus(2)
+    run(tmp_path, "optimize", "--set", "ladder.shells=3")
+    assert written(tmp_path) == recorded("shells")
+    assert_descent_counts(tmp_path, "shells")
+    summary = json.loads((tmp_path / "optimize.json").read_text())
+    assert fork_fails and summary["batches_ahead"] == 0
+
+
 def test_headline_reference_writes_the_recorded_bytes(tmp_path):
     run(tmp_path, "reference")
     assert written(tmp_path, REFERENCE_PATTERNS) == recorded("headline", REFERENCE_PATTERNS)
@@ -87,3 +100,11 @@ def test_headline_optimize_and_estimate_write_the_recorded_bytes(tmp_path):
 def test_gradcheck_writes_the_recorded_bytes(tmp_path):
     run(tmp_path, "gradcheck")
     assert written(tmp_path) == recorded("gradcheck")
+
+
+def test_gradcheck_writes_the_recorded_bytes_where_fork_fails(tmp_path, cpus, fork_fails):
+    # every batch of several segments is left to the one loop here
+    cpus(2)
+    run(tmp_path, "gradcheck")
+    assert written(tmp_path) == recorded("gradcheck")
+    assert fork_fails

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import hashlib
 import os
 import re
@@ -16,6 +17,7 @@ from optforce.dynamics import (KERNEL_CHUNK, NOISE_BLOCK, CensoredPathError,
 from optforce.model import (ModelBundle, Potential, SimulationDomain, StoppingSet,
                             make_flat, make_harmonic, make_potential)
 from blas_rounding import skip_unless_recorded_gemv
+from conftest import assert_no_child_left
 from scalar_oracle import (FieldControl, Trajectory, discrete_action, em_step,
                            log_likelihood_ratio, simulate_until_hit)
 
@@ -537,9 +539,9 @@ class TestRecordedBits:
         }
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+def assert_same_batch(batch, expected):
+    for name in (*BATCH_ARRAYS, "loop_iters"):
+        np.testing.assert_array_equal(getattr(batch, name), getattr(expected, name))
 
 
 class TestSplitBatches:
@@ -564,8 +566,7 @@ class TestSplitBatches:
                                      terminal_value=lambda x: 0.3 + ansatz.value(x)))
             assert_no_child_left()
         for batch in batches[1:]:
-            for name in (*BATCH_ARRAYS, "loop_iters"):
-                np.testing.assert_array_equal(getattr(batch, name), getattr(batches[0], name))
+            assert_same_batch(batch, batches[0])
 
     @pytest.mark.parametrize("seed, step, paths", [
         (4, 9, [2925]),                       # groups fail on steps 11, 10 and 9
@@ -598,19 +599,69 @@ class TestSplitBatches:
                           n_paths=3072, seed=4)
             assert_no_child_left()
 
-    def test_an_error_in_a_child_is_raised_here(self, cpus):
+    def test_a_child_only_error_leaves_the_batch_to_the_one_loop(self, cpus):
         model = ModelBundle(make_harmonic(), 1.0, StoppingSet(-0.3, -0.2), DOMAIN)
         here = os.getpid()
 
+        class ChildOnly(Exception):
+            """An error pickle cannot carry: a local class, holding a lambda."""
+
+            def __init__(self):
+                super().__init__("terminal value failed in a child")
+                self.hook = lambda: None
+
         def terminal_value(x):
             if os.getpid() != here:
-                raise ValueError("terminal value failed in a child")
+                raise ChildOnly()
             return np.zeros(x.size)
 
-        cpus(2, 2100)
-        with pytest.raises(ValueError, match="^terminal value failed in a child$"):
-            run_batch(0.4, None, model, CFG, n_paths=2100, seed=4,
-                      terminal_value=terminal_value)
+        batches = []
+        for n in (1, 2):
+            cpus(n, 2100)
+            batches.append(run_batch(0.4, None, model, CFG, n_paths=2100, seed=4,
+                                     terminal_value=terminal_value))
+            assert_no_child_left()
+        assert_same_batch(batches[1], batches[0])
+
+    def test_an_error_raised_here_too_comes_out_unchanged(self, cpus):
+        model = ModelBundle(make_harmonic(), 1.0, StoppingSet(-0.3, -0.2), DOMAIN)
+
+        def terminal_value(x):
+            raise ValueError("terminal value failed")
+
+        for n in (1, 2, 3):
+            cpus(n, 3072)
+            with pytest.raises(ValueError, match="^terminal value failed$"):
+                run_batch(0.4, None, model, CFG, n_paths=3072, seed=4,
+                          terminal_value=terminal_value)
+            assert_no_child_left()
+
+    def test_a_failed_fork_runs_the_one_loop(self, cpus, fork_fails):
+        model = ModelBundle(make_harmonic(), 1.0, StoppingSet(-0.3, -0.2), DOMAIN)
+        cpus(1, 3072)
+        expected = run_batch(0.4, None, model, CFG, n_paths=3072, seed=4)
+        cpus(2, 3072)
+        batch = run_batch(0.4, None, model, CFG, n_paths=3072, seed=4)
+        assert len(fork_fails) == 1
+        assert_same_batch(batch, expected)
+        assert_no_child_left()
+
+    def test_a_second_fork_failing_runs_the_one_loop(self, cpus, monkeypatch):
+        model = ModelBundle(make_harmonic(), 1.0, StoppingSet(-0.3, -0.2), DOMAIN)
+        cpus(1, 3072)
+        expected = run_batch(0.4, None, model, CFG, n_paths=3072, seed=4)
+        forks = [os.fork]
+
+        def fork():
+            if forks:
+                return forks.pop()()
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", fork)
+        cpus(3, 3072)
+        batch = run_batch(0.4, None, model, CFG, n_paths=3072, seed=4)
+        assert not forks
+        assert_same_batch(batch, expected)
         assert_no_child_left()
 
     def test_a_process_running_threads_runs_one_group(self, cpus):
@@ -654,18 +705,13 @@ class TestBatchAhead:
             raise AssertionError("the batch ran in this process")
         monkeypatch.setattr(optforce.dynamics, "_run_paths", ran_here)
 
-    @staticmethod
-    def assert_same_batch(batch, expected):
-        for name in (*BATCH_ARRAYS, "sum_cb", "sum_eta_b", "loop_iters"):
-            np.testing.assert_array_equal(getattr(batch, name), getattr(expected, name))
-
     def test_a_joined_batch_is_the_batch_run_here(self, cpus, monkeypatch):
         cpus(2)
         expected = self.batch()
         started, joined = ahead_counts()
         assert self.batch(run_batch_ahead)
         self.run_nothing_here(monkeypatch)
-        self.assert_same_batch(self.batch(), expected)
+        assert_same_batch(self.batch(), expected)
         assert ahead_counts() == (started + 1, joined + 1)
         assert_no_child_left()
 
@@ -678,31 +724,54 @@ class TestBatchAhead:
         assert self.batch(run_batch_ahead)
         joined = ahead_counts()[1]
         for other, kwargs in zip(others, [{"seed": 12}, {"control": nudged}]):
-            self.assert_same_batch(self.batch(**kwargs), other)
+            assert_same_batch(self.batch(**kwargs), other)
         assert ahead_counts()[1] == joined
         self.run_nothing_here(monkeypatch)
-        self.assert_same_batch(self.batch(), expected)
+        assert_same_batch(self.batch(), expected)
         assert ahead_counts()[1] == joined + 1
         assert_no_child_left()
 
-    @pytest.mark.parametrize("kind, model, cfg", [
-        (OutOfDomainError, ModelBundle(make_harmonic(), 1.0, StoppingSet(-0.3, -0.2),
-                                       SimulationDomain(DOMAIN.lo, 1.4, "abort")), CFG),
-        (CensoredPathError, ModelBundle(make_harmonic(), 1.0, StoppingSet(-0.3, -0.2),
-                                        DOMAIN), dataclasses.replace(CFG, max_steps=50)),
-    ])
-    def test_a_failure_in_the_child_is_raised_unchanged(self, cpus, monkeypatch, kind,
-                                                        model, cfg):
+    def test_a_child_that_fails_leaves_the_batch_to_the_one_loop(self, cpus, monkeypatch):
         cpus(2)
-        with pytest.raises(kind) as here:
+        model = ModelBundle(make_harmonic(), 1.0, StoppingSet(-0.3, -0.2),
+                            SimulationDomain(DOMAIN.lo, 1.4, "abort"))
+        with pytest.raises(OutOfDomainError) as here:
+            self.batch(model=model, n_paths=1000)
+        joined = ahead_counts()[1]
+        assert self.batch(run_batch_ahead, model=model, n_paths=1000)
+        # the kernel loop runs here once, after the child handed back nothing
+        loops, run_paths = [], optforce.dynamics._run_paths
+        monkeypatch.setattr(optforce.dynamics, "_run_paths",
+                            lambda *args: loops.append(None) or run_paths(*args))
+        with pytest.raises(OutOfDomainError) as rerun:
+            self.batch(model=model, n_paths=1000)
+        assert len(loops) == 1 and ahead_counts()[1] == joined
+        assert str(rerun.value) == str(here.value)
+        assert (rerun.value.paths, rerun.value.step) == (here.value.paths, here.value.step)
+        assert_no_child_left()
+
+    def test_a_censoring_child_raises_from_its_count(self, cpus, monkeypatch):
+        cpus(2)
+        model = ModelBundle(make_harmonic(), 1.0, StoppingSet(-0.3, -0.2), DOMAIN)
+        cfg = dataclasses.replace(CFG, max_steps=50)
+        with pytest.raises(CensoredPathError) as here:
             self.batch(model=model, cfg=cfg, n_paths=1000)
+        joined = ahead_counts()[1]
         assert self.batch(run_batch_ahead, model=model, cfg=cfg, n_paths=1000)
         self.run_nothing_here(monkeypatch)
-        with pytest.raises(kind) as joined:
+        with pytest.raises(CensoredPathError) as child:
             self.batch(model=model, cfg=cfg, n_paths=1000)
-        assert type(joined.value) is kind
-        assert str(joined.value) == str(here.value)
-        assert (joined.value.paths, joined.value.step) == (here.value.paths, here.value.step)
+        assert str(child.value) == str(here.value)
+        assert ahead_counts()[1] == joined + 1
+        assert_no_child_left()
+
+    def test_a_failed_fork_starts_nothing(self, cpus, fork_fails):
+        cpus(2)
+        expected = self.batch()
+        counts = ahead_counts()
+        assert not self.batch(run_batch_ahead)
+        assert len(fork_fails) == 1 and ahead_counts() == counts
+        assert_same_batch(self.batch(), expected)
         assert_no_child_left()
 
     @pytest.mark.parametrize("why", ["one CPU", "a running thread", "several segments"])

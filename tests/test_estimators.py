@@ -144,12 +144,11 @@ class TestMfptReweighted:
         oracle = mfpt_quadrature_oracle(model.potential, EPS, X0, S.hi, DOMAIN.hi)
         assert abs(est.estimate - oracle) < 3 * est.stderr + 0.05 * oracle
 
-    def test_start_on_boundary_is_exactly_zero(self):
+    def test_start_in_the_stopping_set_raises(self):
         model = easy_model()
         cfg = SimConfig(epsilon=EPS, h=1e-3)
-        est = estimate_mfpt_reweighted(None, -1.0, model, cfg, seed=62, n_paths=16)
-        assert est.estimate == 0.0
-        assert est.ci95 == (0.0, 0.0)
+        with pytest.raises(ValueError, match=r"^x0=-1.0 already inside the stopping set$"):
+            estimate_mfpt_reweighted(None, -1.0, model, cfg, seed=62, n_paths=16)
 
     def test_unbiasedness_over_replications(self):
         # moderate tilt, easy potential: replication mean matches the oracle

@@ -1,5 +1,4 @@
 import dataclasses
-import os
 
 import numpy as np
 import pytest
@@ -10,6 +9,7 @@ from optforce.model import ModelBundle, SimulationDomain, StoppingSet, make_scal
 from optforce.objective import GradientEstimate, make_objective
 from optforce.optimizer import (DescentConfig, DescentTrace, OptimizerError,
                                 descend, wolfe_line_search)
+from conftest import assert_no_child_left
 
 
 def quadratic_objective(center=None):
@@ -250,11 +250,6 @@ class TestDescendAhead:
         return make_objective(self.ANSATZ, self.X0, self.MODEL, self.SIM,
                               indices=np.arange(self.ANSATZ.m), n_paths=batch_size)
 
-    @staticmethod
-    def assert_no_child_left():
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
     def test_one_and_two_cpus_give_the_same_descent(self, cpus):
         cfg = DescentConfig(max_iters=4, grad_tol=1e-9, batch_size=256)
         runs = []
@@ -263,7 +258,7 @@ class TestDescendAhead:
             before = ahead_counts()
             a, trace = descend(self.ANSATZ.coefficients, cfg, self.objective(), seed=3)
             runs.append((a, trace, [x - x0 for x, x0 in zip(ahead_counts(), before)]))
-            self.assert_no_child_left()
+            assert_no_child_left()
         (a1, trace1, counts1), (a2, trace2, counts2) = runs
         np.testing.assert_array_equal(a2, a1)
         assert trace2.records == trace1.records
@@ -331,22 +326,34 @@ class TestDescendAhead:
             objective = self.iteration_1_iterate(objective, self.inf_gradient)
         elif ending == "iterate batch raises":
             objective = self.iteration_1_iterate(objective, self.raises)
+        seeds = []
+
+        def counted(a, seed):
+            seeds.append(seed)
+            return objective(a, seed)
+
+        counted.ahead = objective.ahead
         started = ahead_counts()[0]
         if ending == "OptimizerError":
-            # the probes along an infinite gradient are NaN
-            with np.errstate(invalid="ignore"), pytest.raises(
-                    OptimizerError, match="non-finite at iteration 1"):
-                descend(self.ANSATZ.coefficients, cfg, objective, seed=3)
+            with pytest.raises(OptimizerError, match="non-finite at iteration 1"):
+                descend(self.ANSATZ.coefficients, cfg, counted, seed=3)
+            # iteration 1 evaluated its iterate and ran no probe
+            assert seeds.count(cfg.iteration_seed(3, 1)) == 1
         elif ending == "iterate batch raises":
             with pytest.raises(CensoredPathError):
-                descend(self.ANSATZ.coefficients, cfg, objective, seed=3)
+                descend(self.ANSATZ.coefficients, cfg, counted, seed=3)
         else:
-            _, trace = descend(self.ANSATZ.coefficients, cfg, objective, seed=3)
+            _, trace = descend(self.ANSATZ.coefficients, cfg, counted, seed=3)
             assert trace.converged == (ending == "convergence")
             assert len(trace.records) == 2
             assert trace.records[0].line_search_fallback == (ending == "line-search fallback")
+        if ending == "line-search fallback":
+            # the first probe starts the next iterate ahead and fails; no
+            # later probe of the iteration starts one
+            assert trace.records[0].probes > 1
+            assert ahead_counts()[0] == started + 1
         assert ahead_counts()[0] > started
-        self.assert_no_child_left()
+        assert_no_child_left()
 
     def test_fixed_seeds_reuse_the_accepted_probe(self):
         # an objective that ignores the seed evaluates the same points under
