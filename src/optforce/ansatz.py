@@ -56,22 +56,25 @@ class GaussianAnsatz:
 
     # -- basis evaluation ---------------------------------------------------
 
-    def _offsets_and_bumps(self, x):
-        """d = x_i - mu_j and v_j(x_i), computed in place."""
+    def values_matrix(self, x) -> np.ndarray:
+        """(n, m) matrix of v_j(x_i)."""
         d = np.asarray(x, dtype=np.float64).reshape(-1, 1) - self.centers
         # d^2 / -(2 s^2) is -d^2 / (2 s^2) bit for bit: IEEE rounding is
         # symmetric in sign
         v = np.multiply(d, d)
         v /= self._minus_two_w2
-        return d, np.exp(v, out=v)
-
-    def values_matrix(self, x) -> np.ndarray:
-        """(n, m) matrix of v_j(x_i)."""
-        return self._offsets_and_bumps(x)[1]
+        return np.exp(v, out=v)
 
     def basis_controls(self, x) -> np.ndarray:
-        """(n, m) matrix of b_j(x_i) = sqrt(2) (x - mu_j)/s_j^2 * v_j(x_i)."""
-        b, v = self._offsets_and_bumps(x)
+        """(n, m) matrix of b_j(x_i) = sqrt(2) (x - mu_j)/s_j^2 * v_j(x_i).
+
+        v_j is evaluated as in values_matrix, but in this frame: the kernel
+        calls this once per step, where a further call costs measurable time.
+        """
+        b = np.asarray(x, dtype=np.float64).reshape(-1, 1) - self.centers
+        v = np.multiply(b, b)
+        v /= self._minus_two_w2
+        np.exp(v, out=v)
         b *= SQRT2
         b /= self._w2
         b *= v

@@ -17,7 +17,9 @@ which is the algebraic expansion of the discrete action difference
 S_h(path; c) - S_h(path; 0) in terms of the driving noises.  The increment
 satisfies E[exp(increment)] = 1 exactly, step by step, so reweighting by
 exp(log dP/dQ) is unbiased for the discrete chain (including reflective
-folding at the domain edges).
+folding at the domain edges).  A batch with scores accumulates instead, per
+basis function b_j, sum_k c(x_k) b_j(x_k) and sum_k eta_{k+1} b_j(x_k); with
+c = sum_j a_j b_j these imply its log dP/dQ, which it does not accumulate.
 
 Per-path noise streams are derived from (seed, tag, path index) through a
 counter-based generator and consumed in fixed-size blocks, so a path sees
@@ -51,28 +53,36 @@ that fails) leaves the batch to the one loop here, which returns or raises
 exactly what it does where nothing forks.
 
 A path that enters the stopping set retires on that step.  Retirement
-compacts the per-row arrays (positions, costs, log likelihood ratios, score
-accumulators, path indices), because gemv must see exactly the live rows of
-each segment for its tail rows to round as before.  It compacts neither the
-noise blocks, which the live rows read through a row map until the next
-refill, nor the list of streams, which is indexed by path index.
+compacts the per-row arrays (positions, costs, log likelihood ratios or
+score accumulators, path indices), because gemv must see exactly the live
+rows of each segment for its tail rows to round as before.  It compacts
+neither the noise blocks, which the live rows read through a row map until
+the next refill, nor the list of streams, which is indexed by path index.
 
 What one step costs.  Long-tailed batches spend most loop iterations on a
 few live paths, where a step's time is the dispatch of its numpy calls
-(0.4-0.6 us each on a 2-core x86-64 VM), not arithmetic.  So a step issues
-as few and as cheap calls as keep every bit:
+(0.4-0.6 us each on a 2-core x86-64 VM), not arithmetic: a scored step at 2
+live rows takes about 20-30 us there, of which the basis evaluation is
+about 7 us.  So a step issues as few and as cheap calls as keep every bit:
   - one matmul for c when the batch is one segment, a loop over segments
     otherwise;
+  - the log-likelihood-ratio update (five calls) only without scores;
+  - the test that every path lies in [lo, hi] on a Python list of x - lo
+    where FEW_ROWS or fewer rows are live, two numpy reductions otherwise;
   - the stopping test only when lo + min(x - lo), which is min(x) because
     rounding is monotone, lies at or below S.hi, or when the step folded
     or runs under an abort boundary;
   - the per-step scalars as 0-d arrays, which a ufunc takes faster than
-    Python floats;
+    Python floats, and the ufuncs, the basis method and the potential's
+    gradient bound to local names once per batch;
   - the c^2, cost, log-likelihood-ratio, position and score updates in
     place, in buffers allocated once per batch (rows, and rows x m for the
     score products).
 Every kept operation has its old operands and rounding; only the
-IEEE-commutative + and * swap operands.
+IEEE-commutative + and * swap operands.  Stacking the two score products
+into one (2, rows, m) product and one add saved about 2 us per step at a
+few rows but cost 3-4 us at 256-512 and 6-13% on a three-shell optimize, so
+each score keeps its own product and add.
 """
 
 from __future__ import annotations
@@ -103,6 +113,13 @@ NOISE_BLOCK = 128
 # is the unit of parallel work: a group of whole segments run on its own
 # meets every row in the same company as the whole batch.
 KERNEL_CHUNK = 1024
+
+# live rows up to which a step tests its positions against [lo, hi] on a
+# Python list (min, max and sum) rather than with two numpy reductions.  On a
+# 2-core x86-64 VM the list saved 0.6-2.5 us per scored step at 1-24 rows,
+# tied at 32 and lost 0.5-0.8 us at 40-48.
+FEW_ROWS = 32
+INF = float("inf")
 
 
 class PathFailure(RuntimeError):
@@ -210,7 +227,9 @@ class BatchResult:
     n_steps: np.ndarray
     work: np.ndarray
     control_cost: np.ndarray
-    log_lr_p_over_q: np.ndarray
+    # None for a batch with scores, whose log dP/dQ is implied by them:
+    # -sqrt(h/eps) sum_eta_b @ a - h/(2 eps) sum_cb @ a, a the coefficients
+    log_lr_p_over_q: np.ndarray | None
     final_x: np.ndarray
     terminal: np.ndarray | None = None
     sum_cb: np.ndarray | None = None        # sum_k c(x_k) b_j(x_k), per basis j
@@ -258,7 +277,8 @@ def run_batch(x0: float, control, model: ModelBundle, cfg: SimConfig, *,
     terminal_value : callable evaluated at the hitting point and added to the
         per-path cost (milestoning inner-boundary values).
     scores : also collect the per-basis gradient accumulators sum_cb and
-        sum_eta_b (needs an ansatz control); left None otherwise.
+        sum_eta_b (needs an ansatz control); left None otherwise.  A batch
+        with scores leaves log_lr_p_over_q None, because they imply it.
 
     Path i always consumes the stream (seed, tag, i); seed must fit in
     [0, MAX_SEED], one word of the stream's Philox key.  The paths advance
@@ -295,10 +315,9 @@ def run_batch(x0: float, control, model: ModelBundle, cfg: SimConfig, *,
     loop here, which returns or raises what it does on one CPU.
 
     A step costs a fixed few dozen numpy calls plus work linear in the live
-    rows: one matmul per segment (one for a one-segment batch), the
-    stopping test only on steps where lo + min(x - lo) <= S.hi or where
-    paths folded or the boundary aborts, 0-d constants, and buffers
-    preallocated per batch instead of temporaries per step.
+    rows; the module docstring lists what keeps that count low.
+
+    Each returned batch adds to kernel_counts().
     """
     args = (x0, control, model, cfg, n_paths, seed, tag, fixed_steps, terminal_value, scores)
     outcome = None
@@ -311,6 +330,9 @@ def run_batch(x0: float, control, model: ModelBundle, cfg: SimConfig, *,
     if censored:
         raise CensoredPathError(f"{censored}/{n_paths} paths did not hit within "
                                 f"max_steps={cfg.max_steps}")
+    _tally.batches += 1
+    _tally.path_steps += int(result.n_steps.sum())
+    _tally.loop_iters += result.loop_iters
     return result
 
 
@@ -498,6 +520,28 @@ def ahead_counts() -> tuple[int, int]:
     return _ahead.started, _ahead.joined
 
 
+@dataclass
+class _Tally:
+    """What the batches run_batch returned in this process did."""
+
+    batches: int = 0
+    path_steps: int = 0         # sum of their n_steps
+    loop_iters: int = 0         # sum of their loop_iters
+
+
+_tally = _Tally()
+
+
+def kernel_counts() -> tuple[int, int, int]:
+    """How many batches run_batch returned in this process, their path-steps and
+    their loop iterations (a split batch's are its longest group's).
+
+    A batch that raised is not counted; a joined ahead batch is, as a batch
+    run here.
+    """
+    return _tally.batches, _tally.path_steps, _tally.loop_iters
+
+
 def _joined(parts: list[BatchResult]) -> BatchResult:
     """The BatchResult of consecutive path groups, fields joined in path order."""
     joined = {}
@@ -524,8 +568,10 @@ def _run_paths(first: int, stop: int, x0: float, control, model: ModelBundle,
     # Python floats; every product keeps its operands
     h_, half_h, lr_eta, lr_quad, noise_amp, sqrt2 = map(np.array, (
         h, 0.5 * h, np.sqrt(h / eps), h / (2.0 * eps), np.sqrt(2.0 * h * eps), SQRT2))
+    multiply, subtract, add, matmul = np.multiply, np.subtract, np.add, np.matmul
+    row_min, row_max = np.minimum.reduce, np.maximum.reduce
     run_cost = h * model.sigma
-    p = model.potential
+    grad = model.potential.gradient
     s = model.stopping_set
     domain = model.domain
     left, width = np.array(domain.lo), domain.hi - domain.lo
@@ -533,11 +579,12 @@ def _run_paths(first: int, stop: int, x0: float, control, model: ModelBundle,
     limit = fixed_steps if fixed_steps is not None else cfg.max_steps
     one_segment = n_paths <= KERNEL_CHUNK
 
-    # outputs, in path-index order
+    # outputs, in path-index order; a scored batch's log-likelihood ratio is
+    # implied by its scores (BatchResult.log_lr_p_over_q) and not kept
     out_steps = np.zeros(n_paths, dtype=np.int64)
     out_work = np.zeros(n_paths)
     out_cc = np.zeros(n_paths)
-    out_llr = np.zeros(n_paths)
+    out_llr = None if scores else np.zeros(n_paths)
     out_x = np.full(n_paths, float(x0))
     out_term = np.zeros(n_paths) if terminal_value is not None else None
     out_cb = np.zeros((n_paths, control.m)) if scores else None
@@ -553,7 +600,7 @@ def _run_paths(first: int, stop: int, x0: float, control, model: ModelBundle,
     x = np.full(n_paths, float(x0))
     work = 0.0
     ccost = np.zeros(n_paths)
-    log_lr = np.zeros(n_paths)
+    log_lr = None if scores else np.zeros(n_paths)
     sum_cb = np.zeros((n_paths, control.m)) if scores else None
     sum_eta_b = np.zeros((n_paths, control.m)) if scores else None
     gens = _take_streams(seed, tag, first, n_paths)
@@ -583,7 +630,6 @@ def _run_paths(first: int, stop: int, x0: float, control, model: ModelBundle,
         out_steps[slots] = step
         out_work[slots] = work
         out_cc[slots] = ccost[rows]
-        out_llr[slots] = log_lr[rows]
         out_x[slots] = x[rows]
         if terminal_value is not None:
             for lo, hi in segs:
@@ -593,6 +639,8 @@ def _run_paths(first: int, stop: int, x0: float, control, model: ModelBundle,
         if scores:
             out_cb[slots] = sum_cb[rows]
             out_eb[slots] = sum_eta_b[rows]
+        else:
+            out_llr[slots] = log_lr[rows]
 
     def fail(kind, rows):
         """The NumericalFailureError or OutOfDomainError of the live rows that failed."""
@@ -611,7 +659,7 @@ def _run_paths(first: int, stop: int, x0: float, control, model: ModelBundle,
     segs = segments()
     c, c_col, c2, t, prod = views(n_paths)
     if control is not None:
-        coefficients = control.coefficients
+        basis, coefficients = control.basis_controls, control.coefficients
     pos = NOISE_BLOCK
     step = 0
     while idx.size and step < limit:
@@ -627,42 +675,54 @@ def _run_paths(first: int, stop: int, x0: float, control, model: ModelBundle,
         # t = sqrt2 c - V'(x), then x + h t + noise_amp eta; without a
         # control c is 0, its cost and log-likelihood-ratio terms +0.0
         if control is not None:
-            bmat = control.basis_controls(x)
+            bmat = basis(x)
             if one_segment:
-                np.matmul(bmat, coefficients, c)
+                matmul(bmat, coefficients, c)
             else:
                 for lo, hi in segs:
-                    np.matmul(bmat[lo:hi], coefficients, out=c[lo:hi])
-            if scores:
-                np.multiply(c_col, bmat, prod)
-                sum_cb += prod
-                np.multiply(eta[:, None], bmat, prod)
-                sum_eta_b += prod
-            np.multiply(c, c, c2)
-            np.multiply(half_h, c2, t)
+                    matmul(bmat[lo:hi], coefficients, out=c[lo:hi])
+            multiply(c, c, c2)
+            multiply(half_h, c2, t)
             ccost += t
-            np.multiply(lr_eta, c, t)
-            t *= eta
-            c2 *= lr_quad
-            t += c2
-            log_lr -= t
-            np.multiply(sqrt2, c, t)
-            np.subtract(t, p.gradient(x), t)
+            if scores:
+                multiply(c_col, bmat, prod)
+                sum_cb += prod
+                multiply(eta[:, None], bmat, prod)
+                sum_eta_b += prod
+            else:
+                multiply(lr_eta, c, t)
+                t *= eta
+                c2 *= lr_quad
+                t += c2
+                log_lr -= t
+            multiply(sqrt2, c, t)
+            subtract(t, grad(x), t)
         else:
-            np.subtract(0.0, p.gradient(x), t)
+            subtract(0.0, grad(x), t)
         work += run_cost
         t *= h_
         x += t
-        np.multiply(noise_amp, eta, t)
+        multiply(noise_amp, eta, t)
         x += t
         # a step that leaves every path in [lo, hi] needs no folding: there
-        # _reflect gives lo + (x - lo) exactly, and a NaN or an inf fails the
-        # test.  Rounding is monotone, so lo + min(x - lo) is min(x): when it
-        # lies right of S, no path can have entered S on this step.
-        clear_of_s = False
-        if (reflect and (y_min := np.minimum.reduce(np.subtract(x, left, t))) >= 0.0
-                and np.maximum.reduce(t) <= width):
-            np.add(left, t, x)
+        # _reflect gives lo + (x - lo) exactly.  Rounding is monotone, so
+        # lo + min(x - lo) is min(x): when it lies right of S, no path can
+        # have entered S on this step.  A NaN or an inf fails the test and
+        # reaches the isfinite check: it fails a reduction's comparison, and
+        # on FEW_ROWS rows or fewer, where Python's min and max may pass over
+        # a NaN, it makes the sum non-finite.
+        clear_of_s = in_range = False
+        if reflect:
+            subtract(x, left, t)
+            if idx.size <= FEW_ROWS:
+                ys = t.tolist()
+                y_min = min(ys)
+                in_range = y_min >= 0.0 and max(ys) <= width and sum(ys) < INF
+            else:
+                y_min = row_min(t)
+                in_range = y_min >= 0.0 and row_max(t) <= width
+        if in_range:
+            add(left, t, x)
             clear_of_s = domain.lo + y_min > s.hi
         else:
             finite = np.isfinite(x)
@@ -684,11 +744,12 @@ def _run_paths(first: int, stop: int, x0: float, control, model: ModelBundle,
                 idx = idx[keep]
                 x = x[keep]
                 ccost = ccost[keep]
-                log_lr = log_lr[keep]
                 brow = brow[keep]
                 if scores:
                     sum_cb = sum_cb[keep]
                     sum_eta_b = sum_eta_b[keep]
+                else:
+                    log_lr = log_lr[keep]
                 segs = segments()
                 c, c_col, c2, t, prod = views(idx.size)
 

@@ -8,7 +8,9 @@ and the `gradcheck` workload in this process and compare the bytes of
 files, `estimates.json` and `gradcheck.json`, so a change that moves an
 output bit fails here too and not only in a benchmark run.  The descent's `iterations` and `probes` in
 `optimize.json` must equal the optimizer counts the benchmark's tracer
-recorded beside the digests, so telemetry and benchmark cannot drift apart.
+recorded beside the digests, and on `shells`, whose one stage is
+`optimize`, its `path_steps` and `loop_iters` the kernel counts, so
+telemetry and benchmark cannot drift apart.
 The headline test also checks how many next-iterate batches the descent
 joined from a child that ran them ahead: all 8 accepted probes' where the
 process may use a second CPU, none on one.  The `shells` and `gradcheck`
@@ -53,6 +55,12 @@ def assert_descent_counts(out: Path, workload: str):
     counts = expected(workload)["counts"]
     assert (summary["iterations"], summary["probes"]) == (
         counts["optimizer.iterations"], counts["optimizer.probes"])
+    if workload == "shells":
+        # optimize is the workload's one stage, so every batch traced is the
+        # descent's: 512 paths, one kernel segment, which the tracer's
+        # loop-iteration model counts as the kernel does
+        assert (summary["path_steps"], summary["loop_iters"]) == (
+            counts["dynamics.path_steps"], counts["dynamics.loop_iters"])
 
 
 def written(out: Path, patterns=PATTERNS) -> dict[str, str]:

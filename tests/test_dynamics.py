@@ -10,10 +10,10 @@ import pytest
 
 import optforce.dynamics
 from optforce.ansatz import make_uniform_ansatz
-from optforce.dynamics import (KERNEL_CHUNK, NOISE_BLOCK, CensoredPathError,
+from optforce.dynamics import (FEW_ROWS, KERNEL_CHUNK, NOISE_BLOCK, CensoredPathError,
                                NumericalFailureError, OutOfDomainError, SimConfig,
-                               ahead_counts, drop_ahead, path_stream, run_batch,
-                               run_batch_ahead)
+                               ahead_counts, drop_ahead, kernel_counts, path_stream,
+                               run_batch, run_batch_ahead)
 from optforce.model import (ModelBundle, Potential, SimulationDomain, StoppingSet,
                             make_flat, make_harmonic, make_potential)
 from blas_rounding import skip_unless_recorded_gemv
@@ -218,23 +218,30 @@ class TestBatchConsistency:
         one = run_batch(0.4, ansatz, model, CFG, n_paths=KERNEL_CHUNK, seed=5, scores=True)
         more = run_batch(0.4, ansatz, model, CFG, n_paths=1500, seed=5, scores=True)
         assert KERNEL_CHUNK == 1024 and more.n_paths == 1500
-        for name in ("n_steps", "work", "control_cost", "log_lr_p_over_q", "final_x",
-                     "sum_cb", "sum_eta_b"):
+        for name in ("n_steps", "work", "control_cost", "final_x", "sum_cb", "sum_eta_b"):
             np.testing.assert_array_equal(getattr(more, name)[:KERNEL_CHUNK],
                                           getattr(one, name))
+        assert one.log_lr_p_over_q is more.log_lr_p_over_q is None
 
     def test_scores_off_reproduces_scores_on(self):
-        # the score accumulators only read the path; they never steer it
+        # the score accumulators only read the path; they never steer it.  With
+        # c = sum_j a_j b_j they imply the log-likelihood ratio, which only the
+        # batch without them accumulates
         s = StoppingSet(-0.3, -0.2)
         model = ModelBundle(make_harmonic(), 1.0, s, DOMAIN)
         ansatz = make_uniform_ansatz(4, DOMAIN, s, 0.5).with_coefficients(
             [0.3, -0.2, 0.1, 0.4])
-        on = run_batch(0.4, ansatz, model, CFG, n_paths=200, seed=8, scores=True)
-        off = run_batch(0.4, ansatz, model, CFG, n_paths=200, seed=8)
+        kwargs = dict(n_paths=200, seed=8, terminal_value=lambda x: 0.5 * x)
+        on = run_batch(0.4, ansatz, model, CFG, scores=True, **kwargs)
+        off = run_batch(0.4, ansatz, model, CFG, **kwargs)
         assert on.sum_cb.shape == on.sum_eta_b.shape == (200, 4)
-        assert off.sum_cb is None and off.sum_eta_b is None
-        for name in ("n_steps", "work", "control_cost", "log_lr_p_over_q", "final_x"):
+        assert off.sum_cb is None and off.sum_eta_b is None and on.log_lr_p_over_q is None
+        for name in ("n_steps", "work", "control_cost", "final_x", "terminal", "loop_iters"):
             np.testing.assert_array_equal(getattr(off, name), getattr(on, name))
+        noise = -np.sqrt(CFG.h / EPS) * (on.sum_eta_b @ ansatz.coefficients)
+        quadratic = -(CFG.h / (2 * EPS)) * (on.sum_cb @ ansatz.coefficients)
+        assert np.all(np.abs(off.log_lr_p_over_q - (noise + quadratic))
+                      <= 1e-10 * (np.abs(noise) + np.abs(quadratic)))
 
     def test_no_control_matches_all_zero_ansatz(self):
         s = StoppingSet(-0.3, -0.2)
@@ -246,11 +253,14 @@ class TestBatchConsistency:
         # them skips
         forced = run_batch(0.4, zero, model, CFG, n_paths=200, seed=9, scores=True)
         shortcut = run_batch(0.4, zero, model, CFG, n_paths=200, seed=9)
+        for name in ("n_steps", "hit", "work", "control_cost", "final_x"):
+            np.testing.assert_array_equal(getattr(plain, name), getattr(forced, name))
         for name in ("n_steps", "hit", "work", "control_cost", "log_lr_p_over_q",
                      "final_x"):
-            np.testing.assert_array_equal(getattr(plain, name), getattr(forced, name))
             np.testing.assert_array_equal(getattr(plain, name), getattr(shortcut, name))
         assert not np.any(plain.control_cost) and not np.any(plain.log_lr_p_over_q)
+        # the scores of a zero ansatz imply a zero log-likelihood ratio
+        assert forced.log_lr_p_over_q is None and not np.any(forced.sum_cb)
 
     def test_all_zero_ansatz_runs_without_the_basis(self, monkeypatch):
         s = StoppingSet(-0.3, -0.2)
@@ -383,6 +393,43 @@ class TestRetirementBookkeeping:
             run_batch(0.4, None, model, CFG, n_paths=64, seed=3)
         assert failed.value.paths == paths and failed.value.step == step
 
+    @pytest.mark.parametrize("boundary", ["reflect", "abort"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("n_paths", [1, 3])
+    def test_a_non_finite_update_on_few_rows_names_the_path_and_step(self, boundary, bad,
+                                                                     n_paths):
+        # V' is NaN or an inf right of 1.2, so the update from a state there is
+        # NaN or an inf of the other sign.  So few rows are live that a
+        # reflecting step tests them on a Python list.  With three paths the
+        # failing one is not the first live row, where min and max pass over
+        # a NaN
+        s = StoppingSet(-0.3, -0.2)
+        good = make_harmonic()
+        bad_wall = Potential(good.evaluate, lambda x: np.where(np.asarray(x) > 1.2, bad,
+                                                               good.gradient(x)))
+        assert n_paths <= FEW_ROWS
+        for seed in range(200):
+            first_out, n_tau = [], []
+            for i in range(n_paths):
+                tr = simulate_until_hit(0.4, None, s, 1.0, CFG, good, path_stream(seed, i),
+                                        DOMAIN)
+                out = np.flatnonzero(tr.states[:-1] > 1.2)
+                first_out.append(out[0] if out.size else np.inf)
+                n_tau.append(tr.n_tau)
+            step = min(first_out)
+            paths = [i for i, k in enumerate(first_out) if k == step]
+            live = [i for i in range(n_paths) if n_tau[i] > step]
+            if step < np.inf and len(paths) == 1 and live.index(paths[0]) == n_paths - 1:
+                break
+        else:
+            pytest.fail("no seed gives a single failing path")
+        model = ModelBundle(bad_wall, 1.0, s, SimulationDomain(DOMAIN.lo, DOMAIN.hi, boundary))
+        step = int(step)
+        message = re.escape(f"non-finite update for {named(paths)} at step {step}")
+        with pytest.raises(NumericalFailureError, match=f"^{message}$") as failed:
+            run_batch(0.4, None, model, CFG, n_paths=n_paths, seed=seed)
+        assert failed.value.paths == paths and failed.value.step == step
+
     def test_leaving_an_abort_domain_names_the_paths_and_step(self):
         # The oracle on the wide reflecting domain gives the step whose update
         # takes each path right of 1.4; paths that hit earlier have left the batch.
@@ -424,6 +471,16 @@ class TestCensoring:
         with pytest.raises(CensoredPathError, match=message):
             run_batch(0.4, None, model, cfg, n_paths=64, seed=4)
 
+    def test_kernel_counts_add_only_returned_batches(self):
+        model, cfg, _ = self.capped()
+        before = kernel_counts()
+        with pytest.raises(CensoredPathError):
+            run_batch(0.4, None, model, cfg, n_paths=64, seed=4)
+        assert kernel_counts() == before
+        batch = run_batch(0.4, None, model, cfg, n_paths=64, seed=4, fixed_steps=7)
+        assert kernel_counts() == (before[0] + 1, before[1] + 64 * 7, before[2] + 7)
+        assert batch.loop_iters == 7
+
     def test_a_fixed_horizon_never_censors(self):
         model, cfg, _ = self.capped()
         batch = run_batch(0.4, None, model, cfg, n_paths=64, seed=4,
@@ -462,7 +519,10 @@ class TestRecordedBits:
         batch = run_batch(0.4, ansatz, model, cfg, n_paths=2500, seed=11, tag=4,
                           scores=True,
                           terminal_value=lambda x: 0.3 + inner.value(x) - inner_at_r)
-        arrays = {name: getattr(batch, name) for name in BATCH_ARRAYS}
+        # a scored batch keeps no log-likelihood ratio: its scores imply it
+        assert batch.log_lr_p_over_q is None
+        arrays = {name: getattr(batch, name) for name in BATCH_ARRAYS
+                  if name != "log_lr_p_over_q"}
         for name in ("sum_cb", "sum_eta_b"):
             arrays[name] = np.where(active, arrays[name], 0.0)
         assert {name: _sha256(a) for name, a in arrays.items()} == {
@@ -470,7 +530,6 @@ class TestRecordedBits:
             "hit": "65dd06770bcfb4ae754d025b05b52e356ee15daa54b9e02ae8af4c3d08daa617",
             "work": "f64fd8319e20cf9f90e583fc242240d1fbbd756e8cb93f049770c12960c94d14",
             "control_cost": "df4dd211e6d70a723827f0e7d7d143940f5d67e4947a01fa404a799dbd3d0cab",
-            "log_lr_p_over_q": "8be1f947929a411204b664c5e9c14e560c30b82fce3144c2956e6c873a536a65",
             "final_x": "cf4e39c6bc033047514a7ddad542cf971da2b42b889e800737f3aad121e65452",
             "terminal": "cc078819225460a32805ae8302e87b870b60faa5c8d2e1145da72afec47173d5",
             "sum_cb": "8310a0afd29462241da527ecc9c0d6163953e986e18946ac7a87b5ccb24910ea",
@@ -504,13 +563,13 @@ class TestRecordedBits:
             [0.4, -0.3, 0.25, 0.1, -0.2, 0.15, 0.05, -0.1, 0.2, 0.3])
         batch = run_batch(0.4, ansatz, model, CFG, n_paths=1500, seed=12, tag=3,
                           scores=True)
+        assert batch.log_lr_p_over_q is None
         assert {name: _sha256(getattr(batch, name)) for name in BATCH_ARRAYS
-                if name != "terminal"} == {
+                if name not in ("terminal", "log_lr_p_over_q")} == {
             "n_steps": "e68d847b4e69f5b1ddf54bfc681e9e889ed3e1ff0bf95dc84846c95fc2afd88f",
             "hit": "b6f524d4dcd4f01a9cadd967f443875150f2a303fa0284179dafdee9fd9ac8d2",
             "work": "a1a263f1e1b95779d62d701ea3e8439c9fa59e420878c87d00c7379c2943dd05",
             "control_cost": "b87208e5ad74368384fd28289afb83c32f05d880b2ace53ef5c6dc9652990849",
-            "log_lr_p_over_q": "183d55913440f5a198b6ff4485b7914c9347e76f81e1cace947b6b55533ea7ee",
             "final_x": "19937bcf8bb8ef27356aa865f550912365b8b2283f422936371e1b5db9d2b935",
             "sum_cb": "b3e91387caf8881028b336190f142ac79e001ed4a395607955c7927e5418eae3",
             "sum_eta_b": "c0857e44943c874c8e6a0a3955903df641586da4abe3f2198ae0d3a54db9e153",
@@ -709,10 +768,14 @@ class TestBatchAhead:
         cpus(2)
         expected = self.batch()
         started, joined = ahead_counts()
+        batches, path_steps, loop_iters = kernel_counts()
         assert self.batch(run_batch_ahead)
         self.run_nothing_here(monkeypatch)
         assert_same_batch(self.batch(), expected)
         assert ahead_counts() == (started + 1, joined + 1)
+        # and counts as one batch returned, with the paths it ran
+        assert kernel_counts() == (batches + 1, path_steps + expected.n_steps.sum(),
+                                   loop_iters + expected.loop_iters)
         assert_no_child_left()
 
     def test_other_arguments_neither_join_nor_kill_the_child(self, cpus, monkeypatch):

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -155,11 +156,20 @@ class TestMfptReweighted:
         model = easy_model()
         control, _ = reference_control(model, scale=0.4)
         oracle = mfpt_quadrature_oracle(model.potential, EPS, X0, S.hi, DOMAIN.hi)
-        reps = []
-        for r in range(50):
-            cfg = SimConfig(epsilon=EPS, h=2e-3)
-            est = estimate_mfpt_reweighted(control, X0, model, cfg, seed=700 + r, n_paths=400)
-            reps.append(est.estimate)
+        reps, degenerate = [], 0
+        # a replication whose weights degenerate warns; record those warnings
+        # here rather than let them reach the test run's summary
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for r in range(50):
+                cfg = SimConfig(epsilon=EPS, h=2e-3)
+                est = estimate_mfpt_reweighted(control, X0, model, cfg, seed=700 + r,
+                                               n_paths=400)
+                reps.append(est.estimate)
+                degenerate += est.degenerate
+        assert degenerate <= 1
+        assert len(caught) == degenerate
+        assert all(str(w.message).startswith("effective sample size") for w in caught)
         reps = np.array(reps)
         rep_se = reps.std(ddof=1) / np.sqrt(reps.size)
         # 3 replication stderr plus the O(sqrt(h)) hitting-time bias allowance
