@@ -2,8 +2,13 @@
 
 Subcommands orchestrate the pipeline and emit CSV/JSON data files for
 offline plotting; nothing is plotted in-process.  Reruns with the same
-config and seed produce byte-identical outputs, and every output embeds the
-config hash.
+config and seed write byte-identical results: reference.csv,
+oracle_probes.json, ansatz.json, the trace CSVs, estimates.json and
+gradcheck.json, the six kinds of output the benchmark digests.
+optimize.json also reports run telemetry, some of which depends on the host:
+batches_ahead_used, for one, counts the batches a second CPU ran ahead, and
+is 0 where the process may use one CPU.  Every output but ansatz.json embeds
+the config hash; the optimize.json written beside it vouches for it.
 
     reference   finite-difference reference curves + quadrature oracle probes
     optimize    learn the forcing by descent on a ladder of milestoning shells
@@ -18,13 +23,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from .ansatz import GaussianAnsatz, init_fill_wells, make_uniform_ansatz, tilted_potential_from
+from .ansatz import GaussianAnsatz, init_fill_wells, tilted_potential_from
 from .config import ConfigError, RunConfig
-from .dynamics import PathFailure, ahead_counts, kernel_counts
+from .dynamics import PathFailure, kernel_counts
 from .estimators import (estimate_mfpt_forced, estimate_mfpt_reweighted,
                          estimate_psi_reweighted)
 from .milestoning import MilestoningError, run_milestoning
@@ -86,17 +92,17 @@ def cmd_optimize(cfg: RunConfig, out: Path) -> int:
     model = cfg.build_model()
     grid = build_grid(model.stopping_set, model.domain, cfg.dx)
     x0 = cfg.start_point(model)
-    ansatz = make_uniform_ansatz(cfg.ansatz.m, model.domain, model.stopping_set,
-                                 cfg.ansatz.width)
+    ansatz = cfg.build_ansatz()
     a0 = init_fill_wells(ansatz, model.potential, grid)
     ansatz = ansatz.with_coefficients(a0)
     sim_cfg = cfg.descent_sim_config()
     chash = cfg.config_hash()
 
     ladder = cfg.build_ladder(model)
-    ahead_before, kernel_before = ahead_counts(), kernel_counts()
+    before = kernel_counts()
     result = run_milestoning(ladder, ansatz, model, sim_cfg, cfg.descent,
                              seed=cfg.seed, x0=x0)
+    descent = kernel_counts() - before
     final = result.ansatz
     traces = result.shell_traces
     for i, trace in enumerate(traces):
@@ -108,8 +114,6 @@ def cmd_optimize(cfg: RunConfig, out: Path) -> int:
     # report the stopping level actually in force at the final iterate
     thresholds = [cfg.descent.stop_level(t.records[-1].grad_stderr_norm) for t in traces]
     records = [r for t in traces for r in t.records]
-    started, joined = (n - n0 for n, n0 in zip(ahead_counts(), ahead_before))
-    batches, path_steps, loop_iters = (n - n0 for n, n0 in zip(kernel_counts(), kernel_before))
     _write_json(out / "optimize.json", {
         "config_hash": chash,
         "x0": x0,
@@ -122,15 +126,10 @@ def cmd_optimize(cfg: RunConfig, out: Path) -> int:
         "iterations": len(records),
         "probes": sum(r.probes for r in records),
         "line_search_fallbacks": sum(r.line_search_fallback for r in records),
-        # next iterates' batches forked ahead of their line search's end, and
-        # those the next iterate joined
-        "batches_ahead": started,
-        "batches_ahead_used": joined,
-        # the descent's batches that returned, their path-steps and the
-        # iterations of their kernel loops
-        "batches": batches,
-        "path_steps": path_steps,
-        "loop_iters": loop_iters,
+        # the descent's share of the kernel counts: its batches, their
+        # path-steps and loop iterations, and the next iterates' batches run
+        # ahead and joined
+        **asdict(descent),
         "mean_steps": float(np.mean([t.mean_steps for t in traces])),
         "boundary_values": [float(v) for v in result.anchors[1:]],
         "shells": ladder.n_shells,
@@ -189,8 +188,7 @@ def cmd_estimate(cfg: RunConfig, out: Path) -> int:
 def cmd_gradcheck(cfg: RunConfig, out: Path) -> int:
     model = cfg.build_model()
     x0 = cfg.start_point(model)
-    ansatz = make_uniform_ansatz(cfg.ansatz.m, model.domain, model.stopping_set,
-                                 cfg.ansatz.width)
+    ansatz = cfg.build_ansatz()
     horizon = 0.5
     n_paths = 4000
     sim_cfg = cfg.sim_config()

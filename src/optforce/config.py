@@ -13,11 +13,11 @@ import json
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from typing import Any, get_args, get_type_hints
 
-from .ansatz import make_uniform_ansatz
+from .ansatz import GaussianAnsatz, make_uniform_ansatz
 from .dynamics import MAX_SEED, SimConfig
-from .milestoning import MilestoneLadder, build_ladder as uniform_ladder
-from .model import (BOUNDARIES, POTENTIALS, ModelBundle, SimulationDomain,
-                    StoppingSet, default_start_point, make_potential)
+from .milestoning import MilestoneLadder, build_ladder as uniform_ladder, largest_seed
+from .model import (POTENTIALS, ModelBundle, SimulationDomain, StoppingSet,
+                    default_start_point, make_potential)
 from .optimizer import DescentConfig
 from .reference import build_grid
 
@@ -30,7 +30,9 @@ class ConfigError(ValueError):
     """Malformed run configuration."""
 
 
-def _from_dict(cls, doc: dict, path: str):
+def _from_dict(cls, doc: dict, path: str, default=None):
+    """cls from a mapping; a nested mapping fills in the keys it sets on its
+    field's default, so it may set only some of them."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{path or 'config'} must be a mapping, got {type(doc).__name__}")
     known = {f.name: f for f in fields(cls)}
@@ -42,10 +44,10 @@ def _from_dict(cls, doc: dict, path: str):
     for name, value in doc.items():
         hint = hints[name]
         key = f"{path}.{name}" if path else name
-        kwargs[name] = (_from_dict(hint, value, key) if is_dataclass(hint)
-                        else _coerce(value, hint, key))
+        kwargs[name] = (_from_dict(hint, value, key, known[name].default_factory())
+                        if is_dataclass(hint) else _coerce(value, hint, key))
     try:
-        return cls(**kwargs)
+        return cls(**kwargs) if default is None else replace(default, **kwargs)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"{path or 'config'}: {err}") from None
 
@@ -81,19 +83,6 @@ class PotentialSpec:
 
 
 @dataclass(frozen=True)
-class IntervalSpec:
-    lo: float = -1.1
-    hi: float = -1.0
-
-
-@dataclass(frozen=True)
-class DomainSpec:
-    lo: float = -1.5
-    hi: float = 2.0
-    boundary: str = "reflect"
-
-
-@dataclass(frozen=True)
 class AnsatzSpec:
     m: int = 10
     width: float = DEFAULT_WIDTH
@@ -115,8 +104,8 @@ class EstimateSpec:
 class RunConfig:
     potential: PotentialSpec = field(default_factory=PotentialSpec)
     sigma: float = 1.0
-    stopping_set: IntervalSpec = field(default_factory=IntervalSpec)
-    domain: DomainSpec = field(default_factory=DomainSpec)
+    stopping_set: StoppingSet = field(default_factory=lambda: StoppingSet(-1.1, -1.0))
+    domain: SimulationDomain = field(default_factory=lambda: SimulationDomain(-1.5, 2.0))
     epsilon: float = 0.5
     h: float = 1e-3
     dx: float = 1e-3
@@ -133,8 +122,6 @@ class RunConfig:
         pot = self.potential
         _require(pot.name in POTENTIALS, "potential.name", f"one of {sorted(POTENTIALS)}",
                  pot.name)
-        _require(self.domain.boundary in BOUNDARIES, "domain.boundary",
-                 f"one of {list(BOUNDARIES)}", self.domain.boundary)
         _require(self.sigma >= 0, "sigma", "nonnegative", self.sigma)
         _require(self.epsilon > 0, "epsilon", "positive", self.epsilon)
         _require(self.h > 0, "h", "positive", self.h)
@@ -150,29 +137,16 @@ class RunConfig:
         _require(d.batch_size >= 2, "descent.batch_size", "at least 2", d.batch_size)
         _require(d.h is None or d.h > 0, "descent.h", "positive", d.h)
         _require(e.n_paths >= 2, "estimate.n_paths", "at least 2", e.n_paths)
+        model = self.build_model()
         stop, dom = self.stopping_set, self.domain
-        _require(stop.lo < stop.hi, "stopping_set", "an interval with lo < hi",
-                 [stop.lo, stop.hi])
-        _require(dom.lo < dom.hi, "domain", "an interval with lo < hi", [dom.lo, dom.hi])
-        # milestoning shell sets are half-lines down to domain.lo; paths start
-        # right of the stopping set
-        _require(dom.lo <= stop.lo and stop.hi < dom.hi, "stopping_set",
-                 f"inside domain [{dom.lo}, {dom.hi}] with room to its right",
-                 [stop.lo, stop.hi])
         _require(self.x0 is None or stop.hi < self.x0 <= dom.hi, "x0",
                  f"in ({stop.hi}, {dom.hi}], right of the stopping set", self.x0)
-        try:
-            model = self.build_model()   # the intervals passed the checks above
-        except (TypeError, ValueError) as err:
-            raise ValueError(f"potential.params: {err}") from None
         try:
             build_grid(model.stopping_set, model.domain, self.dx)
         except ValueError as err:
             raise ValueError(f"dx: {err}") from None
-        shells = self.build_ladder(model).n_shells
-        # shell i descends from seed + i, and each iteration adds to that; every
-        # seed a run derives must fit in a Philox key word
-        top = d.iteration_seed(self.seed + shells - 1, d.max_iters - 1)
+        # every seed a run derives must fit in a Philox key word
+        top = largest_seed(self.seed, self.build_ladder(model).n_shells, d)
         _require(top <= MAX_SEED, "seed", f"at most {MAX_SEED - (top - self.seed)}, "
                  f"so that the largest seed the run derives ({top}) fits in 64 bits",
                  self.seed)
@@ -218,12 +192,21 @@ class RunConfig:
     # -- derived objects --------------------------------------------------------
 
     def build_model(self) -> ModelBundle:
-        return ModelBundle(
-            potential=make_potential(self.potential.name, **self.potential.params),
-            sigma=float(self.sigma),
-            stopping_set=StoppingSet(self.stopping_set.lo, self.stopping_set.hi),
-            domain=SimulationDomain(self.domain.lo, self.domain.hi, self.domain.boundary),
-        )
+        """The run's model; a ValueError names the field at fault."""
+        try:
+            potential = make_potential(self.potential.name, **self.potential.params)
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"potential.params: {err}") from None
+        try:
+            return ModelBundle(potential=potential, sigma=float(self.sigma),
+                               stopping_set=self.stopping_set, domain=self.domain)
+        except ValueError as err:
+            raise ValueError(f"stopping_set: {err}") from None
+
+    def build_ansatz(self) -> GaussianAnsatz:
+        """The run's basis layout: `ansatz.m` uniform Gaussians, all coefficients zero."""
+        return make_uniform_ansatz(self.ansatz.m, self.domain, self.stopping_set,
+                                   self.ansatz.width)
 
     def build_ladder(self, model: ModelBundle) -> MilestoneLadder:
         """The run's ladder: `ladder.thresholds`, or `ladder.shells` uniform shells.
@@ -239,8 +222,7 @@ class RunConfig:
                       else MilestoneLadder(spec.thresholds, model.stopping_set))
         except (TypeError, ValueError) as err:
             raise ValueError(f"{name}: {err}") from None
-        layout = make_uniform_ansatz(self.ansatz.m, model.domain, model.stopping_set,
-                                     self.ansatz.width)
+        layout = self.build_ansatz()
         for i in range(ladder.n_shells):
             if ladder.shell_indices(layout, i).size == 0:
                 raise ValueError(f"{name}: shell {i} of {ladder.n_shells} holds none of "

@@ -25,7 +25,7 @@ Per-path noise streams are derived from (seed, tag, path index) through a
 counter-based generator and consumed in fixed-size blocks, so a path sees
 the same noise however paths are grouped and whatever the block size.
 Every batch takes its seed from its caller, and run_batch checks that the
-seed fits the generator's 64-bit key word.  A batch runs its paths in one
+seed and the tag fit the generator's 64-bit key words.  A batch runs its paths in one
 loop.  The control c = bmat @ coefficients (BLAS gemv) and the terminal
 values are evaluated per segment of KERNEL_CHUNK path indices, because gemv
 rounds the last n % 4 rows of an n-row product in another kernel than the
@@ -90,7 +90,7 @@ from __future__ import annotations
 import os
 import pickle
 import threading
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -280,8 +280,9 @@ def run_batch(x0: float, control, model: ModelBundle, cfg: SimConfig, *,
         sum_eta_b (needs an ansatz control); left None otherwise.  A batch
         with scores leaves log_lr_p_over_q None, because they imply it.
 
-    Path i always consumes the stream (seed, tag, i); seed must fit in
-    [0, MAX_SEED], one word of the stream's Philox key.  The paths advance
+    Path i always consumes the stream (seed, tag, i); seed and tag must each
+    fit in [0, MAX_SEED], one word of the stream's Philox key.  n_paths and
+    fixed_steps must be at least 1.  The paths advance
     one step per loop iteration.  The row-wise calls c = bmat @ coefficients
     and terminal_value run once per segment: the live paths among path
     indices [k KERNEL_CHUNK, (k+1) KERNEL_CHUNK).  A path's results
@@ -325,7 +326,7 @@ def run_batch(x0: float, control, model: ModelBundle, cfg: SimConfig, *,
         child, _ahead.child, _ahead.key = _ahead.child, None, None
         outcome = _reap(child)
         if outcome is not None:
-            _ahead.joined += 1
+            _tally.batches_ahead_used += 1
     result, censored = outcome or _batch(*args)
     if censored:
         raise CensoredPathError(f"{censored}/{n_paths} paths did not hit within "
@@ -343,6 +344,14 @@ def _batch(x0, control, model, cfg, n_paths, seed, tag, fixed_steps, terminal_va
         raise ValueError(f"x0={x0} already inside the stopping set")
     if not 0 <= seed <= MAX_SEED:
         raise ValueError(f"seed {seed} is not a nonnegative 64-bit integer")
+    if not 0 <= tag <= MAX_SEED:
+        raise ValueError(f"tag {tag} is not a nonnegative 64-bit integer")
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be at least 1, got {n_paths}")
+    if fixed_steps is not None and fixed_steps < 1:
+        raise ValueError(f"fixed_steps must be at least 1, got {fixed_steps}")
+    if scores and control is None:
+        raise ValueError("scores needs an ansatz control, got control=None")
     if not scores and control is not None and not np.any(control.coefficients):
         control = None
 
@@ -463,12 +472,10 @@ def _run_forked(run, groups: list[tuple[int, int]]) -> tuple[BatchResult, int] |
 
 @dataclass
 class _AheadSlot:
-    """The one batch a forked child runs ahead, and this process's ahead counts."""
+    """The one batch a forked child runs ahead."""
 
     key: tuple | None = None
     child: tuple[int, int] | None = None    # pid and pipe read end
-    started: int = 0
-    joined: int = 0
 
 
 _ahead = _AheadSlot()
@@ -504,7 +511,7 @@ def run_batch_ahead(x0: float, control, model: ModelBundle, cfg: SimConfig, *,
     if child is None:
         return False
     _ahead.child, _ahead.key = child, _batch_key(*args)
-    _ahead.started += 1
+    _tally.batches_ahead += 1
     return True
 
 
@@ -515,31 +522,31 @@ def drop_ahead():
         _reap(child, kill=True)
 
 
-def ahead_counts() -> tuple[int, int]:
-    """How many batches this process started ahead, and how many run_batch joined."""
-    return _ahead.started, _ahead.joined
-
-
 @dataclass
 class _Tally:
-    """What the batches run_batch returned in this process did."""
+    """What the kernel did in this process.
 
-    batches: int = 0
+    A batch that raised is not counted in the first three; a joined ahead
+    batch is, as a batch run here.
+    """
+
+    batches: int = 0            # batches run_batch returned
     path_steps: int = 0         # sum of their n_steps
-    loop_iters: int = 0         # sum of their loop_iters
+    loop_iters: int = 0         # sum of their loop_iters (a split batch's longest group's)
+    batches_ahead: int = 0      # batches run_batch_ahead started in a child
+    batches_ahead_used: int = 0  # those a run_batch joined
+
+    def __sub__(self, before: _Tally) -> _Tally:
+        """The counts added since `before`."""
+        return _Tally(*(n - n0 for n, n0 in zip(astuple(self), astuple(before))))
 
 
 _tally = _Tally()
 
 
-def kernel_counts() -> tuple[int, int, int]:
-    """How many batches run_batch returned in this process, their path-steps and
-    their loop iterations (a split batch's are its longest group's).
-
-    A batch that raised is not counted; a joined ahead batch is, as a batch
-    run here.
-    """
-    return _tally.batches, _tally.path_steps, _tally.loop_iters
+def kernel_counts() -> _Tally:
+    """A copy of this process's kernel counts."""
+    return replace(_tally)
 
 
 def _joined(parts: list[BatchResult]) -> BatchResult:

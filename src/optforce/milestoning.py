@@ -13,6 +13,8 @@ only.
 A plain descent is the one-shell ladder, so `optforce optimize` always runs
 a ladder: one shell by default, started at x0.  `RunConfig.build_ladder`
 owns a run's ladder and rejects one with a shell that holds no basis center.
+This module owns the seeds a ladder run derives: shell i descends from
+shell_seed(seed, i), and largest_seed is the bound RunConfig checks at load.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .ansatz import GaussianAnsatz
-from .dynamics import SimConfig
+from .dynamics import PathFailure, SimConfig
 from .model import ModelBundle, StoppingSet
 from .objective import make_objective
-from .optimizer import DescentConfig, DescentTrace, descend
+from .optimizer import DescentConfig, DescentTrace, OptimizerError, descend
 
 
 @dataclass(frozen=True)
@@ -60,6 +62,18 @@ class MilestoneLadder:
         if i == 0:
             inside |= ansatz.centers <= lo   # centers on/left of r_0 belong innermost
         return np.where(inside)[0]
+
+
+def shell_seed(seed: int, i: int) -> int:
+    """The seed shell i of a ladder run from seed descends from."""
+    return seed + i
+
+
+def largest_seed(seed: int, n_shells: int, descent_cfg: DescentConfig) -> int:
+    """The largest seed a ladder run of n_shells shells from seed derives:
+    the last shell's at the descent's last iteration."""
+    return descent_cfg.iteration_seed(shell_seed(seed, n_shells - 1),
+                                      descent_cfg.max_iters - 1)
 
 
 def build_ladder(s0: StoppingSet, domain, k: int) -> MilestoneLadder:
@@ -132,7 +146,8 @@ def run_milestoning(ladder: MilestoneLadder, ansatz: GaussianAnsatz,
 
     For the outermost shell the supplied x0 is used as the start point when
     it lies in that shell (so a one-shell ladder reproduces plain descent
-    exactly); all other shells start on their outer threshold.
+    exactly); all other shells start on their outer threshold.  A shell
+    whose paths or descent fail raises MilestoningError naming it.
     """
     traces: list[DescentTrace] = []
     anchors = [0.0]
@@ -144,9 +159,9 @@ def run_milestoning(ladder: MilestoneLadder, ansatz: GaussianAnsatz,
             start = x0
         try:
             current, trace, cost = solve_shell(i, ladder, current, model, sim_cfg,
-                                               descent_cfg, seed=seed + i,
+                                               descent_cfg, seed=shell_seed(seed, i),
                                                start=start, anchor=anchors[-1])
-        except Exception as err:
+        except (PathFailure, OptimizerError) as err:
             raise MilestoningError(f"shell {i} failed: {err}") from err
         traces.append(trace)
         anchors.append(cost)

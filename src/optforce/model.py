@@ -60,7 +60,8 @@ class SimulationDomain:
         if not self.lo < self.hi:
             raise ValueError(f"domain needs lo < hi, got [{self.lo}, {self.hi}]")
         if self.boundary not in BOUNDARIES:
-            raise ValueError(f"unknown boundary behavior {self.boundary!r}")
+            raise ValueError(f"boundary must be one of {list(BOUNDARIES)}, "
+                             f"got {self.boundary!r}")
 
     def contains(self, x):
         return (x >= self.lo) & (x <= self.hi)
@@ -80,8 +81,8 @@ class ModelBundle:
         # the left edge may touch the domain edge (milestoning shell sets are
         # half-lines); the right edge must leave room for paths to start
         if not (d.lo <= s.lo and s.hi < d.hi):
-            raise ValueError("stopping set must lie inside the domain with "
-                             "room to its right")
+            raise ValueError(f"stopping set [{s.lo}, {s.hi}] must lie inside the domain "
+                             f"[{d.lo}, {d.hi}] with room to its right")
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import yaml
 
-from optforce.ansatz import init_fill_wells, make_uniform_ansatz
+from optforce.ansatz import init_fill_wells
 from optforce.cli import main
 import optforce
 from optforce.config import ConfigError, RunConfig
@@ -89,6 +89,19 @@ class TestRunConfig:
         # every output embeds this hash; renaming or moving a field changes it
         assert RunConfig().config_hash() == "6388f91a0fa4c2cc"
 
+    @pytest.mark.parametrize("doc,override,chash", [
+        ("stopping_set: {lo: -1.2}\n", {"stopping_set.lo": -1.2}, "719e47fbd5093707"),
+        ("domain: {hi: 1.5}\n", {"domain.hi": 1.5}, "1a727045e8b2f637"),
+    ])
+    def test_a_mapping_that_sets_one_edge_keeps_the_other(self, tmp_path, doc, override,
+                                                          chash):
+        path = tmp_path / "c.yaml"
+        path.write_text(doc)
+        cfg = RunConfig.load(path)
+        assert cfg == RunConfig().with_overrides(override)
+        # pinned: an interval's type must not move a loaded config's hash
+        assert cfg.config_hash() == chash
+
     def test_numeric_strings_take_the_field_type(self):
         # PyYAML reads 1e-3 (no dot) as a string
         a = RunConfig().with_overrides({"h": yaml.safe_load("1e-3"),
@@ -136,8 +149,7 @@ class TestCliPipeline:
         cfg_path, out = run_dir
         cfg = RunConfig.load(cfg_path)
         model = cfg.build_model()
-        ansatz = make_uniform_ansatz(cfg.ansatz.m, model.domain, model.stopping_set,
-                                     cfg.ansatz.width)
+        ansatz = cfg.build_ansatz()
         a0 = init_fill_wells(ansatz, model.potential,
                              build_grid(model.stopping_set, model.domain, cfg.dx))
         objective = make_objective(ansatz.with_coefficients(a0), cfg.start_point(model),
@@ -271,11 +283,12 @@ class TestCliErrors:
                                                       "strictly increasing")),
         ("optimize", "potential.name=nope", ("potential.name must be one of", "'nope'")),
         ("reference", "potential.params={k: 1}", ("potential.params", "'k'")),
-        ("estimate", "domain.boundary=wrap", ("domain.boundary must be one of", "'wrap'")),
+        ("estimate", "domain.boundary=wrap", ("domain: boundary must be one of", "'wrap'")),
         ("optimize", "x0=[", ("--set x0", "'[' is not a YAML value")),
-        ("estimate", "stopping_set.lo=5", ("stopping_set must be an interval with lo < hi",
+        ("estimate", "stopping_set.lo=5", ("stopping_set: stopping set needs lo < hi",
                                            "[5, -1.0]")),
-        ("estimate", "domain.hi=-1.05", ("stopping_set must be inside domain [-1.5, -1.05]",)),
+        ("estimate", "domain.hi=-1.05", ("stopping_set: stopping set [-1.1, -1.0] must lie "
+                                         "inside the domain [-1.5, -1.05]",)),
         ("optimize", "x0=[1]", ("x0 must be float, got [1]",)),
         ("estimate", "estimate.n_paths=[3]", ("estimate.n_paths must be int, got [3]",)),
         ("optimize", "ladder.shells=20", ("ladder.shells: shell 1 of 20 holds none of the 6",)),

@@ -12,7 +12,7 @@ import optforce.dynamics
 from optforce.ansatz import make_uniform_ansatz
 from optforce.dynamics import (FEW_ROWS, KERNEL_CHUNK, NOISE_BLOCK, CensoredPathError,
                                NumericalFailureError, OutOfDomainError, SimConfig,
-                               ahead_counts, drop_ahead, kernel_counts, path_stream,
+                               MAX_SEED, drop_ahead, kernel_counts, path_stream,
                                run_batch, run_batch_ahead)
 from optforce.model import (ModelBundle, Potential, SimulationDomain, StoppingSet,
                             make_flat, make_harmonic, make_potential)
@@ -478,7 +478,9 @@ class TestCensoring:
             run_batch(0.4, None, model, cfg, n_paths=64, seed=4)
         assert kernel_counts() == before
         batch = run_batch(0.4, None, model, cfg, n_paths=64, seed=4, fixed_steps=7)
-        assert kernel_counts() == (before[0] + 1, before[1] + 64 * 7, before[2] + 7)
+        assert dataclasses.asdict(kernel_counts() - before) == {
+            "batches": 1, "path_steps": 64 * 7, "loop_iters": 7, "batches_ahead": 0,
+            "batches_ahead_used": 0}
         assert batch.loop_iters == 7
 
     def test_a_fixed_horizon_never_censors(self):
@@ -767,15 +769,15 @@ class TestBatchAhead:
     def test_a_joined_batch_is_the_batch_run_here(self, cpus, monkeypatch):
         cpus(2)
         expected = self.batch()
-        started, joined = ahead_counts()
-        batches, path_steps, loop_iters = kernel_counts()
+        before = kernel_counts()
         assert self.batch(run_batch_ahead)
         self.run_nothing_here(monkeypatch)
         assert_same_batch(self.batch(), expected)
-        assert ahead_counts() == (started + 1, joined + 1)
-        # and counts as one batch returned, with the paths it ran
-        assert kernel_counts() == (batches + 1, path_steps + expected.n_steps.sum(),
-                                   loop_iters + expected.loop_iters)
+        # one batch started ahead and joined, which counts as one batch
+        # returned, with the paths it ran
+        assert dataclasses.asdict(kernel_counts() - before) == {
+            "batches": 1, "path_steps": expected.n_steps.sum(),
+            "loop_iters": expected.loop_iters, "batches_ahead": 1, "batches_ahead_used": 1}
         assert_no_child_left()
 
     def test_other_arguments_neither_join_nor_kill_the_child(self, cpus, monkeypatch):
@@ -785,13 +787,13 @@ class TestBatchAhead:
             np.nextafter(self.ANSATZ.coefficients, np.inf))
         others = [self.batch(seed=12), self.batch(control=nudged)]
         assert self.batch(run_batch_ahead)
-        joined = ahead_counts()[1]
+        joined = kernel_counts().batches_ahead_used
         for other, kwargs in zip(others, [{"seed": 12}, {"control": nudged}]):
             assert_same_batch(self.batch(**kwargs), other)
-        assert ahead_counts()[1] == joined
+        assert kernel_counts().batches_ahead_used == joined
         self.run_nothing_here(monkeypatch)
         assert_same_batch(self.batch(), expected)
-        assert ahead_counts()[1] == joined + 1
+        assert kernel_counts().batches_ahead_used == joined + 1
         assert_no_child_left()
 
     def test_a_child_that_fails_leaves_the_batch_to_the_one_loop(self, cpus, monkeypatch):
@@ -800,7 +802,7 @@ class TestBatchAhead:
                             SimulationDomain(DOMAIN.lo, 1.4, "abort"))
         with pytest.raises(OutOfDomainError) as here:
             self.batch(model=model, n_paths=1000)
-        joined = ahead_counts()[1]
+        joined = kernel_counts().batches_ahead_used
         assert self.batch(run_batch_ahead, model=model, n_paths=1000)
         # the kernel loop runs here once, after the child handed back nothing
         loops, run_paths = [], optforce.dynamics._run_paths
@@ -808,7 +810,7 @@ class TestBatchAhead:
                             lambda *args: loops.append(None) or run_paths(*args))
         with pytest.raises(OutOfDomainError) as rerun:
             self.batch(model=model, n_paths=1000)
-        assert len(loops) == 1 and ahead_counts()[1] == joined
+        assert len(loops) == 1 and kernel_counts().batches_ahead_used == joined
         assert str(rerun.value) == str(here.value)
         assert (rerun.value.paths, rerun.value.step) == (here.value.paths, here.value.step)
         assert_no_child_left()
@@ -819,21 +821,21 @@ class TestBatchAhead:
         cfg = dataclasses.replace(CFG, max_steps=50)
         with pytest.raises(CensoredPathError) as here:
             self.batch(model=model, cfg=cfg, n_paths=1000)
-        joined = ahead_counts()[1]
+        joined = kernel_counts().batches_ahead_used
         assert self.batch(run_batch_ahead, model=model, cfg=cfg, n_paths=1000)
         self.run_nothing_here(monkeypatch)
         with pytest.raises(CensoredPathError) as child:
             self.batch(model=model, cfg=cfg, n_paths=1000)
         assert str(child.value) == str(here.value)
-        assert ahead_counts()[1] == joined + 1
+        assert kernel_counts().batches_ahead_used == joined + 1
         assert_no_child_left()
 
     def test_a_failed_fork_starts_nothing(self, cpus, fork_fails):
         cpus(2)
         expected = self.batch()
-        counts = ahead_counts()
+        counts = kernel_counts()
         assert not self.batch(run_batch_ahead)
-        assert len(fork_fails) == 1 and ahead_counts() == counts
+        assert len(fork_fails) == 1 and kernel_counts() == counts
         assert_same_batch(self.batch(), expected)
         assert_no_child_left()
 
@@ -851,9 +853,9 @@ class TestBatchAhead:
         if why == "a running thread":
             thread.start()
         try:
-            started = ahead_counts()[0]
+            started = kernel_counts().batches_ahead
             assert not self.batch(run_batch_ahead, n_paths=n_paths)
-            assert ahead_counts()[0] == started
+            assert kernel_counts().batches_ahead == started
         finally:
             release.set()
             if thread.ident is not None:
@@ -870,7 +872,7 @@ class TestBatchAhead:
         assert self.batch(run_batch_ahead, seed=12)
         drop_ahead()
         assert_no_child_left()
-        assert ahead_counts()[0] > 0
+        assert kernel_counts().batches_ahead > 0
 
 
 class TestReweightingConsistency:
@@ -934,6 +936,21 @@ def test_run_batch_rejects_a_seed_outside_the_philox_key(seed):
     model = ModelBundle(make_flat(), 1.0, StoppingSet(-0.3, -0.2), DOMAIN)
     with pytest.raises(ValueError, match=f"^seed {seed} is not a nonnegative 64-bit"):
         run_batch(0.4, None, model, CFG, n_paths=4, seed=seed)
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"scores": True}, "^scores needs an ansatz control, got control=None$"),
+    ({"tag": -1}, "^tag -1 is not a nonnegative 64-bit integer$"),
+    ({"tag": MAX_SEED + 1}, f"^tag {MAX_SEED + 1} is not a nonnegative 64-bit integer$"),
+    ({"n_paths": -3}, "^n_paths must be at least 1, got -3$"),
+    ({"n_paths": 0}, "^n_paths must be at least 1, got 0$"),
+    ({"fixed_steps": -2}, "^fixed_steps must be at least 1, got -2$"),
+    ({"fixed_steps": 0}, "^fixed_steps must be at least 1, got 0$"),
+])
+def test_run_batch_rejects_an_argument_naming_it(kwargs, message):
+    model = ModelBundle(make_flat(), 1.0, StoppingSet(-0.3, -0.2), DOMAIN)
+    with pytest.raises(ValueError, match=message):
+        run_batch(0.4, None, model, CFG, **{"n_paths": 4, "seed": 1, **kwargs})
 
 
 @pytest.mark.parametrize("index", [0, 1, 1023, 1024, 4095, 2 ** 40])

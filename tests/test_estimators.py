@@ -4,10 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
-from optforce.ansatz import make_uniform_ansatz
-from optforce.dynamics import CensoredPathError, SimConfig
-from optforce.estimators import (estimate_mfpt_reweighted, estimate_psi_reweighted,
-                                 summarize)
+from optforce.ansatz import init_fill_wells, make_uniform_ansatz, tilted_potential_from
+from optforce.dynamics import KERNEL_CHUNK, CensoredPathError, SimConfig
+from optforce.estimators import (estimate_mfpt_forced, estimate_mfpt_reweighted,
+                                 estimate_psi_reweighted, summarize)
 from optforce.model import (ModelBundle, SimulationDomain, StoppingSet,
                             make_scaled_double_well)
 from optforce.reference import build_grid, mfpt_quadrature_oracle, solve_fk
@@ -174,6 +174,25 @@ class TestMfptReweighted:
         rep_se = reps.std(ddof=1) / np.sqrt(reps.size)
         # 3 replication stderr plus the O(sqrt(h)) hitting-time bias allowance
         assert abs(reps.mean() - oracle) < 3 * rep_se + 0.04 * oracle
+
+
+def test_forced_mfpt_is_the_plain_mfpt_on_the_tilted_landscape():
+    # forcing by F on V steps as the plain dynamics on G = V + 2F; within one
+    # kernel segment both runs evaluate c in the same gemv rows, so the two
+    # estimates agree bit for bit
+    model = easy_model()
+    cfg = SimConfig(epsilon=EPS, h=2e-3, max_steps=200_000)
+    ansatz = make_uniform_ansatz(6, DOMAIN, S, 0.35)
+    grid = build_grid(S, DOMAIN, 1e-2)
+    ansatz = ansatz.with_coefficients(init_fill_wells(ansatz, model.potential, grid))
+    tilted = dataclasses.replace(model,
+                                 potential=tilted_potential_from(ansatz, model.potential))
+    forced = estimate_mfpt_forced(ansatz, X0, model, cfg, seed=20240, tag=2,
+                                  n_paths=KERNEL_CHUNK)
+    plain = estimate_mfpt_reweighted(None, X0, tilted, cfg, seed=20240, tag=2,
+                                     n_paths=KERNEL_CHUNK)
+    assert forced == plain
+    assert forced.ess == KERNEL_CHUNK
 
 
 def test_degeneracy_warning_fires():

@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
+import optforce.milestoning
 import optforce.objective
 from optforce.ansatz import make_uniform_ansatz
 from optforce.config import ConfigError, RunConfig
 from optforce.dynamics import SimConfig
 from optforce.milestoning import (MilestoneLadder, MilestoningError, build_ladder,
-                                  run_milestoning, solve_shell)
+                                  largest_seed, run_milestoning, solve_shell)
 from optforce.model import (ModelBundle, SimulationDomain, StoppingSet,
                             make_scaled_double_well)
 from optforce.objective import make_objective
-from optforce.optimizer import DescentConfig, descend
+from optforce.optimizer import RESEED_STRIDE, DescentConfig, descend
 
 DOMAIN = SimulationDomain(-1.5, 2.0)
 S = StoppingSet(-1.1, -1.0)
@@ -140,6 +141,18 @@ class TestRunMilestoning:
         with pytest.raises(MilestoningError, match=r"shell \d failed"):
             run_milestoning(ladder, ansatz, model, sim, dc, seed=3)
 
+    def test_a_programming_error_in_a_shell_propagates_as_itself(self, monkeypatch):
+        # only path and descent failures become a MilestoningError naming the shell
+        def broken(*args, **kwargs):
+            raise TypeError("broken descent")
+
+        monkeypatch.setattr(optforce.milestoning, "descend", broken)
+        sim, dc = quick_cfgs()
+        ansatz = make_uniform_ansatz(4, DOMAIN, S, 0.4)
+        with pytest.raises(TypeError, match="^broken descent$"):
+            run_milestoning(build_ladder(S, DOMAIN, 2), ansatz, easy_model(), sim, dc,
+                            seed=3)
+
     def test_a_censoring_iterate_stops_the_shell_at_once(self, monkeypatch):
         # the first iterate's batch censors paths; no further batch is run
         calls = []
@@ -157,3 +170,9 @@ class TestRunMilestoning:
             run_milestoning(build_ladder(S, DOMAIN, 2), ansatz, easy_model(), sim, dc,
                             seed=3)
         assert len(calls) == 1
+
+
+@pytest.mark.parametrize("policy,top", [("fresh", 7 + 4 * RESEED_STRIDE), ("fixed", 7)])
+def test_the_largest_seed_is_the_last_shells_at_its_last_iteration(policy, top):
+    # three shells from seed 5 descend from 5, 6 and 7
+    assert largest_seed(5, 3, DescentConfig(max_iters=4, reseed_policy=policy)) == top

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from optforce.ansatz import make_uniform_ansatz
-from optforce.dynamics import CensoredPathError, OutOfDomainError, SimConfig, ahead_counts
+from optforce.dynamics import CensoredPathError, OutOfDomainError, SimConfig, kernel_counts
 from optforce.model import ModelBundle, SimulationDomain, StoppingSet, make_scaled_double_well
 from optforce.objective import GradientEstimate, make_objective
 from optforce.optimizer import (DescentConfig, DescentTrace, OptimizerError,
@@ -255,9 +255,10 @@ class TestDescendAhead:
         runs = []
         for n in (1, 2):
             cpus(n)
-            before = ahead_counts()
+            before = kernel_counts()
             a, trace = descend(self.ANSATZ.coefficients, cfg, self.objective(), seed=3)
-            runs.append((a, trace, [x - x0 for x, x0 in zip(ahead_counts(), before)]))
+            used = kernel_counts() - before
+            runs.append((a, trace, [used.batches_ahead, used.batches_ahead_used]))
             assert_no_child_left()
         (a1, trace1, counts1), (a2, trace2, counts2) = runs
         np.testing.assert_array_equal(a2, a1)
@@ -333,7 +334,7 @@ class TestDescendAhead:
             return objective(a, seed)
 
         counted.ahead = objective.ahead
-        started = ahead_counts()[0]
+        started = kernel_counts().batches_ahead
         if ending == "OptimizerError":
             with pytest.raises(OptimizerError, match="non-finite at iteration 1"):
                 descend(self.ANSATZ.coefficients, cfg, counted, seed=3)
@@ -351,8 +352,8 @@ class TestDescendAhead:
             # the first probe starts the next iterate ahead and fails; no
             # later probe of the iteration starts one
             assert trace.records[0].probes > 1
-            assert ahead_counts()[0] == started + 1
-        assert ahead_counts()[0] > started
+            assert kernel_counts().batches_ahead == started + 1
+        assert kernel_counts().batches_ahead > started
         assert_no_child_left()
 
     def test_fixed_seeds_reuse_the_accepted_probe(self):
