@@ -204,12 +204,13 @@ def cmd_gradcheck(cfg: RunConfig, out: Path) -> int:
     for j in range(ansatz.m):
         step = np.zeros(ansatz.m)
         step[j] = delta
-        up, up_se = estimate_cost(ansatz.with_coefficients(a + step), x0, model,
-                                  sim_cfg, seed=cfg.seed, tag=5,
-                                  fixed_horizon=horizon, n_paths=n_paths)
-        dn, dn_se = estimate_cost(ansatz.with_coefficients(a - step), x0, model,
-                                  sim_cfg, seed=cfg.seed, tag=5,
-                                  fixed_horizon=horizon, n_paths=n_paths)
+        # a + step and a - step run as one batch: every path of both sides
+        # is on its stream (seed, tag 5, i), so the pair shares its noise by
+        # construction and the kernel draws it once for the two
+        (up, up_se), (dn, dn_se) = estimate_cost(
+            [ansatz.with_coefficients(a + step), ansatz.with_coefficients(a - step)],
+            x0, model, sim_cfg, seed=cfg.seed, tag=5, fixed_horizon=horizon,
+            n_paths=n_paths)
         fd = (up - dn) / (2 * delta)
         combined_se = float(np.hypot(est.gradient_stderr[j],
                                      np.hypot(up_se, dn_se) / (2 * delta)))

@@ -49,7 +49,8 @@ def _from_dict(cls, doc: dict, path: str, default=None):
     try:
         return cls(**kwargs) if default is None else replace(default, **kwargs)
     except (TypeError, ValueError) as err:
-        raise ConfigError(f"{path or 'config'}: {err}") from None
+        # a nested mapping's errors carry its path; RunConfig's own name their field
+        raise ConfigError(f"{path}: {err}" if path else str(err)) from None
 
 
 def _require(ok: bool, field_name: str, rule: str, value):

@@ -32,11 +32,28 @@ rounds the last n % 4 rows of an n-row product in another kernel than the
 first n - n % 4, which round the same whatever n; batches are reproducible
 for a given n_paths.
 
+A batch may drive its paths with several forcings of one basis layout
+(equal centers and widths), such as the two sides of a central difference.
+Every forcing's copy of path i runs on the stream (seed, tag, i), and the
+results come in forcing-major order: row f n_paths + i is forcing f's path
+i.  The loop holds all k n_paths rows; a segment is one forcing's
+KERNEL_CHUNK path indices, so each gemv, with that forcing's coefficients,
+sees exactly the live rows a batch of that forcing alone gives the segment,
+and every other operation works row by row.  The [lo, hi] test and the
+stopping test look at every forcing's rows at once; where another
+forcing's row fails them, a row in range folds to lo + (x - lo) exactly and
+a row right of S tests outside it, so no bit changes.  Each path's noise
+block is drawn once per refill, into one row that the live rows of every
+forcing read through the row map, so k forcings cost one set of draws and
+one basis call per step, not k.  A single forcing is the case k = 1.
+
 A segment is also the unit of parallel work.  A path's bits depend only on
 its own stream and on the live paths of its segment, so a batch of several
-segments is split into contiguous groups of whole segments, one per CPU the
-process may use; each group runs the same loop in a forked child, and the
-groups' results joined in path order are the bits the one loop gives.
+segments per forcing is split into contiguous groups of whole segments of
+path indices, one per CPU the process may use; each group runs the same
+loop, over every forcing's copies of its paths, in a forked child, and the
+groups' results joined in path order per forcing are the bits the one loop
+gives.
 
 A batch of one segment leaves the other CPUs idle, so the process may run
 one such batch ahead: run_batch_ahead forks a child that runs the batch's
@@ -57,7 +74,8 @@ compacts the per-row arrays (positions, costs, log likelihood ratios or
 score accumulators, path indices), because gemv must see exactly the live
 rows of each segment for its tail rows to round as before.  It compacts
 neither the noise blocks, which the live rows read through a row map until
-the next refill, nor the list of streams, which is indexed by path index.
+the next refill, nor the list of streams, which is indexed by path index; a
+path's stream is drawn while any forcing's copy of it is live.
 
 What one step costs.  Long-tailed batches spend most loop iterations on a
 few live paths, where a step's time is the dispatch of its numpy calls
@@ -266,9 +284,17 @@ def run_batch(x0: float, control, model: ModelBundle, cfg: SimConfig, *,
     Parameters
     ----------
     control : GaussianAnsatz whose control field c = bmat @ coefficients
-        drives the paths, or None for the plain dynamics (c = 0).  Without
-        scores, an ansatz whose coefficients are all zero runs as None: the
-        same bits, without evaluating the basis.
+        drives the paths, or None for the plain dynamics (c = 0), or a
+        sequence of k GaussianAnsatz forcings with equal centers and widths.
+        Each forcing drives its own copy of the n_paths paths, and the batch
+        returns k n_paths paths in forcing-major order: path i of forcing f
+        is result row f n_paths + i, with the bits of row i of the batch
+        that forcing alone runs.  Without scores, an ansatz whose
+        coefficients are all zero runs as None: the same bits, without
+        evaluating the basis.  A sequence runs as None only where every
+        forcing's coefficients are zero; a zero forcing among nonzero ones
+        gets c = bmat @ 0, whose rows can differ from None's in the sign of
+        a zero.
     fixed_steps : run exactly this many steps with no stopping test
         (deterministic horizon); otherwise run to the first entry into the
         stopping set, capped at cfg.max_steps.  A path still outside the
@@ -280,27 +306,32 @@ def run_batch(x0: float, control, model: ModelBundle, cfg: SimConfig, *,
         sum_eta_b (needs an ansatz control); left None otherwise.  A batch
         with scores leaves log_lr_p_over_q None, because they imply it.
 
-    Path i always consumes the stream (seed, tag, i); seed and tag must each
-    fit in [0, MAX_SEED], one word of the stream's Philox key.  n_paths and
-    fixed_steps must be at least 1.  The paths advance
-    one step per loop iteration.  The row-wise calls c = bmat @ coefficients
-    and terminal_value run once per segment: the live paths among path
-    indices [k KERNEL_CHUNK, (k+1) KERNEL_CHUNK).  A path's results
-    therefore do not depend on the paths in other segments, but a controlled
-    path's last bits depend on which other paths share its segment: gemv
-    rounds the last n % 4 of a segment's n live rows in its tail kernel.
-    That is why retired paths leave every per-row working array on the step
-    they hit.  The noise block rows stay where they were filled, read
-    through a row map, and the streams stay in path-index order; the next
-    refill writes the r-th live path's block into row r.
+    Path i always consumes the stream (seed, tag, i), under every forcing;
+    seed and tag must each fit in [0, MAX_SEED], one word of the stream's
+    Philox key.  n_paths and fixed_steps must be at least 1.  The paths of
+    every forcing advance one step per loop iteration, and each refill
+    draws a path's next noise block once, into one row that every forcing's
+    live copy of the path reads through a row map.  The row-wise calls
+    c = bmat @ coefficients and terminal_value run once per segment: the
+    live paths of one forcing among path indices [j KERNEL_CHUNK,
+    (j+1) KERNEL_CHUNK).  A path's results therefore do not depend on the
+    paths in other segments, but a controlled path's last bits depend on
+    which other paths share its segment: gemv rounds the last n % 4 of a
+    segment's n live rows in its tail kernel.  That is why retired paths
+    leave every per-row working array on the step they hit.  The noise block
+    rows stay where they were filled, read through the row map, and the
+    streams stay in path-index order; the next refill writes the r-th live
+    path's block into row r.
 
     Because no bit of a path depends on another segment, a batch of more
-    than one segment runs as contiguous groups of whole segments, one per
-    CPU the process may use: this process runs the first group and forked
-    children the others, each the same loop over its own paths.  The
-    results are joined in path order and loop_iters is the longest group's
-    count.  A batch of one segment, a process running other threads, where
-    forking is unsafe, or a platform without fork runs all its paths here.
+    than one segment per forcing runs as contiguous groups of whole segments
+    of path indices, one per CPU the process may use: this process runs the
+    first group and forked children the others, each the same loop over
+    every forcing's copies of its own paths.  The results are joined in
+    path order per forcing and loop_iters is the longest group's count.  A
+    batch of one segment, a process running other threads, where forking is
+    unsafe, or a platform without fork runs all its paths here.  An error
+    names failing paths by their rows in the result.
 
     A batch that run_batch_ahead started with the same arguments is joined
     instead: x0, model, cfg, n_paths, seed, tag, fixed_steps, terminal_value
@@ -329,7 +360,7 @@ def run_batch(x0: float, control, model: ModelBundle, cfg: SimConfig, *,
             _tally.batches_ahead_used += 1
     result, censored = outcome or _batch(*args)
     if censored:
-        raise CensoredPathError(f"{censored}/{n_paths} paths did not hit within "
+        raise CensoredPathError(f"{censored}/{result.n_paths} paths did not hit within "
                                 f"max_steps={cfg.max_steps}")
     _tally.batches += 1
     _tally.path_steps += int(result.n_steps.sum())
@@ -337,9 +368,25 @@ def run_batch(x0: float, control, model: ModelBundle, cfg: SimConfig, *,
     return result
 
 
+def _forcings(control) -> tuple:
+    """A batch's forcings, one per copy of its paths: (None,) for the plain dynamics."""
+    if not isinstance(control, (list, tuple)):
+        return (control,)
+    if not control:
+        raise ValueError("control: a sequence of forcings needs at least one")
+    first = control[0]
+    for other in control[1:]:
+        if not (np.array_equal(other.centers, first.centers)
+                and np.array_equal(other.widths, first.widths)):
+            raise ValueError("control: the forcings of one batch must have equal "
+                             "centers and widths")
+    return tuple(control)
+
+
 def _batch(x0, control, model, cfg, n_paths, seed, tag, fixed_steps, terminal_value,
            scores) -> tuple[BatchResult, int]:
     """The BatchResult of these arguments and how many paths it censored."""
+    controls = _forcings(control)
     if fixed_steps is None and bool(model.stopping_set.contains(x0)):
         raise ValueError(f"x0={x0} already inside the stopping set")
     if not 0 <= seed <= MAX_SEED:
@@ -350,17 +397,18 @@ def _batch(x0, control, model, cfg, n_paths, seed, tag, fixed_steps, terminal_va
         raise ValueError(f"n_paths must be at least 1, got {n_paths}")
     if fixed_steps is not None and fixed_steps < 1:
         raise ValueError(f"fixed_steps must be at least 1, got {fixed_steps}")
-    if scores and control is None:
+    if scores and controls[0] is None:
         raise ValueError("scores needs an ansatz control, got control=None")
-    if not scores and control is not None and not np.any(control.coefficients):
-        control = None
+    if (not scores and controls[0] is not None
+            and not any(np.any(a.coefficients) for a in controls)):
+        controls = (None,) * len(controls)
 
     def run(first, stop):
-        return _run_paths(first, stop, x0, control, model, cfg, seed, tag, fixed_steps,
-                          terminal_value, scores)
+        return _run_paths(first, stop, n_paths, x0, controls, model, cfg, seed, tag,
+                          fixed_steps, terminal_value, scores)
 
     groups = _groups(n_paths)
-    joined = _run_forked(run, groups) if len(groups) > 1 else None
+    joined = _run_forked(run, groups, len(controls)) if len(groups) > 1 else None
     return joined or run(0, n_paths)
 
 
@@ -447,13 +495,15 @@ def _reap(child: tuple[int, int], kill: bool = False):
     return pickle.loads(data) if data and status == 0 else None
 
 
-def _run_forked(run, groups: list[tuple[int, int]]) -> tuple[BatchResult, int] | None:
+def _run_forked(run, groups: list[tuple[int, int]],
+                k: int) -> tuple[BatchResult, int] | None:
     """run(first, stop) for every group: the first here, the others in forked children.
 
-    Returns the groups' results joined in path order and their censored
-    counts summed, or None where a fork failed, a child handed back no
-    result or the group here raised.  Once the group here has failed or
-    been interrupted, the children are killed, not waited for.
+    Returns the groups' results of k forcings joined in path order per
+    forcing and their censored counts summed, or None where a fork failed, a
+    child handed back no result or the group here raised.  Once the group
+    here has failed or been interrupted, the children are killed, not waited
+    for.
     """
     children, here = [], None
     try:
@@ -467,7 +517,7 @@ def _run_forked(run, groups: list[tuple[int, int]]) -> tuple[BatchResult, int] |
         outcomes = [here, *(_reap(child, kill=here is None) for child in children if child)]
     if None in outcomes:
         return None
-    return _joined([part for part, _ in outcomes]), sum(k for _, k in outcomes)
+    return _joined([part for part, _ in outcomes], k), sum(n for _, n in outcomes)
 
 
 @dataclass
@@ -483,10 +533,10 @@ _ahead = _AheadSlot()
 
 def _batch_key(x0, control, model, cfg, n_paths, seed, tag, fixed_steps, terminal_value,
                scores) -> tuple:
-    """The arguments run_batch compares to join an ahead batch, the control as bytes."""
+    """The arguments run_batch compares to join an ahead batch, the controls as bytes."""
     arrays = None if control is None else tuple(
-        np.ascontiguousarray(v).tobytes()
-        for v in (control.centers, control.widths, control.coefficients))
+        np.ascontiguousarray(v).tobytes() for a in _forcings(control)
+        for v in (a.centers, a.widths, a.coefficients))
     return x0, model, cfg, n_paths, seed, tag, fixed_steps, terminal_value, scores, arrays
 
 
@@ -549,27 +599,37 @@ def kernel_counts() -> _Tally:
     return replace(_tally)
 
 
-def _joined(parts: list[BatchResult]) -> BatchResult:
-    """The BatchResult of consecutive path groups, fields joined in path order."""
+def _joined(parts: list[BatchResult], k: int) -> BatchResult:
+    """The BatchResult of consecutive path groups of k forcings, each forcing's
+    rows joined in path order, forcing-major."""
     joined = {}
     for field in fields(BatchResult):
         values = [getattr(part, field.name) for part in parts]
         if field.name == "loop_iters":
             joined[field.name] = max(values)
+        elif values[0] is None:
+            joined[field.name] = None
         else:
-            joined[field.name] = None if values[0] is None else np.concatenate(values)
+            tail = values[0].shape[1:]
+            joined[field.name] = np.concatenate(
+                [v.reshape(k, -1, *tail) for v in values], axis=1).reshape(-1, *tail)
     return BatchResult(**joined)
 
 
-def _run_paths(first: int, stop: int, x0: float, control, model: ModelBundle,
-               cfg: SimConfig, seed: int, tag: int, fixed_steps: int | None,
-               terminal_value, scores: bool) -> tuple[BatchResult, int]:
-    """The kernel loop over paths [first, stop) of a batch; first is a segment start.
+def _run_paths(first: int, stop: int, n_batch: int, x0: float, controls: tuple,
+               model: ModelBundle, cfg: SimConfig, seed: int, tag: int,
+               fixed_steps: int | None, terminal_value,
+               scores: bool) -> tuple[BatchResult, int]:
+    """The kernel loop over paths [first, stop) of an n_batch-path batch under
+    each of its forcings; first is a segment start.
 
-    Returns their BatchResult and, for a stopping batch, how many of them
-    were still live at cfg.max_steps (their statistics are left unset).
+    controls holds one forcing per copy of the paths (all None for the plain
+    dynamics).  Returns their BatchResult, forcing-major, and, for a stopping
+    batch, how many of its rows were still live at cfg.max_steps (their
+    statistics are left unset).
     """
     n_paths = stop - first
+    n_rows = len(controls) * n_paths
     h, eps = cfg.h, cfg.epsilon
     # the per-step scalars as 0-d arrays, which a ufunc takes faster than
     # Python floats; every product keeps its operands
@@ -584,41 +644,49 @@ def _run_paths(first: int, stop: int, x0: float, control, model: ModelBundle,
     left, width = np.array(domain.lo), domain.hi - domain.lo
     reflect = domain.boundary == "reflect"
     limit = fixed_steps if fixed_steps is not None else cfg.max_steps
-    one_segment = n_paths <= KERNEL_CHUNK
+    control = controls[0]
+    m = control.m if scores else 0
+    # the segment of forcing f at path index first + j starts at row
+    # f n_paths + j and takes f's coefficients
+    chunks = range(0, n_paths, KERNEL_CHUNK)
+    seg_starts = [f * n_paths + j for f in range(len(controls)) for j in chunks]
+    seg_coefficients = [None if a is None else a.coefficients
+                        for a in controls for _ in chunks]
+    one_segment = len(seg_starts) == 1
 
-    # outputs, in path-index order; a scored batch's log-likelihood ratio is
-    # implied by its scores (BatchResult.log_lr_p_over_q) and not kept
-    out_steps = np.zeros(n_paths, dtype=np.int64)
-    out_work = np.zeros(n_paths)
-    out_cc = np.zeros(n_paths)
-    out_llr = None if scores else np.zeros(n_paths)
-    out_x = np.full(n_paths, float(x0))
-    out_term = np.zeros(n_paths) if terminal_value is not None else None
-    out_cb = np.zeros((n_paths, control.m)) if scores else None
-    out_eb = np.zeros((n_paths, control.m)) if scores else None
+    # outputs, row f n_paths + i for path first + i under forcing f; a scored
+    # batch's log-likelihood ratio is implied by its scores
+    # (BatchResult.log_lr_p_over_q) and not kept
+    out_steps = np.zeros(n_rows, dtype=np.int64)
+    out_work = np.zeros(n_rows)
+    out_cc = np.zeros(n_rows)
+    out_llr = None if scores else np.zeros(n_rows)
+    out_x = np.full(n_rows, float(x0))
+    out_term = np.zeros(n_rows) if terminal_value is not None else None
+    out_cb = np.zeros((n_rows, m)) if scores else None
+    out_eb = np.zeros((n_rows, m)) if scores else None
 
-    # dense working arrays over still-active paths; idx maps rows to outputs,
-    # path index - first.  Every live path has taken the same number of
-    # steps, so they share the accumulated work and the position in their
-    # noise blocks.  The noise rows and the streams stay where they are when
-    # paths retire: brow maps the live rows to their rows of blocks, gens is
-    # indexed by idx.  x is this loop's own array, updated in place.
-    idx = np.arange(n_paths)
-    x = np.full(n_paths, float(x0))
+    # dense working arrays over still-active rows; idx maps rows to outputs.
+    # Every live row has taken the same number of steps, so they share the
+    # accumulated work and the position in their noise blocks.  The noise
+    # rows and the streams stay where they are when rows retire: brow maps
+    # the live rows to their rows of blocks, gens is indexed by path index
+    # - first, idx % n_paths.  x is this loop's own array, updated in place.
+    idx = np.arange(n_rows)
+    x = np.full(n_rows, float(x0))
     work = 0.0
-    ccost = np.zeros(n_paths)
-    log_lr = None if scores else np.zeros(n_paths)
-    sum_cb = np.zeros((n_paths, control.m)) if scores else None
-    sum_eta_b = np.zeros((n_paths, control.m)) if scores else None
+    ccost = np.zeros(n_rows)
+    log_lr = None if scores else np.zeros(n_rows)
+    sum_cb = np.zeros((n_rows, m)) if scores else None
+    sum_eta_b = np.zeros((n_rows, m)) if scores else None
     gens = _take_streams(seed, tag, first, n_paths)
     blocks = np.empty((n_paths, NOISE_BLOCK))
-    seg_starts = np.arange(0, n_paths, KERNEL_CHUNK)
     # per-step buffers whose first live-row-count rows the step writes: c,
     # c^2, one scratch row and the (rows, m) products of the scores
-    c_buf = np.zeros(n_paths)
-    c2_buf = np.empty(n_paths)
-    t_buf = np.empty(n_paths)
-    prod_buf = np.empty((n_paths, control.m)) if scores else None
+    c_buf = np.zeros(n_rows)
+    c2_buf = np.empty(n_rows)
+    t_buf = np.empty(n_rows)
+    prod_buf = np.empty((n_rows, m)) if scores else None
 
     def views(k):
         """The buffers' views over k live rows: c, c as a column, c^2, scratch, products."""
@@ -626,11 +694,12 @@ def _run_paths(first: int, stop: int, x0: float, control, model: ModelBundle,
                 prod_buf[:k] if scores else None)
 
     def segments():
-        """(lo, hi) row bounds of the nonempty segments of live paths."""
+        """(lo, hi, coefficients) of the nonempty segments of live rows."""
         if one_segment:
-            return [(0, idx.size)]
+            return [(0, idx.size, seg_coefficients[0])]
         bounds = np.append(np.searchsorted(idx, seg_starts), idx.size).tolist()
-        return [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+        return [(lo, hi, a) for lo, hi, a in zip(bounds[:-1], bounds[1:], seg_coefficients)
+                if hi > lo]
 
     def retire(rows):
         slots = idx[rows]
@@ -639,7 +708,7 @@ def _run_paths(first: int, stop: int, x0: float, control, model: ModelBundle,
         out_cc[slots] = ccost[rows]
         out_x[slots] = x[rows]
         if terminal_value is not None:
-            for lo, hi in segs:
+            for lo, hi, _ in segs:
                 sel = rows[lo:hi]
                 if np.count_nonzero(sel):
                     out_term[idx[lo:hi][sel]] = terminal_value(x[lo:hi][sel])
@@ -650,8 +719,10 @@ def _run_paths(first: int, stop: int, x0: float, control, model: ModelBundle,
             out_llr[slots] = log_lr[rows]
 
     def fail(kind, rows):
-        """The NumericalFailureError or OutOfDomainError of the live rows that failed."""
-        paths = (idx[rows] + first).tolist()
+        """The NumericalFailureError or OutOfDomainError of the live rows that
+        failed, named by their rows in the batch's result."""
+        forcing, path = np.divmod(idx[rows], n_paths)
+        paths = (forcing * n_batch + first + path).tolist()
         shown = ", ".join(map(str, paths[:NAMED_PATHS]))
         if len(paths) > NAMED_PATHS:
             shown += ", ..."
@@ -664,17 +735,24 @@ def _run_paths(first: int, stop: int, x0: float, control, model: ModelBundle,
         return kind(message, paths, step)
 
     segs = segments()
-    c, c_col, c2, t, prod = views(n_paths)
+    c, c_col, c2, t, prod = views(n_rows)
     if control is not None:
-        basis, coefficients = control.basis_controls, control.coefficients
+        basis, coefficients = control.basis_controls, seg_coefficients[0]
     pos = NOISE_BLOCK
     step = 0
     while idx.size and step < limit:
         if pos == NOISE_BLOCK:
-            # the r-th live path's next block goes to row r
-            for r, i in enumerate(idx.tolist()):
+            # the r-th live path's next block goes to row r, once for all
+            # the forcings whose copy of it is live.  A mask, because
+            # np.unique imports numpy.ma: about 1.4 MB more resident memory
+            # in every stage that runs a batch
+            path = idx % n_paths
+            drawn = np.zeros(n_paths, dtype=bool)
+            drawn[path] = True
+            live = np.flatnonzero(drawn)
+            for r, i in enumerate(live.tolist()):
                 gens[i].standard_normal(out=blocks[r])
-            brow = np.arange(idx.size)
+            brow = np.searchsorted(live, path)
             pos = 0
         eta = blocks[:, pos][brow]
         pos += 1
@@ -686,8 +764,8 @@ def _run_paths(first: int, stop: int, x0: float, control, model: ModelBundle,
             if one_segment:
                 matmul(bmat, coefficients, c)
             else:
-                for lo, hi in segs:
-                    matmul(bmat[lo:hi], coefficients, out=c[lo:hi])
+                for lo, hi, a in segs:
+                    matmul(bmat[lo:hi], a, out=c[lo:hi])
             multiply(c, c, c2)
             multiply(half_h, c2, t)
             ccost += t

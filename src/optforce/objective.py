@@ -54,10 +54,16 @@ class GradientEstimate:
         return float(np.linalg.norm(self.gradient_stderr))
 
 
-def estimate_cost(ansatz: GaussianAnsatz, x0: float, model: ModelBundle,
-                  cfg: SimConfig, *, seed: int, tag: int = 0,
+def estimate_cost(ansatz: GaussianAnsatz | list[GaussianAnsatz], x0: float,
+                  model: ModelBundle, cfg: SimConfig, *, seed: int, tag: int = 0,
                   fixed_horizon: float | None = None, n_paths: int):
     """Batch mean and standard error of the per-path cost under the ansatz tilt.
+
+    `ansatz` may also be a sequence of forcings with equal centers and
+    widths: they run as one batch on common random numbers, each forcing's
+    paths on the streams (seed, tag, 0..n_paths-1) and with the bits each
+    would get alone (dynamics.run_batch), and the result is a list of one
+    (mean, stderr) per forcing.
 
     A path that does not hit within cfg.max_steps makes run_batch raise
     CensoredPathError: a mean over the paths that did hit would be biased.
@@ -66,6 +72,12 @@ def estimate_cost(ansatz: GaussianAnsatz, x0: float, model: ModelBundle,
     batch = run_batch(x0, ansatz, model, cfg, n_paths=n_paths, seed=seed, tag=tag,
                       fixed_steps=fixed_steps)
     cost = batch.cost_per_path()
+    if isinstance(ansatz, (list, tuple)):
+        return [_mean_stderr(part) for part in cost.reshape(len(ansatz), n_paths)]
+    return _mean_stderr(cost)
+
+
+def _mean_stderr(cost: np.ndarray) -> tuple[float, float]:
     return float(np.mean(cost)), float(np.std(cost, ddof=1) / np.sqrt(cost.size))
 
 

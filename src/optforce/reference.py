@@ -61,10 +61,26 @@ class Grid1D:
         return float(self.nodes[-1])
 
 
+# most nodes a reference grid may have.  A solve runs dgtsv's Python loop at
+# about 0.7 us per node (four solves of the default 3,001-node grid take
+# 0.0088 s) and holds its diagonals as Python lists of about 130 bytes a
+# node, so at this bound the reference stage's four solves take about 3 s
+# and 130 MB.  A dx that asks for more is refused before anything is
+# allocated: at dx = 1e-10 the default interval would need 3e10 nodes.
+MAX_GRID_NODES = 1_000_000
+
+
 def build_grid(s: StoppingSet, domain: SimulationDomain, dx: float = 1e-3) -> Grid1D:
-    """Grid over [right edge of S, right domain edge] with spacing dx."""
+    """Grid over [right edge of S, right domain edge] with spacing dx.
+
+    A ValueError rejects fewer than 3 or more than MAX_GRID_NODES nodes.
+    """
     lo, hi = s.hi, domain.hi
-    n = int(round((hi - lo) / dx)) + 1
+    spans = (hi - lo) / dx
+    if not spans <= MAX_GRID_NODES - 1:
+        raise ValueError(f"grid too fine for the interval: [{lo}, {hi}] at spacing {dx} "
+                         f"needs more than {MAX_GRID_NODES} nodes")
+    n = int(round(spans)) + 1
     if n < 3:
         raise ValueError("grid too coarse for the interval")
     nodes = lo + dx * np.arange(n)

@@ -18,7 +18,7 @@ from optforce.config import ConfigError, RunConfig
 from optforce.dynamics import MAX_SEED
 from optforce.objective import make_objective
 from optforce.optimizer import RESEED_STRIDE, descend
-from optforce.reference import build_grid
+from optforce.reference import MAX_GRID_NODES, build_grid
 
 
 def fast_config(tmp_path, **overrides):
@@ -305,7 +305,27 @@ class TestCliErrors:
         assert main([command, "--config", str(cfg_path), *sets]) == 2
         err = capsys.readouterr().err
         assert all(name in err for name in names), err
+        # every message names its field: none carries the top level's name
         assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "config: " not in err, err
+        assert not (tmp_path / "out").exists()
+
+    def test_a_tiny_dx_exits_2_naming_it_before_allocating_the_grid(
+            self, tmp_path, capsys, monkeypatch):
+        # at dx = 1e-10 the grid would take about 3e10 nodes: no arange may
+        # ask for more than the bound, so a grid that size is never built
+        arange = np.arange
+
+        def bounded(n, *args, **kwargs):
+            assert n <= MAX_GRID_NODES, f"np.arange({n})"
+            return arange(n, *args, **kwargs)
+
+        monkeypatch.setattr(np, "arange", bounded)
+        assert main(["reference", "--config", str(fast_config(tmp_path)),
+                     "--set", "dx=1e-10"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: dx: grid too fine") and err.count("\n") == 1, err
+        assert str(MAX_GRID_NODES) in err
         assert not (tmp_path / "out").exists()
 
     def test_a_seed_beyond_the_philox_key_exits_2_naming_it(self, tmp_path, capsys):
@@ -316,8 +336,7 @@ class TestCliErrors:
             assert main(["reference", "--config", str(cfg_path),
                          "--seed", str(seed)]) == 2
             err = capsys.readouterr().err
-            assert err.startswith("error: config: seed must be at most "
-                                  f"{top},"), err
+            assert err.startswith(f"error: seed must be at most {top},"), err
         assert not (tmp_path / "out").exists()
         assert main(["optimize", "--config", str(cfg_path), "--seed", str(top)]) == 0
 

@@ -738,6 +738,117 @@ class TestSplitBatches:
         assert not thread.is_alive()
 
 
+class TestSeveralForcings:
+    """A batch of k forcings is each forcing's own batch, bit for bit, in
+    forcing-major order: every copy of path i runs on the stream (seed, tag,
+    i), and the noise each path draws once serves every forcing."""
+
+    S = StoppingSet(-4.0, 0.2)
+    COEFFICIENTS = ([0.4, -0.3, 0.25, 0.1, -0.2, 0.15, 0.05, -0.1, 0.2, 0.3],
+                    [-0.2, 0.35, 0.1, -0.25, 0.3, -0.05, 0.2, 0.15, -0.3, 0.1],
+                    [0.1, 0.2, -0.4, 0.3, 0.05, -0.2, -0.1, 0.25, 0.1, -0.15])
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("fixed_steps", [None, 200])
+    @pytest.mark.parametrize("scores", [False, True])
+    @pytest.mark.parametrize("domain, run", [
+        # a right edge the paths fold at, on one CPU; an abort domain where
+        # the split batch's fork fails; and the split batch forked
+        (SimulationDomain(-4.0, 1.0), "one CPU"),
+        (SimulationDomain(-4.0, 4.0, "abort"), "fork fails"),
+        (SimulationDomain(-4.0, 1.0), "two CPUs"),
+    ])
+    def test_each_forcing_is_its_own_batch(self, request, cpus, k, fixed_steps, scores,
+                                           domain, run):
+        # 1,100 paths: each forcing has a full segment and a 76-path one
+        model = ModelBundle(make_harmonic(), 1.5, self.S, domain)
+        layout = make_uniform_ansatz(10, domain, self.S, 0.5)
+        forcings = [layout.with_coefficients(a) for a in self.COEFFICIENTS[:k]]
+        inner = forcings[0]
+        kwargs = dict(n_paths=1100, seed=11, tag=4, fixed_steps=fixed_steps, scores=scores,
+                      terminal_value=lambda x: 0.3 + inner.value(x))
+        cpus(1)
+        alone = [run_batch(0.4, a, model, CFG, **kwargs) for a in forcings]
+        cpus(1 if run == "one CPU" else 2, 1100)
+        if run == "fork fails":
+            attempts = request.getfixturevalue("fork_fails")
+        together = run_batch(0.4, forcings, model, CFG, **kwargs)
+        if run == "fork fails":
+            assert len(attempts) == 1
+        assert_no_child_left()
+        assert together.n_paths == k * 1100
+        assert together.loop_iters == max(batch.loop_iters for batch in alone)
+        for f, batch in enumerate(alone):
+            for name in BATCH_ARRAYS:
+                expected = getattr(batch, name)
+                got = getattr(together, name)
+                if expected is None:
+                    assert got is None, name
+                else:
+                    np.testing.assert_array_equal(got[f * 1100:(f + 1) * 1100], expected,
+                                                  err_msg=name)
+
+    @staticmethod
+    def wall_model_and_forcings():
+        """V' is infinite right of 1.2.  `push` drives paths towards it and
+        alone fails; `hold` keeps them left of 1.0 with a steep rise of
+        V + 2F and alone never fails."""
+        s = StoppingSet(-0.3, -0.2)
+        good = make_harmonic()
+        wall = Potential(good.evaluate, lambda x: np.where(np.asarray(x) > 1.2, np.inf,
+                                                         good.gradient(x)))
+        model = ModelBundle(wall, 1.0, s, DOMAIN)
+        layout = make_uniform_ansatz(10, DOMAIN, s, 0.5)
+        push = layout.with_coefficients(
+            np.where((layout.centers > 0.0) & (layout.centers < 1.3), -0.5, 0.0))
+        hold = layout.with_coefficients(
+            np.where((layout.centers > 1.0) & (layout.centers < 2.5), 3.0, 0.0))
+        return model, push, hold
+
+    @pytest.mark.parametrize("order", ["failing first", "failing second"])
+    def test_a_failing_path_of_one_forcing_is_named_by_its_row(self, order):
+        model, push, hold = self.wall_model_and_forcings()
+        run_batch(0.4, hold, model, CFG, n_paths=64, seed=1)
+        with pytest.raises(NumericalFailureError) as alone:
+            run_batch(0.4, push, model, CFG, n_paths=64, seed=1)
+        assert len(alone.value.paths) == 1
+        step = alone.value.step
+        forcings, offset = (([push, hold], 0) if order == "failing first"
+                            else ([hold, push], 64))
+        paths = [offset + i for i in alone.value.paths]
+        message = re.escape(f"non-finite update for {named(paths)} at step {step}")
+        with pytest.raises(NumericalFailureError, match=f"^{message}$") as together:
+            run_batch(0.4, forcings, model, CFG, n_paths=64, seed=1)
+        assert together.value.paths == paths and together.value.step == step
+
+    def test_a_group_names_a_failing_path_by_its_row_in_the_batch(self):
+        # the last segment's group of an 1,100-path batch, as a forked child
+        # runs it: forcing 1's path first + i is row 1100 + first + i
+        model, push, hold = self.wall_model_and_forcings()
+        run_batch(0.4, hold, model, CFG, n_paths=1100, seed=1)
+
+        def group(controls):
+            return optforce.dynamics._run_paths(KERNEL_CHUNK, 1100, 1100, 0.4, controls,
+                                                model, CFG, 1, 0, None, None, False)
+
+        with pytest.raises(NumericalFailureError) as alone:
+            group((push,))
+        assert all(KERNEL_CHUNK <= i < 1100 for i in alone.value.paths)
+        with pytest.raises(NumericalFailureError) as together:
+            group((hold, push))
+        assert together.value.paths == [1100 + i for i in alone.value.paths]
+        assert together.value.step == alone.value.step
+
+    @pytest.mark.parametrize("change", ["centers", "widths"])
+    def test_forcings_of_other_layouts_are_refused_naming_control(self, change):
+        model = ModelBundle(make_harmonic(), 1.5, self.S, DOMAIN)
+        a = make_uniform_ansatz(4, DOMAIN, self.S, 0.5).with_coefficients([0.1, 0.2, 0.3, 0.4])
+        other = {"centers": a.centers + 0.1, "widths": a.widths * 2}[change]
+        b = dataclasses.replace(a, **{change: other})
+        with pytest.raises(ValueError, match="^control: "):
+            run_batch(0.4, [a, b], model, CFG, n_paths=8, seed=1)
+
+
 class TestBatchAhead:
     """run_batch_ahead runs a one-segment batch in a forked child, which the
     run_batch call with the same arguments joins.

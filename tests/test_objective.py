@@ -64,6 +64,19 @@ class TestEstimateCost:
         assert v1 == pytest.approx(v2, rel=1e-12)
 
 
+    @pytest.mark.parametrize("fixed_horizon", [None, 0.3])
+    def test_a_pair_of_forcings_gives_each_forcings_own_estimate(self, fixed_horizon):
+        # one batch on common random numbers, each (mean, stderr) exactly
+        # the one its forcing's own batch gives
+        model = easy_model()
+        cfg = SimConfig(epsilon=EPS, h=2e-3)
+        pair = [small_ansatz(4, coeffs=[0.3, -0.2, 0.1, 0.2]),
+                small_ansatz(4, coeffs=[0.1, 0.3, -0.2, 0.05])]
+        kwargs = dict(seed=9, fixed_horizon=fixed_horizon, n_paths=300)
+        assert estimate_cost(pair, 1.0, model, cfg, **kwargs) == [
+            estimate_cost(a, 1.0, model, cfg, **kwargs) for a in pair]
+
+
 class TestFixedHorizonGradient:
     @pytest.mark.parametrize("trial", [0, 1, 2])
     def test_matches_central_differences_with_crn(self, trial):

@@ -3,7 +3,7 @@ import pytest
 
 from optforce.model import (SimulationDomain, StoppingSet, make_flat,
                             make_harmonic, make_potential)
-from optforce.reference import (Grid1D, QuadratureError, ReferenceError,
+from optforce.reference import (MAX_GRID_NODES, Grid1D, QuadratureError, ReferenceError,
                                 build_grid, mfpt_quadrature_oracle, solve_fk,
                                 solve_mfpt_pde, solve_reference)
 
@@ -28,6 +28,22 @@ class TestGrid:
         assert g.lo == pytest.approx(-1.0)
         assert g.hi == pytest.approx(2.0)
         assert g.nodes.size == 3001
+
+    @pytest.mark.parametrize("nodes", [MAX_GRID_NODES, MAX_GRID_NODES + 1])
+    def test_the_node_bound(self, nodes):
+        # the bound's own grid is built; one node more is refused
+        dx = 3.0 / (nodes - 1)
+        if nodes <= MAX_GRID_NODES:
+            assert build_grid(S, DOMAIN, dx).nodes.size == nodes
+        else:
+            with pytest.raises(ValueError, match=f"more than {MAX_GRID_NODES} nodes"):
+                build_grid(S, DOMAIN, dx)
+
+    @pytest.mark.parametrize("dx", [1e-10, 5e-324])
+    def test_rejects_a_grid_too_fine_before_counting_it(self, dx):
+        # 5e-324 makes the node count infinite, which no int can hold
+        with pytest.raises(ValueError, match="grid too fine"):
+            build_grid(S, DOMAIN, dx)
 
     def test_rejects_nonuniform(self):
         with pytest.raises(ValueError):
