@@ -49,6 +49,9 @@ DISCRETIZATION_ALLOWANCE = 0.05
 
 SPEEDUP_BAND = (30.0, 300.0)
 
+# optimize's descent traces: trace.csv, or trace_shell_<i>.csv per shell
+TRACE_FILES = "trace*.csv"
+
 
 def _write_json(path: Path, doc):
     path.write_text(json.dumps(doc, sort_keys=True, indent=2, default=float) + "\n")
@@ -105,6 +108,10 @@ def cmd_optimize(cfg: RunConfig, out: Path) -> int:
     descent = kernel_counts() - before
     final = result.ansatz
     traces = result.shell_traces
+    # compare reads every trace file in out as this run's: an earlier
+    # ladder's would fail its hash check for good
+    for old in out.glob(TRACE_FILES):
+        old.unlink()
     for i, trace in enumerate(traces):
         # one shell is a plain descent and keeps the plain trace name
         name = "trace.csv" if len(traces) == 1 else f"trace_shell_{i}.csv"
@@ -151,8 +158,8 @@ def cmd_estimate(cfg: RunConfig, out: Path) -> int:
     model = cfg.build_model()
     x0 = cfg.start_point(model)
     ansatz = _load_ansatz(out)
-    if cfg.estimate.untilted:
-        ansatz = ansatz.with_coefficients(np.zeros(ansatz.m))
+    # the plain dynamics, whose paths all weigh one
+    control = None if cfg.estimate.untilted else ansatz
     n = cfg.estimate.n_paths
     sim_cfg = cfg.sim_config()
     chash = cfg.config_hash()
@@ -164,14 +171,14 @@ def cmd_estimate(cfg: RunConfig, out: Path) -> int:
                         "stderr": res.stderr, "ci95": list(res.ci95), "n": res.n_paths,
                         "ess": res.ess, "config_hash": chash})
 
-    psi = estimate_psi_reweighted(ansatz, x0, model, sim_cfg, seed=cfg.seed, tag=1,
+    psi = estimate_psi_reweighted(control, x0, model, sim_cfg, seed=cfg.seed, tag=1,
                                   n_paths=n)
     record("psi", psi.psi)
     record("free_energy", psi.free_energy)
 
     # MFPT of the tilted landscape G = V + 2F: the forcing by F on V is the
     # plain dynamics on G, so the forced paths' hitting times are its samples
-    mfpt_tilted = estimate_mfpt_forced(ansatz, x0, model, sim_cfg, seed=cfg.seed,
+    mfpt_tilted = estimate_mfpt_forced(control, x0, model, sim_cfg, seed=cfg.seed,
                                        tag=2, n_paths=n)
     record("mfpt_tilted", mfpt_tilted)
 
@@ -186,17 +193,21 @@ def cmd_estimate(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_gradcheck(cfg: RunConfig, out: Path) -> int:
+    horizon = 0.5
+    fixed_steps = round(horizon / cfg.h)
+    if abs(horizon / cfg.h - fixed_steps) > 1e-9:
+        raise ConfigError(f"h: gradcheck runs a horizon of {horizon}, which h={cfg.h} "
+                          "does not divide into whole steps")
     model = cfg.build_model()
     x0 = cfg.start_point(model)
     ansatz = cfg.build_ansatz()
-    horizon = 0.5
     n_paths = 4000
     sim_cfg = cfg.sim_config()
     rng = np.random.default_rng(cfg.seed)
     a = 0.5 * rng.standard_normal(ansatz.m)
     ansatz = ansatz.with_coefficients(a)
 
-    est = estimate_exact_gradient_fixed_horizon(ansatz, x0, model, sim_cfg, horizon,
+    est = estimate_exact_gradient_fixed_horizon(ansatz, x0, model, sim_cfg, fixed_steps,
                                                 seed=cfg.seed, tag=5, n_paths=n_paths)
     delta = 1e-3
     rows = []
@@ -209,7 +220,7 @@ def cmd_gradcheck(cfg: RunConfig, out: Path) -> int:
         # construction and the kernel draws it once for the two
         (up, up_se), (dn, dn_se) = estimate_cost(
             [ansatz.with_coefficients(a + step), ansatz.with_coefficients(a - step)],
-            x0, model, sim_cfg, seed=cfg.seed, tag=5, fixed_horizon=horizon,
+            x0, model, sim_cfg, seed=cfg.seed, tag=5, fixed_steps=fixed_steps,
             n_paths=n_paths)
         fd = (up - dn) / (2 * delta)
         combined_se = float(np.hypot(est.gradient_stderr[j],
@@ -252,7 +263,7 @@ def cmd_compare(cfg: RunConfig, out: Path) -> int:
     estimates = json.loads((out / "estimates.json").read_text())
     # ansatz.json carries no hash; optimize.json is written with it
     optimized = json.loads((out / "optimize.json").read_text())
-    traces = {tf.name: tf.read_text() for tf in sorted(out.glob("trace*.csv"))}
+    traces = {tf.name: tf.read_text() for tf in sorted(out.glob(TRACE_FILES))}
     inputs = {"reference.csv": _csv_hash(ref_text),
               "oracle_probes.json": probes.get("config_hash"),
               "estimates.json": estimates.get("config_hash"),
@@ -368,14 +379,10 @@ def main(argv=None) -> int:
             overrides["seed"] = args.seed
         if overrides:
             cfg = cfg.with_overrides(overrides)
-    except (ConfigError, FileNotFoundError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    out = Path(args.out) if args.out else Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    try:
+        out = Path(args.out) if args.out else Path(cfg.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command](cfg, out)
-    except FileNotFoundError as err:
+    except (ConfigError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (MilestoningError, PathFailure, ReferenceError, QuadratureError) as err:

@@ -212,17 +212,27 @@ class RunConfig:
     def build_ladder(self, model: ModelBundle) -> MilestoneLadder:
         """The run's ladder: `ladder.thresholds`, or `ladder.shells` uniform shells.
 
-        A ValueError names the field if a shell holds none of the `ansatz.m`
-        uniform basis centers.
+        A ValueError names the field if `ladder.shells` is not 1 beside
+        `ladder.thresholds`, if the last threshold does not lie in
+        [x0, domain.hi] (the outermost shell starts its paths at x0), or if a
+        shell holds none of the `ansatz.m` uniform basis centers.  A uniform
+        ladder ends at domain.hi.
         """
         spec = self.ladder
         name = "ladder.shells" if spec.thresholds is None else "ladder.thresholds"
+        _require(spec.thresholds is None or spec.shells == 1, "ladder.shells",
+                 "1 beside ladder.thresholds, which set the shells", spec.shells)
         try:
             ladder = (uniform_ladder(model.stopping_set, model.domain, spec.shells)
                       if spec.thresholds is None
                       else MilestoneLadder(spec.thresholds, model.stopping_set))
         except (TypeError, ValueError) as err:
             raise ValueError(f"{name}: {err}") from None
+        x0, last, hi = self.start_point(model), ladder.thresholds[-1], model.domain.hi
+        if not x0 <= last <= hi:
+            raise ValueError(f"{name}: the last threshold {last} must lie in "
+                             f"[x0, domain.hi] = [{x0}, {hi}], where the outermost shell "
+                             "starts its paths at x0")
         layout = self.build_ansatz()
         for i in range(ladder.n_shells):
             if ladder.shell_indices(layout, i).size == 0:

@@ -24,13 +24,11 @@ c = sum_j a_j b_j these imply its log dP/dQ, which it does not accumulate.
 Per-path noise streams are derived from (seed, tag, path index) through a
 counter-based generator and consumed in fixed-size blocks, so a path sees
 the same noise however paths are grouped and whatever the block size.
-Every batch takes its seed from its caller, and run_batch checks that the
-seed and the tag fit the generator's 64-bit key words.  A batch runs its paths in one
+Every batch takes its seed from its caller.  A batch runs its paths in one
 loop.  The control c = bmat @ coefficients (BLAS gemv) and the terminal
-values are evaluated per segment of KERNEL_CHUNK path indices, because gemv
-rounds the last n % 4 rows of an n-row product in another kernel than the
-first n - n % 4, which round the same whatever n; batches are reproducible
-for a given n_paths.
+values are evaluated per segment of KERNEL_CHUNK path indices, for the
+rounding reason stated at KERNEL_CHUNK; batches are reproducible for a
+given n_paths.
 
 A batch may drive its paths with several forcings of one basis layout
 (equal centers and widths), such as the two sides of a central difference.
@@ -289,12 +287,7 @@ def run_batch(x0: float, control, model: ModelBundle, cfg: SimConfig, *,
         Each forcing drives its own copy of the n_paths paths, and the batch
         returns k n_paths paths in forcing-major order: path i of forcing f
         is result row f n_paths + i, with the bits of row i of the batch
-        that forcing alone runs.  Without scores, an ansatz whose
-        coefficients are all zero runs as None: the same bits, without
-        evaluating the basis.  A sequence runs as None only where every
-        forcing's coefficients are zero; a zero forcing among nonzero ones
-        gets c = bmat @ 0, whose rows can differ from None's in the sign of
-        a zero.
+        that forcing alone runs.
     fixed_steps : run exactly this many steps with no stopping test
         (deterministic horizon); otherwise run to the first entry into the
         stopping set, capped at cfg.max_steps.  A path still outside the
@@ -306,22 +299,21 @@ def run_batch(x0: float, control, model: ModelBundle, cfg: SimConfig, *,
         sum_eta_b (needs an ansatz control); left None otherwise.  A batch
         with scores leaves log_lr_p_over_q None, because they imply it.
 
-    Path i always consumes the stream (seed, tag, i), under every forcing;
-    seed and tag must each fit in [0, MAX_SEED], one word of the stream's
-    Philox key.  n_paths and fixed_steps must be at least 1.  The paths of
-    every forcing advance one step per loop iteration, and each refill
-    draws a path's next noise block once, into one row that every forcing's
-    live copy of the path reads through a row map.  The row-wise calls
-    c = bmat @ coefficients and terminal_value run once per segment: the
-    live paths of one forcing among path indices [j KERNEL_CHUNK,
-    (j+1) KERNEL_CHUNK).  A path's results therefore do not depend on the
-    paths in other segments, but a controlled path's last bits depend on
-    which other paths share its segment: gemv rounds the last n % 4 of a
-    segment's n live rows in its tail kernel.  That is why retired paths
-    leave every per-row working array on the step they hit.  The noise block
-    rows stay where they were filled, read through the row map, and the
-    streams stay in path-index order; the next refill writes the r-th live
-    path's block into row r.
+    The arguments are checked here, in the calling process, before any
+    join or fork, and a ValueError names the one at fault: x0 must lie in
+    the domain [lo, hi], and outside the stopping set unless fixed_steps is
+    given; seed and tag must each fit in [0, MAX_SEED], one word of a
+    stream's Philox key; n_paths and fixed_steps must be at least 1.
+
+    Path i always consumes the stream (seed, tag, i), under every forcing.
+    The paths of every forcing advance one step per loop iteration, and each
+    refill draws a path's next noise block once, into one row that every
+    forcing's live copy of the path reads through a row map.  The row-wise
+    calls c = bmat @ coefficients and terminal_value run once per segment:
+    the live paths of one forcing among path indices [j KERNEL_CHUNK,
+    (j+1) KERNEL_CHUNK).  A path's bits therefore depend on the live paths
+    of its own segment and on no other (KERNEL_CHUNK states why), so retired
+    paths leave every per-row working array on the step they hit.
 
     Because no bit of a path depends on another segment, a batch of more
     than one segment per forcing runs as contiguous groups of whole segments
@@ -351,7 +343,8 @@ def run_batch(x0: float, control, model: ModelBundle, cfg: SimConfig, *,
 
     Each returned batch adds to kernel_counts().
     """
-    args = (x0, control, model, cfg, n_paths, seed, tag, fixed_steps, terminal_value, scores)
+    controls = _checked_forcings(x0, control, model, n_paths, seed, tag, fixed_steps, scores)
+    args = (x0, controls, model, cfg, n_paths, seed, tag, fixed_steps, terminal_value, scores)
     outcome = None
     if _ahead.child is not None and _batch_key(*args) == _ahead.key:
         child, _ahead.child, _ahead.key = _ahead.child, None, None
@@ -368,40 +361,37 @@ def run_batch(x0: float, control, model: ModelBundle, cfg: SimConfig, *,
     return result
 
 
-def _forcings(control) -> tuple:
-    """A batch's forcings, one per copy of its paths: (None,) for the plain dynamics."""
-    if not isinstance(control, (list, tuple)):
-        return (control,)
-    if not control:
+def _checked_forcings(x0, control, model, n_paths, seed, tag, fixed_steps, scores) -> tuple:
+    """A batch's forcings, one per copy of its paths ((None,) for the plain
+    dynamics), once its arguments pass run_batch's checks."""
+    controls = tuple(control) if isinstance(control, (list, tuple)) else (control,)
+    if not controls:
         raise ValueError("control: a sequence of forcings needs at least one")
-    first = control[0]
-    for other in control[1:]:
-        if not (np.array_equal(other.centers, first.centers)
-                and np.array_equal(other.widths, first.widths)):
-            raise ValueError("control: the forcings of one batch must have equal "
-                             "centers and widths")
-    return tuple(control)
-
-
-def _batch(x0, control, model, cfg, n_paths, seed, tag, fixed_steps, terminal_value,
-           scores) -> tuple[BatchResult, int]:
-    """The BatchResult of these arguments and how many paths it censored."""
-    controls = _forcings(control)
+    first = controls[0]
+    if not all(np.array_equal(a.centers, first.centers)
+               and np.array_equal(a.widths, first.widths) for a in controls[1:]):
+        raise ValueError("control: the forcings of one batch must have equal "
+                         "centers and widths")
+    domain = model.domain
+    if not domain.lo <= x0 <= domain.hi:
+        raise ValueError(f"x0={x0} lies outside the domain [{domain.lo}, {domain.hi}]")
     if fixed_steps is None and bool(model.stopping_set.contains(x0)):
         raise ValueError(f"x0={x0} already inside the stopping set")
-    if not 0 <= seed <= MAX_SEED:
-        raise ValueError(f"seed {seed} is not a nonnegative 64-bit integer")
-    if not 0 <= tag <= MAX_SEED:
-        raise ValueError(f"tag {tag} is not a nonnegative 64-bit integer")
+    for name, value in (("seed", seed), ("tag", tag)):
+        if not 0 <= value <= MAX_SEED:
+            raise ValueError(f"{name} {value} is not a nonnegative 64-bit integer")
     if n_paths < 1:
         raise ValueError(f"n_paths must be at least 1, got {n_paths}")
     if fixed_steps is not None and fixed_steps < 1:
         raise ValueError(f"fixed_steps must be at least 1, got {fixed_steps}")
-    if scores and controls[0] is None:
+    if scores and first is None:
         raise ValueError("scores needs an ansatz control, got control=None")
-    if (not scores and controls[0] is not None
-            and not any(np.any(a.coefficients) for a in controls)):
-        controls = (None,) * len(controls)
+    return controls
+
+
+def _batch(x0, controls, model, cfg, n_paths, seed, tag, fixed_steps, terminal_value,
+           scores) -> tuple[BatchResult, int]:
+    """The BatchResult of checked arguments and how many paths it censored."""
 
     def run(first, stop):
         return _run_paths(first, stop, n_paths, x0, controls, model, cfg, seed, tag,
@@ -531,13 +521,11 @@ class _AheadSlot:
 _ahead = _AheadSlot()
 
 
-def _batch_key(x0, control, model, cfg, n_paths, seed, tag, fixed_steps, terminal_value,
-               scores) -> tuple:
-    """The arguments run_batch compares to join an ahead batch, the controls as bytes."""
-    arrays = None if control is None else tuple(
-        np.ascontiguousarray(v).tobytes() for a in _forcings(control)
-        for v in (a.centers, a.widths, a.coefficients))
-    return x0, model, cfg, n_paths, seed, tag, fixed_steps, terminal_value, scores, arrays
+def _batch_key(x0, controls, *rest) -> tuple:
+    """The arguments run_batch compares to join an ahead batch (those of
+    _batch), with the forcings' centers, widths and coefficients as bytes."""
+    return x0, *rest, tuple(np.ascontiguousarray(v).tobytes() for a in controls
+                            if a is not None for v in (a.centers, a.widths, a.coefficients))
 
 
 def run_batch_ahead(x0: float, control, model: ModelBundle, cfg: SimConfig, *,
@@ -551,12 +539,14 @@ def run_batch_ahead(x0: float, control, model: ModelBundle, cfg: SimConfig, *,
     so at most one child runs ahead.  Forks only where a CPU would idle
     otherwise: where the process may fork onto 2 or more CPUs (_cpus) and
     the batch is one group, which the child runs as run_batch would.
-    Returns whether it forked; False also where os.fork fails.
+    Returns whether it forked; False also where os.fork fails.  Arguments
+    run_batch refuses raise its ValueError here, before anything forks.
     """
+    controls = _checked_forcings(x0, control, model, n_paths, seed, tag, fixed_steps, scores)
     drop_ahead()
     if _cpus() < 2 or len(_groups(n_paths)) > 1:
         return False
-    args = (x0, control, model, cfg, n_paths, seed, tag, fixed_steps, terminal_value, scores)
+    args = (x0, controls, model, cfg, n_paths, seed, tag, fixed_steps, terminal_value, scores)
     child = _fork(_batch, *args)
     if child is None:
         return False

@@ -12,7 +12,8 @@ only.
 
 A plain descent is the one-shell ladder, so `optforce optimize` always runs
 a ladder: one shell by default, started at x0.  `RunConfig.build_ladder`
-owns a run's ladder and rejects one with a shell that holds no basis center.
+owns a run's ladder and rejects one that ends left of x0 or right of the
+domain, or with a shell that holds no basis center.
 This module owns the seeds a ladder run derives: shell i descends from
 shell_seed(seed, i), and largest_seed is the bound RunConfig checks at load.
 """

@@ -56,7 +56,7 @@ class GradientEstimate:
 
 def estimate_cost(ansatz: GaussianAnsatz | list[GaussianAnsatz], x0: float,
                   model: ModelBundle, cfg: SimConfig, *, seed: int, tag: int = 0,
-                  fixed_horizon: float | None = None, n_paths: int):
+                  fixed_steps: int | None = None, n_paths: int):
     """Batch mean and standard error of the per-path cost under the ansatz tilt.
 
     `ansatz` may also be a sequence of forcings with equal centers and
@@ -65,10 +65,10 @@ def estimate_cost(ansatz: GaussianAnsatz | list[GaussianAnsatz], x0: float,
     would get alone (dynamics.run_batch), and the result is a list of one
     (mean, stderr) per forcing.
 
-    A path that does not hit within cfg.max_steps makes run_batch raise
+    fixed_steps runs every path exactly that many steps (run_batch); without
+    it, a path that does not hit within cfg.max_steps makes run_batch raise
     CensoredPathError: a mean over the paths that did hit would be biased.
     """
-    fixed_steps = _steps_for_horizon(fixed_horizon, cfg)
     batch = run_batch(x0, ansatz, model, cfg, n_paths=n_paths, seed=seed, tag=tag,
                       fixed_steps=fixed_steps)
     cost = batch.cost_per_path()
@@ -79,15 +79,6 @@ def estimate_cost(ansatz: GaussianAnsatz | list[GaussianAnsatz], x0: float,
 
 def _mean_stderr(cost: np.ndarray) -> tuple[float, float]:
     return float(np.mean(cost)), float(np.std(cost, ddof=1) / np.sqrt(cost.size))
-
-
-def _steps_for_horizon(fixed_horizon, cfg: SimConfig):
-    if fixed_horizon is None:
-        return None
-    n = fixed_horizon / cfg.h
-    if abs(n - round(n)) > 1e-9:
-        raise ValueError(f"horizon {fixed_horizon} is not a multiple of h={cfg.h}")
-    return int(round(n))
 
 
 def _assemble(batch: BatchResult, cfg: SimConfig) -> GradientEstimate:
@@ -129,17 +120,14 @@ def estimate_inexact_gradient(ansatz: GaussianAnsatz, x0: float, model: ModelBun
 
 def estimate_exact_gradient_fixed_horizon(ansatz: GaussianAnsatz, x0: float,
                                           model: ModelBundle, cfg: SimConfig,
-                                          horizon: float, *, seed: int, tag: int = 0,
+                                          fixed_steps: int, *, seed: int, tag: int = 0,
                                           n_paths: int) -> GradientEstimate:
-    """Exact gradient for a deterministic horizon (no stopping set).
+    """Exact gradient for a deterministic horizon of fixed_steps steps (no stopping set).
 
     With tau = T fixed the dropped boundary terms vanish and the
     explicit-plus-covariance formula is the exact derivative; this path
     exists to validate the shared estimator code against finite differences.
     """
-    fixed_steps = _steps_for_horizon(horizon, cfg)
-    if fixed_steps is None:
-        raise ValueError("horizon is required")
     batch = run_batch(x0, ansatz, model, cfg, n_paths=n_paths, seed=seed, tag=tag,
                       fixed_steps=fixed_steps, scores=True)
     return _assemble(batch, cfg)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -216,6 +217,27 @@ class TestCliPipeline:
         err = capsys.readouterr().err
         assert "optimize.json" in err and "reference.csv" not in err, err
 
+    def test_optimize_removes_the_traces_of_an_earlier_ladder(self, run_dir, tmp_path,
+                                                              capsys):
+        # without it, the three shell traces would fail compare's hash check
+        # whatever stage reran
+        cfg_path, out = run_dir
+        mixed = tmp_path / "mixed"
+        shutil.copytree(out, mixed)
+        run = ["--config", str(cfg_path), "--out", str(mixed)]
+        assert main(["optimize", *run, "--set", "ladder.shells=3"]) == 0
+        assert len(list(mixed.glob("trace_shell_*.csv"))) == 3
+        assert main(["optimize", *run]) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["estimate", *run]) == 0
+        main(["compare", *run])
+        assert "error" not in capsys.readouterr().err
+        assert [p.name for p in mixed.glob("trace*.csv")] == ["trace.csv"]
+        assert (mixed / "trace.csv").read_bytes() == (out / "trace.csv").read_bytes()
+        inputs = json.loads((mixed / "compare.json").read_text())["inputs"]
+        assert "trace.csv" in inputs and len(inputs) == 5
+
     def test_reruns_are_byte_identical(self, run_dir, tmp_path):
         cfg_path, out = run_dir
         before = (out / "estimates.json").read_bytes()
@@ -294,6 +316,12 @@ class TestCliErrors:
         ("optimize", "ladder.shells=20", ("ladder.shells: shell 1 of 20 holds none of the 6",)),
         ("reference", ("ansatz.m=2", "ladder.shells=3"),
          ("ladder.shells: shell 1 of 3 holds none of the 2",)),
+        ("optimize", "ladder.thresholds=[-1, 0, 3]",
+         ("ladder.thresholds: the last threshold 3.0 must lie in", "= [1.0, 2.0]")),
+        ("optimize", "ladder.thresholds=[-1, 0, 0.5]",
+         ("ladder.thresholds: the last threshold 0.5 must lie in", "= [1.0, 2.0]")),
+        ("optimize", ("ladder.thresholds=[-1, 0, 2]", "ladder.shells=3"),
+         ("ladder.shells must be 1 beside ladder.thresholds", "got 3")),
         ("optimize", "descent.max_iters=0", ("descent", "max_iters must be at least 1")),
         ("optimize", "dx=5", ("dx: grid too coarse",)),
     ])
@@ -339,6 +367,15 @@ class TestCliErrors:
             assert err.startswith(f"error: seed must be at most {top},"), err
         assert not (tmp_path / "out").exists()
         assert main(["optimize", "--config", str(cfg_path), "--seed", str(top)]) == 0
+
+    def test_a_step_that_does_not_divide_the_gradcheck_horizon_exits_2_naming_h(
+            self, tmp_path, capsys):
+        assert main(["gradcheck", "--config", str(fast_config(tmp_path)),
+                     "--set", "h=3e-3"]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: h: gradcheck runs a horizon of 0.5, which h=0.003 does not "
+                       "divide into whole steps\n"), err
+        assert not (tmp_path / "out" / "gradcheck.json").exists()
 
     def test_a_failed_run_ends_in_one_error_line(self, tmp_path, capsys):
         cfg_path = fast_config(tmp_path)
@@ -391,11 +428,16 @@ def test_optimize_with_two_shells_writes_a_trace_per_shell(tmp_path):
 
 
 def test_untilted_estimate_adds_the_plain_mfpt(tmp_path):
-    cfg_path = fast_config(tmp_path)
-    assert main(["optimize", "--config", str(cfg_path)]) == 0
-    assert main(["estimate", "--config", str(cfg_path),
-                 "--set", "estimate.untilted=true"]) == 0
-    doc = json.loads((tmp_path / "out" / "estimates.json").read_text())
+    # out_dir is hashed, so it is the same for every tmp_path
+    cfg_path = fast_config(tmp_path, out_dir="out")
+    run = ["--config", str(cfg_path), "--out", str(tmp_path / "out")]
+    assert main(["optimize", *run]) == 0
+    assert main(["estimate", *run, "--set", "estimate.untilted=true"]) == 0
+    written = (tmp_path / "out" / "estimates.json").read_bytes()
+    # pinned: the untilted estimates run the plain dynamics, control None
+    assert hashlib.sha256(written).hexdigest() == (
+        "be6d33d007862e6fde01f31b4bbf512b413bf5fa19502e95a8878b775729e7c2")
+    doc = json.loads(written)
     by_name = {r["quantity"]: r for r in doc["records"]}
     assert "mfpt" in by_name
     # the untilted paths carry weight one each

@@ -249,8 +249,8 @@ class TestBatchConsistency:
                             s, DOMAIN)
         zero = make_uniform_ansatz(4, DOMAIN, s, 0.5)
         plain = run_batch(0.4, None, model, CFG, n_paths=200, seed=9)
-        # scores keep the basis evaluation that the shortcut of a batch without
-        # them skips
+        # a zero ansatz runs the controlled loop, with scores and without:
+        # c = bmat @ 0 is a signed zero, which moves no output bit
         forced = run_batch(0.4, zero, model, CFG, n_paths=200, seed=9, scores=True)
         shortcut = run_batch(0.4, zero, model, CFG, n_paths=200, seed=9)
         for name in ("n_steps", "hit", "work", "control_cost", "final_x"):
@@ -261,14 +261,6 @@ class TestBatchConsistency:
         assert not np.any(plain.control_cost) and not np.any(plain.log_lr_p_over_q)
         # the scores of a zero ansatz imply a zero log-likelihood ratio
         assert forced.log_lr_p_over_q is None and not np.any(forced.sum_cb)
-
-    def test_all_zero_ansatz_runs_without_the_basis(self, monkeypatch):
-        s = StoppingSet(-0.3, -0.2)
-        model = ModelBundle(make_harmonic(), 1.0, s, DOMAIN)
-        zero = make_uniform_ansatz(4, DOMAIN, s, 0.5)
-        monkeypatch.setattr(type(zero), "basis_controls", None)
-        batch = run_batch(0.4, zero, model, CFG, n_paths=50, seed=9)
-        assert batch.sum_cb is None and batch.hit.all()
 
     def test_noise_block_size_changes_no_bit(self, monkeypatch):
         s = StoppingSet(-0.3, -0.2)
@@ -973,6 +965,23 @@ class TestBatchAhead:
                 thread.join(timeout=10)
         assert not thread.is_alive()
 
+    @pytest.mark.parametrize("kwargs,name", [
+        ({"seed": -1}, "seed"), ({"tag": MAX_SEED + 1}, "tag"), ({"n_paths": 0}, "n_paths")])
+    def test_a_bad_argument_raises_before_anything_forks(self, cpus, monkeypatch, kwargs,
+                                                         name):
+        cpus(2)
+
+        def forbidden():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", forbidden)
+        started = kernel_counts().batches_ahead
+        with pytest.raises(ValueError, match=f"^{name} "):
+            run_batch_ahead(0.4, self.ANSATZ, self.MODEL, CFG,
+                            **{"n_paths": 700, "seed": 11, "tag": 4, **kwargs})
+        assert kernel_counts().batches_ahead == started
+        assert_no_child_left()
+
     def test_no_child_outlives_a_join_a_replacement_or_a_drop(self, cpus):
         cpus(2)
         assert self.batch(run_batch_ahead)
@@ -1057,11 +1066,13 @@ def test_run_batch_rejects_a_seed_outside_the_philox_key(seed):
     ({"n_paths": 0}, "^n_paths must be at least 1, got 0$"),
     ({"fixed_steps": -2}, "^fixed_steps must be at least 1, got -2$"),
     ({"fixed_steps": 0}, "^fixed_steps must be at least 1, got 0$"),
+    ({"x0": 5.0}, r"^x0=5.0 lies outside the domain \[-4.0, 4.0\]$"),
 ])
 def test_run_batch_rejects_an_argument_naming_it(kwargs, message):
     model = ModelBundle(make_flat(), 1.0, StoppingSet(-0.3, -0.2), DOMAIN)
     with pytest.raises(ValueError, match=message):
-        run_batch(0.4, None, model, CFG, **{"n_paths": 4, "seed": 1, **kwargs})
+        run_batch(control=None, model=model, cfg=CFG,
+                  **{"x0": 0.4, "n_paths": 4, "seed": 1, **kwargs})
 
 
 @pytest.mark.parametrize("index", [0, 1, 1023, 1024, 4095, 2 ** 40])
