@@ -9,7 +9,7 @@ from .ansatz import (GaussianAnsatz, init_fill_wells, make_uniform_ansatz,
                      tilted_potential_from)
 from .config import RunConfig
 from .dynamics import BatchResult, SimConfig, path_stream, run_batch
-from .estimators import (EstimatorResult, PsiEstimate, estimate_mfpt_reweighted,
+from .estimators import (EstimatorResult, PsiEstimate, estimate_mfpt_forced,
                          estimate_psi_reweighted, summarize)
 from .milestoning import (MilestoneLadder, MilestoningResult, build_ladder,
                           run_milestoning, solve_shell)

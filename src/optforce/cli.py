@@ -13,7 +13,9 @@ the config hash; the optimize.json written beside it vouches for it.
     reference   finite-difference reference curves + quadrature oracle probes
     optimize    learn the forcing by descent on a ladder of milestoning shells
                 (one shell by default: a plain descent from x0)
-    estimate    reweighted estimators from tilted paths
+    estimate    reweighted estimators from tilted paths: psi, F and the MFPT
+                of the tilted landscape; with estimate.untilted, psi, F and
+                the MFPT of the plain dynamics, and no ansatz.json is read
     gradcheck   fixed-horizon exact gradient vs finite differences
     compare     join reference and estimates into a pass/fail report
 """
@@ -31,8 +33,7 @@ import numpy as np
 from .ansatz import GaussianAnsatz, init_fill_wells, tilted_potential_from
 from .config import ConfigError, RunConfig
 from .dynamics import PathFailure, kernel_counts
-from .estimators import (estimate_mfpt_forced, estimate_mfpt_reweighted,
-                         estimate_psi_reweighted)
+from .estimators import estimate_mfpt_forced, estimate_psi_reweighted
 from .milestoning import MilestoningError, run_milestoning
 from .objective import estimate_cost, estimate_exact_gradient_fixed_horizon
 from .reference import (QuadratureError, ReferenceError, build_grid, mfpt_quadrature_oracle,
@@ -68,7 +69,7 @@ def _write_reference_csv(path: Path, sol, config_hash: str):
 def cmd_reference(cfg: RunConfig, out: Path) -> int:
     model = cfg.build_model()
     grid = build_grid(model.stopping_set, model.domain, cfg.dx)
-    sol = solve_reference(model.potential, cfg.sigma, cfg.epsilon, grid,
+    sol = solve_reference(model.potential, model.sigma, cfg.epsilon, grid,
                           model.stopping_set)
     _write_reference_csv(out / "reference.csv", sol, cfg.config_hash())
 
@@ -157,9 +158,8 @@ def _load_ansatz(out: Path) -> GaussianAnsatz:
 def cmd_estimate(cfg: RunConfig, out: Path) -> int:
     model = cfg.build_model()
     x0 = cfg.start_point(model)
-    ansatz = _load_ansatz(out)
-    # the plain dynamics, whose paths all weigh one
-    control = None if cfg.estimate.untilted else ansatz
+    # untilted: the plain dynamics, whose paths all weigh one
+    control = None if cfg.estimate.untilted else _load_ansatz(out)
     n = cfg.estimate.n_paths
     sim_cfg = cfg.sim_config()
     chash = cfg.config_hash()
@@ -176,16 +176,12 @@ def cmd_estimate(cfg: RunConfig, out: Path) -> int:
     record("psi", psi.psi)
     record("free_energy", psi.free_energy)
 
-    # MFPT of the tilted landscape G = V + 2F: the forcing by F on V is the
-    # plain dynamics on G, so the forced paths' hitting times are its samples
-    mfpt_tilted = estimate_mfpt_forced(control, x0, model, sim_cfg, seed=cfg.seed,
-                                       tag=2, n_paths=n)
-    record("mfpt_tilted", mfpt_tilted)
-
-    if cfg.estimate.untilted:
-        crude = estimate_mfpt_reweighted(None, x0, model, sim_cfg, seed=cfg.seed,
-                                         tag=3, n_paths=n)
-        record("mfpt", crude)
+    # the forced paths' hitting times: the forcing by F on V is the plain
+    # dynamics on the tilted landscape G = V + 2F, so these are samples of
+    # G's MFPT, or of V's own where control is None
+    mfpt = estimate_mfpt_forced(control, x0, model, sim_cfg, seed=cfg.seed, tag=2,
+                                n_paths=n)
+    record("mfpt" if control is None else "mfpt_tilted", mfpt)
 
     _write_json(out / "estimates.json", {"config_hash": chash, "records": records})
     print(f"estimate: wrote {out/'estimates.json'} ({len(records)} quantities)")

@@ -62,17 +62,19 @@ def _require(ok: bool, field_name: str, rule: str, value):
 def _coerce(value, hint, key: str):
     """Parse a string in an int or float field; PyYAML reads `1e-3` as a string.
 
-    A list or mapping there is rejected by the field's dotted key, before a
-    range check would fail on it with a comparison error that names no field.
+    A float field stores an int as a float, so that `sigma: 1` hashes as the
+    default `sigma: 1.0`.  A bool, list or mapping there is rejected by the
+    field's dotted key, before a range check would fail on it with a
+    comparison error that names no field, or a bool would run as 0 or 1.
     """
     for kind in (int, float):
         if hint is kind or kind in get_args(hint):
             wrong = ConfigError(f"{key} must be {kind.__name__}, got {value!r}")
-            if isinstance(value, (list, dict)):
+            if isinstance(value, (bool, list, dict)):
                 raise wrong
             try:
-                return kind(value) if isinstance(value, str) else value
-            except ValueError:
+                return kind(value) if isinstance(value, (str, int)) else value
+            except (ValueError, OverflowError):
                 raise wrong from None
     return value
 

@@ -110,9 +110,8 @@ from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
+from .ansatz import SQRT2
 from .model import ModelBundle, SimulationDomain
-
-SQRT2 = np.sqrt(2.0)
 
 # per-path noise streams are consumed in blocks of this many normals; the
 # draws do not depend on it, the working set (n_paths x NOISE_BLOCK) does

@@ -35,8 +35,10 @@ from .optimizer import DescentConfig, DescentTrace, OptimizerError, descend
 class MilestoneLadder:
     """Increasing thresholds r_0 < ... < r_K; S_i is everything left of r_i.
 
-    r_0 is the right edge of the target set, r_K the right domain edge, so
-    shell i (i = 0..K-1) is the slab (r_i, r_{i+1}].
+    r_0 is the right edge of the target set and shell i (i = 0..K-1) is the
+    slab (r_i, r_{i+1}].  The outermost shell starts its paths at x0, so a
+    run's r_K lies anywhere in [x0, domain.hi] (RunConfig.build_ladder); a
+    uniform ladder (build_ladder) ends at the right domain edge.
     """
 
     thresholds: np.ndarray

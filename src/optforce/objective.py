@@ -31,6 +31,7 @@ import numpy as np
 
 from .ansatz import GaussianAnsatz
 from .dynamics import BatchResult, SimConfig, run_batch, run_batch_ahead
+from .estimators import mean_stderr
 from .model import ModelBundle
 
 
@@ -73,12 +74,8 @@ def estimate_cost(ansatz: GaussianAnsatz | list[GaussianAnsatz], x0: float,
                       fixed_steps=fixed_steps)
     cost = batch.cost_per_path()
     if isinstance(ansatz, (list, tuple)):
-        return [_mean_stderr(part) for part in cost.reshape(len(ansatz), n_paths)]
-    return _mean_stderr(cost)
-
-
-def _mean_stderr(cost: np.ndarray) -> tuple[float, float]:
-    return float(np.mean(cost)), float(np.std(cost, ddof=1) / np.sqrt(cost.size))
+        return [mean_stderr(part) for part in cost.reshape(len(ansatz), n_paths)]
+    return mean_stderr(cost)
 
 
 def _assemble(batch: BatchResult, cfg: SimConfig) -> GradientEstimate:
@@ -95,10 +92,11 @@ def _assemble(batch: BatchResult, cfg: SimConfig) -> GradientEstimate:
     # per-path influence values for the standard error
     infl = u + dc[:, None] * dv
     grad_se = np.std(infl, axis=0, ddof=1) / np.sqrt(n)
+    value, value_stderr = mean_stderr(cost)
     return GradientEstimate(
-        value=float(cost.mean()),
+        value=value,
         gradient=grad,
-        value_stderr=float(np.std(cost, ddof=1) / np.sqrt(n)),
+        value_stderr=value_stderr,
         gradient_stderr=grad_se,
         n_paths=batch.n_paths,
         mean_steps=batch.mean_steps,

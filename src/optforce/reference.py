@@ -73,7 +73,9 @@ MAX_GRID_NODES = 1_000_000
 def build_grid(s: StoppingSet, domain: SimulationDomain, dx: float = 1e-3) -> Grid1D:
     """Grid over [right edge of S, right domain edge] with spacing dx.
 
-    A ValueError rejects fewer than 3 or more than MAX_GRID_NODES nodes.
+    A ValueError rejects fewer than 3 or more than MAX_GRID_NODES nodes, and
+    a dx that does not divide the interval into whole spans: the last node
+    would miss the reflecting wall at domain.hi.
     """
     lo, hi = s.hi, domain.hi
     spans = (hi - lo) / dx
@@ -83,6 +85,9 @@ def build_grid(s: StoppingSet, domain: SimulationDomain, dx: float = 1e-3) -> Gr
     n = int(round(spans)) + 1
     if n < 3:
         raise ValueError("grid too coarse for the interval")
+    if abs(spans - (n - 1)) > 1e-9 * spans:
+        raise ValueError(f"spacing {dx} does not divide [{lo}, {hi}] into whole spans; "
+                         f"the grid would end at {lo + dx * (n - 1):.12g}, not at {hi}")
     nodes = lo + dx * np.arange(n)
     return Grid1D(nodes=nodes, spacing=float(dx))
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from optforce.dynamics import (NOISE_BLOCK, SQRT2, NumericalFailureError, OutOfDomainError,
+from optforce.ansatz import SQRT2
+from optforce.dynamics import (NOISE_BLOCK, NumericalFailureError, OutOfDomainError,
                                SimConfig, _reflect)
 from optforce.model import Potential, SimulationDomain, StoppingSet
 

@@ -16,7 +16,7 @@ from optforce.ansatz import init_fill_wells
 from optforce.cli import main
 import optforce
 from optforce.config import ConfigError, RunConfig
-from optforce.dynamics import MAX_SEED
+from optforce.dynamics import MAX_SEED, kernel_counts
 from optforce.objective import make_objective
 from optforce.optimizer import RESEED_STRIDE, descend
 from optforce.reference import MAX_GRID_NODES, build_grid
@@ -89,6 +89,10 @@ class TestRunConfig:
     def test_headline_hash_is_stable(self):
         # every output embeds this hash; renaming or moving a field changes it
         assert RunConfig().config_hash() == "6388f91a0fa4c2cc"
+        # an int in a float field is stored as the float it names
+        sigma = RunConfig().with_overrides({"sigma": 1})
+        assert type(sigma.sigma) is float
+        assert sigma.config_hash() == "6388f91a0fa4c2cc"
 
     @pytest.mark.parametrize("doc,override,chash", [
         ("stopping_set: {lo: -1.2}\n", {"stopping_set.lo": -1.2}, "719e47fbd5093707"),
@@ -308,7 +312,7 @@ class TestCliErrors:
         ("estimate", "domain.boundary=wrap", ("domain: boundary must be one of", "'wrap'")),
         ("optimize", "x0=[", ("--set x0", "'[' is not a YAML value")),
         ("estimate", "stopping_set.lo=5", ("stopping_set: stopping set needs lo < hi",
-                                           "[5, -1.0]")),
+                                           "[5.0, -1.0]")),
         ("estimate", "domain.hi=-1.05", ("stopping_set: stopping set [-1.1, -1.0] must lie "
                                          "inside the domain [-1.5, -1.05]",)),
         ("optimize", "x0=[1]", ("x0 must be float, got [1]",)),
@@ -324,6 +328,10 @@ class TestCliErrors:
          ("ladder.shells must be 1 beside ladder.thresholds", "got 3")),
         ("optimize", "descent.max_iters=0", ("descent", "max_iters must be at least 1")),
         ("optimize", "dx=5", ("dx: grid too coarse",)),
+        ("reference", "dx=7e-3", ("dx: spacing 0.007 does not divide [-1.0, 2.0]",
+                                  "end at 2.003")),
+        ("gradcheck", "h=true", ("h must be float, got True",)),
+        ("optimize", "ansatz.m=true", ("ansatz.m must be int, got True",)),
     ])
     def test_out_of_range_value_exits_2_naming_it(self, tmp_path, capsys, command,
                                                   override, names):
@@ -430,18 +438,38 @@ def test_optimize_with_two_shells_writes_a_trace_per_shell(tmp_path):
 def test_untilted_estimate_adds_the_plain_mfpt(tmp_path):
     # out_dir is hashed, so it is the same for every tmp_path
     cfg_path = fast_config(tmp_path, out_dir="out")
-    run = ["--config", str(cfg_path), "--out", str(tmp_path / "out")]
-    assert main(["optimize", *run]) == 0
-    assert main(["estimate", *run, "--set", "estimate.untilted=true"]) == 0
-    written = (tmp_path / "out" / "estimates.json").read_bytes()
+    out = tmp_path / "out"
+    before = kernel_counts().batches
+    # the plain dynamics read no ansatz.json, and there is none
+    assert main(["estimate", "--config", str(cfg_path), "--out", str(out),
+                 "--set", "estimate.untilted=true"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["estimates.json"]
+    # one batch for psi and F, one for the plain MFPT
+    assert kernel_counts().batches == before + 2
+    written = (out / "estimates.json").read_bytes()
     # pinned: the untilted estimates run the plain dynamics, control None
     assert hashlib.sha256(written).hexdigest() == (
-        "be6d33d007862e6fde01f31b4bbf512b413bf5fa19502e95a8878b775729e7c2")
+        "ac6c8330d82d93dc51ecb1b21c2c3674d6e61027ab14482863e65252096d746e")
     doc = json.loads(written)
     by_name = {r["quantity"]: r for r in doc["records"]}
-    assert "mfpt" in by_name
+    assert list(by_name) == ["psi", "free_energy", "mfpt"]
     # the untilted paths carry weight one each
     assert by_name["psi"]["ess"] == by_name["psi"]["n"]
+    assert by_name["mfpt"]["ess"] == by_name["mfpt"]["n"]
+
+
+def test_compare_checks_no_tilted_mfpt_beside_an_untilted_estimate(tmp_path):
+    # the untilted run records the plain MFPT, which the tilted landscape's
+    # PDE does not describe
+    run = ["--config", str(fast_config(tmp_path)), "--set", "estimate.untilted=true"]
+    for stage in ("reference", "optimize", "estimate"):
+        assert main([stage, *run]) == 0
+    # compare exits 1 on this problem's speed-up band; only its checks are read
+    assert main(["compare", *run]) in (0, 1)
+    doc = json.loads((tmp_path / "out" / "compare.json").read_text())
+    names = [c["name"] for c in doc["checks"]]
+    assert "tilted_mfpt_coverage" not in names
+    assert names == ["pde_vs_oracle", "speedup_band", "variational_bound"]
 
 
 def test_gradcheck_runs_and_passes(tmp_path):

@@ -45,6 +45,12 @@ class TestGrid:
         with pytest.raises(ValueError, match="grid too fine"):
             build_grid(S, DOMAIN, dx)
 
+    @pytest.mark.parametrize("dx", [7e-3, 0.013, 0.4])
+    def test_rejects_a_spacing_that_does_not_divide_the_interval(self, dx):
+        # the last node would miss the reflecting wall at domain.hi = 2.0
+        with pytest.raises(ValueError, match=f"spacing {dx} does not divide"):
+            build_grid(S, DOMAIN, dx)
+
     def test_rejects_nonuniform(self):
         with pytest.raises(ValueError):
             Grid1D(nodes=np.array([0.0, 0.1, 0.3]), spacing=0.1)
