@@ -9,6 +9,11 @@ optimize.json also reports run telemetry, some of which depends on the host:
 batches_ahead_used, for one, counts the batches a second CPU ran ahead, and
 is 0 where the process may use one CPU.  Every output but ansatz.json embeds
 the config hash; the optimize.json written beside it vouches for it.
+ansatz.json holds each shell's lowest-cost iterate, which need not be where
+its descent stopped: optimize.json's returned_iterations and
+boundary_values name those iterates and their costs, while final_cost,
+grad_norm, termination_threshold and converged describe where the descents
+stopped (the benchmark's cost_gap reads final_cost).
 
     reference   finite-difference reference curves + quadrature oracle probes
     optimize    learn the forcing by descent on a ladder of milestoning shells
@@ -31,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .ansatz import GaussianAnsatz, init_fill_wells, tilted_potential_from
-from .config import ConfigError, RunConfig
+from .config import ConfigError, RunConfig, load_yaml
 from .dynamics import PathFailure, kernel_counts
 from .estimators import estimate_mfpt_forced, estimate_psi_reweighted
 from .milestoning import MilestoningError, run_milestoning
@@ -140,6 +145,7 @@ def cmd_optimize(cfg: RunConfig, out: Path) -> int:
         **asdict(descent),
         "mean_steps": float(np.mean([t.mean_steps for t in traces])),
         "boundary_values": [float(v) for v in result.anchors[1:]],
+        "returned_iterations": [t.records[t.returned].iteration for t in traces],
         "shells": ladder.n_shells,
     })
     print(f"optimize: wrote {out/'ansatz.json'} ({ladder.n_shells} shell(s), "
@@ -235,9 +241,11 @@ def cmd_gradcheck(cfg: RunConfig, out: Path) -> int:
     return 0 if ok_all else 1
 
 
-def _csv_rows(text: str) -> list[str]:
-    """Data rows of a CSV written with a `# config_hash:` line, header dropped."""
-    return [ln for ln in text.splitlines() if ln and not ln.startswith("#")][1:]
+def _csv_rows(text: str) -> list[dict[str, float]]:
+    """The data rows of a CSV written with a `# config_hash:` line, keyed by its header."""
+    header, *rows = [ln.split(",") for ln in text.splitlines()
+                     if ln and not ln.startswith("#")]
+    return [dict(zip(header, map(float, row))) for row in rows]
 
 
 def _csv_hash(text: str) -> str:
@@ -271,8 +279,8 @@ def cmd_compare(cfg: RunConfig, out: Path) -> int:
               f"the stages that write them at config_hash {chash}", file=sys.stderr)
         return 2
 
-    data = np.array([[float(v) for v in ln.split(",")] for ln in _csv_rows(ref_text)])
-    ref = {"x": data[:, 0], "F": data[:, 2], "mfpt": data[:, 3]}
+    ref_rows = _csv_rows(ref_text)
+    ref = {name: np.array([r[name] for r in ref_rows]) for name in ("x", "F", "mfpt")}
     check("pde_vs_oracle", probes["max_rel_error"] < 1e-3,
           {"max_rel_error": probes["max_rel_error"], "tolerance": 1e-3})
 
@@ -300,10 +308,8 @@ def cmd_compare(cfg: RunConfig, out: Path) -> int:
     bound_ok = True
     worst = np.inf
     for text in traces.values():
-        for ln in _csv_rows(text):
-            vals = ln.split(",")
-            cost, stderr = float(vals[1]), float(vals[4])
-            margin = cost - (f_x0 - 3.0 * stderr - DISCRETIZATION_ALLOWANCE)
+        for row in _csv_rows(text):
+            margin = row["cost"] - (f_x0 - 3.0 * row["stderr"] - DISCRETIZATION_ALLOWANCE)
             worst = min(worst, margin)
             bound_ok &= margin >= 0.0
     check("variational_bound", bound_ok,
@@ -338,7 +344,7 @@ def _parse_set(pairs):
             raise ConfigError(f"--set expects key=value, got {pair!r}")
         key, _, raw = pair.partition("=")
         try:
-            overrides[key.strip()] = yaml.safe_load(raw)
+            overrides[key.strip()] = load_yaml(raw)
         except yaml.YAMLError as err:
             raise ConfigError(f"--set {key.strip()}: {raw!r} is not a YAML value "
                               f"({getattr(err, 'problem', err)})") from None

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
-from typing import Any, get_args, get_type_hints
+from typing import Any, get_args, get_origin, get_type_hints
 
 from .ansatz import GaussianAnsatz, make_uniform_ansatz
 from .dynamics import MAX_SEED, SimConfig
@@ -28,6 +29,26 @@ DEFAULT_WIDTH = 0.31622776601683794
 
 class ConfigError(ValueError):
     """Malformed run configuration."""
+
+
+def load_yaml(stream):
+    """A YAML document, from a string or an open file, in which only true and
+    false are bools; raises yaml.YAMLError where it is not YAML.
+
+    YAML 1.1, which PyYAML follows, also reads yes, no, on and off as bools;
+    here they stay strings, which a bool field refuses by its dotted key.
+    """
+    import yaml   # here, not at module level: runs without a config file or --set skip it
+    bool_tag = "tag:yaml.org,2002:bool"
+
+    class Loader(yaml.SafeLoader):
+        yaml_implicit_resolvers = {
+            first: [r for r in resolvers if r[0] != bool_tag]
+            for first, resolvers in yaml.SafeLoader.yaml_implicit_resolvers.items()}
+
+    Loader.add_implicit_resolver(
+        bool_tag, re.compile(r"^(?:true|True|TRUE|false|False|FALSE)$"), list("tTfF"))
+    return yaml.load(stream, Loader=Loader)
 
 
 def _from_dict(cls, doc: dict, path: str, default=None):
@@ -59,24 +80,53 @@ def _require(ok: bool, field_name: str, rule: str, value):
         raise ValueError(f"{field_name} must be {rule}, got {value!r}")
 
 
-def _coerce(value, hint, key: str):
-    """Parse a string in an int or float field; PyYAML reads `1e-3` as a string.
+def _number(value, kind):
+    """value as an int or a float (kind), or None where it names no such number.
 
-    A float field stores an int as a float, so that `sigma: 1` hashes as the
-    default `sigma: 1.0`.  A bool, list or mapping there is rejected by the
-    field's dotted key, before a range check would fail on it with a
-    comparison error that names no field, or a bool would run as 0 or 1.
+    A string is parsed, since PyYAML reads `1e-3` as one.  An int is taken
+    for an int, and so is a float with an integral value; a bool is no number.
     """
-    for kind in (int, float):
-        if hint is kind or kind in get_args(hint):
-            wrong = ConfigError(f"{key} must be {kind.__name__}, got {value!r}")
-            if isinstance(value, (bool, list, dict)):
-                raise wrong
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        return None
+    try:
+        if kind is float:
+            return float(value)
+        if isinstance(value, str):
             try:
-                return kind(value) if isinstance(value, (str, int)) else value
-            except (ValueError, OverflowError):
-                raise wrong from None
-    return value
+                return int(value)
+            except ValueError:
+                value = float(value)
+        return value if isinstance(value, int) else int(value) if value.is_integer() else None
+    except (ValueError, OverflowError):
+        return None
+
+
+def _coerce(value, hint, key: str):
+    """value stored as its field's declared type; a ConfigError names the key
+    where it has another.
+
+    An int field stores `3.0` as 3 and a float field stores 1 as 1.0, so
+    that each hashes as the other spelling; a list of floats stores each
+    element as a float.  A bool field takes only true or false, and a bool
+    is no number, so nothing later runs it as 0 or 1 or fails on it with a
+    message that names no field.
+    """
+    kinds = get_args(hint)
+    if type(None) in kinds:
+        if value is None:
+            return None
+        hint = kinds[0]
+    if hint in (int, float):
+        name, stored = hint.__name__, _number(value, hint)
+    elif get_origin(hint) is list:
+        name = "list of float"
+        numbers = [_number(v, float) for v in value] if isinstance(value, list) else [None]
+        stored = None if None in numbers else numbers
+    else:
+        name, stored = hint.__name__, value if isinstance(value, hint) else None
+    if stored is None:
+        raise ConfigError(f"{key} must be {name}, got {value!r}")
+    return stored
 
 
 @dataclass(frozen=True)
@@ -94,7 +144,7 @@ class AnsatzSpec:
 @dataclass(frozen=True)
 class LadderSpec:
     shells: int = 1
-    thresholds: list | None = None
+    thresholds: list[float] | None = None
 
 
 @dataclass(frozen=True)
@@ -162,10 +212,10 @@ class RunConfig:
 
     @staticmethod
     def load(path) -> "RunConfig":
-        import yaml   # here, not at module level: runs without a config file skip it
+        import yaml
         with open(path) as fh:
             try:
-                doc = yaml.safe_load(fh)
+                doc = load_yaml(fh)
             except yaml.YAMLError as err:
                 raise ConfigError(f"{path} is not valid YAML: {err}") from None
         return RunConfig.from_dict(doc or {})

@@ -21,59 +21,53 @@ folding at the domain edges).  A batch with scores accumulates instead, per
 basis function b_j, sum_k c(x_k) b_j(x_k) and sum_k eta_{k+1} b_j(x_k); with
 c = sum_j a_j b_j these imply its log dP/dQ, which it does not accumulate.
 
-Per-path noise streams are derived from (seed, tag, path index) through a
-counter-based generator and consumed in fixed-size blocks, so a path sees
-the same noise however paths are grouped and whatever the block size.
-Every batch takes its seed from its caller.  A batch runs its paths in one
-loop.  The control c = bmat @ coefficients (BLAS gemv) and the terminal
-values are evaluated per segment of KERNEL_CHUNK path indices, for the
-rounding reason stated at KERNEL_CHUNK; batches are reproducible for a
-given n_paths.
+Path i of a batch, under every forcing, consumes the counter-based stream
+(seed, tag, i) in fixed-size blocks, so it sees the same noise however
+paths are grouped and whatever the block size; every batch takes its seed
+from its caller.
 
-A batch may drive its paths with several forcings of one basis layout
-(equal centers and widths), such as the two sides of a central difference.
-Every forcing's copy of path i runs on the stream (seed, tag, i), and the
-results come in forcing-major order: row f n_paths + i is forcing f's path
-i.  The loop holds all k n_paths rows; a segment is one forcing's
-KERNEL_CHUNK path indices, so each gemv, with that forcing's coefficients,
-sees exactly the live rows a batch of that forcing alone gives the segment,
-and every other operation works row by row.  The [lo, hi] test and the
-stopping test look at every forcing's rows at once; where another
-forcing's row fails them, a row in range folds to lo + (x - lo) exactly and
-a row right of S tests outside it, so no bit changes.  Each path's noise
-block is drawn once per refill, into one row that the live rows of every
-forcing read through the row map, so k forcings cost one set of draws and
-one basis call per step, not k.  A single forcing is the case k = 1.
-
-A segment is also the unit of parallel work.  A path's bits depend only on
-its own stream and on the live paths of its segment, so a batch of several
-segments per forcing is split into contiguous groups of whole segments of
-path indices, one per CPU the process may use; each group runs the same
-loop, over every forcing's copies of its paths, in a forked child, and the
-groups' results joined in path order per forcing are the bits the one loop
-gives.
-
-A batch of one segment leaves the other CPUs idle, so the process may run
-one such batch ahead: run_batch_ahead forks a child that runs the batch's
-one group, and a later run_batch with the same arguments joins the child
-instead of simulating.  The descent starts the next iterate's batch this way
-while a line-search probe runs (see optimizer.descend).  A joined call is
-one run_batch call with the paths and loop count of a batch run here; only
-its time is the wait for the child.
-
-Every forked child hands back only a result: its paths' BatchResult and how
-many of them it censored.  Anything else (a failing update, an error from
-terminal_value, a child that dies or whose result does not pickle, a fork
-that fails) leaves the batch to the one loop here, which returns or raises
-exactly what it does where nothing forks.
+Segments.  A batch may drive its paths with k forcings of one basis layout
+(equal centers and widths), such as the two sides of a central difference:
+row f n_paths + i of the result is forcing f's copy of path i, and a single
+forcing is k = 1.  One loop advances every row one step per iteration.  A
+segment is one forcing's live paths among the indices [j KERNEL_CHUNK,
+(j+1) KERNEL_CHUNK); the row-wise calls c = bmat @ coefficients (BLAS gemv,
+with that forcing's coefficients) and terminal_value run once per segment,
+and every other operation row by row.  So a path's bits depend only on its
+own stream and on the live paths of its segment (KERNEL_CHUNK states why),
+and a batch is reproducible for a given n_paths.  The [lo, hi] test and the
+stopping test look at every forcing's rows at once; where another forcing's
+row fails them, a row in range folds to lo + (x - lo) exactly and a row
+right of S tests outside it, so no bit changes.  Each refill draws a path's
+next noise block once, into one row that every forcing's live copy of the
+path reads through a row map, so k forcings cost one set of draws and one
+basis call per step, not k.
 
 A path that enters the stopping set retires on that step.  Retirement
 compacts the per-row arrays (positions, costs, log likelihood ratios or
-score accumulators, path indices), because gemv must see exactly the live
-rows of each segment for its tail rows to round as before.  It compacts
-neither the noise blocks, which the live rows read through a row map until
-the next refill, nor the list of streams, which is indexed by path index; a
-path's stream is drawn while any forcing's copy of it is live.
+score accumulators, path indices), so that gemv sees exactly the live rows
+of each segment.  It compacts neither the noise blocks, which the live rows
+read through the row map until the next refill, nor the list of streams,
+which is indexed by path index; a path's stream is drawn while any
+forcing's copy of it is live.
+
+Forks.  A batch of several segments per forcing runs as contiguous groups
+of whole segments of path indices, one per CPU the process may use (_cpus):
+the first group here, the others in forked children, each the same loop
+over every forcing's copies of its paths.  Joined in path order per forcing
+they are the bits the one loop gives; loop_iters is the longest group's.
+A batch of one segment leaves the other CPUs idle, so run_batch_ahead may
+fork a child that runs it whole, and the next run_batch with equal
+arguments (the forcings' centers, widths and coefficients the same bytes)
+joins the child instead of simulating; one with other arguments leaves it
+running.  The descent starts the next iterate's batch this way while a
+line-search probe runs (optimizer.descend).  A joined call is one run_batch
+call with the paths and loop count of a batch run here; only its time is
+the wait for the child.  Every child hands back only its paths' BatchResult
+and censored count.  Anything else (a failing update, an error from
+terminal_value, a child that dies or whose result does not pickle, a fork
+that fails, a group here that raises) leaves the batch to the one loop
+here, which returns or raises exactly what it does where nothing forks.
 
 What one step costs.  Long-tailed batches spend most loop iterations on a
 few live paths, where a step's time is the dispatch of its numpy calls
@@ -83,11 +77,9 @@ about 7 us.  So a step issues as few and as cheap calls as keep every bit:
   - one matmul for c when the batch is one segment, a loop over segments
     otherwise;
   - the log-likelihood-ratio update (five calls) only without scores;
-  - the test that every path lies in [lo, hi] on a Python list of x - lo
-    where FEW_ROWS or fewer rows are live, two numpy reductions otherwise;
-  - the stopping test only when lo + min(x - lo), which is min(x) because
-    rounding is monotone, lies at or below S.hi, or when the step folded
-    or runs under an abort boundary;
+  - the [lo, hi] test on a Python list where FEW_ROWS or fewer rows are
+    live, two numpy reductions otherwise;
+  - the stopping test only where the step may have entered S (see the step);
   - the per-step scalars as 0-d arrays, which a ufunc takes faster than
     Python floats, and the ufuncs, the basis method and the potential's
     gradient bound to local names once per batch;
@@ -117,16 +109,12 @@ from .model import ModelBundle, SimulationDomain
 # draws do not depend on it, the working set (n_paths x NOISE_BLOCK) does
 NOISE_BLOCK = 128
 
-# path indices per segment.  The controlled update evaluates c = bmat @ coeffs
-# (BLAS gemv) once per segment of live rows, and so does terminal_value.  On
-# OpenBLAS an (n, m) @ (m,) gemv rounds its first n - n % 4 rows the same
-# whatever n and the row order, but its last n % 4 rows in another kernel,
-# which changes the last bits of about a third of them (random data).  Evaluating each
-# segment on its own keeps every row in the company it had when paths ran in
-# chunks of this width; changing it changes the last bits of controlled
-# batches and with them every recorded output.  For the same reason a segment
-# is the unit of parallel work: a group of whole segments run on its own
-# meets every row in the same company as the whole batch.
+# path indices per segment.  On OpenBLAS an (n, m) @ (m,) gemv rounds its
+# first n - n % 4 rows the same whatever n and the row order, but its last
+# n % 4 rows in another kernel, which changes the last bits of about a third
+# of them (random data).  Evaluating each segment on its own keeps every row
+# in the company it had when paths ran in chunks of this width; changing it
+# changes the last bits of controlled batches and every recorded output.
 KERNEL_CHUNK = 1024
 
 # live rows up to which a step tests its positions against [lo, hi] on a
@@ -302,55 +290,24 @@ def run_batch(x0: float, control, model: ModelBundle, cfg: SimConfig, *,
     join or fork, and a ValueError names the one at fault: x0 must lie in
     the domain [lo, hi], and outside the stopping set unless fixed_steps is
     given; seed and tag must each fit in [0, MAX_SEED], one word of a
-    stream's Philox key; n_paths and fixed_steps must be at least 1.
+    stream's Philox key; n_paths and fixed_steps must be at least 1.  A
+    NumericalFailureError or OutOfDomainError names the failing paths by
+    their rows in the result.
 
-    Path i always consumes the stream (seed, tag, i), under every forcing.
-    The paths of every forcing advance one step per loop iteration, and each
-    refill draws a path's next noise block once, into one row that every
-    forcing's live copy of the path reads through a row map.  The row-wise
-    calls c = bmat @ coefficients and terminal_value run once per segment:
-    the live paths of one forcing among path indices [j KERNEL_CHUNK,
-    (j+1) KERNEL_CHUNK).  A path's bits therefore depend on the live paths
-    of its own segment and on no other (KERNEL_CHUNK states why), so retired
-    paths leave every per-row working array on the step they hit.
-
-    Because no bit of a path depends on another segment, a batch of more
-    than one segment per forcing runs as contiguous groups of whole segments
-    of path indices, one per CPU the process may use: this process runs the
-    first group and forked children the others, each the same loop over
-    every forcing's copies of its own paths.  The results are joined in
-    path order per forcing and loop_iters is the longest group's count.  A
-    batch of one segment, a process running other threads, where forking is
-    unsafe, or a platform without fork runs all its paths here.  An error
-    names failing paths by their rows in the result.
-
-    A batch that run_batch_ahead started with the same arguments is joined
-    instead: x0, model, cfg, n_paths, seed, tag, fixed_steps, terminal_value
-    and scores equal, and the control's centers, widths and coefficients the
-    same bytes.  A call with other arguments leaves the pending child
-    running.
-
-    Every forked child, a split batch's group or an ahead batch, hands back
-    only its paths' BatchResult and censored count; a censored count raises
-    CensoredPathError here as the one loop's would.  Where a child hands
-    back nothing (its paths failed, terminal_value raised or it died), a
-    fork fails or the group here raises, the batch runs again as the one
-    loop here, which returns or raises what it does on one CPU.
-
-    A step costs a fixed few dozen numpy calls plus work linear in the live
-    rows; the module docstring lists what keeps that count low.
-
-    Each returned batch adds to kernel_counts().
+    The batch may run as forked groups, or join the child of an earlier
+    run_batch_ahead with equal arguments (module docstring); either returns
+    or raises what the one loop here does.  Each returned batch adds to
+    kernel_counts().
     """
-    controls = _checked_forcings(x0, control, model, n_paths, seed, tag, fixed_steps, scores)
-    args = (x0, controls, model, cfg, n_paths, seed, tag, fixed_steps, terminal_value, scores)
+    args = _batch_args(x0, control, model, cfg, n_paths=n_paths, seed=seed, tag=tag,
+                       fixed_steps=fixed_steps, terminal_value=terminal_value, scores=scores)
     outcome = None
-    if _ahead.child is not None and _batch_key(*args) == _ahead.key:
+    if _ahead.child is not None and _batch_key(args) == _ahead.key:
         child, _ahead.child, _ahead.key = _ahead.child, None, None
         outcome = _reap(child)
         if outcome is not None:
             _tally.batches_ahead_used += 1
-    result, censored = outcome or _batch(*args)
+    result, censored = outcome or _batch(args)
     if censored:
         raise CensoredPathError(f"{censored}/{result.n_paths} paths did not hit within "
                                 f"max_steps={cfg.max_steps}")
@@ -360,9 +317,12 @@ def run_batch(x0: float, control, model: ModelBundle, cfg: SimConfig, *,
     return result
 
 
-def _checked_forcings(x0, control, model, n_paths, seed, tag, fixed_steps, scores) -> tuple:
-    """A batch's forcings, one per copy of its paths ((None,) for the plain
-    dynamics), once its arguments pass run_batch's checks."""
+def _batch_args(x0: float, control, model: ModelBundle, cfg: SimConfig, *,
+                n_paths: int, seed: int, tag: int = 0, fixed_steps: int | None = None,
+                terminal_value=None, scores: bool = False) -> tuple:
+    """run_batch's arguments, once they pass its checks, as the tuple the kernel
+    takes: control becomes controls, one forcing per copy of the paths ((None,)
+    for the plain dynamics)."""
     controls = tuple(control) if isinstance(control, (list, tuple)) else (control,)
     if not controls:
         raise ValueError("control: a sequence of forcings needs at least one")
@@ -385,20 +345,15 @@ def _checked_forcings(x0, control, model, n_paths, seed, tag, fixed_steps, score
         raise ValueError(f"fixed_steps must be at least 1, got {fixed_steps}")
     if scores and first is None:
         raise ValueError("scores needs an ansatz control, got control=None")
-    return controls
+    return x0, controls, model, cfg, n_paths, seed, tag, fixed_steps, terminal_value, scores
 
 
-def _batch(x0, controls, model, cfg, n_paths, seed, tag, fixed_steps, terminal_value,
-           scores) -> tuple[BatchResult, int]:
-    """The BatchResult of checked arguments and how many paths it censored."""
-
-    def run(first, stop):
-        return _run_paths(first, stop, n_paths, x0, controls, model, cfg, seed, tag,
-                          fixed_steps, terminal_value, scores)
-
+def _batch(args: tuple) -> tuple[BatchResult, int]:
+    """The BatchResult of _batch_args' tuple and how many paths it censored."""
+    controls, n_paths = args[1], args[4]
     groups = _groups(n_paths)
-    joined = _run_forked(run, groups, len(controls)) if len(groups) > 1 else None
-    return joined or run(0, n_paths)
+    joined = _run_forked(args, groups, len(controls)) if len(groups) > 1 else None
+    return joined or _run_paths(args, 0, n_paths)
 
 
 def _cpus() -> int:
@@ -484,9 +439,10 @@ def _reap(child: tuple[int, int], kill: bool = False):
     return pickle.loads(data) if data and status == 0 else None
 
 
-def _run_forked(run, groups: list[tuple[int, int]],
+def _run_forked(args: tuple, groups: list[tuple[int, int]],
                 k: int) -> tuple[BatchResult, int] | None:
-    """run(first, stop) for every group: the first here, the others in forked children.
+    """_run_paths(args, first, stop) for every group: the first here, the others
+    in forked children.
 
     Returns the groups' results of k forcings joined in path order per
     forcing and their censored counts summed, or None where a fork failed, a
@@ -497,9 +453,9 @@ def _run_forked(run, groups: list[tuple[int, int]],
     children, here = [], None
     try:
         for first, stop in groups[1:]:
-            children.append(_fork(run, first, stop))
+            children.append(_fork(_run_paths, args, first, stop))
         if None not in children:
-            here = run(*groups[0])
+            here = _run_paths(args, *groups[0])
     except Exception:
         pass        # the one loop raises it again
     finally:
@@ -520,36 +476,31 @@ class _AheadSlot:
 _ahead = _AheadSlot()
 
 
-def _batch_key(x0, controls, *rest) -> tuple:
-    """The arguments run_batch compares to join an ahead batch (those of
-    _batch), with the forcings' centers, widths and coefficients as bytes."""
+def _batch_key(args: tuple) -> tuple:
+    """What run_batch compares to join an ahead batch: _batch_args' tuple, with
+    the forcings' centers, widths and coefficients as bytes."""
+    x0, controls, *rest = args
     return x0, *rest, tuple(np.ascontiguousarray(v).tobytes() for a in controls
                             if a is not None for v in (a.centers, a.widths, a.coefficients))
 
 
-def run_batch_ahead(x0: float, control, model: ModelBundle, cfg: SimConfig, *,
-                    n_paths: int, seed: int, tag: int = 0,
-                    fixed_steps: int | None = None, terminal_value=None,
-                    scores: bool = False) -> bool:
-    """Start the batch run_batch(same arguments) runs in a forked child.
+def run_batch_ahead(*args, **kwargs) -> bool:
+    """Start run_batch(*args, **kwargs)'s batch in a forked child; takes
+    run_batch's arguments and raises its ValueError before anything forks.
 
-    The next run_batch call with these arguments joins the child instead of
-    simulating (see run_batch).  Any pending ahead batch is killed first,
-    so at most one child runs ahead.  Forks only where a CPU would idle
-    otherwise: where the process may fork onto 2 or more CPUs (_cpus) and
-    the batch is one group, which the child runs as run_batch would.
-    Returns whether it forked; False also where os.fork fails.  Arguments
-    run_batch refuses raise its ValueError here, before anything forks.
+    Any pending ahead batch is killed first, so at most one child runs
+    ahead.  Forks only where the process may fork onto 2 or more CPUs (_cpus)
+    and the batch is one group.  Returns whether it forked; False also where
+    os.fork fails.
     """
-    controls = _checked_forcings(x0, control, model, n_paths, seed, tag, fixed_steps, scores)
+    args = _batch_args(*args, **kwargs)
     drop_ahead()
-    if _cpus() < 2 or len(_groups(n_paths)) > 1:
+    if _cpus() < 2 or len(_groups(args[4])) > 1:     # args[4] is n_paths
         return False
-    args = (x0, controls, model, cfg, n_paths, seed, tag, fixed_steps, terminal_value, scores)
-    child = _fork(_batch, *args)
+    child = _fork(_batch, args)
     if child is None:
         return False
-    _ahead.child, _ahead.key = child, _batch_key(*args)
+    _ahead.child, _ahead.key = child, _batch_key(args)
     _tally.batches_ahead += 1
     return True
 
@@ -605,23 +556,18 @@ def _joined(parts: list[BatchResult], k: int) -> BatchResult:
     return BatchResult(**joined)
 
 
-def _run_paths(first: int, stop: int, n_batch: int, x0: float, controls: tuple,
-               model: ModelBundle, cfg: SimConfig, seed: int, tag: int,
-               fixed_steps: int | None, terminal_value,
-               scores: bool) -> tuple[BatchResult, int]:
-    """The kernel loop over paths [first, stop) of an n_batch-path batch under
+def _run_paths(args: tuple, first: int, stop: int) -> tuple[BatchResult, int]:
+    """The kernel loop over paths [first, stop) of _batch_args' tuple under
     each of its forcings; first is a segment start.
 
-    controls holds one forcing per copy of the paths (all None for the plain
-    dynamics).  Returns their BatchResult, forcing-major, and, for a stopping
-    batch, how many of its rows were still live at cfg.max_steps (their
-    statistics are left unset).
+    Returns their BatchResult, forcing-major, and, for a stopping batch, how
+    many of its rows were still live at cfg.max_steps (their statistics are
+    left unset).
     """
+    x0, controls, model, cfg, n_batch, seed, tag, fixed_steps, terminal_value, scores = args
     n_paths = stop - first
     n_rows = len(controls) * n_paths
     h, eps = cfg.h, cfg.epsilon
-    # the per-step scalars as 0-d arrays, which a ufunc takes faster than
-    # Python floats; every product keeps its operands
     h_, half_h, lr_eta, lr_quad, noise_amp, sqrt2 = map(np.array, (
         h, 0.5 * h, np.sqrt(h / eps), h / (2.0 * eps), np.sqrt(2.0 * h * eps), SQRT2))
     multiply, subtract, add, matmul = np.multiply, np.subtract, np.add, np.matmul
@@ -671,7 +617,9 @@ def _run_paths(first: int, stop: int, n_batch: int, x0: float, controls: tuple,
     gens = _take_streams(seed, tag, first, n_paths)
     blocks = np.empty((n_paths, NOISE_BLOCK))
     # per-step buffers whose first live-row-count rows the step writes: c,
-    # c^2, one scratch row and the (rows, m) products of the scores
+    # c^2, one scratch row and the (rows, m) products of the scores.  Without
+    # a control nothing writes c, which must stay +0.0: sqrt2 c - V'(x) then
+    # rounds as 0.0 - V'(x), the plain dynamics' drift
     c_buf = np.zeros(n_rows)
     c2_buf = np.empty(n_rows)
     t_buf = np.empty(n_rows)
@@ -769,10 +717,8 @@ def _run_paths(first: int, stop: int, n_batch: int, x0: float, controls: tuple,
                 c2 *= lr_quad
                 t += c2
                 log_lr -= t
-            multiply(sqrt2, c, t)
-            subtract(t, grad(x), t)
-        else:
-            subtract(0.0, grad(x), t)
+        multiply(sqrt2, c, t)
+        subtract(t, grad(x), t)
         work += run_cost
         t *= h_
         x += t

@@ -90,9 +90,10 @@ class MilestoningResult:
     """Composed ansatz plus the level anchors that stitch shells together.
 
     The cost functional only sees the control (the value's gradient), so each
-    shell's level is pinned by the converged cost of the shell inside it:
-    anchors[0] = 0 on the target boundary and anchors[i+1] is shell i's
-    converged cost, the learned value on threshold r_{i+1}.
+    shell's level is pinned by the cost of the shell inside it: anchors[0] = 0
+    on the target boundary and anchors[i+1] is the cost of the iterate shell
+    i's descent returned (its trace's `returned` record), the learned value
+    on threshold r_{i+1}.
     """
 
     ansatz: GaussianAnsatz
@@ -110,8 +111,9 @@ def solve_shell(i: int, ladder: MilestoneLadder, ansatz: GaussianAnsatz,
     the value learned inside: the level `anchor` on the inner threshold
     (zero for the innermost shell, whose boundary condition is value 0 on the
     target boundary) plus the inner shells' Gaussian shape at the crossing
-    point.  Returns (updated full ansatz, trace, converged cost).  An iterate
-    whose batch censors a path raises CensoredPathError at once.
+    point.  Returns (updated full ansatz, trace, the cost of the returned
+    iterate).  An iterate whose batch censors a path raises CensoredPathError
+    at once.
     """
     indices = ladder.shell_indices(ansatz, i)
     if indices.size == 0:
@@ -137,8 +139,7 @@ def solve_shell(i: int, ladder: MilestoneLadder, ansatz: GaussianAnsatz,
                              seed=seed)
     full = ansatz.coefficients.copy()
     full[indices] = a_shell
-    best_cost = float(min(rec.cost for rec in trace.records))
-    return ansatz.with_coefficients(full), trace, best_cost
+    return ansatz.with_coefficients(full), trace, float(trace.records[trace.returned].cost)
 
 
 def run_milestoning(ladder: MilestoneLadder, ansatz: GaussianAnsatz,

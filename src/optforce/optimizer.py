@@ -92,6 +92,7 @@ class DescentRecord:
 class DescentTrace:
     records: list[DescentRecord] = field(default_factory=list)
     converged: bool = False
+    returned: int = 0       # the record (its iteration) whose iterate descend returned
 
     def append(self, rec: DescentRecord):
         self.records.append(rec)
@@ -221,10 +222,11 @@ def descend(a0: np.ndarray, cfg: DescentConfig, objective, *, seed: int):
     objective(a, seed) -> GradientEstimate; one seed is used for all probes
     within an iteration.  Terminates when the gradient norm drops below
     cfg.stop_level or after max_iters; returns the best-seen coefficients by
-    cost value together with the trace.  A line-search probe whose batch
-    raises a PathFailure (a censored path, a non-finite update or a path
-    leaving an abort domain) is rejected; an iterate's batch that does raises,
-    and an iterate's non-finite gradient estimate raises OptimizerError.
+    cost value together with the trace, whose `returned` names their record.
+    A line-search probe whose batch raises a PathFailure (a censored path, a
+    non-finite update or a path leaving an abort domain) is rejected; an
+    iterate's batch that does raises, and an iterate's non-finite gradient
+    estimate raises OptimizerError.
 
     An objective with an `ahead(b, seed)` method gets it called at each
     probe b before objective(b, seed), with the next iteration's seed, except
@@ -290,7 +292,7 @@ def descend(a0: np.ndarray, cfg: DescentConfig, objective, *, seed: int):
                 grad_stderr_norm=est.grad_stderr_norm, alpha=alpha,
                 mean_steps=est.mean_steps, line_search_fallback=fallback, probes=probes))
             if est.value < best_cost:
-                best_cost, best_a = est.value, a.copy()
+                best_cost, best_a, trace.returned = est.value, a.copy(), it
             if done:
                 trace.converged = True
                 break

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -93,6 +94,16 @@ class TestRunConfig:
         sigma = RunConfig().with_overrides({"sigma": 1})
         assert type(sigma.sigma) is float
         assert sigma.config_hash() == "6388f91a0fa4c2cc"
+        # and an integral number in an int field as the int
+        m = RunConfig().with_overrides({"ansatz.m": 10.0})
+        assert type(m.ansatz.m) is int and m.config_hash() == "6388f91a0fa4c2cc"
+        seed = RunConfig().with_overrides({"seed": 3.0})
+        assert type(seed.seed) is int
+        assert seed.config_hash() == RunConfig().with_overrides({"seed": 3}).config_hash()
+        # a threshold list stores floats
+        for thresholds in ([-1, 0, 2], [-1.0, 0.0, 2.0]):
+            ladder = RunConfig().with_overrides({"ladder.thresholds": thresholds})
+            assert ladder.config_hash() == "418cb19b90f06eba"
 
     @pytest.mark.parametrize("doc,override,chash", [
         ("stopping_set: {lo: -1.2}\n", {"stopping_set.lo": -1.2}, "719e47fbd5093707"),
@@ -113,6 +124,9 @@ class TestRunConfig:
                                         "ansatz.m": "10", "descent.h": "2e-3"})
         assert a.h == 0.001 and a.ansatz.m == 10
         assert a.config_hash() == RunConfig().with_overrides({"h": 0.001}).config_hash()
+        # an int field takes the integral value of a number string, as the int
+        b = RunConfig().with_overrides({"max_steps": yaml.safe_load("1e6")})
+        assert type(b.max_steps) is int and b.max_steps == 1_000_000
 
 
 @pytest.fixture(scope="module")
@@ -332,6 +346,11 @@ class TestCliErrors:
                                   "end at 2.003")),
         ("gradcheck", "h=true", ("h must be float, got True",)),
         ("optimize", "ansatz.m=true", ("ansatz.m must be int, got True",)),
+        ("optimize", "descent.max_iters=2.5", ("descent.max_iters must be int, got 2.5",)),
+        ("estimate", "estimate.n_paths=100.5", ("estimate.n_paths must be int, got 100.5",)),
+        ("estimate", "estimate.untilted=no", ("estimate.untilted must be bool, got 'no'",)),
+        ("optimize", "ladder.thresholds=[-1,0,true]",
+         ("ladder.thresholds must be list of float, got [-1, 0, True]",)),
     ])
     def test_out_of_range_value_exits_2_naming_it(self, tmp_path, capsys, command,
                                                   override, names):
@@ -428,6 +447,13 @@ def test_optimize_with_two_shells_writes_a_trace_per_shell(tmp_path):
         "trace_shell_0.csv", "trace_shell_1.csv"]
     summary = json.loads((out / "optimize.json").read_text())
     assert summary["shells"] == 2 and len(summary["boundary_values"]) == 2
+    # each shell's boundary value is the cost of the iterate ansatz.json holds
+    for i, (value, returned) in enumerate(zip(summary["boundary_values"],
+                                              summary["returned_iterations"], strict=True)):
+        text = (out / f"trace_shell_{i}.csv").read_text()
+        rows = list(csv.DictReader(ln for ln in text.splitlines() if not ln.startswith("#")))
+        assert int(rows[returned]["iteration"]) == returned
+        assert float(rows[returned]["cost"]) == value == min(float(r["cost"]) for r in rows)
     inputs = json.loads((out / "compare.json").read_text())["inputs"]
     chash = RunConfig.load(cfg_path).with_overrides({"ladder.shells": 2}).config_hash()
     assert inputs == {name: chash for name in (

@@ -820,8 +820,9 @@ class TestSeveralForcings:
         run_batch(0.4, hold, model, CFG, n_paths=1100, seed=1)
 
         def group(controls):
-            return optforce.dynamics._run_paths(KERNEL_CHUNK, 1100, 1100, 0.4, controls,
-                                                model, CFG, 1, 0, None, None, False)
+            args = optforce.dynamics._batch_args(0.4, controls, model, CFG, n_paths=1100,
+                                                 seed=1)
+            return optforce.dynamics._run_paths(args, KERNEL_CHUNK, 1100)
 
         with pytest.raises(NumericalFailureError) as alone:
             group((push,))
