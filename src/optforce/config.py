@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from typing import Any, get_args, get_origin, get_type_hints
+
+import numpy as np
 
 from .ansatz import GaussianAnsatz, make_uniform_ansatz
 from .dynamics import MAX_SEED, SimConfig
@@ -107,9 +110,10 @@ def _coerce(value, hint, key: str):
 
     An int field stores `3.0` as 3 and a float field stores 1 as 1.0, so
     that each hashes as the other spelling; a list of floats stores each
-    element as a float.  A bool field takes only true or false, and a bool
-    is no number, so nothing later runs it as 0 or 1 or fails on it with a
-    message that names no field.
+    element as a float.  A float, or a float in a list, must be finite:
+    .nan passes no range check, and .inf some.  A bool field takes only
+    true or false, and a bool is no number, so nothing later runs it as 0
+    or 1 or fails on it with a message that names no field.
     """
     kinds = get_args(hint)
     if type(None) in kinds:
@@ -126,6 +130,9 @@ def _coerce(value, hint, key: str):
         name, stored = hint.__name__, value if isinstance(value, hint) else None
     if stored is None:
         raise ConfigError(f"{key} must be {name}, got {value!r}")
+    floats = stored if get_origin(hint) is list else [stored] if hint is float else []
+    if not all(map(math.isfinite, floats)):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
     return stored
 
 
@@ -192,6 +199,13 @@ class RunConfig:
         _require(e.n_paths >= 2, "estimate.n_paths", "at least 2", e.n_paths)
         model = self.build_model()
         stop, dom = self.stopping_set, self.domain
+        # the basis is farthest from its centers at the domain's edges
+        with np.errstate(all="ignore"):
+            layout, edges = self.build_ansatz(), [dom.lo, dom.hi]
+            finite = (np.isfinite(layout.values_matrix(edges)).all()
+                      and np.isfinite(layout.basis_controls(edges)).all())
+        _require(finite, "ansatz.width", "wide enough that the basis is finite on the "
+                 f"domain [{dom.lo}, {dom.hi}]", a.width)
         _require(self.x0 is None or stop.hi < self.x0 <= dom.hi, "x0",
                  f"in ({stop.hi}, {dom.hi}], right of the stopping set", self.x0)
         try:
@@ -213,7 +227,7 @@ class RunConfig:
     @staticmethod
     def load(path) -> "RunConfig":
         import yaml
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             try:
                 doc = load_yaml(fh)
             except yaml.YAMLError as err:

@@ -38,18 +38,20 @@ own stream and on the live paths of its segment (KERNEL_CHUNK states why),
 and a batch is reproducible for a given n_paths.  The [lo, hi] test and the
 stopping test look at every forcing's rows at once; where another forcing's
 row fails them, a row in range folds to lo + (x - lo) exactly and a row
-right of S tests outside it, so no bit changes.  Each refill draws a path's
-next noise block once, into one row that every forcing's live copy of the
-path reads through a row map, so k forcings cost one set of draws and one
-basis call per step, not k.
+right of S tests outside it, so no bit changes.  The noise blocks, like
+the streams, are indexed by path: each refill draws a path's next block
+once, into its own row, which every forcing's live copy of the path reads,
+so k forcings cost one set of draws and one basis call per step, not k.
 
-A path that enters the stopping set retires on that step.  Retirement
-compacts the per-row arrays (positions, costs, log likelihood ratios or
-score accumulators, path indices), so that gemv sees exactly the live rows
-of each segment.  It compacts neither the noise blocks, which the live rows
-read through the row map until the next refill, nor the list of streams,
-which is indexed by path index; a path's stream is drawn while any
-forcing's copy of it is live.
+A path that enters the stopping set retires on that step.  Each per-path
+accumulator of the loop is held once, under its BatchResult field name:
+control_cost, final_x (the position) and either log_lr_p_over_q or the two
+scores.  Only their allocation and the step know which a batch keeps;
+retirement copies every one of them out, and compaction cuts every one of
+them, with the path indices, to the live rows, so that gemv sees exactly
+the live rows of each segment.  The noise blocks and the streams stay
+where they are, and a path's stream is drawn while any forcing's copy of
+it is live.
 
 Forks.  A batch of several segments per forcing runs as contiguous groups
 of whole segments of path indices, one per CPU the process may use (_cpus):
@@ -589,33 +591,28 @@ def _run_paths(args: tuple, first: int, stop: int) -> tuple[BatchResult, int]:
                         for a in controls for _ in chunks]
     one_segment = len(seg_starts) == 1
 
-    # outputs, row f n_paths + i for path first + i under forcing f; a scored
-    # batch's log-likelihood ratio is implied by its scores
-    # (BatchResult.log_lr_p_over_q) and not kept
-    out_steps = np.zeros(n_rows, dtype=np.int64)
-    out_work = np.zeros(n_rows)
-    out_cc = np.zeros(n_rows)
-    out_llr = None if scores else np.zeros(n_rows)
-    out_x = np.full(n_rows, float(x0))
-    out_term = np.zeros(n_rows) if terminal_value is not None else None
-    out_cb = np.zeros((n_rows, m)) if scores else None
-    out_eb = np.zeros((n_rows, m)) if scores else None
-
-    # dense working arrays over still-active rows; idx maps rows to outputs.
+    # the live rows' accumulators, under their BatchResult names: updated in
+    # place by the step, copied out at retirement and cut to the live rows at
+    # compaction.  A scored batch's log-likelihood ratio is implied by its
+    # scores (BatchResult.log_lr_p_over_q) and not kept.  idx maps live rows
+    # to rows of out, row f n_paths + i for path first + i under forcing f.
     # Every live row has taken the same number of steps, so they share the
-    # accumulated work and the position in their noise blocks.  The noise
-    # rows and the streams stay where they are when rows retire: brow maps
-    # the live rows to their rows of blocks, gens is indexed by path index
-    # - first, idx % n_paths.  x is this loop's own array, updated in place.
+    # accumulated work and the position in their noise blocks
+    acc = {"control_cost": np.zeros(n_rows), "final_x": np.full(n_rows, float(x0))}
+    if scores:
+        acc.update(sum_cb=np.zeros((n_rows, m)), sum_eta_b=np.zeros((n_rows, m)))
+    else:
+        acc["log_lr_p_over_q"] = np.zeros(n_rows)
+    out = {"n_steps": np.zeros(n_rows, dtype=np.int64), "work": np.zeros(n_rows),
+           "terminal": None if terminal_value is None else np.zeros(n_rows),
+           "log_lr_p_over_q": None, **{name: a.copy() for name, a in acc.items()}}
     idx = np.arange(n_rows)
-    x = np.full(n_rows, float(x0))
     work = 0.0
-    ccost = np.zeros(n_rows)
-    log_lr = None if scores else np.zeros(n_rows)
-    sum_cb = np.zeros((n_rows, m)) if scores else None
-    sum_eta_b = np.zeros((n_rows, m)) if scores else None
+    # the streams and the noise blocks are indexed by path, path index -
+    # first: a live row reads its path's block at row idx % n_paths
     gens = _take_streams(seed, tag, first, n_paths)
     blocks = np.empty((n_paths, NOISE_BLOCK))
+    path = idx % n_paths
     # per-step buffers whose first live-row-count rows the step writes: c,
     # c^2, one scratch row and the (rows, m) products of the scores.  Without
     # a control nothing writes c, which must stay +0.0: sqrt2 c - V'(x) then
@@ -640,26 +637,22 @@ def _run_paths(args: tuple, first: int, stop: int) -> tuple[BatchResult, int]:
 
     def retire(rows):
         slots = idx[rows]
-        out_steps[slots] = step
-        out_work[slots] = work
-        out_cc[slots] = ccost[rows]
-        out_x[slots] = x[rows]
+        out["n_steps"][slots] = step
+        out["work"][slots] = work
+        for name, a in acc.items():
+            out[name][slots] = a[rows]
         if terminal_value is not None:
+            x = acc["final_x"]
             for lo, hi, _ in segs:
                 sel = rows[lo:hi]
                 if np.count_nonzero(sel):
-                    out_term[idx[lo:hi][sel]] = terminal_value(x[lo:hi][sel])
-        if scores:
-            out_cb[slots] = sum_cb[rows]
-            out_eb[slots] = sum_eta_b[rows]
-        else:
-            out_llr[slots] = log_lr[rows]
+                    out["terminal"][idx[lo:hi][sel]] = terminal_value(x[lo:hi][sel])
 
     def fail(kind, rows):
         """The NumericalFailureError or OutOfDomainError of the live rows that
         failed, named by their rows in the batch's result."""
-        forcing, path = np.divmod(idx[rows], n_paths)
-        paths = (forcing * n_batch + first + path).tolist()
+        forcing, i = np.divmod(idx[rows], n_paths)
+        paths = (forcing * n_batch + first + i).tolist()
         shown = ", ".join(map(str, paths[:NAMED_PATHS]))
         if len(paths) > NAMED_PATHS:
             shown += ", ..."
@@ -679,20 +672,14 @@ def _run_paths(args: tuple, first: int, stop: int) -> tuple[BatchResult, int]:
     step = 0
     while idx.size and step < limit:
         if pos == NOISE_BLOCK:
-            # the r-th live path's next block goes to row r, once for all
-            # the forcings whose copy of it is live.  A mask, because
-            # np.unique imports numpy.ma: about 1.4 MB more resident memory
-            # in every stage that runs a batch
-            path = idx % n_paths
-            drawn = np.zeros(n_paths, dtype=bool)
-            drawn[path] = True
-            live = np.flatnonzero(drawn)
-            for r, i in enumerate(live.tolist()):
-                gens[i].standard_normal(out=blocks[r])
-            brow = np.searchsorted(live, path)
+            # each path's next block, drawn once for all the forcings whose
+            # copy of it is live
+            for i in set(path.tolist()):
+                gens[i].standard_normal(out=blocks[i])
             pos = 0
-        eta = blocks[:, pos][brow]
+        eta = blocks[:, pos][path]
         pos += 1
+        x = acc["final_x"]
 
         # t = sqrt2 c - V'(x), then x + h t + noise_amp eta; without a
         # control c is 0, its cost and log-likelihood-ratio terms +0.0
@@ -705,18 +692,18 @@ def _run_paths(args: tuple, first: int, stop: int) -> tuple[BatchResult, int]:
                     matmul(bmat[lo:hi], a, out=c[lo:hi])
             multiply(c, c, c2)
             multiply(half_h, c2, t)
-            ccost += t
+            acc["control_cost"] += t
             if scores:
                 multiply(c_col, bmat, prod)
-                sum_cb += prod
+                acc["sum_cb"] += prod
                 multiply(eta[:, None], bmat, prod)
-                sum_eta_b += prod
+                acc["sum_eta_b"] += prod
             else:
                 multiply(lr_eta, c, t)
                 t *= eta
                 c2 *= lr_quad
                 t += c2
-                log_lr -= t
+                acc["log_lr_p_over_q"] -= t
         multiply(sqrt2, c, t)
         subtract(t, grad(x), t)
         work += run_cost
@@ -749,7 +736,7 @@ def _run_paths(args: tuple, first: int, stop: int) -> tuple[BatchResult, int]:
             if np.count_nonzero(finite) < x.size:
                 raise fail(NumericalFailureError, ~finite)
             if reflect:
-                x = _reflect(x, domain)
+                x = acc["final_x"] = _reflect(x, domain)
             else:
                 in_domain = domain.contains(x)
                 if np.count_nonzero(in_domain) < x.size:
@@ -762,14 +749,9 @@ def _run_paths(args: tuple, first: int, stop: int) -> tuple[BatchResult, int]:
                 retire(inside)
                 keep = ~inside
                 idx = idx[keep]
-                x = x[keep]
-                ccost = ccost[keep]
-                brow = brow[keep]
-                if scores:
-                    sum_cb = sum_cb[keep]
-                    sum_eta_b = sum_eta_b[keep]
-                else:
-                    log_lr = log_lr[keep]
+                path = idx % n_paths
+                for name, a in acc.items():
+                    acc[name] = a[keep]
                 segs = segments()
                 c, c_col, c2, t, prod = views(idx.size)
 
@@ -780,6 +762,4 @@ def _run_paths(args: tuple, first: int, stop: int) -> tuple[BatchResult, int]:
             censored = idx.size
         else:
             retire(np.ones(idx.size, dtype=bool))
-    return BatchResult(n_steps=out_steps, work=out_work, control_cost=out_cc,
-                       log_lr_p_over_q=out_llr, final_x=out_x, terminal=out_term,
-                       sum_cb=out_cb, sum_eta_b=out_eb, loop_iters=step), censored
+    return BatchResult(**out, loop_iters=step), censored

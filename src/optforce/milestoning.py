@@ -66,6 +66,14 @@ class MilestoneLadder:
             inside |= ansatz.centers <= lo   # centers on/left of r_0 belong innermost
         return np.where(inside)[0]
 
+    def start(self, i: int, x0: float | None = None) -> float:
+        """Where shell i's paths start: x0 in the outermost shell when x0 lies
+        in it, otherwise the shell's outer threshold r_{i+1}."""
+        lo, hi = self.thresholds[i], self.thresholds[i + 1]
+        if x0 is not None and i == self.n_shells - 1 and lo < x0 <= hi:
+            return float(x0)
+        return float(hi)
+
 
 def shell_seed(seed: int, i: int) -> int:
     """The seed shell i of a ladder run from seed descends from."""
@@ -130,7 +138,7 @@ def solve_shell(i: int, ladder: MilestoneLadder, ansatz: GaussianAnsatz,
         terminal = lambda x: anchor + inner.value(x) - inner_at_r
 
     shell_model = replace(model, stopping_set=stop)
-    x_start = float(ladder.thresholds[i + 1]) if start is None else float(start)
+    x_start = ladder.start(i) if start is None else float(start)
 
     objective = make_objective(ansatz, x_start, shell_model, sim_cfg,
                                indices=indices, terminal_value=terminal,
@@ -148,23 +156,20 @@ def run_milestoning(ladder: MilestoneLadder, ansatz: GaussianAnsatz,
                     x0: float | None = None) -> MilestoningResult:
     """Solve all shells inward-out and return the composed ansatz plus traces.
 
-    For the outermost shell the supplied x0 is used as the start point when
-    it lies in that shell (so a one-shell ladder reproduces plain descent
-    exactly); all other shells start on their outer threshold.  A shell
+    Shell i's paths start at ladder.start(i, x0): x0 for the outermost shell
+    when it lies in that shell (so a one-shell ladder reproduces plain
+    descent exactly), the outer threshold otherwise.  A shell
     whose paths or descent fail raises MilestoningError naming it.
     """
     traces: list[DescentTrace] = []
     anchors = [0.0]
     current = ansatz
     for i in range(ladder.n_shells):
-        start = None
-        if x0 is not None and i == ladder.n_shells - 1 and \
-                ladder.thresholds[i] < x0 <= ladder.thresholds[i + 1]:
-            start = x0
         try:
             current, trace, cost = solve_shell(i, ladder, current, model, sim_cfg,
                                                descent_cfg, seed=shell_seed(seed, i),
-                                               start=start, anchor=anchors[-1])
+                                               start=ladder.start(i, x0),
+                                               anchor=anchors[-1])
         except (PathFailure, OptimizerError) as err:
             raise MilestoningError(f"shell {i} failed: {err}") from err
         traces.append(trace)

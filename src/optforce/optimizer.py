@@ -61,8 +61,9 @@ class DescentConfig:
         if not (0.0 < self.wolfe_c1 < self.wolfe_c2 < 1.0):
             raise ValueError(f"need 0 < wolfe_c1 < wolfe_c2 < 1, got wolfe_c1="
                              f"{self.wolfe_c1}, wolfe_c2={self.wolfe_c2}")
-        if self.alpha_init <= 0 or self.alpha_max <= 0:
-            raise ValueError("alpha bounds must be positive")
+        for name, alpha in (("alpha_init", self.alpha_init), ("alpha_max", self.alpha_max)):
+            if alpha <= 0:
+                raise ValueError(f"{name} must be positive, got {alpha}")
         if self.reseed_policy not in ("fresh", "fixed"):
             raise ValueError(f"unknown reseed policy {self.reseed_policy!r}")
 

@@ -351,6 +351,16 @@ class TestCliErrors:
         ("estimate", "estimate.untilted=no", ("estimate.untilted must be bool, got 'no'",)),
         ("optimize", "ladder.thresholds=[-1,0,true]",
          ("ladder.thresholds must be list of float, got [-1, 0, True]",)),
+        ("optimize", "descent.grad_tol=.nan", ("descent.grad_tol must be finite, got nan",)),
+        ("optimize", "epsilon=.inf", ("epsilon must be finite, got inf",)),
+        ("gradcheck", "h=-.inf", ("h must be finite, got -inf",)),
+        ("optimize", "ladder.thresholds=[-1,.nan,2]",
+         ("ladder.thresholds must be finite, got [-1, nan, 2]",)),
+        ("optimize", "ansatz.width=1e-300", ("ansatz.width must be wide enough that the "
+                                             "basis is finite on the domain", "1e-300")),
+        ("optimize", "ansatz.width=1e-160", ("ansatz.width must be wide enough", "1e-160")),
+        ("optimize", "descent.alpha_init=0", ("descent: alpha_init must be positive, got 0.0",)),
+        ("optimize", "descent.alpha_max=-1", ("descent: alpha_max must be positive, got -1.0",)),
     ])
     def test_out_of_range_value_exits_2_naming_it(self, tmp_path, capsys, command,
                                                   override, names):
@@ -364,6 +374,34 @@ class TestCliErrors:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "config: " not in err, err
         assert not (tmp_path / "out").exists()
+
+    def test_a_narrow_width_whose_basis_stays_finite_loads(self):
+        # 1e-150 squared is 1e-300, still a normal double; 1e-160's is not
+        assert RunConfig().with_overrides({"ansatz.width": 1e-150}).ansatz.width == 1e-150
+
+    @pytest.mark.parametrize("case,flag,reason", [
+        ("config is a directory", "--config", "cannot read the config file (Is a directory)"),
+        ("config is not UTF-8", "--config", "the config file is not UTF-8 text"),
+        ("config is missing", "--config", "cannot read the config file (No such file"),
+        ("out is a file", "--out", "cannot create the output directory (File exists)"),
+        ("out is under a file", "--out", "cannot create the output directory (Not a directory)"),
+    ])
+    def test_a_bad_config_or_out_path_exits_2_naming_the_flag(self, tmp_path, capsys, case,
+                                                              flag, reason):
+        cfg_path, out = fast_config(tmp_path), tmp_path / "out"
+        (tmp_path / "afile").write_text("x")
+        if case == "config is a directory":
+            cfg_path = tmp_path
+        elif case == "config is not UTF-8":
+            cfg_path.write_bytes(b"seed: 3\n\xff\xfe\n")
+        elif case == "config is missing":
+            cfg_path = tmp_path / "missing.yaml"
+        else:
+            out = tmp_path / "afile" if case == "out is a file" else tmp_path / "afile" / "sub"
+        assert main(["reference", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} ") and reason in err, err
+        assert err.count("\n") == 1 and "Traceback" not in err, err
 
     def test_a_tiny_dx_exits_2_naming_it_before_allocating_the_grid(
             self, tmp_path, capsys, monkeypatch):
@@ -459,6 +497,27 @@ def test_optimize_with_two_shells_writes_a_trace_per_shell(tmp_path):
     assert inputs == {name: chash for name in (
         "reference.csv", "oracle_probes.json", "estimates.json", "optimize.json",
         "trace_shell_0.csv", "trace_shell_1.csv")}
+
+
+def test_compare_bounds_each_shell_by_f_at_its_own_start(tmp_path):
+    # shells 0 and 1 start on their outer thresholds 0 and 1, shell 2 at x0
+    run = ["--config", str(fast_config(tmp_path, x0=1.5)), "--set", "ladder.shells=3"]
+    for stage in ("reference", "optimize", "estimate"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main([stage, *run]) == 0
+    # compare exits 1 on this problem's speed-up band; only the bound is read
+    assert main(["compare", *run]) in (0, 1)
+    out = tmp_path / "out"
+    check = {c["name"]: c for c in json.loads((out / "compare.json").read_text())["checks"]}
+    bound = check["variational_bound"]
+    shells = bound["detail"]["shells"]
+    assert [s["start"] for s in shells] == [0.0, 1.0, 1.5]
+    assert [s["trace_file"] for s in shells] == [f"trace_shell_{i}.csv" for i in range(3)]
+    ref = np.loadtxt(out / "reference.csv", delimiter=",", skiprows=2)
+    for s in shells:
+        assert s["f_reference"] == float(np.interp(s["start"], ref[:, 0], ref[:, 2]))
+    assert bound["pass"] and min(s["worst_margin"] for s in shells) >= 0.0
 
 
 def test_untilted_estimate_adds_the_plain_mfpt(tmp_path):
