@@ -68,17 +68,32 @@ class GaussianAnsatz:
     def basis_controls(self, x) -> np.ndarray:
         """(n, m) matrix of b_j(x_i) = sqrt(2) (x - mu_j)/s_j^2 * v_j(x_i).
 
-        v_j is evaluated as in values_matrix, but in this frame: the kernel
-        calls this once per step, where a further call costs measurable time.
+        A fresh matrix from basis_controls_into, the one basis evaluation.
         """
-        b = np.asarray(x, dtype=np.float64).reshape(-1, 1) - self.centers
-        v = np.multiply(b, b)
+        x = np.asarray(x, dtype=np.float64).reshape(-1)
+        b = np.empty((x.size, self.m))
+        return self.basis_controls_into(x, b, np.empty_like(b), self.centers)
+
+    def basis_controls_into(self, x, out, scratch, centers) -> np.ndarray:
+        """basis_controls(x) for the 1-D array x, written into out; returns out.
+
+        out and scratch are C-contiguous (x.size, m) buffers, and centers is
+        self.centers or its rows tiled to that shape.  The simulator kernel
+        calls this once per step, into buffers it allocates once per batch
+        with tiled centers, so that every call below but the first is one
+        flat loop over the n m elements (with equal widths, whose divisors
+        are 0-d).  v_j is evaluated as in values_matrix, and x - mu_j is the
+        same subtraction whether centers are tiled or broadcast.
+        """
+        np.copyto(out, x[:, None])
+        out -= centers
+        v = np.square(out, out=scratch)
         v /= self._minus_two_w2
         np.exp(v, out=v)
-        b *= SQRT2
-        b /= self._w2
-        b *= v
-        return b
+        out *= SQRT2
+        out /= self._w2
+        out *= v
+        return out
 
     def value(self, x):
         out = self.values_matrix(x) @ self.coefficients

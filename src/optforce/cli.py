@@ -6,9 +6,10 @@ config and seed write byte-identical results: reference.csv,
 oracle_probes.json, ansatz.json, the trace CSVs, estimates.json and
 gradcheck.json, the six kinds of output the benchmark digests.
 optimize.json also reports run telemetry, some of which depends on the host:
-batches_ahead_used, for one, counts the batches a second CPU ran ahead, and
-is 0 where the process may use one CPU.  Every output but ansatz.json embeds
-the config hash; the optimize.json written beside it vouches for it.
+wall_s is the descent's wall time, and batches_ahead_used counts the batches
+a second CPU ran ahead, which is 0 where the process may use one CPU.  Every
+output but ansatz.json embeds the config hash; the optimize.json written
+beside it vouches for it.
 ansatz.json holds each shell's lowest-cost iterate, which need not be where
 its descent stopped: optimize.json's returned_iterations and
 boundary_values name those iterates and their costs, while final_cost,
@@ -32,6 +33,7 @@ import json
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from time import perf_counter
 
 import numpy as np
 
@@ -113,9 +115,10 @@ def cmd_optimize(cfg: RunConfig, out: Path) -> int:
     chash = cfg.config_hash()
 
     ladder = cfg.build_ladder(model)
-    before = kernel_counts()
+    before, t0 = kernel_counts(), perf_counter()
     result = run_milestoning(ladder, ansatz, model, sim_cfg, cfg.descent,
                              seed=cfg.seed, x0=x0)
+    wall_s = perf_counter() - t0
     descent = kernel_counts() - before
     final = result.ansatz
     traces = result.shell_traces
@@ -146,6 +149,7 @@ def cmd_optimize(cfg: RunConfig, out: Path) -> int:
         # path-steps and loop iterations, and the next iterates' batches run
         # ahead and joined
         **asdict(descent),
+        "wall_s": wall_s,
         "mean_steps": float(np.mean([t.mean_steps for t in traces])),
         "boundary_values": [float(v) for v in result.anchors[1:]],
         "returned_iterations": [t.records[t.returned].iteration for t in traces],

@@ -110,16 +110,21 @@ def _coerce(value, hint, key: str):
 
     An int field stores `3.0` as 3 and a float field stores 1 as 1.0, so
     that each hashes as the other spelling; a list of floats stores each
-    element as a float.  A float, or a float in a list, must be finite:
-    .nan passes no range check, and .inf some.  A bool field takes only
-    true or false, and a bool is no number, so nothing later runs it as 0
-    or 1 or fails on it with a message that names no field.
+    element as a float, and a mapping of floats each value, under its own
+    dotted key.  A float, or a float in a list, must be finite: .nan passes
+    no range check, and .inf some.  A bool field takes only true or false,
+    and a bool is no number, so nothing later runs it as 0 or 1 or fails on
+    it with a message that names no field.
     """
     kinds = get_args(hint)
     if type(None) in kinds:
         if value is None:
             return None
         hint = kinds[0]
+    if get_origin(hint) is dict:
+        if not isinstance(value, dict):
+            raise ConfigError(f"{key} must be a mapping, got {value!r}")
+        return {k: _coerce(v, float, f"{key}.{k}") for k, v in value.items()}
     if hint in (int, float):
         name, stored = hint.__name__, _number(value, hint)
     elif get_origin(hint) is list:
@@ -139,7 +144,7 @@ def _coerce(value, hint, key: str):
 @dataclass(frozen=True)
 class PotentialSpec:
     name: str = "skew_double_well"
-    params: dict = field(default_factory=dict)
+    params: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)

@@ -40,8 +40,9 @@ stopping test look at every forcing's rows at once; where another forcing's
 row fails them, a row in range folds to lo + (x - lo) exactly and a row
 right of S tests outside it, so no bit changes.  The noise blocks, like
 the streams, are indexed by path: each refill draws a path's next block
-once, into its own row, which every forcing's live copy of the path reads,
-so k forcings cost one set of draws and one basis call per step, not k.
+once, into its own column of the step-major blocks, which every forcing's
+live copy of the path reads, so k forcings cost one set of draws and one
+basis evaluation per step, not k.
 
 A path that enters the stopping set retires on that step.  Each per-path
 accumulator of the loop is held once, under its BatchResult field name:
@@ -74,8 +75,23 @@ here, which returns or raises exactly what it does where nothing forks.
 What one step costs.  Long-tailed batches spend most loop iterations on a
 few live paths, where a step's time is the dispatch of its numpy calls
 (0.4-0.6 us each on a 2-core x86-64 VM), not arithmetic: a scored step at 2
-live rows takes about 20-30 us there, of which the basis evaluation is
-about 7 us.  So a step issues as few and as cheap calls as keep every bit:
+live rows takes about 15-30 us there, of which the basis evaluation is
+3-7 us.  Fixed-horizon batches keep every row live, where a step's time is
+its loops over rows x m elements: at 4,000 rows and m = 10 (one group of
+gradcheck's +/- pairs) a scored step took 486-505 us there, against
+528-601 us with an allocating basis and path-major noise blocks; the basis
+took about 200 us of it, and its exp alone about 120 us.  So a step issues
+as few and as cheap calls as keep every bit, over contiguous memory:
+  - the basis by GaussianAnsatz.basis_controls_into, into (rows, m)
+    buffers allocated once per batch with the centers tiled to that shape,
+    so that no step allocates a matrix and, with equal widths, each of its
+    calls but the first (a broadcast copy of x) is one flat loop; the
+    allocating basis_controls took 236 us in the same loop, and 345-390 us
+    called in a loop of its own, where its two fresh 320 KB arrays took 124
+    page faults a call;
+  - the noise gathered from the one row blocks[pos] of the step-major
+    blocks: 4 us at 4,000 rows, where path-major blocks, which touch a
+    cache line per live row, took 15 us;
   - one matmul for c when the batch is one segment, a loop over segments
     otherwise;
   - the log-likelihood-ratio update (five calls) only without scores;
@@ -89,10 +105,11 @@ about 7 us.  So a step issues as few and as cheap calls as keep every bit:
     place, in buffers allocated once per batch (rows, and rows x m for the
     score products).
 Every kept operation has its old operands and rounding; only the
-IEEE-commutative + and * swap operands.  Stacking the two score products
-into one (2, rows, m) product and one add saved about 2 us per step at a
-few rows but cost 3-4 us at 256-512 and 6-13% on a three-shell optimize, so
-each score keeps its own product and add.
+IEEE-commutative + and * swap operands, and x - mu_j is one subtraction
+whether mu is tiled or broadcast.  Stacking the two score products into one
+(2, rows, m) product and one add saved about 2 us per step at a few rows
+but cost 3-4 us at 256-512 and 6-13% on a three-shell optimize, so each
+score keeps its own product and add.
 """
 
 from __future__ import annotations
@@ -582,7 +599,7 @@ def _run_paths(args: tuple, first: int, stop: int) -> tuple[BatchResult, int]:
     reflect = domain.boundary == "reflect"
     limit = fixed_steps if fixed_steps is not None else cfg.max_steps
     control = controls[0]
-    m = control.m if scores else 0
+    m = 0 if control is None else control.m
     # the segment of forcing f at path index first + j starts at row
     # f n_paths + j and takes f's coefficients
     chunks = range(0, n_paths, KERNEL_CHUNK)
@@ -609,23 +626,30 @@ def _run_paths(args: tuple, first: int, stop: int) -> tuple[BatchResult, int]:
     idx = np.arange(n_rows)
     work = 0.0
     # the streams and the noise blocks are indexed by path, path index -
-    # first: a live row reads its path's block at row idx % n_paths
+    # first.  The blocks are step-major: a refill draws a path's block into
+    # the scratch row `block` and writes it to column idx % n_paths, so a
+    # step reads every live row's noise from the one row blocks[pos]
     gens = _take_streams(seed, tag, first, n_paths)
-    blocks = np.empty((n_paths, NOISE_BLOCK))
+    blocks = np.empty((NOISE_BLOCK, n_paths))
+    block = np.empty(NOISE_BLOCK)
     path = idx % n_paths
     # per-step buffers whose first live-row-count rows the step writes: c,
-    # c^2, one scratch row and the (rows, m) products of the scores.  Without
-    # a control nothing writes c, which must stay +0.0: sqrt2 c - V'(x) then
-    # rounds as 0.0 - V'(x), the plain dynamics' drift
+    # c^2, one scratch row, the (rows, m) basis matrix, its scratch and the
+    # products of the scores; the basis centers are tiled to (rows, m) once.
+    # Without a control m is 0 and nothing writes c, which must stay +0.0:
+    # sqrt2 c - V'(x) then rounds as 0.0 - V'(x), the plain dynamics' drift
     c_buf = np.zeros(n_rows)
     c2_buf = np.empty(n_rows)
     t_buf = np.empty(n_rows)
+    b_buf, v_buf = np.empty((n_rows, m)), np.empty((n_rows, m))
+    mu_buf = v_buf if control is None else np.tile(control.centers, (n_rows, 1))
     prod_buf = np.empty((n_rows, m)) if scores else None
 
     def views(k):
-        """The buffers' views over k live rows: c, c as a column, c^2, scratch, products."""
-        return (c_buf[:k], c_buf[:k, None], c2_buf[:k], t_buf[:k],
-                prod_buf[:k] if scores else None)
+        """The buffers' views over k live rows: c, c as a column, c^2, scratch,
+        the basis matrix, its scratch, the tiled centers and the products."""
+        return (c_buf[:k], c_buf[:k, None], c2_buf[:k], t_buf[:k], b_buf[:k], v_buf[:k],
+                mu_buf[:k], prod_buf[:k] if scores else None)
 
     def segments():
         """(lo, hi, coefficients) of the nonempty segments of live rows."""
@@ -665,26 +689,27 @@ def _run_paths(args: tuple, first: int, stop: int) -> tuple[BatchResult, int]:
         return kind(message, paths, step)
 
     segs = segments()
-    c, c_col, c2, t, prod = views(n_rows)
+    c, c_col, c2, t, bmat, vmat, mu, prod = views(n_rows)
     if control is not None:
-        basis, coefficients = control.basis_controls, seg_coefficients[0]
+        basis, coefficients = control.basis_controls_into, seg_coefficients[0]
     pos = NOISE_BLOCK
     step = 0
     while idx.size and step < limit:
         if pos == NOISE_BLOCK:
             # each path's next block, drawn once for all the forcings whose
-            # copy of it is live
+            # copy of it is live, into the path's column
             for i in set(path.tolist()):
-                gens[i].standard_normal(out=blocks[i])
+                gens[i].standard_normal(out=block)
+                blocks[:, i] = block
             pos = 0
-        eta = blocks[:, pos][path]
+        eta = blocks[pos][path]
         pos += 1
         x = acc["final_x"]
 
         # t = sqrt2 c - V'(x), then x + h t + noise_amp eta; without a
         # control c is 0, its cost and log-likelihood-ratio terms +0.0
         if control is not None:
-            bmat = basis(x)
+            basis(x, bmat, vmat, mu)
             if one_segment:
                 matmul(bmat, coefficients, c)
             else:
@@ -753,7 +778,7 @@ def _run_paths(args: tuple, first: int, stop: int) -> tuple[BatchResult, int]:
                 for name, a in acc.items():
                     acc[name] = a[keep]
                 segs = segments()
-                c, c_col, c2, t, prod = views(idx.size)
+                c, c_col, c2, t, bmat, vmat, mu, prod = views(idx.size)
 
     _idle_streams.extend(gens)
     censored = 0

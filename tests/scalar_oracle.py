@@ -22,19 +22,23 @@ from optforce.model import Potential, SimulationDomain, StoppingSet
 class FieldControl:
     """One-column basis whose control is exactly fn(x).
 
-    The kernel forms c = basis_controls(x) @ coefficients; with the single
-    column fn(x) and the coefficient 1.0 that product is fn(x) bit for bit,
-    so tests keep exact reference controls that no Gaussian basis spans.
+    The kernel forms c = basis_controls_into(x, ...) @ coefficients; with
+    the single column fn(x) and the coefficient 1.0 that product is fn(x)
+    bit for bit, so tests keep exact reference controls that no Gaussian
+    basis spans.  The kernel tiles `centers` into the buffer it passes as
+    the last argument, which this basis does not read.
     """
 
     m = 1
+    centers = np.zeros(1)
     coefficients = np.ones(1)
 
     def __init__(self, fn):
         self.fn = fn
 
-    def basis_controls(self, x) -> np.ndarray:
-        return np.asarray(self.fn(x), dtype=np.float64)[:, None]
+    def basis_controls_into(self, x, out, scratch, centers) -> np.ndarray:
+        out[:, 0] = self.fn(x)
+        return out
 
 
 @dataclass

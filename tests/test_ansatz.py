@@ -122,6 +122,30 @@ class TestOldFormula:
         assert np.array_equal(ansatz.control(x), control)
 
 
+class TestBufferedBasis:
+    """basis_controls_into, as the kernel calls it, gives basis_controls' bits."""
+
+    @pytest.mark.parametrize("widths", ["equal", "unequal"])
+    @pytest.mark.parametrize("rows", [1, 3, 4, 5, 1023, 1024, 1025, 4000])
+    def test_tiled_buffers_give_the_allocated_bits(self, widths, rows):
+        rng = np.random.default_rng(rows)
+        ansatz = make_uniform_ansatz(10, DOMAIN, S, 0.35)
+        if widths == "unequal":
+            ansatz = GaussianAnsatz(ansatz.centers, rng.uniform(0.1, 0.6, 10),
+                                    ansatz.coefficients)
+        # buffers of a batch with more rows, filled once at all of them and
+        # then cut to the live rows, as compaction cuts them
+        size = rows + 7
+        out, scratch = np.empty((size, 10)), np.empty((size, 10))
+        centers = np.tile(ansatz.centers, (size, 1))
+        ansatz.basis_controls_into(rng.uniform(-1.6, 2.1, size), out, scratch, centers)
+        x = rng.uniform(-1.6, 2.1, rows)
+        b = ansatz.basis_controls_into(x, out[:rows], scratch[:rows], centers[:rows])
+        assert np.shares_memory(b, out)
+        assert np.array_equal(b, ansatz.basis_controls(x))
+        assert np.array_equal(b, old_basis(ansatz, x)[1])
+
+
 class TestTiltedPotential:
     def test_zero_coefficients_returns_v(self):
         a = make_uniform_ansatz(5, DOMAIN, S, 0.2)

@@ -104,6 +104,11 @@ class TestRunConfig:
         for thresholds in ([-1, 0, 2], [-1.0, 0.0, 2.0]):
             ladder = RunConfig().with_overrides({"ladder.thresholds": thresholds})
             assert ladder.config_hash() == "418cb19b90f06eba"
+        # and a potential parameter as the float it names
+        for scale in (2, 2.0):
+            params = RunConfig().with_overrides({"potential.params": {"barrier_scale": scale}})
+            assert type(params.potential.params["barrier_scale"]) is float
+            assert params.config_hash() == "dd0c3b8d6f9145fe"
 
     @pytest.mark.parametrize("doc,override,chash", [
         ("stopping_set: {lo: -1.2}\n", {"stopping_set.lo": -1.2}, "719e47fbd5093707"),
@@ -162,6 +167,7 @@ class TestCliPipeline:
         assert trace[1] == "iteration,cost,grad_norm,alpha,stderr,mean_steps"
         summary = json.loads((out / "optimize.json").read_text())
         assert {"config_hash", "final_cost", "probes", "line_search_fallbacks"} <= set(summary)
+        assert summary["wall_s"] > 0
 
     def test_default_optimize_is_a_plain_descent(self, run_dir):
         # the default one-shell ladder reproduces descent over every coefficient
@@ -323,6 +329,15 @@ class TestCliErrors:
                                                       "strictly increasing")),
         ("optimize", "potential.name=nope", ("potential.name must be one of", "'nope'")),
         ("reference", "potential.params={k: 1}", ("potential.params", "'k'")),
+        ("optimize", "potential.params={barrier_scale: .nan}",
+         ("potential.params.barrier_scale must be finite, got nan",)),
+        ("optimize", "potential.params={barrier_scale: .inf}",
+         ("potential.params.barrier_scale must be finite, got inf",)),
+        ("reference", "potential.params={barrier_scale: true}",
+         ("potential.params.barrier_scale must be float, got True",)),
+        ("estimate", "potential.params={skew: abc}",
+         ("potential.params.skew must be float, got 'abc'",)),
+        ("reference", "potential.params=3", ("potential.params must be a mapping, got 3",)),
         ("estimate", "domain.boundary=wrap", ("domain: boundary must be one of", "'wrap'")),
         ("optimize", "x0=[", ("--set x0", "'[' is not a YAML value")),
         ("estimate", "stopping_set.lo=5", ("stopping_set: stopping set needs lo < hi",
