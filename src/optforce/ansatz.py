@@ -56,14 +56,26 @@ class GaussianAnsatz:
 
     # -- basis evaluation ---------------------------------------------------
 
-    def values_matrix(self, x) -> np.ndarray:
-        """(n, m) matrix of v_j(x_i)."""
-        d = np.asarray(x, dtype=np.float64).reshape(-1, 1) - self.centers
+    def _bump(self, x, centers, d, v) -> np.ndarray:
+        """d = x - mu_j and v = v_j(x) for the 1-D array x, written into the
+        C-contiguous (x.size, m) buffers d and v; returns v.
+
+        centers is self.centers or its rows tiled to that shape: x - mu_j is
+        the same subtraction whether they are tiled or broadcast.
+        """
+        np.copyto(d, x[:, None])
+        d -= centers
         # d^2 / -(2 s^2) is -d^2 / (2 s^2) bit for bit: IEEE rounding is
         # symmetric in sign
-        v = np.multiply(d, d)
+        np.square(d, out=v)
         v /= self._minus_two_w2
         return np.exp(v, out=v)
+
+    def values_matrix(self, x) -> np.ndarray:
+        """(n, m) matrix of v_j(x_i)."""
+        x = np.asarray(x, dtype=np.float64).reshape(-1)
+        d = np.empty((x.size, self.m))
+        return self._bump(x, self.centers, d, np.empty_like(d))
 
     def basis_controls(self, x) -> np.ndarray:
         """(n, m) matrix of b_j(x_i) = sqrt(2) (x - mu_j)/s_j^2 * v_j(x_i).
@@ -80,16 +92,11 @@ class GaussianAnsatz:
         out and scratch are C-contiguous (x.size, m) buffers, and centers is
         self.centers or its rows tiled to that shape.  The simulator kernel
         calls this once per step, into buffers it allocates once per batch
-        with tiled centers, so that every call below but the first is one
-        flat loop over the n m elements (with equal widths, whose divisors
-        are 0-d).  v_j is evaluated as in values_matrix, and x - mu_j is the
-        same subtraction whether centers are tiled or broadcast.
+        with tiled centers, so that every operation but the broadcast copy
+        of x is one flat loop over the n m elements (with equal widths, whose
+        divisors are 0-d).
         """
-        np.copyto(out, x[:, None])
-        out -= centers
-        v = np.square(out, out=scratch)
-        v /= self._minus_two_w2
-        np.exp(v, out=v)
+        v = self._bump(x, centers, out, scratch)
         out *= SQRT2
         out /= self._w2
         out *= v

@@ -4,7 +4,10 @@ Subcommands orchestrate the pipeline and emit CSV/JSON data files for
 offline plotting; nothing is plotted in-process.  Reruns with the same
 config and seed write byte-identical results: reference.csv,
 oracle_probes.json, ansatz.json, the trace CSVs, estimates.json and
-gradcheck.json, the six kinds of output the benchmark digests.
+gradcheck.json, the six kinds of output the benchmark digests.  This
+module owns the stage files' formats: it alone writes and reads them
+(ansatz.json holds GaussianAnsatz.to_json's text), and a stage input it
+cannot read ends the run with exit 2 and a message that names the file.
 optimize.json also reports run telemetry, some of which depends on the host:
 wall_s is the descent's wall time, and batches_ahead_used counts the batches
 a second CPU ran ahead, which is 0 where the process may use one CPU.  Every
@@ -43,7 +46,7 @@ from .dynamics import PathFailure, kernel_counts
 from .estimators import estimate_mfpt_forced, estimate_psi_reweighted
 from .milestoning import MilestoningError, run_milestoning
 from .objective import estimate_cost, estimate_exact_gradient_fixed_horizon
-from .reference import (QuadratureError, ReferenceError, build_grid, mfpt_quadrature_oracle,
+from .reference import (QuadratureError, ReferenceError, mfpt_quadrature_oracle,
                         solve_mfpt_pde, solve_reference)
 
 N_ORACLE_PROBES = 20
@@ -60,6 +63,14 @@ SPEEDUP_BAND = (30.0, 300.0)
 # optimize's descent traces: trace.csv, or trace_shell_<i>.csv per shell
 TRACE_FILES = "trace*.csv"
 
+REFERENCE_COLUMNS = ("x", "psi", "F", "mfpt")
+TRACE_COLUMNS = ("iteration", "cost", "grad_norm", "alpha", "stderr", "mean_steps")
+
+
+class StageFileError(Exception):
+    """A stage's input file that does not hold what the stage writes; the
+    message names the file."""
+
 
 def _trace_name(i: int, n_shells: int) -> str:
     """The trace file of shell i; one shell is a plain descent and keeps the plain name."""
@@ -70,20 +81,64 @@ def _write_json(path: Path, doc):
     path.write_text(json.dumps(doc, sort_keys=True, indent=2, default=float) + "\n")
 
 
-def _write_reference_csv(path: Path, sol, config_hash: str):
-    lines = [f"# config_hash: {config_hash}", "x,psi,F,mfpt"]
-    for i, x in enumerate(sol.grid.nodes):
-        lines.append(f"{float(x)!r},{float(sol.psi[i])!r},"
-                     f"{float(sol.free_energy[i])!r},{float(sol.mfpt[i])!r}")
-    path.write_text("\n".join(lines) + "\n")
+def _write_csv(path: Path, config_hash: str, columns, rows, newline: str = "\n"):
+    """A stage CSV: a `# config_hash:` line, the header and one line per row of
+    Python ints and floats, each written by repr so that it reads back bit for bit.
+
+    The hash line ends in "\\n" and the header and rows in newline.  The trace
+    files pass "\\r\\n", csv.writer's line ending, which their recorded
+    digests hold; reference.csv keeps "\\n".
+    """
+    lines = [",".join(columns), *(",".join(map(repr, row)) for row in rows)]
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# config_hash: {config_hash}\n" + "".join(ln + newline for ln in lines))
+
+
+def _read_csv(path: Path, columns) -> tuple[str, list[dict[str, float]]]:
+    """The hash on a stage CSV's `# config_hash:` line and its rows keyed by its
+    header; a StageFileError names the file where the header is not columns or
+    a row is not one number per column."""
+    first, _, body = path.read_text().partition("\n")
+    header, *lines = body.splitlines() or [""]
+    if header.split(",") != list(columns) or not lines:
+        raise StageFileError(f"{path}: expected the header {','.join(columns)} and at "
+                             "least one row; rerun the stage that writes it")
+    rows = []
+    for n, line in enumerate(lines, start=3):
+        try:
+            values = [float(v) for v in line.split(",")]
+        except ValueError:
+            values = []
+        if len(values) != len(columns):
+            raise StageFileError(f"{path}: line {n} is not {len(columns)} numbers "
+                                 f"({line!r}); rerun the stage that writes it")
+        rows.append(dict(zip(columns, values)))
+    return first.removeprefix("# config_hash: "), rows
+
+
+def _read_json(path: Path, *keys: str) -> dict:
+    """The JSON object in a stage file, which must hold keys; a StageFileError
+    names the file where it does not."""
+    try:
+        doc = json.loads(path.read_text())
+    except ValueError as err:
+        raise StageFileError(f"{path}: not JSON ({err})") from None
+    if not isinstance(doc, dict):
+        raise StageFileError(f"{path}: not a JSON object; rerun the stage that writes it")
+    missing = [k for k in keys if k not in doc]
+    if missing:
+        raise StageFileError(f"{path}: no {', '.join(missing)} entry; rerun the stage "
+                             "that writes it")
+    return doc
 
 
 def cmd_reference(cfg: RunConfig, out: Path) -> int:
     model = cfg.build_model()
-    grid = build_grid(model.stopping_set, model.domain, cfg.dx)
+    grid = cfg.build_grid()
     sol = solve_reference(model.potential, model.sigma, cfg.epsilon, grid,
                           model.stopping_set)
-    _write_reference_csv(out / "reference.csv", sol, cfg.config_hash())
+    _write_csv(out / "reference.csv", cfg.config_hash(), REFERENCE_COLUMNS,
+               zip(*(a.tolist() for a in (grid.nodes, sol.psi, sol.free_energy, sol.mfpt))))
 
     # oracle probes from 5% into the grid out to its outer wall hi
     lo, hi = grid.lo, grid.hi
@@ -106,10 +161,9 @@ def cmd_reference(cfg: RunConfig, out: Path) -> int:
 
 def cmd_optimize(cfg: RunConfig, out: Path) -> int:
     model = cfg.build_model()
-    grid = build_grid(model.stopping_set, model.domain, cfg.dx)
     x0 = cfg.start_point(model)
     ansatz = cfg.build_ansatz()
-    a0 = init_fill_wells(ansatz, model.potential, grid)
+    a0 = init_fill_wells(ansatz, model.potential, cfg.build_grid())
     ansatz = ansatz.with_coefficients(a0)
     sim_cfg = cfg.descent_sim_config()
     chash = cfg.config_hash()
@@ -127,7 +181,10 @@ def cmd_optimize(cfg: RunConfig, out: Path) -> int:
     for old in out.glob(TRACE_FILES):
         old.unlink()
     for i, trace in enumerate(traces):
-        trace.write_csv(out / _trace_name(i, len(traces)), chash)
+        rows = [(r.iteration, *map(float, (r.cost, r.grad_norm, r.alpha, r.cost_stderr,
+                                           r.mean_steps))) for r in trace.records]
+        _write_csv(out / _trace_name(i, len(traces)), chash, TRACE_COLUMNS, rows,
+                   newline="\r\n")
 
     (out / "ansatz.json").write_text(final.to_json() + "\n")
     # report the stopping level actually in force at the final iterate
@@ -165,7 +222,11 @@ def _load_ansatz(out: Path) -> GaussianAnsatz:
     if not path.exists():
         raise FileNotFoundError(
             f"{path} not found; run the `optimize` subcommand first")
-    return GaussianAnsatz.from_json(path.read_text())
+    try:
+        return GaussianAnsatz.from_json(path.read_text())
+    except (KeyError, TypeError, ValueError) as err:
+        raise StageFileError(f"{path}: not an ansatz ({type(err).__name__}: {err}); rerun "
+                             "the `optimize` subcommand") from None
 
 
 def cmd_estimate(cfg: RunConfig, out: Path) -> int:
@@ -248,18 +309,6 @@ def cmd_gradcheck(cfg: RunConfig, out: Path) -> int:
     return 0 if ok_all else 1
 
 
-def _csv_rows(text: str) -> list[dict[str, float]]:
-    """The data rows of a CSV written with a `# config_hash:` line, keyed by its header."""
-    header, *rows = [ln.split(",") for ln in text.splitlines()
-                     if ln and not ln.startswith("#")]
-    return [dict(zip(header, map(float, row))) for row in rows]
-
-
-def _csv_hash(text: str) -> str:
-    """The hash on a CSV's `# config_hash: <hash>` first line."""
-    return text.partition("\n")[0].removeprefix("# config_hash: ")
-
-
 def cmd_compare(cfg: RunConfig, out: Path) -> int:
     model = cfg.build_model()
     x0 = cfg.start_point(model)
@@ -269,33 +318,32 @@ def cmd_compare(cfg: RunConfig, out: Path) -> int:
     def check(name, ok, detail):
         checks.append({"name": name, "pass": bool(ok), "detail": detail})
 
-    ref_text = (out / "reference.csv").read_text()
-    probes = json.loads((out / "oracle_probes.json").read_text())
-    estimates = json.loads((out / "estimates.json").read_text())
+    ref_hash, ref_rows = _read_csv(out / "reference.csv", REFERENCE_COLUMNS)
+    probes = _read_json(out / "oracle_probes.json", "max_rel_error")
+    estimates = _read_json(out / "estimates.json", "records")
     # ansatz.json carries no hash; optimize.json is written with it
-    optimized = json.loads((out / "optimize.json").read_text())
+    optimized = _read_json(out / "optimize.json")
     ladder = cfg.build_ladder(model)
     names = [_trace_name(i, ladder.n_shells) for i in range(ladder.n_shells)]
-    traces = {name: (out / name).read_text() for name in names}
-    inputs = {"reference.csv": _csv_hash(ref_text),
+    traces = {name: _read_csv(out / name, TRACE_COLUMNS) for name in names}
+    inputs = {"reference.csv": ref_hash,
               "oracle_probes.json": probes.get("config_hash"),
               "estimates.json": estimates.get("config_hash"),
               "optimize.json": optimized.get("config_hash"),
-              **{name: _csv_hash(text) for name, text in traces.items()}}
+              **{name: h for name, (h, _) in traces.items()}}
     stale = [name for name, h in inputs.items() if h != chash]
     if stale:
         print(f"error: {', '.join(stale)} in {out} came from another config; rerun "
               f"the stages that write them at config_hash {chash}", file=sys.stderr)
         return 2
 
-    ref_rows = _csv_rows(ref_text)
     ref = {name: np.array([r[name] for r in ref_rows]) for name in ("x", "F", "mfpt")}
     check("pde_vs_oracle", probes["max_rel_error"] < 1e-3,
           {"max_rel_error": probes["max_rel_error"], "tolerance": 1e-3})
 
     by_name = {r["quantity"]: r for r in estimates["records"]}
     ansatz = _load_ansatz(out)
-    grid = build_grid(model.stopping_set, model.domain, cfg.dx)
+    grid = cfg.build_grid()
     tilted = tilted_potential_from(ansatz, model.potential)
     m_tilted_ref = solve_mfpt_pde(tilted, cfg.epsilon, grid, model.stopping_set)
     m_tilted_x0 = float(np.interp(x0, grid.nodes, m_tilted_ref))
@@ -315,11 +363,11 @@ def cmd_compare(cfg: RunConfig, out: Path) -> int:
     # variational bound over every iterate of each shell's trace: its cost
     # estimates F at the shell's start, x0 or the shell's outer threshold
     shells = []
-    for i, (name, text) in enumerate(traces.items()):
+    for i, (name, (_, rows)) in enumerate(traces.items()):
         start = ladder.start(i, x0)
         f_start = float(np.interp(start, ref["x"], ref["F"]))
         worst = min(row["cost"] - (f_start - 3.0 * row["stderr"] - DISCRETIZATION_ALLOWANCE)
-                    for row in _csv_rows(text))
+                    for row in rows)
         shells.append({"trace_file": name, "start": start, "f_reference": f_start,
                        "worst_margin": worst})
     check("variational_bound", all(s["worst_margin"] >= 0.0 for s in shells),
@@ -416,7 +464,7 @@ def main(argv=None) -> int:
             cfg = cfg.with_overrides(overrides)
         flag, out = ("--out", args.out) if args.out else ("out_dir", Path(cfg.out_dir))
         return COMMANDS[args.command](cfg, _make_out(out, flag))
-    except (ConfigError, FileNotFoundError) as err:
+    except (ConfigError, FileNotFoundError, StageFileError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (MilestoningError, PathFailure, ReferenceError, QuadratureError) as err:

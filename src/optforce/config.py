@@ -23,7 +23,7 @@ from .milestoning import MilestoneLadder, build_ladder as uniform_ladder, larges
 from .model import (POTENTIALS, ModelBundle, SimulationDomain, StoppingSet,
                     default_start_point, make_potential)
 from .optimizer import DescentConfig
-from .reference import build_grid
+from .reference import Grid1D, build_grid
 
 # The experiment's "width 0.1" is read as the variance of the Gaussian bumps;
 # stored here as the standard deviation sqrt(0.1).
@@ -213,10 +213,7 @@ class RunConfig:
                  f"domain [{dom.lo}, {dom.hi}]", a.width)
         _require(self.x0 is None or stop.hi < self.x0 <= dom.hi, "x0",
                  f"in ({stop.hi}, {dom.hi}], right of the stopping set", self.x0)
-        try:
-            build_grid(model.stopping_set, model.domain, self.dx)
-        except ValueError as err:
-            raise ValueError(f"dx: {err}") from None
+        self.build_grid()
         # every seed a run derives must fit in a Philox key word
         top = largest_seed(self.seed, self.build_ladder(model).n_shells, d)
         _require(top <= MAX_SEED, "seed", f"at most {MAX_SEED - (top - self.seed)}, "
@@ -279,6 +276,13 @@ class RunConfig:
         """The run's basis layout: `ansatz.m` uniform Gaussians, all coefficients zero."""
         return make_uniform_ansatz(self.ansatz.m, self.domain, self.stopping_set,
                                    self.ansatz.width)
+
+    def build_grid(self) -> Grid1D:
+        """The run's finite-difference grid at spacing `dx`; a ValueError names `dx`."""
+        try:
+            return build_grid(self.stopping_set, self.domain, self.dx)
+        except ValueError as err:
+            raise ValueError(f"dx: {err}") from None
 
     def build_ladder(self, model: ModelBundle) -> MilestoneLadder:
         """The run's ladder: `ladder.thresholds`, or `ladder.shells` uniform shells.

@@ -22,7 +22,6 @@ so its estimate is reused and nothing runs ahead.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,19 +115,6 @@ class DescentTrace:
         sm = np.convolve(c, kernel, mode="valid")
         slack = 2.0 * float(np.median([r.cost_stderr for r in self.records]))
         return bool(np.any(np.diff(sm) > slack))
-
-    def write_csv(self, path, config_hash: str | None = None):
-        with open(path, "w", newline="") as fh:
-            if config_hash is not None:
-                fh.write(f"# config_hash: {config_hash}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["iteration", "cost", "grad_norm", "alpha", "stderr",
-                             "mean_steps"])
-            for r in self.records:
-                writer.writerow([r.iteration, repr(float(r.cost)),
-                                 repr(float(r.grad_norm)), repr(float(r.alpha)),
-                                 repr(float(r.cost_stderr)),
-                                 repr(float(r.mean_steps))])
 
 
 @dataclass(frozen=True)

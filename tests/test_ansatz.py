@@ -123,16 +123,32 @@ class TestOldFormula:
 
 
 class TestBufferedBasis:
-    """basis_controls_into, as the kernel calls it, gives basis_controls' bits."""
+    """basis_controls_into, as the kernel calls it, gives basis_controls' bits,
+    and values_matrix, which shares its evaluation of the bumps, the old ones."""
 
-    @pytest.mark.parametrize("widths", ["equal", "unequal"])
-    @pytest.mark.parametrize("rows", [1, 3, 4, 5, 1023, 1024, 1025, 4000])
-    def test_tiled_buffers_give_the_allocated_bits(self, widths, rows):
-        rng = np.random.default_rng(rows)
+    ROWS = [1, 3, 4, 5, 1023, 1024, 1025, 3001, 4000]
+
+    @staticmethod
+    def layout(widths, rng):
         ansatz = make_uniform_ansatz(10, DOMAIN, S, 0.35)
         if widths == "unequal":
             ansatz = GaussianAnsatz(ansatz.centers, rng.uniform(0.1, 0.6, 10),
                                     ansatz.coefficients)
+        return ansatz
+
+    @pytest.mark.parametrize("widths", ["equal", "unequal"])
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_values_matrix_gives_the_old_bits(self, widths, rows):
+        rng = np.random.default_rng(rows)
+        ansatz = self.layout(widths, rng)
+        x = rng.uniform(-1.6, 2.1, rows)
+        assert np.array_equal(ansatz.values_matrix(x), old_basis(ansatz, x)[0])
+
+    @pytest.mark.parametrize("widths", ["equal", "unequal"])
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_tiled_buffers_give_the_allocated_bits(self, widths, rows):
+        rng = np.random.default_rng(rows)
+        ansatz = self.layout(widths, rng)
         # buffers of a batch with more rows, filled once at all of them and
         # then cut to the live rows, as compaction cuts them
         size = rows + 7

@@ -14,7 +14,7 @@ import pytest
 import yaml
 
 from optforce.ansatz import init_fill_wells
-from optforce.cli import main
+from optforce.cli import REFERENCE_COLUMNS, TRACE_COLUMNS, _read_csv, _write_csv, main
 import optforce
 from optforce.config import ConfigError, RunConfig
 from optforce.dynamics import MAX_SEED, kernel_counts
@@ -271,6 +271,29 @@ class TestCliPipeline:
         assert (out / "estimates.json").read_bytes() == before
 
 
+def test_csv_round_trip(tmp_path):
+    # both files end the hash line in \n; the trace ends its header and rows
+    # in csv.writer's \r\n, reference.csv in \n
+    trace = [(0, 3.0, 1.5, 0.1, 0.01, 10.0), (1, 0.1 + 0.2, 1e-20, 1.0, 0.0, 12.5)]
+    reference = [(-1.0, 1.0, 0.0, 0.0), (-0.999, 0.9, 0.05, 0.25)]
+    _write_csv(tmp_path / "trace.csv", "abc123", TRACE_COLUMNS, trace, newline="\r\n")
+    _write_csv(tmp_path / "reference.csv", "abc123", REFERENCE_COLUMNS, reference)
+    assert (tmp_path / "trace.csv").read_bytes() == (
+        b"# config_hash: abc123\n"
+        b"iteration,cost,grad_norm,alpha,stderr,mean_steps\r\n"
+        b"0,3.0,1.5,0.1,0.01,10.0\r\n"
+        b"1,0.30000000000000004,1e-20,1.0,0.0,12.5\r\n")
+    assert (tmp_path / "reference.csv").read_bytes() == (
+        b"# config_hash: abc123\n"
+        b"x,psi,F,mfpt\n"
+        b"-1.0,1.0,0.0,0.0\n"
+        b"-0.999,0.9,0.05,0.25\n")
+    for name, columns, rows in (("trace.csv", TRACE_COLUMNS, trace),
+                                ("reference.csv", REFERENCE_COLUMNS, reference)):
+        assert _read_csv(tmp_path / name, columns) == (
+            "abc123", [dict(zip(columns, row)) for row in rows])
+
+
 class TestCliErrors:
     def test_estimate_without_ansatz_fails(self, tmp_path):
         cfg_path = fast_config(tmp_path)
@@ -400,12 +423,35 @@ class TestCliErrors:
         ("config is missing", "--config", "cannot read the config file (No such file"),
         ("out is a file", "--out", "cannot create the output directory (File exists)"),
         ("out is under a file", "--out", "cannot create the output directory (Not a directory)"),
+        # a stage input that its stage did not write whole: the flag is the file
+        ("estimates.json holds only its hash", "estimates.json", "no records entry"),
+        ("reference.csv is cut off", "reference.csv", "is not 4 numbers"),
+        ("ansatz.json is cut off", "ansatz.json", "not an ansatz (JSONDecodeError: "),
+        ("ansatz.json has no coefficients", "ansatz.json",
+         "not an ansatz (KeyError: 'coefficients')"),
     ])
-    def test_a_bad_config_or_out_path_exits_2_naming_the_flag(self, tmp_path, capsys, case,
-                                                              flag, reason):
+    def test_a_bad_config_or_out_path_exits_2_naming_the_flag(self, tmp_path, capsys, request,
+                                                              case, flag, reason):
         cfg_path, out = fast_config(tmp_path), tmp_path / "out"
+        command = "reference"
         (tmp_path / "afile").write_text("x")
-        if case == "config is a directory":
+        if flag.endswith((".json", ".csv")):
+            cfg_path, done = request.getfixturevalue("run_dir")
+            shutil.copytree(done, out)
+            command = "estimate" if flag == "ansatz.json" else "compare"
+            path, flag = out / flag, f"{out / flag}:"
+            if case == "estimates.json holds only its hash":
+                chash = RunConfig.load(cfg_path).config_hash()
+                path.write_text(json.dumps({"config_hash": chash}))
+            elif case == "reference.csv is cut off":
+                path.write_bytes(path.read_bytes()[:300])
+            elif case == "ansatz.json is cut off":
+                path.write_text('{"centers": [0.0]')
+            else:
+                doc = json.loads(path.read_text())
+                del doc["coefficients"]
+                path.write_text(json.dumps(doc))
+        elif case == "config is a directory":
             cfg_path = tmp_path
         elif case == "config is not UTF-8":
             cfg_path.write_bytes(b"seed: 3\n\xff\xfe\n")
@@ -413,7 +459,7 @@ class TestCliErrors:
             cfg_path = tmp_path / "missing.yaml"
         else:
             out = tmp_path / "afile" if case == "out is a file" else tmp_path / "afile" / "sub"
-        assert main(["reference", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag} ") and reason in err, err
         assert err.count("\n") == 1 and "Traceback" not in err, err

@@ -219,16 +219,6 @@ class TestDescentTrace:
         trace = self.make_trace([10, 9, 8, 7, 6, 5, 6, 7, 8, 9, 10, 11])
         assert trace.non_converging
 
-    def test_csv_round_trip(self, tmp_path):
-        trace = self.make_trace([3.0, 2.0, 1.0, 0.9, 0.8, 0.7])
-        path = tmp_path / "trace.csv"
-        trace.write_csv(path, config_hash="abc123")
-        text = path.read_text()
-        assert text.startswith("# config_hash: abc123")
-        header = text.splitlines()[1]
-        assert header == "iteration,cost,grad_norm,alpha,stderr,mean_steps"
-        assert len(text.splitlines()) == 2 + 6
-
 
 class TestDescendAhead:
     """descend starts each probe's next iterate in a forked child.
