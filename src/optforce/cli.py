@@ -60,6 +60,13 @@ DISCRETIZATION_ALLOWANCE = 0.05
 
 SPEEDUP_BAND = (30.0, 300.0)
 
+# components whose central differences gradcheck runs per kernel call: their
+# +/- forcings share each path's noise, drawn once per call, and a kernel
+# loop holds 2 x this x KERNEL_CHUNK rows.  2 took gradcheck to 0.85-0.90x
+# of 1; 3 beat 2 in only 7 of 10 alternating runs and held 1 MB more; above
+# 5, perfbench's model of the loop count (1024-row chunks) no longer holds
+FD_COMPONENTS_PER_CALL = 2
+
 # optimize's descent traces: trace.csv, or trace_shell_<i>.csv per shell
 TRACE_FILES = "trace*.csv"
 
@@ -280,18 +287,21 @@ def cmd_gradcheck(cfg: RunConfig, out: Path) -> int:
     est = estimate_exact_gradient_fixed_horizon(ansatz, x0, model, sim_cfg, fixed_steps,
                                                 seed=cfg.seed, tag=5, n_paths=n_paths)
     delta = 1e-3
+    steps = delta * np.eye(ansatz.m)
+    # a + step and a - step of FD_COMPONENTS_PER_CALL components run as one
+    # batch: every path of every side is on its stream (seed, tag 5, i), so
+    # the sides share their noise by construction and the kernel draws it
+    # once for all of them
+    sides = []
+    for j0 in range(0, ansatz.m, FD_COMPONENTS_PER_CALL):
+        group = steps[j0:j0 + FD_COMPONENTS_PER_CALL]
+        forcings = [ansatz.with_coefficients(b) for step in group for b in (a + step, a - step)]
+        sides += estimate_cost(forcings, x0, model, sim_cfg, seed=cfg.seed, tag=5,
+                               fixed_steps=fixed_steps, n_paths=n_paths)
     rows = []
     ok_all = True
     for j in range(ansatz.m):
-        step = np.zeros(ansatz.m)
-        step[j] = delta
-        # a + step and a - step run as one batch: every path of both sides
-        # is on its stream (seed, tag 5, i), so the pair shares its noise by
-        # construction and the kernel draws it once for the two
-        (up, up_se), (dn, dn_se) = estimate_cost(
-            [ansatz.with_coefficients(a + step), ansatz.with_coefficients(a - step)],
-            x0, model, sim_cfg, seed=cfg.seed, tag=5, fixed_steps=fixed_steps,
-            n_paths=n_paths)
+        (up, up_se), (dn, dn_se) = sides[2 * j:2 * j + 2]
         fd = (up - dn) / (2 * delta)
         combined_se = float(np.hypot(est.gradient_stderr[j],
                                      np.hypot(up_se, dn_se) / (2 * delta)))

@@ -189,6 +189,10 @@ class RunConfig:
                  pot.name)
         _require(self.sigma >= 0, "sigma", "nonnegative", self.sigma)
         _require(self.epsilon > 0, "epsilon", "positive", self.epsilon)
+        # the reference solves take epsilon ** 2, which raises OverflowError
+        # where the square is not a finite float
+        _require(math.isfinite(self.epsilon * self.epsilon), "epsilon",
+                 "small enough that its square is finite", self.epsilon)
         _require(self.h > 0, "h", "positive", self.h)
         _require(self.dx > 0, "dx", "positive", self.dx)
         _require(self.seed >= 0, "seed", "nonnegative", self.seed)

@@ -29,20 +29,25 @@ from its caller.
 Segments.  A batch may drive its paths with k forcings of one basis layout
 (equal centers and widths), such as the two sides of a central difference:
 row f n_paths + i of the result is forcing f's copy of path i, and a single
-forcing is k = 1.  One loop advances every row one step per iteration.  A
+forcing is k = 1.  A loop advances every row one step per iteration.  A
 segment is one forcing's live paths among the indices [j KERNEL_CHUNK,
 (j+1) KERNEL_CHUNK); the row-wise calls c = bmat @ coefficients (BLAS gemv,
 with that forcing's coefficients) and terminal_value run once per segment,
 and every other operation row by row.  So a path's bits depend only on its
 own stream and on the live paths of its segment (KERNEL_CHUNK states why),
-and a batch is reproducible for a given n_paths.  The [lo, hi] test and the
-stopping test look at every forcing's rows at once; where another forcing's
-row fails them, a row in range folds to lo + (x - lo) exactly and a row
-right of S tests outside it, so no bit changes.  The noise blocks, like
-the streams, are indexed by path: each refill draws a path's next block
-once, into its own column of the step-major blocks, which every forcing's
-live copy of the path reads, so k forcings cost one set of draws and one
-basis evaluation per step, not k.
+and a batch is reproducible for a given n_paths.  A batch of several
+segments per forcing therefore runs one loop per segment of path indices,
+over every forcing's copy of it, and joins the loops' rows in path order
+per forcing (_batch): the bits of the one loop over all its paths, from
+loops of at most k KERNEL_CHUNK rows however many paths the batch has;
+loop_iters is the longest loop's.  The [lo, hi] test and the stopping test
+look at every row of a loop at once; where another row fails them, a row
+in range folds to lo + (x - lo) exactly and a row right of S tests outside
+it, so no bit changes.  The noise blocks, like the streams, are indexed by
+path: each refill draws a path's next block once, into its own column of
+the step-major blocks, which every forcing's live copy of the path reads,
+so k forcings cost one set of draws and one basis evaluation per step, not
+k.
 
 A path that enters the stopping set retires on that step.  Each per-path
 accumulator of the loop is held once, under its BatchResult field name:
@@ -56,29 +61,31 @@ it is live.
 
 Forks.  A batch of several segments per forcing runs as contiguous groups
 of whole segments of path indices, one per CPU the process may use (_cpus):
-the first group here, the others in forked children, each the same loop
-over every forcing's copies of its paths.  Joined in path order per forcing
-they are the bits the one loop gives; loop_iters is the longest group's.
-A batch of one segment leaves the other CPUs idle, so run_batch_ahead may
-fork a child that runs it whole, and the next run_batch with equal
-arguments (the forcings' centers, widths and coefficients the same bytes)
-joins the child instead of simulating; one with other arguments leaves it
-running.  The descent starts the next iterate's batch this way while a
-line-search probe runs (optimizer.descend).  A joined call is one run_batch
-call with the paths and loop count of a batch run here; only its time is
-the wait for the child.  Every child hands back only its paths' BatchResult
-and censored count.  Anything else (a failing update, an error from
-terminal_value, a child that dies or whose result does not pickle, a fork
-that fails, a group here that raises) leaves the batch to the one loop
-here, which returns or raises exactly what it does where nothing forks.
+the first group here, the others in forked children, each running its
+segments' loops in turn.  Joined in path order per forcing they are the
+bits the one loop gives.  A batch of one segment leaves the other CPUs
+idle, so run_batch_ahead may fork a child that runs it whole, and the next
+run_batch with equal arguments (the forcings' centers, widths and
+coefficients the same bytes) joins the child instead of simulating; one
+with other arguments leaves it running.  The descent starts the next
+iterate's batch this way while a line-search probe runs (optimizer.descend).
+A joined call is one run_batch call with the paths and loop count of a
+batch run here; only its time is the wait for the child.  Every child hands
+back only its paths' BatchResult and censored count.  Anything else (a
+failing update, an error from terminal_value, a child that dies or whose
+result does not pickle, a fork that fails, a segment's loop here that
+raises) leaves the batch to the one loop over all its paths here, which
+returns or raises exactly what it does where nothing forks: the error of
+the earliest failing step of any segment.
 
 What one step costs.  Long-tailed batches spend most loop iterations on a
 few live paths, where a step's time is the dispatch of its numpy calls
 (0.4-0.6 us each on a 2-core x86-64 VM), not arithmetic: a scored step at 2
 live rows takes about 15-30 us there, of which the basis evaluation is
 3-7 us.  Fixed-horizon batches keep every row live, where a step's time is
-its loops over rows x m elements: at 4,000 rows and m = 10 (one group of
-gradcheck's +/- pairs) a scored step took 486-505 us there, against
+its loops over rows x m elements: at 4,000 rows and m = 10 (about one
+segment's loop of gradcheck's four-forcing batches) a scored step took
+486-505 us there, against
 528-601 us with an allocating basis and path-major noise blocks; the basis
 took about 200 us of it, and its exp alone about 120 us.  So a step issues
 as few and as cheap calls as keep every bit, over contiguous memory:
@@ -92,8 +99,8 @@ as few and as cheap calls as keep every bit, over contiguous memory:
   - the noise gathered from the one row blocks[pos] of the step-major
     blocks: 4 us at 4,000 rows, where path-major blocks, which touch a
     cache line per live row, took 15 us;
-  - one matmul for c when the batch is one segment, a loop over segments
-    otherwise;
+  - one matmul for c when the loop is one segment, a loop over its
+    segments otherwise;
   - the log-likelihood-ratio update (five calls) only without scores;
   - the [lo, hi] test on a Python list where FEW_ROWS or fewer rows are
     live, two numpy reductions otherwise;
@@ -256,7 +263,7 @@ class BatchResult:
     terminal: np.ndarray | None = None
     sum_cb: np.ndarray | None = None        # sum_k c(x_k) b_j(x_k), per basis j
     sum_eta_b: np.ndarray | None = None     # sum_k eta_{k+1} b_j(x_k), per basis j
-    loop_iters: int = 0                     # iterations of the kernel's step loop
+    loop_iters: int = 0                     # iterations of its longest kernel loop
 
     @property
     def n_paths(self) -> int:
@@ -368,11 +375,17 @@ def _batch_args(x0: float, control, model: ModelBundle, cfg: SimConfig, *,
 
 
 def _batch(args: tuple) -> tuple[BatchResult, int]:
-    """The BatchResult of _batch_args' tuple and how many paths it censored."""
-    controls, n_paths = args[1], args[4]
-    groups = _groups(n_paths)
-    joined = _run_forked(args, groups, len(controls)) if len(groups) > 1 else None
-    return joined or _run_paths(args, 0, n_paths)
+    """The BatchResult of _batch_args' tuple and how many paths it censored.
+
+    A batch of one segment per forcing is one loop.  A longer one runs as
+    groups, one loop per segment (_run_groups); where any of those fails,
+    the one loop over all its paths runs here and returns or raises what it
+    gives.
+    """
+    n_paths = args[4]
+    if n_paths <= KERNEL_CHUNK:
+        return _run_paths(args, 0, n_paths)
+    return _run_groups(args, _groups(n_paths)) or _run_paths(args, 0, n_paths)
 
 
 def _cpus() -> int:
@@ -392,7 +405,7 @@ def _groups(n_paths: int) -> list[tuple[int, int]]:
 
     Contiguous groups of whole segments, one per CPU the process may fork
     onto (_cpus) and near equal in paths; one group when there is one
-    segment or one such CPU.
+    segment or one such CPU.  Each group runs its segments one at a time.
     """
     n_segments = -(-n_paths // KERNEL_CHUNK)
     if n_segments < 2:
@@ -458,30 +471,34 @@ def _reap(child: tuple[int, int], kill: bool = False):
     return pickle.loads(data) if data and status == 0 else None
 
 
-def _run_forked(args: tuple, groups: list[tuple[int, int]],
-                k: int) -> tuple[BatchResult, int] | None:
-    """_run_paths(args, first, stop) for every group: the first here, the others
-    in forked children.
+def _run_segments(args: tuple, first: int, stop: int) -> tuple[BatchResult, int]:
+    """_run_paths over each segment of the paths [first, stop) in turn, joined;
+    first is a segment start."""
+    return _joined([_run_paths(args, lo, min(lo + KERNEL_CHUNK, stop))
+                    for lo in range(first, stop, KERNEL_CHUNK)], len(args[1]))
 
-    Returns the groups' results of k forcings joined in path order per
-    forcing and their censored counts summed, or None where a fork failed, a
-    child handed back no result or the group here raised.  Once the group
-    here has failed or been interrupted, the children are killed, not waited
-    for.
+
+def _run_groups(args: tuple, groups: list[tuple[int, int]]) -> tuple[BatchResult, int] | None:
+    """_run_segments(args, first, stop) for every group: the first here, the
+    others in forked children.
+
+    Returns the groups' outcomes joined, or None where a fork failed, a child
+    handed back no result or a run here raised.  Once the group here has
+    failed or been interrupted, the children are killed, not waited for.
     """
     children, here = [], None
     try:
         for first, stop in groups[1:]:
-            children.append(_fork(_run_paths, args, first, stop))
+            children.append(_fork(_run_segments, args, first, stop))
         if None not in children:
-            here = _run_paths(args, *groups[0])
+            here = _run_segments(args, *groups[0])
     except Exception:
         pass        # the one loop raises it again
     finally:
         outcomes = [here, *(_reap(child, kill=here is None) for child in children if child)]
     if None in outcomes:
         return None
-    return _joined([part for part, _ in outcomes], k), sum(n for _, n in outcomes)
+    return _joined(outcomes, len(args[1]))
 
 
 @dataclass
@@ -509,12 +526,12 @@ def run_batch_ahead(*args, **kwargs) -> bool:
 
     Any pending ahead batch is killed first, so at most one child runs
     ahead.  Forks only where the process may fork onto 2 or more CPUs (_cpus)
-    and the batch is one group.  Returns whether it forked; False also where
-    os.fork fails.
+    and the batch is one segment.  Returns whether it forked; False also
+    where os.fork fails.
     """
     args = _batch_args(*args, **kwargs)
     drop_ahead()
-    if _cpus() < 2 or len(_groups(args[4])) > 1:     # args[4] is n_paths
+    if _cpus() < 2 or args[4] > KERNEL_CHUNK:     # args[4] is n_paths
         return False
     child = _fork(_batch, args)
     if child is None:
@@ -541,7 +558,7 @@ class _Tally:
 
     batches: int = 0            # batches run_batch returned
     path_steps: int = 0         # sum of their n_steps
-    loop_iters: int = 0         # sum of their loop_iters (a split batch's longest group's)
+    loop_iters: int = 0         # sum of their loop_iters (each its longest loop's)
     batches_ahead: int = 0      # batches run_batch_ahead started in a child
     batches_ahead_used: int = 0  # those a run_batch joined
 
@@ -558,12 +575,15 @@ def kernel_counts() -> _Tally:
     return replace(_tally)
 
 
-def _joined(parts: list[BatchResult], k: int) -> BatchResult:
-    """The BatchResult of consecutive path groups of k forcings, each forcing's
-    rows joined in path order, forcing-major."""
+def _joined(outcomes: list[tuple[BatchResult, int]], k: int) -> tuple[BatchResult, int]:
+    """The outcome of runs over consecutive paths of k forcings: their
+    BatchResults with each forcing's rows joined in path order, forcing-major,
+    and their censored counts summed."""
+    if len(outcomes) == 1:
+        return outcomes[0]
     joined = {}
     for field in fields(BatchResult):
-        values = [getattr(part, field.name) for part in parts]
+        values = [getattr(part, field.name) for part, _ in outcomes]
         if field.name == "loop_iters":
             joined[field.name] = max(values)
         elif values[0] is None:
@@ -572,12 +592,14 @@ def _joined(parts: list[BatchResult], k: int) -> BatchResult:
             tail = values[0].shape[1:]
             joined[field.name] = np.concatenate(
                 [v.reshape(k, -1, *tail) for v in values], axis=1).reshape(-1, *tail)
-    return BatchResult(**joined)
+    return BatchResult(**joined), sum(n for _, n in outcomes)
 
 
 def _run_paths(args: tuple, first: int, stop: int) -> tuple[BatchResult, int]:
     """The kernel loop over paths [first, stop) of _batch_args' tuple under
-    each of its forcings; first is a segment start.
+    each of its forcings; first is a segment start.  _batch runs it over one
+    segment at a time, and over all a batch's paths (the one loop) where one
+    of those runs fails.
 
     Returns their BatchResult, forcing-major, and, for a stopping batch, how
     many of its rows were still live at cfg.max_steps (their statistics are

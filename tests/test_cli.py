@@ -391,6 +391,8 @@ class TestCliErrors:
          ("ladder.thresholds must be list of float, got [-1, 0, True]",)),
         ("optimize", "descent.grad_tol=.nan", ("descent.grad_tol must be finite, got nan",)),
         ("optimize", "epsilon=.inf", ("epsilon must be finite, got inf",)),
+        ("reference", "epsilon=1e200", ("epsilon must be small enough that its square is "
+                                        "finite, got 1e+200",)),
         ("gradcheck", "h=-.inf", ("h must be finite, got -inf",)),
         ("optimize", "ladder.thresholds=[-1,.nan,2]",
          ("ladder.thresholds must be finite, got [-1, nan, 2]",)),

@@ -601,8 +601,8 @@ class TestSplitBatches:
     """A batch of several segments runs as path groups in forked children.
 
     Each test sets the CPU count the process may use, runs the batch on 1 CPU
-    (the one loop) and on 2 and 3 (two and three groups, all but the first in
-    children), and checks that no child outlives the call.
+    (one group, here) and on 2 and 3 (two and three groups, all but the first
+    in children), and checks that no child outlives the call.
     """
 
     @pytest.mark.parametrize("n_paths, fixed_steps", [(2500, None), (4000, 300)])
@@ -840,6 +840,83 @@ class TestSeveralForcings:
         b = dataclasses.replace(a, **{change: other})
         with pytest.raises(ValueError, match="^control: "):
             run_batch(0.4, [a, b], model, CFG, n_paths=8, seed=1)
+
+
+class TestSegmentRuns:
+    """A batch of several segments runs each CPU's group one segment at a
+    time, each loop over every forcing's copies of that segment's paths, and
+    gives every bit and every error the one loop over all its paths gives."""
+
+    S = StoppingSet(-4.0, -0.2)
+    MODEL = ModelBundle(make_harmonic(), 1.5, S, DOMAIN)
+    LAYOUT = make_uniform_ansatz(10, DOMAIN, S, 0.5)
+
+    @staticmethod
+    def record_spans(monkeypatch):
+        """The [first, stop) of every _run_paths call in this process from now on."""
+        spans, run_paths = [], optforce.dynamics._run_paths
+
+        def recorded(args, first, stop):
+            spans.append((first, stop))
+            return run_paths(args, first, stop)
+
+        monkeypatch.setattr(optforce.dynamics, "_run_paths", recorded)
+        return spans
+
+    def forcings(self, k):
+        return [self.LAYOUT.with_coefficients(0.3 * np.random.default_rng(f).standard_normal(10))
+                for f in range(k)]
+
+    def test_every_loop_spans_at_most_one_segment(self, cpus, monkeypatch):
+        cpus(1, 3100)
+        spans = self.record_spans(monkeypatch)
+        batch = run_batch(0.4, self.forcings(2), self.MODEL, CFG, n_paths=3100, seed=11,
+                          fixed_steps=20)
+        assert batch.n_paths == 2 * 3100 and batch.loop_iters == 20
+        # every loop spans at most KERNEL_CHUNK paths (of each forcing)
+        assert spans == [(0, 1024), (1024, 2048), (2048, 3072), (3072, 3100)]
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    @pytest.mark.parametrize("k", [1, 4])
+    @pytest.mark.parametrize("fixed_steps", [None, 200])
+    @pytest.mark.parametrize("scores", [False, True])
+    def test_every_field_is_the_one_loops(self, cpus, n_cpus, k, fixed_steps, scores):
+        # 2,100 paths: two full segments and a 52-path one; on 2 CPUs the
+        # forked group runs the last two
+        forcings = self.forcings(k)
+        control = forcings[0] if k == 1 else forcings
+        kwargs = dict(n_paths=2100, seed=11, tag=4, fixed_steps=fixed_steps, scores=scores,
+                      terminal_value=lambda x: 0.3 + forcings[0].value(x))
+        args = optforce.dynamics._batch_args(0.4, control, self.MODEL, CFG, **kwargs)
+        expected, censored = optforce.dynamics._run_paths(args, 0, 2100)
+        assert censored == 0
+        cpus(n_cpus, 2100)
+        assert_same_batch(run_batch(0.4, control, self.MODEL, CFG, **kwargs), expected)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    def test_a_failure_in_a_later_segment_raises_the_one_loops_error(self, cpus, monkeypatch,
+                                                                     n_cpus):
+        # V' is infinite right of 1.2.  On seed 24 path 1101, in the second
+        # segment, fails on step 4, while the first segment's own run fails
+        # on step 9; the batch raises the step-4 error
+        model, _, _ = TestSeveralForcings.wall_model_and_forcings()
+        args = optforce.dynamics._batch_args(0.4, None, model, CFG, n_paths=2048, seed=24)
+        with pytest.raises(NumericalFailureError) as first:
+            optforce.dynamics._run_paths(args, 0, KERNEL_CHUNK)
+        with pytest.raises(NumericalFailureError) as whole:
+            optforce.dynamics._run_paths(args, 0, 2048)
+        assert (first.value.paths, first.value.step) == ([812, 867], 9)
+        assert (whole.value.paths, whole.value.step) == ([1101], 4)
+        cpus(n_cpus, 2048)
+        spans = self.record_spans(monkeypatch)
+        with pytest.raises(NumericalFailureError) as batch:
+            run_batch(0.4, None, model, CFG, n_paths=2048, seed=24)
+        assert str(batch.value) == str(whole.value)
+        assert (batch.value.paths, batch.value.step) == ([1101], 4)
+        # the first segment's run here raised, then the one loop ran
+        assert spans == [(0, KERNEL_CHUNK), (0, 2048)]
+        assert_no_child_left()
 
 
 class TestBatchAhead:

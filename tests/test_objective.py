@@ -64,17 +64,24 @@ class TestEstimateCost:
         assert v1 == pytest.approx(v2, rel=1e-12)
 
 
+    @pytest.mark.parametrize("k", [2, 4])
     @pytest.mark.parametrize("fixed_steps", [None, 150])
-    def test_a_pair_of_forcings_gives_each_forcings_own_estimate(self, fixed_steps):
+    def test_a_pair_of_forcings_gives_each_forcings_own_estimate(self, fixed_steps, k):
         # one batch on common random numbers, each (mean, stderr) exactly
-        # the one its forcing's own batch gives
+        # the one its forcing's own batch gives; four forcings, as gradcheck
+        # passes the +/- pairs of two components, give what two pair calls do
         model = easy_model()
         cfg = SimConfig(epsilon=EPS, h=2e-3)
-        pair = [small_ansatz(4, coeffs=[0.3, -0.2, 0.1, 0.2]),
-                small_ansatz(4, coeffs=[0.1, 0.3, -0.2, 0.05])]
+        forcings = [small_ansatz(4, coeffs=a) for a in ([0.3, -0.2, 0.1, 0.2],
+                                                        [0.1, 0.3, -0.2, 0.05],
+                                                        [-0.2, 0.15, 0.25, -0.1],
+                                                        [0.05, -0.3, 0.2, 0.3])[:k]]
         kwargs = dict(seed=9, fixed_steps=fixed_steps, n_paths=300)
-        assert estimate_cost(pair, 1.0, model, cfg, **kwargs) == [
-            estimate_cost(a, 1.0, model, cfg, **kwargs) for a in pair]
+        together = estimate_cost(forcings, 1.0, model, cfg, **kwargs)
+        assert together == [estimate_cost(a, 1.0, model, cfg, **kwargs) for a in forcings]
+        pairs = [forcings[i:i + 2] for i in range(0, k, 2)]
+        assert together == [side for pair in pairs
+                            for side in estimate_cost(pair, 1.0, model, cfg, **kwargs)]
 
 
 class TestFixedHorizonGradient:
