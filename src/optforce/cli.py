@@ -75,8 +75,8 @@ TRACE_COLUMNS = ("iteration", "cost", "grad_norm", "alpha", "stderr", "mean_step
 
 
 class StageFileError(Exception):
-    """A stage's input file that does not hold what the stage writes; the
-    message names the file."""
+    """A stage's input file that cannot be read or does not hold what the
+    stage writes; the message names the file."""
 
 
 def _trace_name(i: int, n_shells: int) -> str:
@@ -101,11 +101,22 @@ def _write_csv(path: Path, config_hash: str, columns, rows, newline: str = "\n")
         fh.write(f"# config_hash: {config_hash}\n" + "".join(ln + newline for ln in lines))
 
 
+def _read_text(path: Path, hint: str = "rerun the stage that writes it") -> str:
+    """The text of a stage's input file; a StageFileError names the file, with
+    hint, where it cannot be read or is not UTF-8 text."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except OSError as err:
+        raise StageFileError(f"{path}: cannot read it ({err.strerror or err}); {hint}") from None
+    except UnicodeDecodeError as err:
+        raise StageFileError(f"{path}: not UTF-8 text ({err}); {hint}") from None
+
+
 def _read_csv(path: Path, columns) -> tuple[str, list[dict[str, float]]]:
     """The hash on a stage CSV's `# config_hash:` line and its rows keyed by its
-    header; a StageFileError names the file where the header is not columns or
-    a row is not one number per column."""
-    first, _, body = path.read_text().partition("\n")
+    header; a StageFileError names the file where it cannot be read, the
+    header is not columns or a row is not one number per column."""
+    first, _, body = _read_text(path).partition("\n")
     header, *lines = body.splitlines() or [""]
     if header.split(",") != list(columns) or not lines:
         raise StageFileError(f"{path}: expected the header {','.join(columns)} and at "
@@ -125,9 +136,9 @@ def _read_csv(path: Path, columns) -> tuple[str, list[dict[str, float]]]:
 
 def _read_json(path: Path, *keys: str) -> dict:
     """The JSON object in a stage file, which must hold keys; a StageFileError
-    names the file where it does not."""
+    names the file where it cannot be read or does not."""
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(_read_text(path))
     except ValueError as err:
         raise StageFileError(f"{path}: not JSON ({err})") from None
     if not isinstance(doc, dict):
@@ -226,11 +237,8 @@ def cmd_optimize(cfg: RunConfig, out: Path) -> int:
 
 def _load_ansatz(out: Path) -> GaussianAnsatz:
     path = out / "ansatz.json"
-    if not path.exists():
-        raise FileNotFoundError(
-            f"{path} not found; run the `optimize` subcommand first")
     try:
-        return GaussianAnsatz.from_json(path.read_text())
+        return GaussianAnsatz.from_json(_read_text(path, "run the `optimize` subcommand first"))
     except (KeyError, TypeError, ValueError) as err:
         raise StageFileError(f"{path}: not an ansatz ({type(err).__name__}: {err}); rerun "
                              "the `optimize` subcommand") from None
@@ -474,7 +482,7 @@ def main(argv=None) -> int:
             cfg = cfg.with_overrides(overrides)
         flag, out = ("--out", args.out) if args.out else ("out_dir", Path(cfg.out_dir))
         return COMMANDS[args.command](cfg, _make_out(out, flag))
-    except (ConfigError, FileNotFoundError, StageFileError) as err:
+    except (ConfigError, StageFileError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (MilestoningError, PathFailure, ReferenceError, QuadratureError) as err:

@@ -35,19 +35,19 @@ segment is one forcing's live paths among the indices [j KERNEL_CHUNK,
 with that forcing's coefficients) and terminal_value run once per segment,
 and every other operation row by row.  So a path's bits depend only on its
 own stream and on the live paths of its segment (KERNEL_CHUNK states why),
-and a batch is reproducible for a given n_paths.  A batch of several
-segments per forcing therefore runs one loop per segment of path indices,
-over every forcing's copy of it, and joins the loops' rows in path order
-per forcing (_batch): the bits of the one loop over all its paths, from
-loops of at most k KERNEL_CHUNK rows however many paths the batch has;
-loop_iters is the longest loop's.  The [lo, hi] test and the stopping test
-look at every row of a loop at once; where another row fails them, a row
-in range folds to lo + (x - lo) exactly and a row right of S tests outside
-it, so no bit changes.  The noise blocks, like the streams, are indexed by
-path: each refill draws a path's next block once, into its own column of
-the step-major blocks, which every forcing's live copy of the path reads,
-so k forcings cost one set of draws and one basis evaluation per step, not
-k.
+and a batch is reproducible for a given n_paths.  A batch therefore runs
+one loop per segment of path indices, over every forcing's copy of it, and
+joins the loops' rows in path order per forcing (_batch): loops of at most
+k KERNEL_CHUNK rows however many paths the batch has, with the bits of
+_run_paths over all its paths at once; loop_iters is the longest loop's.
+A batch whose loops fail raises the error of its first failing segment in
+path order.  The [lo, hi] test and the stopping test look at every row of a
+loop at once; where another row fails them, a row in range folds to
+lo + (x - lo) exactly and a row right of S tests outside it, so no bit
+changes.  The noise blocks, like the streams, are indexed by path: each
+refill draws a path's next block once, into its own column of the
+step-major blocks, which every forcing's live copy of the path reads, so k
+forcings cost one set of draws and one basis evaluation per step, not k.
 
 A path that enters the stopping set retires on that step.  Each per-path
 accumulator of the loop is held once, under its BatchResult field name:
@@ -62,21 +62,21 @@ it is live.
 Forks.  A batch of several segments per forcing runs as contiguous groups
 of whole segments of path indices, one per CPU the process may use (_cpus):
 the first group here, the others in forked children, each running its
-segments' loops in turn.  Joined in path order per forcing they are the
-bits the one loop gives.  A batch of one segment leaves the other CPUs
-idle, so run_batch_ahead may fork a child that runs it whole, and the next
-run_batch with equal arguments (the forcings' centers, widths and
+segments' loops in turn.  Every child hands back only its loops' outcomes,
+each a BatchResult and a censored count.  A group whose child hands back
+nothing (a failing update, an error from terminal_value, a child that dies
+or whose result does not pickle) or whose fork fails runs here, once the
+groups before it are in.  So on any number of CPUs a batch returns the same
+bits, or raises the error of its first failing segment in path order, once
+every child is killed and reaped.  A batch of one segment leaves the other
+CPUs idle, so run_batch_ahead may fork a child that runs it whole, and the
+next run_batch with equal arguments (the forcings' centers, widths and
 coefficients the same bytes) joins the child instead of simulating; one
 with other arguments leaves it running.  The descent starts the next
 iterate's batch this way while a line-search probe runs (optimizer.descend).
 A joined call is one run_batch call with the paths and loop count of a
-batch run here; only its time is the wait for the child.  Every child hands
-back only its paths' BatchResult and censored count.  Anything else (a
-failing update, an error from terminal_value, a child that dies or whose
-result does not pickle, a fork that fails, a segment's loop here that
-raises) leaves the batch to the one loop over all its paths here, which
-returns or raises exactly what it does where nothing forks: the error of
-the earliest failing step of any segment.
+batch run here; only its time is the wait for the child, and a child that
+hands back nothing leaves the batch to run here.
 
 What one step costs.  Long-tailed batches spend most loop iterations on a
 few live paths, where a step's time is the dispatch of its numpy calls
@@ -322,8 +322,9 @@ def run_batch(x0: float, control, model: ModelBundle, cfg: SimConfig, *,
 
     The batch may run as forked groups, or join the child of an earlier
     run_batch_ahead with equal arguments (module docstring); either returns
-    or raises what the one loop here does.  Each returned batch adds to
-    kernel_counts().
+    what the batch run here returns.  A failing batch raises the error of
+    its first failing segment in path order on any number of CPUs.  Each
+    returned batch adds to kernel_counts().
     """
     args = _batch_args(x0, control, model, cfg, n_paths=n_paths, seed=seed, tag=tag,
                        fixed_steps=fixed_steps, terminal_value=terminal_value, scores=scores)
@@ -375,17 +376,10 @@ def _batch_args(x0: float, control, model: ModelBundle, cfg: SimConfig, *,
 
 
 def _batch(args: tuple) -> tuple[BatchResult, int]:
-    """The BatchResult of _batch_args' tuple and how many paths it censored.
-
-    A batch of one segment per forcing is one loop.  A longer one runs as
-    groups, one loop per segment (_run_groups); where any of those fails,
-    the one loop over all its paths runs here and returns or raises what it
-    gives.
-    """
-    n_paths = args[4]
-    if n_paths <= KERNEL_CHUNK:
-        return _run_paths(args, 0, n_paths)
-    return _run_groups(args, _groups(n_paths)) or _run_paths(args, 0, n_paths)
+    """The BatchResult of _batch_args' tuple and how many paths it censored:
+    one loop per segment, in groups (_run_groups); a failing batch raises
+    the error of its first failing segment in path order."""
+    return _run_groups(args, _groups(args[4]))      # args[4] is n_paths
 
 
 def _cpus() -> int:
@@ -471,33 +465,32 @@ def _reap(child: tuple[int, int], kill: bool = False):
     return pickle.loads(data) if data and status == 0 else None
 
 
-def _run_segments(args: tuple, first: int, stop: int) -> tuple[BatchResult, int]:
-    """_run_paths over each segment of the paths [first, stop) in turn, joined;
-    first is a segment start."""
-    return _joined([_run_paths(args, lo, min(lo + KERNEL_CHUNK, stop))
-                    for lo in range(first, stop, KERNEL_CHUNK)], len(args[1]))
+def _run_segments(args: tuple, first: int, stop: int) -> list[tuple[BatchResult, int]]:
+    """_run_paths over each segment of the paths [first, stop) in turn, the
+    first failing one raising; first is a segment start."""
+    return [_run_paths(args, lo, min(lo + KERNEL_CHUNK, stop))
+            for lo in range(first, stop, KERNEL_CHUNK)]
 
 
-def _run_groups(args: tuple, groups: list[tuple[int, int]]) -> tuple[BatchResult, int] | None:
-    """_run_segments(args, first, stop) for every group: the first here, the
-    others in forked children.
+def _run_groups(args: tuple, groups: list[tuple[int, int]]) -> tuple[BatchResult, int]:
+    """Every segment of the groups, joined once: groups[0] here, the others in
+    forked children, each reaped in path order.
 
-    Returns the groups' outcomes joined, or None where a fork failed, a child
-    handed back no result or a run here raised.  Once the group here has
-    failed or been interrupted, the children are killed, not waited for.
+    A group whose fork failed or whose child hands back nothing runs here
+    when its turn comes, so the first failing segment in path order raises.
+    An error raised here propagates once the children are killed and reaped.
     """
-    children, here = [], None
+    # one entry per group, in order: None for groups[0], which runs here
+    children, outcomes = [None], []
     try:
         for first, stop in groups[1:]:
             children.append(_fork(_run_segments, args, first, stop))
-        if None not in children:
-            here = _run_segments(args, *groups[0])
-    except Exception:
-        pass        # the one loop raises it again
+        for group in groups:
+            child = children.pop(0)
+            outcomes += (child and _reap(child)) or _run_segments(args, *group)
     finally:
-        outcomes = [here, *(_reap(child, kill=here is None) for child in children if child)]
-    if None in outcomes:
-        return None
+        for child in filter(None, children):
+            _reap(child, kill=True)
     return _joined(outcomes, len(args[1]))
 
 
@@ -598,8 +591,9 @@ def _joined(outcomes: list[tuple[BatchResult, int]], k: int) -> tuple[BatchResul
 def _run_paths(args: tuple, first: int, stop: int) -> tuple[BatchResult, int]:
     """The kernel loop over paths [first, stop) of _batch_args' tuple under
     each of its forcings; first is a segment start.  _batch runs it over one
-    segment at a time, and over all a batch's paths (the one loop) where one
-    of those runs fails.
+    segment of path indices at a time; over several, as the tests run it, it
+    gives the bits of those runs joined, and raises the earliest failing
+    step of any of them.
 
     Returns their BatchResult, forcing-major, and, for a stopping batch, how
     many of its rows were still live at cfg.max_steps (their statistics are

@@ -15,7 +15,7 @@ The headline test also checks how many next-iterate batches the descent
 joined from a child that ran them ahead: all 8 accepted probes' where the
 process may use a second CPU, none on one.  The `shells` and `gradcheck`
 runs are repeated where os.fork fails, which leaves the next iterate's batch
-and every split batch to the one loop here.
+and every group of a split batch to run here, one segment at a time.
 """
 
 import hashlib
@@ -111,7 +111,7 @@ def test_gradcheck_writes_the_recorded_bytes(tmp_path):
 
 
 def test_gradcheck_writes_the_recorded_bytes_where_fork_fails(tmp_path, cpus, fork_fails):
-    # every batch of several segments is left to the one loop here
+    # every group of a batch of several segments runs here, one segment at a time
     cpus(2)
     run(tmp_path, "gradcheck")
     assert written(tmp_path) == recorded("gradcheck")

@@ -431,6 +431,14 @@ class TestCliErrors:
         ("ansatz.json is cut off", "ansatz.json", "not an ansatz (JSONDecodeError: "),
         ("ansatz.json has no coefficients", "ansatz.json",
          "not an ansatz (KeyError: 'coefficients')"),
+        # a stage input that cannot be read as text
+        ("reference.csv is a directory", "reference.csv",
+         "cannot read it (Is a directory); rerun the stage that writes it"),
+        ("reference.csv is not UTF-8", "reference.csv", "not UTF-8 text"),
+        ("ansatz.json is a directory", "ansatz.json",
+         "cannot read it (Is a directory); run the `optimize` subcommand first"),
+        ("ansatz.json is missing", "ansatz.json",
+         "cannot read it (No such file or directory); run the `optimize` subcommand first"),
     ])
     def test_a_bad_config_or_out_path_exits_2_naming_the_flag(self, tmp_path, capsys, request,
                                                               case, flag, reason):
@@ -449,6 +457,13 @@ class TestCliErrors:
                 path.write_bytes(path.read_bytes()[:300])
             elif case == "ansatz.json is cut off":
                 path.write_text('{"centers": [0.0]')
+            elif case.endswith("is a directory"):
+                path.unlink()
+                path.mkdir()
+            elif case == "reference.csv is not UTF-8":
+                path.write_bytes(b"\xff" + path.read_bytes())
+            elif case == "ansatz.json is missing":
+                path.unlink()
             else:
                 doc = json.loads(path.read_text())
                 del doc["coefficients"]

@@ -598,15 +598,18 @@ def assert_same_batch(batch, expected):
 
 
 class TestSplitBatches:
-    """A batch of several segments runs as path groups in forked children.
+    """A batch of several segments runs as path groups, all but the first in
+    forked children; a group whose child hands back nothing runs here.
 
     Each test sets the CPU count the process may use, runs the batch on 1 CPU
     (one group, here) and on 2 and 3 (two and three groups, all but the first
-    in children), and checks that no child outlives the call.
+    in children), and checks that the batch returns the same bits, or raises
+    the same error, and that no child outlives the call.
     """
 
     @pytest.mark.parametrize("n_paths, fixed_steps", [(2500, None), (4000, 300)])
-    def test_every_field_repeats_the_one_loop(self, cpus, n_paths, fixed_steps):
+    def test_every_field_is_the_same_on_one_two_and_three_cpus(self, cpus, n_paths,
+                                                               fixed_steps):
         s = StoppingSet(-4.0, -0.2)
         model = ModelBundle(make_harmonic(), 1.5, s, DOMAIN)
         ansatz = make_uniform_ansatz(10, DOMAIN, s, 0.5).with_coefficients(
@@ -622,10 +625,10 @@ class TestSplitBatches:
             assert_same_batch(batch, batches[0])
 
     @pytest.mark.parametrize("seed, step, paths", [
-        (4, 9, [2925]),                       # groups fail on steps 11, 10 and 9
-        (8, 10, [649, 843, 1251, 3057]),      # all three fail on step 10
+        (4, 11, [172, 382]),      # segments fail on steps 11, 10 and 9
+        (8, 10, [649, 843]),      # all three fail on step 10
     ])
-    def test_a_failure_raises_the_earliest_step_of_any_group(self, cpus, seed, step, paths):
+    def test_a_failure_raises_the_first_failing_segments_error(self, cpus, seed, step, paths):
         model = ModelBundle(make_harmonic(), 1.0, StoppingSet(-0.3, -0.2),
                             SimulationDomain(DOMAIN.lo, 1.4, "abort"))
         message = re.escape(f"{named(paths)} left the domain [{DOMAIN.lo}, 1.4] at step "
@@ -652,7 +655,7 @@ class TestSplitBatches:
                           n_paths=3072, seed=4)
             assert_no_child_left()
 
-    def test_a_child_only_error_leaves_the_batch_to_the_one_loop(self, cpus):
+    def test_a_child_only_error_runs_its_group_here(self, cpus):
         model = ModelBundle(make_harmonic(), 1.0, StoppingSet(-0.3, -0.2), DOMAIN)
         here = os.getpid()
 
@@ -689,7 +692,7 @@ class TestSplitBatches:
                           terminal_value=terminal_value)
             assert_no_child_left()
 
-    def test_a_failed_fork_runs_the_one_loop(self, cpus, fork_fails):
+    def test_a_group_whose_fork_fails_runs_here(self, cpus, fork_fails):
         model = ModelBundle(make_harmonic(), 1.0, StoppingSet(-0.3, -0.2), DOMAIN)
         cpus(1, 3072)
         expected = run_batch(0.4, None, model, CFG, n_paths=3072, seed=4)
@@ -699,7 +702,7 @@ class TestSplitBatches:
         assert_same_batch(batch, expected)
         assert_no_child_left()
 
-    def test_a_second_fork_failing_runs_the_one_loop(self, cpus, monkeypatch):
+    def test_a_group_whose_second_fork_fails_runs_here(self, cpus, monkeypatch):
         model = ModelBundle(make_harmonic(), 1.0, StoppingSet(-0.3, -0.2), DOMAIN)
         cpus(1, 3072)
         expected = run_batch(0.4, None, model, CFG, n_paths=3072, seed=4)
@@ -832,6 +835,30 @@ class TestSeveralForcings:
         assert together.value.paths == [1100 + i for i in alone.value.paths]
         assert together.value.step == alone.value.step
 
+    def test_a_batch_failing_only_in_its_second_segment_names_its_rows(self, cpus,
+                                                                       monkeypatch):
+        # over 8 steps on seed 31, push's path 1094 fails on step 7 and no
+        # path of the first segment fails; on 2 CPUs the forked group hands
+        # back nothing and runs here
+        model, push, hold = self.wall_model_and_forcings()
+        kwargs = dict(n_paths=1100, seed=31, fixed_steps=8)
+        args = optforce.dynamics._batch_args(0.4, push, model, CFG, **kwargs)
+        optforce.dynamics._run_paths(args, 0, KERNEL_CHUNK)
+        with pytest.raises(NumericalFailureError) as alone:
+            optforce.dynamics._run_paths(args, KERNEL_CHUNK, 1100)
+        assert (alone.value.paths, alone.value.step) == ([1094], 7)
+        paths = [1100 + i for i in alone.value.paths]
+        message = re.escape(f"non-finite update for {named(paths)} at step 7")
+        spans = TestSegmentRuns.record_spans(monkeypatch)
+        for n in (1, 2):
+            cpus(n, 1100)
+            with pytest.raises(NumericalFailureError, match=f"^{message}$") as together:
+                run_batch(0.4, [hold, push], model, CFG, **kwargs)
+            assert (together.value.paths, together.value.step) == (paths, 7)
+            assert spans == [(0, KERNEL_CHUNK), (KERNEL_CHUNK, 1100)]
+            spans.clear()
+            assert_no_child_left()
+
     @pytest.mark.parametrize("change", ["centers", "widths"])
     def test_forcings_of_other_layouts_are_refused_naming_control(self, change):
         model = ModelBundle(make_harmonic(), 1.5, self.S, DOMAIN)
@@ -844,8 +871,10 @@ class TestSeveralForcings:
 
 class TestSegmentRuns:
     """A batch of several segments runs each CPU's group one segment at a
-    time, each loop over every forcing's copies of that segment's paths, and
-    gives every bit and every error the one loop over all its paths gives."""
+    time, each loop over every forcing's copies of that segment's paths.  It
+    gives every bit that _run_paths over all its paths gives, and a failing
+    batch raises the error of its first failing segment, with no loop over
+    more than one segment after it."""
 
     S = StoppingSet(-4.0, -0.2)
     MODEL = ModelBundle(make_harmonic(), 1.5, S, DOMAIN)
@@ -880,7 +909,8 @@ class TestSegmentRuns:
     @pytest.mark.parametrize("k", [1, 4])
     @pytest.mark.parametrize("fixed_steps", [None, 200])
     @pytest.mark.parametrize("scores", [False, True])
-    def test_every_field_is_the_one_loops(self, cpus, n_cpus, k, fixed_steps, scores):
+    def test_every_field_is_run_paths_over_all_the_paths(self, cpus, n_cpus, k, fixed_steps,
+                                                         scores):
         # 2,100 paths: two full segments and a 52-path one; on 2 CPUs the
         # forked group runs the last two
         forcings = self.forcings(k)
@@ -895,11 +925,11 @@ class TestSegmentRuns:
         assert_no_child_left()
 
     @pytest.mark.parametrize("n_cpus", [1, 2])
-    def test_a_failure_in_a_later_segment_raises_the_one_loops_error(self, cpus, monkeypatch,
-                                                                     n_cpus):
-        # V' is infinite right of 1.2.  On seed 24 path 1101, in the second
-        # segment, fails on step 4, while the first segment's own run fails
-        # on step 9; the batch raises the step-4 error
+    def test_the_first_failing_segment_raises_though_a_later_one_fails_sooner(
+            self, cpus, monkeypatch, n_cpus):
+        # V' is infinite right of 1.2.  On seed 24 the first segment fails on
+        # step 9, while path 1101, in the second segment, fails on step 4 (as
+        # _run_paths over both shows); the batch raises the step-9 error
         model, _, _ = TestSeveralForcings.wall_model_and_forcings()
         args = optforce.dynamics._batch_args(0.4, None, model, CFG, n_paths=2048, seed=24)
         with pytest.raises(NumericalFailureError) as first:
@@ -912,16 +942,17 @@ class TestSegmentRuns:
         spans = self.record_spans(monkeypatch)
         with pytest.raises(NumericalFailureError) as batch:
             run_batch(0.4, None, model, CFG, n_paths=2048, seed=24)
-        assert str(batch.value) == str(whole.value)
-        assert (batch.value.paths, batch.value.step) == ([1101], 4)
-        # the first segment's run here raised, then the one loop ran
-        assert spans == [(0, KERNEL_CHUNK), (0, 2048)]
+        assert str(batch.value) == str(first.value)
+        assert (batch.value.paths, batch.value.step) == ([812, 867], 9)
+        # the first segment's run here raised, and no loop ran after it
+        assert spans == [(0, KERNEL_CHUNK)]
         assert_no_child_left()
 
 
 class TestBatchAhead:
     """run_batch_ahead runs a one-segment batch in a forked child, which the
-    run_batch call with the same arguments joins.
+    run_batch call with the same arguments joins; where the child hands back
+    nothing, that call runs the batch here.
 
     A joined call must not run the kernel loop here: the tests replace
     _run_paths after the fork, which the child does not see.
@@ -977,7 +1008,7 @@ class TestBatchAhead:
         assert kernel_counts().batches_ahead_used == joined + 1
         assert_no_child_left()
 
-    def test_a_child_that_fails_leaves_the_batch_to_the_one_loop(self, cpus, monkeypatch):
+    def test_a_child_that_fails_leaves_the_batch_to_run_here(self, cpus, monkeypatch):
         cpus(2)
         model = ModelBundle(make_harmonic(), 1.0, StoppingSet(-0.3, -0.2),
                             SimulationDomain(DOMAIN.lo, 1.4, "abort"))
