@@ -19,8 +19,7 @@ from .objective import (GradientEstimate, estimate_cost,
                         estimate_exact_gradient_fixed_horizon,
                         estimate_inexact_gradient, make_objective)
 from .optimizer import DescentConfig, DescentTrace, descend, wolfe_line_search
-from .reference import (Grid1D, ReferenceSolution, build_grid,
-                        mfpt_quadrature_oracle, solve_fk, solve_mfpt_pde,
-                        solve_reference)
+from .reference import (Grid1D, build_grid, mfpt_quadrature_oracle, solve_fk,
+                        solve_mfpt_pde, solve_reference)
 
 __version__ = "0.1.0"

@@ -150,13 +150,21 @@ def _read_json(path: Path, *keys: str) -> dict:
     return doc
 
 
+def _is_number(value) -> bool:
+    """Whether a JSON value is an int or a float (a bool is neither here)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _malformed(path: Path, entry: str, expected: str) -> StageFileError:
+    return StageFileError(f"{path}: {entry} is not {expected}; rerun the stage that writes it")
+
+
 def cmd_reference(cfg: RunConfig, out: Path) -> int:
     model = cfg.build_model()
     grid = cfg.build_grid()
-    sol = solve_reference(model.potential, model.sigma, cfg.epsilon, grid,
-                          model.stopping_set)
+    psi, free_energy, mfpt = solve_reference(model.potential, model.sigma, cfg.epsilon, grid)
     _write_csv(out / "reference.csv", cfg.config_hash(), REFERENCE_COLUMNS,
-               zip(*(a.tolist() for a in (grid.nodes, sol.psi, sol.free_energy, sol.mfpt))))
+               zip(*(a.tolist() for a in (grid.nodes, psi, free_energy, mfpt))))
 
     # oracle probes from 5% into the grid out to its outer wall hi
     lo, hi = grid.lo, grid.hi
@@ -165,7 +173,7 @@ def cmd_reference(cfg: RunConfig, out: Path) -> int:
     for x in probes:
         quad_val = mfpt_quadrature_oracle(model.potential, cfg.epsilon, float(x),
                                           absorb_at=lo, reflect_at=hi)
-        pde_val = float(sol.interp("mfpt", x))
+        pde_val = float(np.interp(x, grid.nodes, mfpt))
         rows.append({"x": float(x), "mfpt_pde": pde_val, "mfpt_quadrature": quad_val,
                      "rel_error": abs(pde_val - quad_val) / abs(quad_val)})
     _write_json(out / "oracle_probes.json", {
@@ -338,7 +346,20 @@ def cmd_compare(cfg: RunConfig, out: Path) -> int:
 
     ref_hash, ref_rows = _read_csv(out / "reference.csv", REFERENCE_COLUMNS)
     probes = _read_json(out / "oracle_probes.json", "max_rel_error")
+    if not _is_number(probes["max_rel_error"]):
+        raise _malformed(out / "oracle_probes.json", "max_rel_error", "a number")
     estimates = _read_json(out / "estimates.json", "records")
+    records = estimates["records"]
+    if not (isinstance(records, list) and all(
+            isinstance(r, dict) and isinstance(r.get("quantity"), str) for r in records)):
+        raise _malformed(out / "estimates.json", "records",
+                         "a list of objects that each name their quantity")
+    by_name = {r["quantity"]: r for r in records}
+    rec = by_name.get("mfpt_tilted")
+    if rec is not None and not (isinstance(rec.get("ci95"), list) and len(rec["ci95"]) == 2
+                                and all(map(_is_number, rec["ci95"]))):
+        raise _malformed(out / "estimates.json", "the mfpt_tilted record's ci95",
+                         "two numbers")
     # ansatz.json carries no hash; optimize.json is written with it
     optimized = _read_json(out / "optimize.json")
     ladder = cfg.build_ladder(model)
@@ -359,14 +380,12 @@ def cmd_compare(cfg: RunConfig, out: Path) -> int:
     check("pde_vs_oracle", probes["max_rel_error"] < 1e-3,
           {"max_rel_error": probes["max_rel_error"], "tolerance": 1e-3})
 
-    by_name = {r["quantity"]: r for r in estimates["records"]}
     ansatz = _load_ansatz(out)
     grid = cfg.build_grid()
     tilted = tilted_potential_from(ansatz, model.potential)
-    m_tilted_ref = solve_mfpt_pde(tilted, cfg.epsilon, grid, model.stopping_set)
+    m_tilted_ref = solve_mfpt_pde(tilted, cfg.epsilon, grid)
     m_tilted_x0 = float(np.interp(x0, grid.nodes, m_tilted_ref))
 
-    rec = by_name.get("mfpt_tilted")
     if rec is not None:
         lo, hi = rec["ci95"]
         check("tilted_mfpt_coverage", lo <= m_tilted_x0 <= hi,

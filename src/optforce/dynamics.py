@@ -296,7 +296,8 @@ def run_batch(x0: float, control, model: ModelBundle, cfg: SimConfig, *,
     ----------
     control : GaussianAnsatz whose control field c = bmat @ coefficients
         drives the paths, or None for the plain dynamics (c = 0), or a
-        sequence of k GaussianAnsatz forcings with equal centers and widths.
+        sequence of k GaussianAnsatz forcings with equal centers and widths,
+        which may not hold None (None alone runs the plain dynamics).
         Each forcing drives its own copy of the n_paths paths, and the batch
         returns k n_paths paths in forcing-major order: path i of forcing f
         is result row f n_paths + i, with the bits of row i of the batch
@@ -350,9 +351,13 @@ def _batch_args(x0: float, control, model: ModelBundle, cfg: SimConfig, *,
     """run_batch's arguments, once they pass its checks, as the tuple the kernel
     takes: control becomes controls, one forcing per copy of the paths ((None,)
     for the plain dynamics)."""
-    controls = tuple(control) if isinstance(control, (list, tuple)) else (control,)
+    sequence = isinstance(control, (list, tuple))
+    controls = tuple(control) if sequence else (control,)
     if not controls:
         raise ValueError("control: a sequence of forcings needs at least one")
+    if sequence and any(a is None for a in controls):
+        raise ValueError("control: a sequence of forcings cannot hold None; "
+                         "control=None alone runs the plain dynamics")
     first = controls[0]
     if not all(np.array_equal(a.centers, first.centers)
                and np.array_equal(a.widths, first.widths) for a in controls[1:]):

@@ -66,11 +66,11 @@ class MilestoneLadder:
             inside |= ansatz.centers <= lo   # centers on/left of r_0 belong innermost
         return np.where(inside)[0]
 
-    def start(self, i: int, x0: float | None = None) -> float:
+    def start(self, i: int, x0: float) -> float:
         """Where shell i's paths start: x0 in the outermost shell when x0 lies
         in it, otherwise the shell's outer threshold r_{i+1}."""
         lo, hi = self.thresholds[i], self.thresholds[i + 1]
-        if x0 is not None and i == self.n_shells - 1 and lo < x0 <= hi:
+        if i == self.n_shells - 1 and lo < x0 <= hi:
             return float(x0)
         return float(hi)
 
@@ -111,17 +111,17 @@ class MilestoningResult:
 
 def solve_shell(i: int, ladder: MilestoneLadder, ansatz: GaussianAnsatz,
                 model: ModelBundle, sim_cfg: SimConfig, descent_cfg: DescentConfig,
-                *, seed: int, start: float | None = None, anchor: float = 0.0):
+                *, seed: int, start: float, anchor: float):
     """Optimize shell i's coefficients; shells 0..i-1 must already be solved.
 
-    Trajectories stop at first entry into S_i: the true target set for the
-    innermost shell, the slab boundary r_i otherwise.  The terminal cost is
-    the value learned inside: the level `anchor` on the inner threshold
-    (zero for the innermost shell, whose boundary condition is value 0 on the
-    target boundary) plus the inner shells' Gaussian shape at the crossing
-    point.  Returns (updated full ansatz, trace, the cost of the returned
-    iterate).  An iterate whose batch censors a path raises CensoredPathError
-    at once.
+    Trajectories start at `start` and stop at first entry into S_i: the true
+    target set for the innermost shell, the slab boundary r_i otherwise.  The
+    terminal cost is the value learned inside: the level `anchor` on the
+    inner threshold (zero for the innermost shell, whose boundary condition
+    is value 0 on the target boundary) plus the inner shells' Gaussian shape
+    at the crossing point.  Returns (updated full ansatz, trace, the cost of
+    the returned iterate).  An iterate whose batch censors a path raises
+    CensoredPathError at once.
     """
     indices = ladder.shell_indices(ansatz, i)
     if indices.size == 0:
@@ -138,9 +138,7 @@ def solve_shell(i: int, ladder: MilestoneLadder, ansatz: GaussianAnsatz,
         terminal = lambda x: anchor + inner.value(x) - inner_at_r
 
     shell_model = replace(model, stopping_set=stop)
-    x_start = ladder.start(i) if start is None else float(start)
-
-    objective = make_objective(ansatz, x_start, shell_model, sim_cfg,
+    objective = make_objective(ansatz, start, shell_model, sim_cfg,
                                indices=indices, terminal_value=terminal,
                                n_paths=descent_cfg.batch_size)
     a_shell, trace = descend(ansatz.coefficients[indices], descent_cfg, objective,
@@ -153,7 +151,7 @@ def solve_shell(i: int, ladder: MilestoneLadder, ansatz: GaussianAnsatz,
 def run_milestoning(ladder: MilestoneLadder, ansatz: GaussianAnsatz,
                     model: ModelBundle, sim_cfg: SimConfig,
                     descent_cfg: DescentConfig, *, seed: int,
-                    x0: float | None = None) -> MilestoningResult:
+                    x0: float) -> MilestoningResult:
     """Solve all shells inward-out and return the composed ansatz plus traces.
 
     Shell i's paths start at ladder.start(i, x0): x0 for the outermost shell

@@ -55,27 +55,24 @@ class GradientEstimate:
         return float(np.linalg.norm(self.gradient_stderr))
 
 
-def estimate_cost(ansatz: GaussianAnsatz | list[GaussianAnsatz], x0: float,
-                  model: ModelBundle, cfg: SimConfig, *, seed: int, tag: int = 0,
-                  fixed_steps: int | None = None, n_paths: int):
-    """Batch mean and standard error of the per-path cost under the ansatz tilt.
+def estimate_cost(forcings: list[GaussianAnsatz], x0: float, model: ModelBundle,
+                  cfg: SimConfig, *, seed: int, tag: int = 0,
+                  fixed_steps: int | None = None, n_paths: int) -> list[tuple[float, float]]:
+    """Batch mean and standard error of the per-path cost under each forcing's tilt.
 
-    `ansatz` may also be a sequence of forcings with equal centers and
-    widths: they run as one batch on common random numbers, each forcing's
-    paths on the streams (seed, tag, 0..n_paths-1) and with the bits each
-    would get alone (dynamics.run_batch), and the result is a list of one
-    (mean, stderr) per forcing.
+    The forcings, with equal centers and widths, run as one batch on common
+    random numbers, each forcing's paths on the streams (seed, tag,
+    0..n_paths-1) and with the bits each would get alone
+    (dynamics.run_batch); the result is one (mean, stderr) per forcing.
 
     fixed_steps runs every path exactly that many steps (run_batch); without
     it, a path that does not hit within cfg.max_steps makes run_batch raise
     CensoredPathError: a mean over the paths that did hit would be biased.
     """
-    batch = run_batch(x0, ansatz, model, cfg, n_paths=n_paths, seed=seed, tag=tag,
+    batch = run_batch(x0, forcings, model, cfg, n_paths=n_paths, seed=seed, tag=tag,
                       fixed_steps=fixed_steps)
-    cost = batch.cost_per_path()
-    if isinstance(ansatz, (list, tuple)):
-        return [mean_stderr(part) for part in cost.reshape(len(ansatz), n_paths)]
-    return mean_stderr(cost)
+    return [mean_stderr(part)
+            for part in batch.cost_per_path().reshape(len(forcings), n_paths)]
 
 
 def _assemble(batch: BatchResult, cfg: SimConfig) -> GradientEstimate:

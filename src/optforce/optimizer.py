@@ -4,7 +4,9 @@ Within one iteration every probe of the line search reuses one fixed batch
 of noise streams (common random numbers), so the Wolfe conditions are
 checked on a deterministic restriction of the objective.  Across iterations
 fresh streams are drawn by default, which avoids overfitting a single noise
-realization.
+realization.  `DescentConfig` alone owns the line search's constants, and
+`descend` alone owns the cap on its first step (MAX_FIRST_STEP): it passes
+both to `wolfe_line_search`, which keeps no default of its own.
 
 The next iterate's batch runs ahead on an idle CPU.  A step the line search
 accepts is its last probe b = a + t d, and the next iterate a - alpha g is b
@@ -30,8 +32,9 @@ from .dynamics import PathFailure, drop_ahead
 from .objective import GradientEstimate
 
 
-# the first line-search trial never moves farther than this in coefficient
-# space; steep early gradients would otherwise probe pathological controls
+# descend caps each line search's first trial so that it moves no farther
+# than this in coefficient space; steep early gradients would otherwise probe
+# pathological controls
 MAX_FIRST_STEP = 1.0
 
 RESEED_STRIDE = 1_000_003
@@ -126,16 +129,14 @@ class LineSearchResult:
 
 
 def wolfe_line_search(a: np.ndarray, direction: np.ndarray, evaluate, *,
-                      value0: float, grad0: np.ndarray,
-                      c1: float = 1e-4, c2: float = 0.9,
-                      alpha_init: float = 1.0, alpha_max: float = 10.0,
-                      max_first_step: float | None = None) -> LineSearchResult:
+                      value0: float, grad0: np.ndarray, c1: float, c2: float,
+                      alpha_init: float, alpha_max: float) -> LineSearchResult:
     """Strong-Wolfe step on the fixed-random-number restriction phi(t) = f(a + t d).
 
     evaluate(b) must return an object with .value and .gradient computed with
-    the same noise realization for every probe.  Falls back to plain Armijo
-    backtracking after 20 zoom steps, and to alpha_init/10 (flagged)
-    when even that fails.
+    the same noise realization for every probe.  The first trial step is
+    min(alpha_init, alpha_max).  Falls back to plain Armijo backtracking
+    after 20 zoom steps, and to alpha_init/10 (flagged) when even that fails.
     """
     a = np.asarray(a, dtype=np.float64)
     d = np.asarray(direction, dtype=np.float64)
@@ -143,8 +144,6 @@ def wolfe_line_search(a: np.ndarray, direction: np.ndarray, evaluate, *,
     dphi0 = float(np.dot(grad0, d))
     if dphi0 >= 0.0:
         raise ValueError(f"direction is not a descent direction (d.g = {dphi0:.3e})")
-    if max_first_step is not None:
-        alpha_init = min(alpha_init, max_first_step / max(np.linalg.norm(d), 1e-12))
 
     evals = 0
 
@@ -207,9 +206,12 @@ def descend(a0: np.ndarray, cfg: DescentConfig, objective, *, seed: int):
     """Iterate a_{i+1} = a_i - alpha_i grad I(a_i) until the gradient is noise-level.
 
     objective(a, seed) -> GradientEstimate; one seed is used for all probes
-    within an iteration.  Terminates when the gradient norm drops below
-    cfg.stop_level or after max_iters; returns the best-seen coefficients by
-    cost value together with the trace, whose `returned` names their record.
+    within an iteration.  Each line search starts from the step
+    min(cfg.alpha_init, MAX_FIRST_STEP / |gradient|), so its first probe
+    moves at most MAX_FIRST_STEP in coefficient space.  Terminates when the
+    gradient norm drops below cfg.stop_level or after max_iters; returns the
+    best-seen coefficients by cost value together with the trace, whose
+    `returned` names their record.
     A line-search probe whose batch raises a PathFailure (a censored path, a
     non-finite update or a path leaving an abort domain) is rejected; an
     iterate's batch that does raises, and an iterate's non-finite gradient
@@ -267,8 +269,9 @@ def descend(a0: np.ndarray, cfg: DescentConfig, objective, *, seed: int):
                     a, -est.gradient, probe,
                     value0=est.value, grad0=est.gradient,
                     c1=cfg.wolfe_c1, c2=cfg.wolfe_c2,
-                    alpha_init=cfg.alpha_init, alpha_max=cfg.alpha_max,
-                    max_first_step=MAX_FIRST_STEP)
+                    alpha_init=min(cfg.alpha_init,
+                                   MAX_FIRST_STEP / max(est.grad_norm, 1e-12)),
+                    alpha_max=cfg.alpha_max)
                 alpha = ls.alpha
                 fallback = ls.fallback
                 probes = ls.n_evals

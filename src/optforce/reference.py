@@ -10,6 +10,9 @@ L = eps d^2/dx^2 - V' d/dx, so the exponential-cost function
 solves  eps^2 psi'' - eps V' psi' = sigma psi  with psi = 1 on the stopping
 boundary and a reflecting (zero-derivative) outer boundary, and
 F = -eps log psi is the value function of the associated control problem.
+Every solve takes a `Grid1D` from `build_grid`, whose first node is the
+absorbing edge (the stopping set's right edge) and whose last is the
+reflecting wall, and returns plain arrays with one value per node.
 `solve_reference`, the one caller that needs both solves, owns the
 cross-check of the MFPT against the derivative of F in sigma.
 
@@ -70,7 +73,7 @@ class Grid1D:
 MAX_GRID_NODES = 1_000_000
 
 
-def build_grid(s: StoppingSet, domain: SimulationDomain, dx: float = 1e-3) -> Grid1D:
+def build_grid(s: StoppingSet, domain: SimulationDomain, dx: float) -> Grid1D:
     """Grid over [right edge of S, right domain edge] with spacing dx.
 
     A ValueError rejects fewer than 3 or more than MAX_GRID_NODES nodes, and
@@ -90,23 +93,6 @@ def build_grid(s: StoppingSet, domain: SimulationDomain, dx: float = 1e-3) -> Gr
                          f"the grid would end at {lo + dx * (n - 1):.12g}, not at {hi}")
     nodes = lo + dx * np.arange(n)
     return Grid1D(nodes=nodes, spacing=float(dx))
-
-
-@dataclass(frozen=True)
-class ReferenceSolution:
-    """psi, F = -eps log psi and the MFPT on the grid (right of S)."""
-
-    grid: Grid1D
-    psi: np.ndarray | None
-    free_energy: np.ndarray | None
-    mfpt: np.ndarray | None
-    sigma: float
-
-    def interp(self, field: str, x):
-        vals = getattr(self, field)
-        if vals is None:
-            raise ValueError(f"field {field!r} not computed in this solution")
-        return np.interp(x, self.grid.nodes, vals)
 
 
 def dgtsv(dl, d, du, b) -> np.ndarray:
@@ -181,45 +167,40 @@ def _solve_generator(p: Potential, grid: Grid1D, diffusion: float, drift: float,
     return u
 
 
-def solve_fk(p: Potential, sigma: float, epsilon: float, grid: Grid1D,
-             s: StoppingSet) -> ReferenceSolution:
+def solve_fk(p: Potential, sigma: float, epsilon: float,
+             grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
     """Solve eps^2 psi'' - eps V' psi' = sigma psi, psi(grid.lo) = 1, psi'(hi) = 0.
 
-    Returns psi and F = -eps log psi.
+    grid.lo is the absorbing edge (build_grid puts it on the stopping set's
+    right edge).  Returns psi and F = -eps log psi, one value per node.
     """
     if sigma < 0:
         raise ReferenceError(f"sigma must be >= 0, got {sigma}")
-    if abs(grid.lo - s.hi) > 1e-9:
-        raise ValueError("grid must start at the right edge of the stopping set")
     if sigma == 0.0:
         # exp(0) functional: psi is identically one
-        ones = np.ones(grid.nodes.size)
-        return ReferenceSolution(grid=grid, psi=ones, free_energy=np.zeros_like(ones),
-                                 mfpt=None, sigma=0.0)
+        return np.ones(grid.nodes.size), np.zeros(grid.nodes.size)
     psi = _solve_generator(p, grid, epsilon ** 2, epsilon, sigma, 0.0, 1.0)
     if not np.all(np.isfinite(psi)):
         raise ReferenceError("singular or ill-conditioned boundary value problem")
     if np.any(psi <= 0.0):
         raise ReferenceError("psi <= 0 on the grid; discretization too coarse")
-    free_energy = -epsilon * np.log(psi)
-    return ReferenceSolution(grid=grid, psi=psi, free_energy=free_energy,
-                             mfpt=None, sigma=float(sigma))
+    return psi, -epsilon * np.log(psi)
 
 
-def solve_mfpt_pde(p: Potential, epsilon: float, grid: Grid1D,
-                   s: StoppingSet) -> np.ndarray:
-    """Solve eps m'' - V' m' = -1, m(grid.lo) = 0, m'(hi) = 0; return m per node."""
-    if abs(grid.lo - s.hi) > 1e-9:
-        raise ValueError("grid must start at the right edge of the stopping set")
+def solve_mfpt_pde(p: Potential, epsilon: float, grid: Grid1D) -> np.ndarray:
+    """Solve eps m'' - V' m' = -1, m(grid.lo) = 0, m'(hi) = 0; return m per node.
+
+    grid.lo is the absorbing edge, as for solve_fk.
+    """
     m = _solve_generator(p, grid, epsilon, 1.0, 0.0, -1.0, 0.0)
     if not np.all(np.isfinite(m)) or np.any(m[1:] <= 0.0):
         raise ReferenceError("MFPT solve failed (non-finite or negative values)")
     return m
 
 
-def solve_reference(p: Potential, sigma: float, epsilon: float, grid: Grid1D,
-                    s: StoppingSet) -> ReferenceSolution:
-    """psi, F and MFPT on one grid, the MFPT cross-checked.
+def solve_reference(p: Potential, sigma: float, epsilon: float,
+                    grid: Grid1D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """psi, F and the MFPT on one grid, one value per node, the MFPT cross-checked.
 
     F_delta / delta, from the exponential-cost solve at a small sigma =
     delta, must match the MFPT to within 5e-2 of its largest value.  The
@@ -227,17 +208,16 @@ def solve_reference(p: Potential, sigma: float, epsilon: float, grid: Grid1D,
     = c eps / max(m) keeps it the same at every temperature; c = 3.76e-3
     gives delta = 2e-5 on the headline run (eps 0.5, MFPT about 94).
     """
-    sol = solve_fk(p, sigma, epsilon, grid, s)
-    m = solve_mfpt_pde(p, epsilon, grid, s)
+    psi, free_energy = solve_fk(p, sigma, epsilon, grid)
+    m = solve_mfpt_pde(p, epsilon, grid)
     scale = max(float(m.max()), 1.0)
     delta = 3.76e-3 * epsilon / scale
     # F_0 = 0, so the first-order derivative route is F_delta / delta
-    m_alt = solve_fk(p, delta, epsilon, grid, s).free_energy / delta
+    m_alt = solve_fk(p, delta, epsilon, grid)[1] / delta
     rel = float(np.max(np.abs(m_alt - m))) / scale
     if rel > 5e-2:
         raise ReferenceError(f"sigma-derivative cross-check disagrees (rel {rel:.2e})")
-    return ReferenceSolution(grid=grid, psi=sol.psi, free_energy=sol.free_energy,
-                             mfpt=m, sigma=float(sigma))
+    return psi, free_energy, m
 
 
 def mfpt_quadrature_oracle(p: Potential, epsilon: float, x: float,

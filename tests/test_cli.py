@@ -431,6 +431,13 @@ class TestCliErrors:
         ("ansatz.json is cut off", "ansatz.json", "not an ansatz (JSONDecodeError: "),
         ("ansatz.json has no coefficients", "ansatz.json",
          "not an ansatz (KeyError: 'coefficients')"),
+        # an entry compare reads that is not what estimate or reference writes
+        ("estimates.json records lack ci95", "estimates.json",
+         "the mfpt_tilted record's ci95 is not two numbers; rerun the stage"),
+        ("oracle_probes.json max_rel_error is a string", "oracle_probes.json",
+         "max_rel_error is not a number; rerun the stage"),
+        ("estimates.json records is a number", "estimates.json",
+         "records is not a list of objects that each name their quantity"),
         # a stage input that cannot be read as text
         ("reference.csv is a directory", "reference.csv",
          "cannot read it (Is a directory); rerun the stage that writes it"),
@@ -464,6 +471,15 @@ class TestCliErrors:
                 path.write_bytes(b"\xff" + path.read_bytes())
             elif case == "ansatz.json is missing":
                 path.unlink()
+            elif case == "estimates.json records lack ci95":
+                doc = json.loads(path.read_text())
+                for record in doc["records"]:
+                    del record["ci95"]
+                path.write_text(json.dumps(doc))
+            elif case.startswith(("oracle_probes.json", "estimates.json records is")):
+                doc = json.loads(path.read_text())
+                doc.update({"max_rel_error": "x"} if "probes" in case else {"records": 5})
+                path.write_text(json.dumps(doc))
             else:
                 doc = json.loads(path.read_text())
                 del doc["coefficients"]

@@ -868,6 +868,16 @@ class TestSeveralForcings:
         with pytest.raises(ValueError, match="^control: "):
             run_batch(0.4, [a, b], model, CFG, n_paths=8, seed=1)
 
+    @pytest.mark.parametrize("layout", ["none, none", "ansatz, none", "none, ansatz"])
+    def test_a_sequence_holding_none_is_refused_naming_control(self, layout):
+        # None alone is the plain dynamics; inside a sequence it is no forcing
+        model = ModelBundle(make_harmonic(), 1.5, self.S, DOMAIN)
+        a = make_uniform_ansatz(4, DOMAIN, self.S, 0.5).with_coefficients([0.1, 0.2, 0.3, 0.4])
+        forcings = [{"none": None, "ansatz": a}[name] for name in layout.split(", ")]
+        with pytest.raises(ValueError, match=r"^control: .*control=None alone runs the "
+                                             "plain dynamics$"):
+            run_batch(0.4, forcings, model, CFG, n_paths=8, seed=1)
+
 
 class TestSegmentRuns:
     """A batch of several segments runs each CPU's group one segment at a
@@ -1127,10 +1137,10 @@ def reference_control():
     s = StoppingSet(-1.1, -1.0)
     dom = SimulationDomain(-1.5, 2.0)
     grid = build_grid(s, dom, 1e-3)
-    sol = solve_fk(p, 1.0, EPS, grid, s)
-    fp = np.gradient(sol.free_energy, grid.nodes)
+    _, F = solve_fk(p, 1.0, EPS, grid)
+    fp = np.gradient(F, grid.nodes)
     control = FieldControl(lambda x: -np.sqrt(2.0) * np.interp(x, grid.nodes, fp))
-    f_x0 = float(sol.interp("free_energy", 1.0298959850506604))
+    f_x0 = float(np.interp(1.0298959850506604, grid.nodes, F))
     return p, s, dom, control, f_x0
 
 

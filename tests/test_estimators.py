@@ -25,10 +25,12 @@ def easy_model():
 
 
 def reference_control(model, sigma=1.0, scale=1.0):
+    """The forcing -sqrt(2) scale F' of the grid solve at sigma, and psi and F at X0."""
     grid = build_grid(model.stopping_set, model.domain, 1e-3)
-    sol = solve_fk(model.potential, sigma, EPS, grid, model.stopping_set)
-    fp = np.gradient(sol.free_energy, grid.nodes)
-    return FieldControl(lambda x: -np.sqrt(2.0) * scale * np.interp(x, grid.nodes, fp)), sol
+    psi, F = solve_fk(model.potential, sigma, EPS, grid)
+    fp = np.gradient(F, grid.nodes)
+    control = FieldControl(lambda x: -np.sqrt(2.0) * scale * np.interp(x, grid.nodes, fp))
+    return control, float(np.interp(X0, grid.nodes, psi)), float(np.interp(X0, grid.nodes, F))
 
 
 class TestSummarize:
@@ -74,8 +76,7 @@ class TestPsiReweighted:
         cfg = SimConfig(epsilon=EPS, h=1e-3)
         ansatz = make_uniform_ansatz(4, DOMAIN, S, 0.4)   # zero coefficients
         est = estimate_psi_reweighted(ansatz, X0, model, cfg, seed=50, n_paths=2000)
-        _, sol = reference_control(model)
-        psi_ref = float(sol.interp("psi", X0))
+        _, psi_ref, _ = reference_control(model)
         assert abs(est.psi.estimate - psi_ref) < 3 * est.psi.stderr + 0.02 * psi_ref
         # untilted: all weights are equal
         assert est.psi.ess == est.psi.n_paths
@@ -85,7 +86,7 @@ class TestPsiReweighted:
         # enough for the sample mean to see it at this n
         model = easy_model()
         cfg = SimConfig(epsilon=EPS, h=2e-3)
-        control, _ = reference_control(model, sigma=1.0, scale=0.2)
+        control, _, _ = reference_control(model, sigma=1.0, scale=0.2)
         est = estimate_psi_reweighted(control, X0, dataclasses.replace(model, sigma=0.0),
                                       cfg, seed=51, n_paths=1500)
         assert abs(est.psi.estimate - 1.0) < 3 * est.psi.stderr
@@ -93,21 +94,20 @@ class TestPsiReweighted:
     def test_zero_variance_control_beats_crude_by_100x(self):
         model = easy_model()
         cfg = SimConfig(epsilon=EPS, h=1e-3)
-        control, sol = reference_control(model)
+        control, _, f_ref = reference_control(model)
         tilted = estimate_psi_reweighted(control, X0, model, cfg, seed=52, n_paths=1500)
         crude = estimate_psi_reweighted(make_uniform_ansatz(4, DOMAIN, S, 0.4),
                                         X0, model, cfg, seed=53, n_paths=1500)
         assert tilted.psi.stderr ** 2 * 100.0 < crude.psi.stderr ** 2
         # free energy via the delta method agrees with the reference
-        f_ref = float(sol.interp("free_energy", X0))
         assert abs(tilted.free_energy.estimate - f_ref) < \
             3 * tilted.free_energy.stderr + 0.05
 
     def test_tilt_invariance_of_estimand(self):
         model = easy_model()
         cfg = SimConfig(epsilon=EPS, h=1e-3)
-        full, _ = reference_control(model, scale=1.0)
-        half, _ = reference_control(model, scale=0.5)
+        full, _, _ = reference_control(model, scale=1.0)
+        half, _, _ = reference_control(model, scale=0.5)
         e_full = estimate_psi_reweighted(full, X0, model, cfg, seed=54, n_paths=1500)
         e_half = estimate_psi_reweighted(half, X0, model, cfg, seed=55, n_paths=1500)
         e_none = estimate_psi_reweighted(make_uniform_ansatz(3, DOMAIN, S, 0.4),
@@ -120,8 +120,8 @@ class TestPsiReweighted:
     def test_variance_ordering(self):
         model = easy_model()
         cfg = SimConfig(epsilon=EPS, h=1e-3)
-        full, _ = reference_control(model, scale=1.0)
-        half, _ = reference_control(model, scale=0.5)
+        full, _, _ = reference_control(model, scale=1.0)
+        half, _, _ = reference_control(model, scale=0.5)
         e_full = estimate_psi_reweighted(full, X0, model, cfg, seed=57, n_paths=1500)
         e_half = estimate_psi_reweighted(half, X0, model, cfg, seed=58, n_paths=1500)
         e_none = estimate_psi_reweighted(make_uniform_ansatz(3, DOMAIN, S, 0.4),
@@ -154,7 +154,7 @@ class TestMfptReweighted:
     def test_unbiasedness_over_replications(self):
         # moderate tilt, easy potential: replication mean matches the oracle
         model = easy_model()
-        control, _ = reference_control(model, scale=0.4)
+        control, _, _ = reference_control(model, scale=0.4)
         oracle = mfpt_quadrature_oracle(model.potential, EPS, X0, S.hi, DOMAIN.hi)
         reps, degenerate = [], 0
         # a replication whose weights degenerate warns; record those warnings

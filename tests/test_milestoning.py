@@ -91,7 +91,7 @@ class TestSolveShell:
         ladder = build_ladder(S, DOMAIN, 1)
         ansatz = make_uniform_ansatz(4, DOMAIN, S, 0.4)
         updated, trace, cost = solve_shell(0, ladder, ansatz, model, sim, dc,
-                                           seed=3, start=1.0)
+                                           seed=3, start=1.0, anchor=0.0)
         assert cost == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(updated.coefficients, 0.0, atol=1e-12)
 
@@ -101,7 +101,7 @@ class TestSolveShell:
         ladder = build_ladder(S, DOMAIN, 1)
         ansatz = make_uniform_ansatz(4, DOMAIN, S, 0.4)
         updated, trace, _ = solve_shell(0, ladder, ansatz, model, sim, dc,
-                                        seed=3, start=1.0)
+                                        seed=3, start=1.0, anchor=0.0)
         objective = make_objective(ansatz, 1.0, model, sim, indices=np.arange(ansatz.m),
                                    n_paths=dc.batch_size)
         a_plain, trace_plain = descend(ansatz.coefficients, dc, objective, seed=3)
@@ -114,7 +114,8 @@ class TestSolveShell:
         sim, dc = quick_cfgs(batch=128, iters=4)
         ladder = build_ladder(S, DOMAIN, 2)
         ansatz = make_uniform_ansatz(6, DOMAIN, S, 0.4)
-        result = run_milestoning(ladder, ansatz, model, sim, dc, seed=3)
+        result = run_milestoning(ladder, ansatz, model, sim, dc, seed=3,
+                                 x0=DOMAIN.hi)
         np.testing.assert_array_equal(result.anchors,
                                       [0.0, *(t.costs.min() for t in result.shell_traces)])
 
@@ -139,7 +140,7 @@ class TestRunMilestoning:
         ansatz = make_uniform_ansatz(4, DOMAIN, S, 0.4)
         ladder = build_ladder(S, DOMAIN, 2)
         with pytest.raises(MilestoningError, match=r"shell \d failed"):
-            run_milestoning(ladder, ansatz, model, sim, dc, seed=3)
+            run_milestoning(ladder, ansatz, model, sim, dc, seed=3, x0=DOMAIN.hi)
 
     def test_a_programming_error_in_a_shell_propagates_as_itself(self, monkeypatch):
         # only path and descent failures become a MilestoningError naming the shell
@@ -151,7 +152,7 @@ class TestRunMilestoning:
         ansatz = make_uniform_ansatz(4, DOMAIN, S, 0.4)
         with pytest.raises(TypeError, match="^broken descent$"):
             run_milestoning(build_ladder(S, DOMAIN, 2), ansatz, easy_model(), sim, dc,
-                            seed=3)
+                            seed=3, x0=DOMAIN.hi)
 
     def test_a_censoring_iterate_stops_the_shell_at_once(self, monkeypatch):
         # the first iterate's batch censors paths; no further batch is run
@@ -168,7 +169,7 @@ class TestRunMilestoning:
         ansatz = make_uniform_ansatz(4, DOMAIN, S, 0.4)
         with pytest.raises(MilestoningError, match="did not hit"):
             run_milestoning(build_ladder(S, DOMAIN, 2), ansatz, easy_model(), sim, dc,
-                            seed=3)
+                            seed=3, x0=DOMAIN.hi)
         assert len(calls) == 1
 
 

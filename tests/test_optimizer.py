@@ -7,8 +7,8 @@ from optforce.ansatz import make_uniform_ansatz
 from optforce.dynamics import CensoredPathError, OutOfDomainError, SimConfig, kernel_counts
 from optforce.model import ModelBundle, SimulationDomain, StoppingSet, make_scaled_double_well
 from optforce.objective import GradientEstimate, make_objective
-from optforce.optimizer import (DescentConfig, DescentTrace, OptimizerError,
-                                descend, wolfe_line_search)
+from optforce.optimizer import (MAX_FIRST_STEP, DescentConfig, DescentTrace,
+                                OptimizerError, descend, wolfe_line_search)
 from conftest import assert_no_child_left
 
 
@@ -45,7 +45,8 @@ class TestWolfeLineSearch:
         est0 = evaluate(a, 0)
         with pytest.raises(ValueError):
             wolfe_line_search(a, +a, lambda b: evaluate(b, 0),
-                              value0=est0.value, grad0=est0.gradient)
+                              value0=est0.value, grad0=est0.gradient,
+                              c1=1e-4, c2=0.9, alpha_init=1.0, alpha_max=10.0)
 
     def test_wolfe_conditions_hold_at_accepted_step(self):
         # non-quadratic smooth objective
@@ -61,26 +62,34 @@ class TestWolfeLineSearch:
         est0 = evaluate(a)
         d = -est0.gradient
         c1, c2 = 1e-4, 0.9
-        res = wolfe_line_search(a, d, evaluate, value0=est0.value,
-                                grad0=est0.gradient, c1=c1, c2=c2)
+        res = wolfe_line_search(a, d, evaluate, value0=est0.value, grad0=est0.gradient,
+                                c1=c1, c2=c2, alpha_init=1.0, alpha_max=10.0)
         dphi0 = float(est0.gradient @ d)
         accepted = evaluate(a + res.alpha * d)
         assert accepted.value <= est0.value + c1 * res.alpha * dphi0
         assert abs(float(accepted.gradient @ d)) <= -c2 * dphi0
 
-    def test_first_step_cap(self):
-        evaluate = quadratic_objective()
-        a = np.array([100.0])
-        est0 = evaluate(a, 0)
-        res = wolfe_line_search(a, -est0.gradient, lambda b: evaluate(b, 0),
-                                value0=est0.value, grad0=est0.gradient,
-                                max_first_step=1.0)
-        # first trial moves by at most 1 in coefficient space, then expands
-        assert res.alpha <= 10.0
-        assert evaluate(a - res.alpha * est0.gradient, 0).value < est0.value
-
 
 class TestDescend:
+    def test_first_probe_moves_at_most_max_first_step(self):
+        # a first gradient norm of about 112: alpha_init = 1 would move the
+        # first probe that far, and descend caps it at MAX_FIRST_STEP
+        points = []
+        evaluate = quadratic_objective()
+
+        def recorded(a, seed):
+            points.append(np.array(a, dtype=np.float64))
+            return evaluate(a, seed)
+
+        a0 = np.array([100.0, -50.0])
+        cfg = DescentConfig(max_iters=1, batch_size=1)
+        descend(a0, cfg, recorded, seed=0)
+        assert np.linalg.norm(a0) > 100.0 * MAX_FIRST_STEP
+        # points[0] is the iterate's own batch, points[1] the first probe
+        first_move = float(np.linalg.norm(points[1] - a0))
+        assert first_move <= MAX_FIRST_STEP * (1.0 + 1e-12)
+        assert first_move == pytest.approx(MAX_FIRST_STEP)
+
     def test_converges_on_quadratic(self):
         cfg = DescentConfig(max_iters=50, grad_tol=1e-8, batch_size=1)
         center = np.array([1.0, -2.0, 0.5])

@@ -158,7 +158,7 @@ def test_the_headline_reference_systems_match_solve_banded(monkeypatch):
     cfg = RunConfig()
     model = cfg.build_model()
     grid = build_grid(model.stopping_set, model.domain, cfg.dx)
-    solve_reference(model.potential, cfg.sigma, cfg.epsilon, grid, model.stopping_set)
+    solve_reference(model.potential, cfg.sigma, cfg.epsilon, grid)
     assert len(systems) == 3
     for dl, d, du, b in systems:
         assert np.array_equal(dgtsv(dl, d, du, b), solve_banded(dl, d, du, b))

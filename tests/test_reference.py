@@ -59,36 +59,36 @@ class TestGrid:
 class TestSolveFK:
     def test_sigma_zero_gives_ones(self):
         g = build_grid(S, DOMAIN, 1e-3)
-        sol = solve_fk(make_potential("skew_double_well"), 0.0, EPS, g, S)
-        np.testing.assert_allclose(sol.psi, 1.0, atol=1e-12)
-        np.testing.assert_allclose(sol.free_energy, 0.0, atol=1e-12)
+        psi, F = solve_fk(make_potential("skew_double_well"), 0.0, EPS, g)
+        np.testing.assert_allclose(psi, 1.0, atol=1e-12)
+        np.testing.assert_allclose(F, 0.0, atol=1e-12)
 
     @pytest.mark.parametrize("eps,sigma", [(0.5, 1.0), (1.0, 1.0), (0.5, 0.7), (2.0, 3.0)])
     def test_flat_closed_form(self, eps, sigma):
         L = 2.0
         g = build_grid(S0, DOM0, 1e-3)
-        sol = solve_fk(make_flat(), sigma, eps, g, S0)
+        psi, _ = solve_fk(make_flat(), sigma, eps, g)
         expected = closed_form_psi(g.nodes, L, sigma, eps)
-        np.testing.assert_allclose(sol.psi, expected, rtol=1e-4)
+        np.testing.assert_allclose(psi, expected, rtol=1e-4)
 
     def test_skew_double_well_shape(self):
         # free energy is zero at the boundary and increases away from S
         g = build_grid(S, DOMAIN, 1e-3)
-        sol = solve_fk(make_potential("skew_double_well"), 1.0, EPS, g, S)
-        assert sol.free_energy[0] == pytest.approx(0.0, abs=1e-12)
-        assert np.all(np.diff(sol.free_energy) > -1e-9)
-        assert 0.0 < sol.psi.min() and sol.psi.max() <= 1.0 + 1e-12
+        psi, F = solve_fk(make_potential("skew_double_well"), 1.0, EPS, g)
+        assert F[0] == pytest.approx(0.0, abs=1e-12)
+        assert np.all(np.diff(F) > -1e-9)
+        assert 0.0 < psi.min() and psi.max() <= 1.0 + 1e-12
 
     def test_negative_sigma_rejected(self):
         g = build_grid(S, DOMAIN, 1e-2)
         with pytest.raises(ReferenceError):
-            solve_fk(make_flat(), -1.0, EPS, g, S)
+            solve_fk(make_flat(), -1.0, EPS, g)
 
     def test_maximum_principle(self):
         g = build_grid(S, DOMAIN, 1e-3)
-        sol = solve_fk(make_potential("skew_double_well"), 2.0, EPS, g, S)
-        assert np.all(sol.psi > 0.0)
-        assert np.all(sol.psi <= 1.0 + 1e-12)
+        psi, _ = solve_fk(make_potential("skew_double_well"), 2.0, EPS, g)
+        assert np.all(psi > 0.0)
+        assert np.all(psi <= 1.0 + 1e-12)
 
     def test_hjb_residual_second_order(self):
         # eps F'' - V' F' - |F'|^2 + sigma = O(dx^2) in the interior
@@ -97,7 +97,7 @@ class TestSolveFK:
 
         def residual(dx):
             g = build_grid(S, DOMAIN, dx)
-            F = solve_fk(p, sigma, EPS, g, S).free_energy
+            _, F = solve_fk(p, sigma, EPS, g)
             x = g.nodes
             fp = (F[2:] - F[:-2]) / (2 * dx)
             fpp = (F[2:] - 2 * F[1:-1] + F[:-2]) / dx ** 2
@@ -115,13 +115,13 @@ class TestSolveMFPT:
     def test_flat_closed_form(self):
         L = 2.0
         g = build_grid(S0, DOM0, 1e-3)
-        m = solve_mfpt_pde(make_flat(), EPS, g, S0)
+        m = solve_mfpt_pde(make_flat(), EPS, g)
         expected = (2 * L * g.nodes - g.nodes ** 2) / (2 * EPS)
         np.testing.assert_allclose(m[1:], expected[1:], rtol=1e-4)
 
     def test_boundary_values(self):
         g = build_grid(S, DOMAIN, 1e-3)
-        m = solve_mfpt_pde(make_potential("skew_double_well"), EPS, g, S)
+        m = solve_mfpt_pde(make_potential("skew_double_well"), EPS, g)
         assert m[0] == 0.0
         assert np.all(m[1:] > 0.0)
 
@@ -131,9 +131,9 @@ class TestSolveMFPT:
         # derivative route at its step agrees to first order in delta
         g = build_grid(S, DOMAIN, 1e-3)
         p = make_potential("skew_double_well")
-        m = solve_reference(p, 1.0, eps, g, S).mfpt
+        _, _, m = solve_reference(p, 1.0, eps, g)
         delta = 3.76e-3 * eps / m.max()
-        m_alt = solve_fk(p, delta, eps, g, S).free_energy / delta
+        m_alt = solve_fk(p, delta, eps, g)[1] / delta
         mask = m > 1.0
         assert np.max(np.abs(m_alt[mask] / m[mask] - 1.0)) < 1e-2
 
@@ -143,7 +143,7 @@ class TestSolveMFPT:
 
         def value(dx):
             g = build_grid(S, DOMAIN, dx)
-            m = solve_mfpt_pde(p, EPS, g, S)
+            m = solve_mfpt_pde(p, EPS, g)
             return np.interp(x_probe, g.nodes, m)
 
         v1, v2, v4 = value(4e-3), value(2e-3), value(1e-3)
@@ -176,33 +176,38 @@ class TestQuadratureOracle:
     def test_pde_matches_oracle_at_start_point(self):
         p = make_potential("skew_double_well")
         g = build_grid(S, DOMAIN, 1e-3)
-        m = solve_mfpt_pde(p, EPS, g, S)
+        m = solve_mfpt_pde(p, EPS, g)
         x0 = 1.0298959850506604
         oracle = mfpt_quadrature_oracle(p, EPS, x0, -1.0, 2.0)
         assert np.interp(x0, g.nodes, m) == pytest.approx(oracle, rel=1e-3)
 
 
 def test_solve_reference_bundles_all_fields():
+    # psi and F are solve_fk's at sigma and the MFPT solve_mfpt_pde's, bit for
+    # bit, each one value per node with the absorbing edge at the first node
+    p = make_potential("skew_double_well")
     g = build_grid(S, DOMAIN, 2e-3)
-    sol = solve_reference(make_potential("skew_double_well"), 1.0, EPS, g, S)
-    assert sol.psi is not None and sol.free_energy is not None and sol.mfpt is not None
-    assert sol.sigma == 1.0
-    assert sol.interp("mfpt", -1.0) == pytest.approx(0.0, abs=1e-9)
+    psi, F, m = solve_reference(p, 1.0, EPS, g)
+    fk_psi, fk_F = solve_fk(p, 1.0, EPS, g)
+    assert all(a.shape == g.nodes.shape for a in (psi, F, m))
+    assert psi.tobytes() == fk_psi.tobytes() and F.tobytes() == fk_F.tobytes()
+    assert m.tobytes() == solve_mfpt_pde(p, EPS, g).tobytes()
+    assert (psi[0], F[0], m[0]) == (1.0, 0.0, 0.0)
+    assert np.all(psi[1:] < 1.0) and np.all(F[1:] > 0.0) and np.all(m[1:] > 0.0)
 
 
 def test_tilted_mfpt_much_smaller():
     # replacing V by V + 2F speeds up hitting by well over 10x
     p = make_potential("skew_double_well")
     g = build_grid(S, DOMAIN, 1e-3)
-    sol = solve_fk(p, 1.0, EPS, g, S)
-    F = sol.free_energy
+    _, F = solve_fk(p, 1.0, EPS, g)
     nodes, dx = g.nodes, g.spacing
     fp = np.gradient(F, nodes)
     from optforce.model import Potential
     tilted = Potential(lambda x: p.evaluate(x) + 2 * np.interp(x, nodes, F),
                        lambda x: p.gradient(x) + 2 * np.interp(x, nodes, fp))
-    m_tilted = solve_mfpt_pde(tilted, EPS, g, S)
-    m_plain = solve_mfpt_pde(p, EPS, g, S)
+    m_tilted = solve_mfpt_pde(tilted, EPS, g)
+    m_plain = solve_mfpt_pde(p, EPS, g)
     x0 = 1.0298959850506604
     ratio = np.interp(x0, nodes, m_plain) / np.interp(x0, nodes, m_tilted)
     assert ratio > 10.0
