@@ -246,7 +246,10 @@ def cmd_optimize(cfg: RunConfig, out: Path) -> int:
 def _load_ansatz(out: Path) -> GaussianAnsatz:
     path = out / "ansatz.json"
     try:
-        return GaussianAnsatz.from_json(_read_text(path, "run the `optimize` subcommand first"))
+        ansatz = GaussianAnsatz.from_json(_read_text(path, "run the `optimize` subcommand first"))
+        if not np.isfinite([ansatz.centers, ansatz.widths, ansatz.coefficients]).all():
+            raise ValueError("a center, width or coefficient is not finite")
+        return ansatz
     except (KeyError, TypeError, ValueError) as err:
         raise StageFileError(f"{path}: not an ansatz ({type(err).__name__}: {err}); rerun "
                              "the `optimize` subcommand") from None

@@ -29,20 +29,21 @@ from its caller.
 Segments.  A batch may drive its paths with k forcings of one basis layout
 (equal centers and widths), such as the two sides of a central difference:
 row f n_paths + i of the result is forcing f's copy of path i, and a single
-forcing is k = 1.  A loop advances every row one step per iteration.  A
-segment is one forcing's live paths among the indices [j KERNEL_CHUNK,
-(j+1) KERNEL_CHUNK); the row-wise calls c = bmat @ coefficients (BLAS gemv,
-with that forcing's coefficients) and terminal_value run once per segment,
-and every other operation row by row.  So a path's bits depend only on its
-own stream and on the live paths of its segment (KERNEL_CHUNK states why),
-and a batch is reproducible for a given n_paths.  A batch therefore runs
-one loop per segment of path indices, over every forcing's copy of it, and
-joins the loops' rows in path order per forcing (_batch): loops of at most
-k KERNEL_CHUNK rows however many paths the batch has, with the bits of
-_run_paths over all its paths at once; loop_iters is the longest loop's.
-A batch whose loops fail raises the error of its first failing segment in
-path order.  The [lo, hi] test and the stopping test look at every row of a
-loop at once; where another row fails them, a row in range folds to
+forcing is k = 1.  A segment is one forcing's live paths among the
+indices [j KERNEL_CHUNK, (j+1) KERNEL_CHUNK); the row-wise calls
+c = bmat @ coefficients (BLAS gemv, with that forcing's coefficients) and
+terminal_value run once per segment, and every other operation row by row.
+So a path's bits depend only on its own stream and on the live paths of its
+segment (KERNEL_CHUNK states why), and a batch is reproducible for a given
+n_paths.  A loop (_run_paths) runs one segment of path indices, over every
+forcing's copy of it, and advances every row one step per iteration; a
+batch runs one loop per segment and joins their rows in path order per
+forcing (_run_groups): loops of at most k KERNEL_CHUNK rows however many
+paths the batch has, whose bits do not depend on how the segments are
+grouped; loop_iters is the longest loop's.  A batch whose loops fail raises
+the error of its first failing segment in path order.  The [lo, hi] test
+and the stopping test look at every row of a loop at once; where another
+row fails them, a row in range folds to
 lo + (x - lo) exactly and a row right of S tests outside it, so no bit
 changes.  The noise blocks, like the streams, are indexed by path: each
 refill draws a path's next block once, into its own column of the
@@ -62,21 +63,24 @@ it is live.
 Forks.  A batch of several segments per forcing runs as contiguous groups
 of whole segments of path indices, one per CPU the process may use (_cpus):
 the first group here, the others in forked children, each running its
-segments' loops in turn.  Every child hands back only its loops' outcomes,
-each a BatchResult and a censored count.  A group whose child hands back
-nothing (a failing update, an error from terminal_value, a child that dies
-or whose result does not pickle) or whose fork fails runs here, once the
-groups before it are in.  So on any number of CPUs a batch returns the same
-bits, or raises the error of its first failing segment in path order, once
-every child is killed and reaped.  A batch of one segment leaves the other
-CPUs idle, so run_batch_ahead may fork a child that runs it whole, and the
-next run_batch with equal arguments (the forcings' centers, widths and
-coefficients the same bytes) joins the child instead of simulating; one
+segments' loops in turn.  A child hands back its loops' outcomes, each a
+BatchResult and a censored count, or the PathFailure of its first failing
+loop, which the batch raises once the groups before it are in; that group
+does not run again here.  A group whose fork fails, or whose child hands
+back nothing (it raised another error, such as one from terminal_value, or
+died, or its result or error does not pickle), runs here in its turn.  So
+on any number of CPUs a batch returns the same bits, or raises the error of
+its first failing segment in path order, once every child is killed and
+reaped.  A batch of one segment leaves the other CPUs idle, so
+run_batch_ahead may fork a child that runs it whole (_run_groups, as here),
+and the next run_batch with equal arguments (the forcings' centers, widths
+and coefficients the same bytes) joins the child instead of simulating; one
 with other arguments leaves it running.  The descent starts the next
 iterate's batch this way while a line-search probe runs (optimizer.descend).
 A joined call is one run_batch call with the paths and loop count of a
-batch run here; only its time is the wait for the child, and a child that
-hands back nothing leaves the batch to run here.
+batch run here, or raises the PathFailure the child handed back; only its
+time is the wait for the child.  A child that hands back nothing leaves the
+batch to run here.
 
 What one step costs.  Long-tailed batches spend most loop iterations on a
 few live paths, where a step's time is the dispatch of its numpy calls
@@ -321,21 +325,20 @@ def run_batch(x0: float, control, model: ModelBundle, cfg: SimConfig, *,
     NumericalFailureError or OutOfDomainError names the failing paths by
     their rows in the result.
 
-    The batch may run as forked groups, or join the child of an earlier
-    run_batch_ahead with equal arguments (module docstring); either returns
-    what the batch run here returns.  A failing batch raises the error of
-    its first failing segment in path order on any number of CPUs.  Each
-    returned batch adds to kernel_counts().
+    The batch runs as groups (_run_groups), the first here and the others
+    in forked children, or joins the child of an earlier run_batch_ahead
+    with equal arguments (module docstring); either returns what the batch
+    run here returns.  A failing batch raises the error of its first failing
+    segment in path order on any number of CPUs, from the child that ran it
+    where one did.  Each returned batch adds to kernel_counts().
     """
     args = _batch_args(x0, control, model, cfg, n_paths=n_paths, seed=seed, tag=tag,
                        fixed_steps=fixed_steps, terminal_value=terminal_value, scores=scores)
-    outcome = None
-    if _ahead.child is not None and _batch_key(args) == _ahead.key:
-        child, _ahead.child, _ahead.key = _ahead.child, None, None
-        outcome = _reap(child)
-        if outcome is not None:
-            _tally.batches_ahead_used += 1
-    result, censored = outcome or _batch(args)
+    child = _ahead.pop(_batch_key(args), None) if _ahead else None
+    outcome = child and _reap(child)
+    if outcome:
+        _tally.batches_ahead_used += 1
+    result, censored = outcome or _run_groups(args)
     if censored:
         raise CensoredPathError(f"{censored}/{result.n_paths} paths did not hit within "
                                 f"max_steps={cfg.max_steps}")
@@ -380,13 +383,6 @@ def _batch_args(x0: float, control, model: ModelBundle, cfg: SimConfig, *,
     return x0, controls, model, cfg, n_paths, seed, tag, fixed_steps, terminal_value, scores
 
 
-def _batch(args: tuple) -> tuple[BatchResult, int]:
-    """The BatchResult of _batch_args' tuple and how many paths it censored:
-    one loop per segment, in groups (_run_groups); a failing batch raises
-    the error of its first failing segment in path order."""
-    return _run_groups(args, _groups(args[4]))      # args[4] is n_paths
-
-
 def _cpus() -> int:
     """CPUs this process may fork batch work onto.
 
@@ -403,12 +399,11 @@ def _groups(n_paths: int) -> list[tuple[int, int]]:
     """[first, stop) bounds of the path groups a batch runs in parallel.
 
     Contiguous groups of whole segments, one per CPU the process may fork
-    onto (_cpus) and near equal in paths; one group when there is one
-    segment or one such CPU.  Each group runs its segments one at a time.
+    onto (_cpus) but at most one per segment, and near equal in paths: so
+    one group when there is one segment or one such CPU.  Each group runs
+    its segments one at a time.
     """
     n_segments = -(-n_paths // KERNEL_CHUNK)
-    if n_segments < 2:
-        return [(0, n_paths)]
     workers = min(_cpus(), n_segments)
     cuts = {min(round(i * n_paths / (workers * KERNEL_CHUNK)) * KERNEL_CHUNK, n_paths)
             for i in range(workers)}
@@ -419,10 +414,11 @@ def _groups(n_paths: int) -> list[tuple[int, int]]:
 def _fork(run, *args) -> tuple[int, int] | None:
     """Start run(*args) in a forked child; returns its pid and its pipe's read end.
 
-    The child pickles run's result into the pipe and leaves with os._exit,
-    so it runs no exit handler of this process; where run raises or its
-    result does not pickle, it writes nothing and exits with status 1.
-    Returns None where os.fork fails.
+    The child pickles run's result, or the PathFailure that run raises, into
+    the pipe and leaves with os._exit, so it runs no exit handler of this
+    process; where run raises another error, or what it would write does
+    not pickle, it writes nothing and exits with status 1.  Returns None
+    where os.fork fails.
     """
     read_end, write_end = os.pipe()
     try:
@@ -433,9 +429,11 @@ def _fork(run, *args) -> tuple[int, int] | None:
         code = 1
         try:
             os.close(read_end)
-            data = pickle.dumps(run(*args), pickle.HIGHEST_PROTOCOL)
             with open(write_end, "wb") as pipe:
-                pipe.write(data)
+                try:
+                    pipe.write(pickle.dumps(run(*args), pickle.HIGHEST_PROTOCOL))
+                except PathFailure as failure:
+                    pipe.write(pickle.dumps(failure, pickle.HIGHEST_PROTOCOL))
             code = 0
         finally:
             os._exit(code)
@@ -450,7 +448,8 @@ def _reap(child: tuple[int, int], kill: bool = False):
     """Wait for a child of _fork and return its result, or None if it handed back none.
 
     The pipe is read to its end (a result larger than the pipe's buffer
-    holds the child until it is read), then closed, and the child reaped.
+    holds the child until it is read), then closed, and the child reaped;
+    then the PathFailure the child handed back, if it did, is raised here.
     kill, or a read that is interrupted, ends the child with SIGKILL instead.
     """
     pid, read_end = child
@@ -467,24 +466,29 @@ def _reap(child: tuple[int, int], kill: bool = False):
             os.kill(pid, signal.SIGKILL)
         status = os.waitpid(pid, 0)[1]
     # bytes a child of this process wrote in full, so safe to unpickle
-    return pickle.loads(data) if data and status == 0 else None
+    outcome = pickle.loads(data) if data and status == 0 else None
+    if isinstance(outcome, PathFailure):
+        raise outcome
+    return outcome
 
 
 def _run_segments(args: tuple, first: int, stop: int) -> list[tuple[BatchResult, int]]:
     """_run_paths over each segment of the paths [first, stop) in turn, the
     first failing one raising; first is a segment start."""
-    return [_run_paths(args, lo, min(lo + KERNEL_CHUNK, stop))
-            for lo in range(first, stop, KERNEL_CHUNK)]
+    return [_run_paths(args, lo) for lo in range(first, stop, KERNEL_CHUNK)]
 
 
-def _run_groups(args: tuple, groups: list[tuple[int, int]]) -> tuple[BatchResult, int]:
-    """Every segment of the groups, joined once: groups[0] here, the others in
-    forked children, each reaped in path order.
+def _run_groups(args: tuple) -> tuple[BatchResult, int]:
+    """The BatchResult of _batch_args' tuple and how many paths it censored:
+    every segment of its groups (_groups), joined once, the first group here
+    and the others in forked children, each reaped in path order.
 
-    A group whose fork failed or whose child hands back nothing runs here
-    when its turn comes, so the first failing segment in path order raises.
-    An error raised here propagates once the children are killed and reaped.
+    A child's PathFailure is raised when its turn comes, and a group whose
+    fork failed or whose child hands back nothing runs here then, so the
+    first failing segment in path order raises.  An error raised here
+    propagates once the children are killed and reaped.
     """
+    groups = _groups(args[4])       # args[4] is n_paths
     # one entry per group, in order: None for groups[0], which runs here
     children, outcomes = [None], []
     try:
@@ -499,15 +503,9 @@ def _run_groups(args: tuple, groups: list[tuple[int, int]]) -> tuple[BatchResult
     return _joined(outcomes, len(args[1]))
 
 
-@dataclass
-class _AheadSlot:
-    """The one batch a forked child runs ahead."""
-
-    key: tuple | None = None
-    child: tuple[int, int] | None = None    # pid and pipe read end
-
-
-_ahead = _AheadSlot()
+# the one batch a forked child runs ahead: its _batch_key to the child's pid
+# and pipe read end, at most one entry
+_ahead: dict[tuple, tuple[int, int]] = {}
 
 
 def _batch_key(args: tuple) -> tuple:
@@ -531,19 +529,18 @@ def run_batch_ahead(*args, **kwargs) -> bool:
     drop_ahead()
     if _cpus() < 2 or args[4] > KERNEL_CHUNK:     # args[4] is n_paths
         return False
-    child = _fork(_batch, args)
+    child = _fork(_run_groups, args)
     if child is None:
         return False
-    _ahead.child, _ahead.key = child, _batch_key(args)
+    _ahead[_batch_key(args)] = child
     _tally.batches_ahead += 1
     return True
 
 
 def drop_ahead():
     """Kill and reap the pending ahead batch's child, if there is one."""
-    child, _ahead.child, _ahead.key = _ahead.child, None, None
-    if child is not None:
-        _reap(child, kill=True)
+    while _ahead:
+        _reap(_ahead.popitem()[1], kill=True)
 
 
 @dataclass
@@ -577,8 +574,6 @@ def _joined(outcomes: list[tuple[BatchResult, int]], k: int) -> tuple[BatchResul
     """The outcome of runs over consecutive paths of k forcings: their
     BatchResults with each forcing's rows joined in path order, forcing-major,
     and their censored counts summed."""
-    if len(outcomes) == 1:
-        return outcomes[0]
     joined = {}
     for field in fields(BatchResult):
         values = [getattr(part, field.name) for part, _ in outcomes]
@@ -593,19 +588,17 @@ def _joined(outcomes: list[tuple[BatchResult, int]], k: int) -> tuple[BatchResul
     return BatchResult(**joined), sum(n for _, n in outcomes)
 
 
-def _run_paths(args: tuple, first: int, stop: int) -> tuple[BatchResult, int]:
-    """The kernel loop over paths [first, stop) of _batch_args' tuple under
-    each of its forcings; first is a segment start.  _batch runs it over one
-    segment of path indices at a time; over several, as the tests run it, it
-    gives the bits of those runs joined, and raises the earliest failing
-    step of any of them.
+def _run_paths(args: tuple, first: int) -> tuple[BatchResult, int]:
+    """The kernel loop over one segment of _batch_args' tuple: the paths
+    [first, min(first + KERNEL_CHUNK, n_paths)) under each of its forcings,
+    first a segment start.  Its segments of live rows are its forcings.
 
     Returns their BatchResult, forcing-major, and, for a stopping batch, how
     many of its rows were still live at cfg.max_steps (their statistics are
     left unset).
     """
     x0, controls, model, cfg, n_batch, seed, tag, fixed_steps, terminal_value, scores = args
-    n_paths = stop - first
+    n_paths = min(first + KERNEL_CHUNK, n_batch) - first
     n_rows = len(controls) * n_paths
     h, eps = cfg.h, cfg.epsilon
     h_, half_h, lr_eta, lr_quad, noise_amp, sqrt2 = map(np.array, (
@@ -621,13 +614,11 @@ def _run_paths(args: tuple, first: int, stop: int) -> tuple[BatchResult, int]:
     limit = fixed_steps if fixed_steps is not None else cfg.max_steps
     control = controls[0]
     m = 0 if control is None else control.m
-    # the segment of forcing f at path index first + j starts at row
-    # f n_paths + j and takes f's coefficients
-    chunks = range(0, n_paths, KERNEL_CHUNK)
-    seg_starts = [f * n_paths + j for f in range(len(controls)) for j in chunks]
-    seg_coefficients = [None if a is None else a.coefficients
-                        for a in controls for _ in chunks]
-    one_segment = len(seg_starts) == 1
+    # the segment of forcing f starts at row f n_paths and takes f's
+    # coefficients
+    seg_starts = range(0, n_rows, n_paths)
+    seg_coefficients = [None if a is None else a.coefficients for a in controls]
+    one_segment = len(controls) == 1
 
     # the live rows' accumulators, under their BatchResult names: updated in
     # place by the step, copied out at retirement and cut to the live rows at

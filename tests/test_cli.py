@@ -431,6 +431,11 @@ class TestCliErrors:
         ("ansatz.json is cut off", "ansatz.json", "not an ansatz (JSONDecodeError: "),
         ("ansatz.json has no coefficients", "ansatz.json",
          "not an ansatz (KeyError: 'coefficients')"),
+        # a non-finite coefficient, which the kernel or the MFPT solve meets
+        ("ansatz.json holds a NaN for estimate", "ansatz.json",
+         "not an ansatz (ValueError: a center, width or coefficient is not finite)"),
+        ("ansatz.json holds a NaN for compare", "ansatz.json",
+         "not an ansatz (ValueError: a center, width or coefficient is not finite)"),
         # an entry compare reads that is not what estimate or reference writes
         ("estimates.json records lack ci95", "estimates.json",
          "the mfpt_tilted record's ci95 is not two numbers; rerun the stage"),
@@ -455,7 +460,8 @@ class TestCliErrors:
         if flag.endswith((".json", ".csv")):
             cfg_path, done = request.getfixturevalue("run_dir")
             shutil.copytree(done, out)
-            command = "estimate" if flag == "ansatz.json" else "compare"
+            command = ("estimate" if flag == "ansatz.json" and not case.endswith("compare")
+                       else "compare")
             path, flag = out / flag, f"{out / flag}:"
             if case == "estimates.json holds only its hash":
                 chash = RunConfig.load(cfg_path).config_hash()
@@ -471,6 +477,10 @@ class TestCliErrors:
                 path.write_bytes(b"\xff" + path.read_bytes())
             elif case == "ansatz.json is missing":
                 path.unlink()
+            elif case.startswith("ansatz.json holds a NaN"):
+                doc = json.loads(path.read_text())
+                doc["coefficients"][0] = float("nan")
+                path.write_text(json.dumps(doc))
             elif case == "estimates.json records lack ci95":
                 doc = json.loads(path.read_text())
                 for record in doc["records"]:

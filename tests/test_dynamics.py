@@ -2,6 +2,7 @@ import dataclasses
 import errno
 import hashlib
 import os
+import pickle
 import re
 import threading
 
@@ -11,8 +12,8 @@ import pytest
 import optforce.dynamics
 from optforce.ansatz import make_uniform_ansatz
 from optforce.dynamics import (FEW_ROWS, KERNEL_CHUNK, NOISE_BLOCK, CensoredPathError,
-                               NumericalFailureError, OutOfDomainError, SimConfig,
-                               MAX_SEED, drop_ahead, kernel_counts, path_stream,
+                               NumericalFailureError, OutOfDomainError, PathFailure,
+                               SimConfig, MAX_SEED, drop_ahead, kernel_counts, path_stream,
                                run_batch, run_batch_ahead)
 from optforce.model import (ModelBundle, Potential, SimulationDomain, StoppingSet,
                             make_flat, make_harmonic, make_potential)
@@ -443,6 +444,18 @@ class TestRetirementBookkeeping:
             run_batch(0.4, None, model, CFG, n_paths=64, seed=3)
         assert failed.value.paths == paths and failed.value.step == step
 
+    @pytest.mark.parametrize("failure", [
+        PathFailure("2 paths [3, 5] failed at step 7", [3, 5], 7),
+        NumericalFailureError("non-finite update for 2 paths [3, 5] at step 7", [3, 5], 7),
+        OutOfDomainError("1 path [9] left the domain at step 0", [9], 0),
+        CensoredPathError("3/64 paths did not hit within max_steps=50"),
+    ], ids=lambda failure: type(failure).__name__)
+    def test_a_failure_pickles_whole(self, failure):
+        # a forked child hands back its failure as pickle bytes
+        again = pickle.loads(pickle.dumps(failure, pickle.HIGHEST_PROTOCOL))
+        assert type(again) is type(failure) and str(again) == str(failure)
+        assert (again.paths, again.step) == (failure.paths, failure.step)
+
 
 class TestCensoring:
     """run_batch is the one place that decides censoring."""
@@ -599,7 +612,8 @@ def assert_same_batch(batch, expected):
 
 class TestSplitBatches:
     """A batch of several segments runs as path groups, all but the first in
-    forked children; a group whose child hands back nothing runs here.
+    forked children; a child's PathFailure is raised here, and a group whose
+    child hands back nothing runs here.
 
     Each test sets the CPU count the process may use, runs the batch on 1 CPU
     (one group, here) and on 2 and 3 (two and three groups, all but the first
@@ -720,6 +734,12 @@ class TestSplitBatches:
         assert_same_batch(batch, expected)
         assert_no_child_left()
 
+    @pytest.mark.parametrize("n_paths", [1, 700, KERNEL_CHUNK])
+    def test_a_batch_of_one_segment_is_one_group_on_any_cpus(self, cpus, n_paths):
+        for n in (1, 2, 3):
+            cpus(n)
+            assert optforce.dynamics._groups(n_paths) == [(0, n_paths)]
+
     def test_a_process_running_threads_runs_one_group(self, cpus):
         cpus(2, 4000)
         release = threading.Event()
@@ -825,7 +845,7 @@ class TestSeveralForcings:
         def group(controls):
             args = optforce.dynamics._batch_args(0.4, controls, model, CFG, n_paths=1100,
                                                  seed=1)
-            return optforce.dynamics._run_paths(args, KERNEL_CHUNK, 1100)
+            return optforce.dynamics._run_paths(args, KERNEL_CHUNK)
 
         with pytest.raises(NumericalFailureError) as alone:
             group((push,))
@@ -839,13 +859,13 @@ class TestSeveralForcings:
                                                                        monkeypatch):
         # over 8 steps on seed 31, push's path 1094 fails on step 7 and no
         # path of the first segment fails; on 2 CPUs the forked group hands
-        # back nothing and runs here
+        # back its failure, and no loop over paths 1024-1099 runs here
         model, push, hold = self.wall_model_and_forcings()
         kwargs = dict(n_paths=1100, seed=31, fixed_steps=8)
         args = optforce.dynamics._batch_args(0.4, push, model, CFG, **kwargs)
-        optforce.dynamics._run_paths(args, 0, KERNEL_CHUNK)
+        optforce.dynamics._run_paths(args, 0)
         with pytest.raises(NumericalFailureError) as alone:
-            optforce.dynamics._run_paths(args, KERNEL_CHUNK, 1100)
+            optforce.dynamics._run_paths(args, KERNEL_CHUNK)
         assert (alone.value.paths, alone.value.step) == ([1094], 7)
         paths = [1100 + i for i in alone.value.paths]
         message = re.escape(f"non-finite update for {named(paths)} at step 7")
@@ -855,7 +875,7 @@ class TestSeveralForcings:
             with pytest.raises(NumericalFailureError, match=f"^{message}$") as together:
                 run_batch(0.4, [hold, push], model, CFG, **kwargs)
             assert (together.value.paths, together.value.step) == (paths, 7)
-            assert spans == [(0, KERNEL_CHUNK), (KERNEL_CHUNK, 1100)]
+            assert spans == ([0, KERNEL_CHUNK] if n == 1 else [0])
             spans.clear()
             assert_no_child_left()
 
@@ -882,9 +902,9 @@ class TestSeveralForcings:
 class TestSegmentRuns:
     """A batch of several segments runs each CPU's group one segment at a
     time, each loop over every forcing's copies of that segment's paths.  It
-    gives every bit that _run_paths over all its paths gives, and a failing
-    batch raises the error of its first failing segment, with no loop over
-    more than one segment after it."""
+    gives the same bits whether its groups run here or in forked children,
+    and a failing batch raises the error of its first failing segment, with
+    no loop after it."""
 
     S = StoppingSet(-4.0, -0.2)
     MODEL = ModelBundle(make_harmonic(), 1.5, S, DOMAIN)
@@ -892,12 +912,12 @@ class TestSegmentRuns:
 
     @staticmethod
     def record_spans(monkeypatch):
-        """The [first, stop) of every _run_paths call in this process from now on."""
+        """The first path of every _run_paths call in this process from now on."""
         spans, run_paths = [], optforce.dynamics._run_paths
 
-        def recorded(args, first, stop):
-            spans.append((first, stop))
-            return run_paths(args, first, stop)
+        def recorded(args, first):
+            spans.append(first)
+            return run_paths(args, first)
 
         monkeypatch.setattr(optforce.dynamics, "_run_paths", recorded)
         return spans
@@ -912,42 +932,46 @@ class TestSegmentRuns:
         batch = run_batch(0.4, self.forcings(2), self.MODEL, CFG, n_paths=3100, seed=11,
                           fixed_steps=20)
         assert batch.n_paths == 2 * 3100 and batch.loop_iters == 20
-        # every loop spans at most KERNEL_CHUNK paths (of each forcing)
-        assert spans == [(0, 1024), (1024, 2048), (2048, 3072), (3072, 3100)]
+        # one loop per segment of KERNEL_CHUNK paths (of each forcing)
+        assert spans == [0, 1024, 2048, 3072]
 
-    @pytest.mark.parametrize("n_cpus", [1, 2])
+    @pytest.mark.parametrize("run", ["forked", "fork fails"])
     @pytest.mark.parametrize("k", [1, 4])
     @pytest.mark.parametrize("fixed_steps", [None, 200])
     @pytest.mark.parametrize("scores", [False, True])
-    def test_every_field_is_run_paths_over_all_the_paths(self, cpus, n_cpus, k, fixed_steps,
-                                                         scores):
+    def test_every_field_on_two_cpus_matches_one_cpu(self, request, cpus, run, k,
+                                                      fixed_steps, scores):
         # 2,100 paths: two full segments and a 52-path one; on 2 CPUs the
-        # forked group runs the last two
+        # forked group runs the last two, or runs them here where the fork
+        # fails
         forcings = self.forcings(k)
         control = forcings[0] if k == 1 else forcings
         kwargs = dict(n_paths=2100, seed=11, tag=4, fixed_steps=fixed_steps, scores=scores,
                       terminal_value=lambda x: 0.3 + forcings[0].value(x))
-        args = optforce.dynamics._batch_args(0.4, control, self.MODEL, CFG, **kwargs)
-        expected, censored = optforce.dynamics._run_paths(args, 0, 2100)
-        assert censored == 0
-        cpus(n_cpus, 2100)
+        cpus(1, 2100)
+        expected = run_batch(0.4, control, self.MODEL, CFG, **kwargs)
+        cpus(2, 2100)
+        if run == "fork fails":
+            attempts = request.getfixturevalue("fork_fails")
         assert_same_batch(run_batch(0.4, control, self.MODEL, CFG, **kwargs), expected)
+        if run == "fork fails":
+            assert len(attempts) == 1
         assert_no_child_left()
 
     @pytest.mark.parametrize("n_cpus", [1, 2])
     def test_the_first_failing_segment_raises_though_a_later_one_fails_sooner(
             self, cpus, monkeypatch, n_cpus):
         # V' is infinite right of 1.2.  On seed 24 the first segment fails on
-        # step 9, while path 1101, in the second segment, fails on step 4 (as
-        # _run_paths over both shows); the batch raises the step-9 error
+        # step 9, while path 1101, in the second segment, fails on step 4;
+        # the batch raises the step-9 error
         model, _, _ = TestSeveralForcings.wall_model_and_forcings()
         args = optforce.dynamics._batch_args(0.4, None, model, CFG, n_paths=2048, seed=24)
         with pytest.raises(NumericalFailureError) as first:
-            optforce.dynamics._run_paths(args, 0, KERNEL_CHUNK)
-        with pytest.raises(NumericalFailureError) as whole:
-            optforce.dynamics._run_paths(args, 0, 2048)
+            optforce.dynamics._run_paths(args, 0)
+        with pytest.raises(NumericalFailureError) as later:
+            optforce.dynamics._run_paths(args, KERNEL_CHUNK)
         assert (first.value.paths, first.value.step) == ([812, 867], 9)
-        assert (whole.value.paths, whole.value.step) == ([1101], 4)
+        assert (later.value.paths, later.value.step) == ([1101], 4)
         cpus(n_cpus, 2048)
         spans = self.record_spans(monkeypatch)
         with pytest.raises(NumericalFailureError) as batch:
@@ -955,14 +979,15 @@ class TestSegmentRuns:
         assert str(batch.value) == str(first.value)
         assert (batch.value.paths, batch.value.step) == ([812, 867], 9)
         # the first segment's run here raised, and no loop ran after it
-        assert spans == [(0, KERNEL_CHUNK)]
+        assert spans == [0]
         assert_no_child_left()
 
 
 class TestBatchAhead:
     """run_batch_ahead runs a one-segment batch in a forked child, which the
-    run_batch call with the same arguments joins; where the child hands back
-    nothing, that call runs the batch here.
+    run_batch call with the same arguments joins: it returns the child's
+    batch or raises the child's PathFailure, and where the child hands back
+    nothing, it runs the batch here.
 
     A joined call must not run the kernel loop here: the tests replace
     _run_paths after the fork, which the child does not see.
@@ -1018,7 +1043,7 @@ class TestBatchAhead:
         assert kernel_counts().batches_ahead_used == joined + 1
         assert_no_child_left()
 
-    def test_a_child_that_fails_leaves_the_batch_to_run_here(self, cpus, monkeypatch):
+    def test_a_joined_child_that_fails_raises_its_error(self, cpus, monkeypatch):
         cpus(2)
         model = ModelBundle(make_harmonic(), 1.0, StoppingSet(-0.3, -0.2),
                             SimulationDomain(DOMAIN.lo, 1.4, "abort"))
@@ -1026,15 +1051,13 @@ class TestBatchAhead:
             self.batch(model=model, n_paths=1000)
         joined = kernel_counts().batches_ahead_used
         assert self.batch(run_batch_ahead, model=model, n_paths=1000)
-        # the kernel loop runs here once, after the child handed back nothing
-        loops, run_paths = [], optforce.dynamics._run_paths
-        monkeypatch.setattr(optforce.dynamics, "_run_paths",
-                            lambda *args: loops.append(None) or run_paths(*args))
-        with pytest.raises(OutOfDomainError) as rerun:
+        # the child hands back its failure, so no kernel loop runs here
+        self.run_nothing_here(monkeypatch)
+        with pytest.raises(OutOfDomainError) as child:
             self.batch(model=model, n_paths=1000)
-        assert len(loops) == 1 and kernel_counts().batches_ahead_used == joined
-        assert str(rerun.value) == str(here.value)
-        assert (rerun.value.paths, rerun.value.step) == (here.value.paths, here.value.step)
+        assert kernel_counts().batches_ahead_used == joined
+        assert str(child.value) == str(here.value)
+        assert (child.value.paths, child.value.step) == (here.value.paths, here.value.step)
         assert_no_child_left()
 
     def test_a_censoring_child_raises_from_its_count(self, cpus, monkeypatch):
